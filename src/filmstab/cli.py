@@ -175,7 +175,7 @@ def _cmd_critical_point(cfg: dict, args) -> int:
 
 def _cmd_stability(cfg: dict, args) -> int:
     from .elasticity import solve_critical_point
-    from .stability import StabilityProblem, dispersion_curve
+    from .stability import StabilityProblem
 
     profile, datum, density, psi, n, ny = build_problem_inputs(cfg)
     analysis = cfg.get("analysis", {})
@@ -186,7 +186,7 @@ def _cmd_stability(cfg: dict, args) -> int:
     verdict = problem.report()
 
     out = _out_dir(args)
-    curve = dispersion_curve(field, psi, max_mode)
+    curve = problem.dispersion_curve(max_mode)
     csv_name = cfg.get("output", {}).get("csv", "dispersion.csv")
     with open(out / csv_name, "w", newline="") as fh:
         fh.write("k,second_variation\n")

@@ -115,6 +115,8 @@ def _validate_geometry(cfg, path="geometry"):
         _as_number(_get(profile, "thickness", ppath), f"{ppath}.thickness", positive=True)
     elif kind == "fourier":
         _validate_modes(_get(profile, "modes", ppath), f"{ppath}.modes", dim)
+        if "thickness" in profile:
+            _as_number(profile["thickness"], f"{ppath}.thickness")
     elif kind == "samples":
         samples = _get(profile, "samples", ppath)
         if not isinstance(samples, list) or not samples:

@@ -407,37 +407,69 @@ def assemble_hessian(grid: MappedGrid, weighted_tangent: np.ndarray) -> np.ndarr
 
     ``weighted_tangent`` has shape ``xshape + (ny, N, N, N, N)`` laid out
     ``(i, a, m, b)`` and carries the quadrature weights; the result is the
-    matrix of ``sum_nodes w * C[grad v, grad w]`` over interior dofs.  The
-    same routine assembles elastic tangents, unit-coefficient stiffness
-    matrices, and any other gradient-gradient form.
+    matrix of ``sum_nodes w * C[grad v, grad w]`` over interior dofs, built
+    from the major-symmetric part of ``C``.  The same routine assembles
+    elastic tangents, unit-coefficient stiffness matrices, and any other
+    gradient-gradient form.
+
+    The gradient splits into a lateral part ``Lx_a`` (Fourier, acting across
+    columns) and a vertical part ``s_a * Ds`` (Chebyshev, acting within a
+    column), so the matrix is the sum of four terms:
+
+    * lateral-lateral, block diagonal in the vertical index;
+    * vertical-vertical with the single coefficient ``S = sum_ab s_a s_b C_ab``,
+      block diagonal in the lateral index;
+    * the cross term ``X = sum_a Lx_a^T (x) (M_a Ds)`` with
+      ``M_a = sum_b s_b C_ab``, and its mirror, which by major symmetry is
+      ``X^T``.
+
+    ``K`` is written one lateral row block at a time from small per-direction
+    factors, so besides the one ``nd x nd`` result only arrays of size
+    ``O(nd^2 / nx + nd^2 / (ny - 1))`` are alive.  The two block-diagonal
+    terms are symmetrized before they are added, which makes ``K`` exactly
+    symmetric.
     """
     nx, ny, N, nd = _flat_shapes(grid)
-    nyc = ny - 1
-    Lx, Ds, pcoef, scoef = grid.assembly_operators()
+    nyc, nh = ny - 1, N - 1
+    Lx, Ds, _, scoef = grid.assembly_operators()
     Cw = weighted_tangent.reshape(nx, ny, N, N, N, N)
-    K = np.zeros((nx, nyc, N, nx, nyc, N))
-    Ds_cols = Ds[:, 1:]          # samples t, trial/test dofs k >= 1
-    Ds_int = Ds[1:, 1:]          # samples pinned to interior rows
+    Cw = 0.5 * (Cw + Cw.transpose(0, 1, 4, 5, 2, 3))
+    s = np.stack(scoef, axis=-1)  # (nx, ny, N) vertical-derivative factors
+    Lxs = np.stack(Lx)            # (nh, nx, nx)
+    Ds_cols = Ds[:, 1:]           # samples t, trial/test dofs k >= 1
+    Ds_int = Ds[1:, 1:]           # samples pinned to interior rows
+
+    # lateral-lateral blocks T1[j, t, i, p, m] (rows and columns at the same t)
+    T1 = np.tensordot(
+        Lxs, np.einsum("rtiamb,brp->artimp", Cw[:, 1:, :, :nh, :, :nh], Lxs), axes=([0, 1], [0, 1])
+    ).transpose(0, 1, 2, 4, 3)
+    T1 = 0.5 * (T1 + T1.transpose(3, 1, 4, 0, 2))
+    # vertical-vertical blocks T4[r, k, i, q, m] (rows and columns at the same r)
+    S = np.einsum("rtiamb,rta,rtb->rtim", Cw, s, s, optimize=True)
+    T4 = np.einsum("tk,rtim,tq->rkiqm", Ds_cols, S, Ds_cols, optimize=True)
+    T4 = 0.5 * (T4 + T4.transpose(0, 3, 4, 1, 2))
+    # cross-term factors Y[a, t, i, r, q, m] = M_a[r, t, i, m] Ds_int[t, q]
+    M = np.einsum("rtiamb,rtb->artim", Cw[:, 1:, :, :nh], s[:, 1:], optimize=True)
+    Y = np.einsum("artim,tq->atirqm", M, Ds_int, optimize=True)
+    Yt = Y.transpose(0, 3, 4, 5, 1, 2)  # Yt[a, j, k, i, q, m] = Y[a, q, m, j, k, i]
+
+    K = np.empty((nx, nyc, N, nx, nyc, N))
+    X = np.empty(K.shape[1:])
+    Xt = np.empty(K.shape[1:])
     rows = np.arange(nyc)
-    cols = np.arange(nx)
-    for a in range(N):
-        for b in range(N):
-            C_ab = Cw[:, :, :, a, :, b]  # (nx, ny, N, N)
-            sa, sb = scoef[a], scoef[b]
-            if pcoef[a] is not None and pcoef[b] is not None:
-                T1 = np.einsum("rj,rtim,rp->jtipm", Lx[a], C_ab[:, 1:], Lx[b], optimize=True)
-                K[:, rows, :, :, rows, :] += T1.transpose(1, 0, 2, 3, 4)
-            if pcoef[a] is not None:
-                coef = sb[..., None, None] * C_ab
-                K += np.einsum("rj,rtim,tq->jtirqm", Lx[a], coef[:, 1:], Ds_int, optimize=True)
-            if pcoef[b] is not None:
-                coef = sa[..., None, None] * C_ab
-                K += np.einsum("tk,rtim,rp->rkiptm", Ds_int, coef[:, 1:], Lx[b], optimize=True)
-            coef = (sa * sb)[..., None, None] * C_ab
-            T4 = np.einsum("tk,rtim,tq->rkiqm", Ds_cols, coef, Ds_cols, optimize=True)
-            K[cols, :, :, cols, :, :] += T4
-    K = K.reshape(nd, nd)
-    return 0.5 * (K + K.T)
+    for j in range(nx):
+        # row block j of X (into K) and of X^T, each summed over a in the same
+        # order, so K[A, B] and K[B, A] add the same two rounded numbers
+        Kj = K[j]
+        np.multiply(Lxs[0, :, j, None, None], Y[0], out=Kj)
+        np.multiply(Lxs[0, j, :, None, None], Yt[0, j][:, :, None], out=Xt)
+        for a in range(1, nh):
+            Kj += np.multiply(Lxs[a, :, j, None, None], Y[a], out=X)
+            Xt += np.multiply(Lxs[a, j, :, None, None], Yt[a, j][:, :, None], out=X)
+        Kj += Xt
+        Kj[rows, :, :, rows, :] += T1[j]
+        Kj[:, :, j] += T4[j]
+    return K.reshape(nd, nd)
 
 
 def h1_gram(grid: MappedGrid) -> np.ndarray:

@@ -179,12 +179,12 @@ class Profile:
 
     @classmethod
     def from_fourier_modes(
-        cls, dim: int, n: int, modes, width: float = 1.0
+        cls, dim: int, n: int, modes, width: float = 1.0, thickness: float = 0.0
     ) -> "Profile":
         """Build a profile from ``{"mode": m, "amplitude": a, "phase": p}`` terms.
 
-        Each term contributes ``a * cos(2*pi*(m . x)/width + p)``; mode 0 (or
-        ``[0, 0]``) is the constant offset.
+        Each term contributes ``a * cos(2*pi*(m . x)/width + p)`` on top of the
+        constant ``thickness``; mode 0 (or ``[0, 0]``) adds a further offset.
         """
         if dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {dim}")
@@ -194,7 +194,7 @@ class Profile:
         else:
             grids = np.meshgrid(x, x, indexing="ij")
         shape = (n,) if dim == 2 else (n, n)
-        samples = np.zeros(shape)
+        samples = np.full(shape, float(thickness))
         for term in modes:
             m = term["mode"]
             amp = float(term["amplitude"])
@@ -227,7 +227,8 @@ class Profile:
             dim = int(cfg.get("dim", 2))
             nn = int(cfg.get("n", n if n is not None else 0))
             modes = list(cfg["modes"])
-            return cls.from_fourier_modes(dim, nn, modes, width=width)
+            thickness = float(cfg.get("thickness", 0.0))
+            return cls.from_fourier_modes(dim, nn, modes, width=width, thickness=thickness)
         if kind == "samples":
             dim = int(cfg.get("dim", 2))
             samples = np.asarray(cfg["samples"], dtype=float)

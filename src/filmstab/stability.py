@@ -477,6 +477,23 @@ class StabilityProblem:
         div = tangential_divergence(geom, X * (arr**2)[..., None])
         return value - surface_integral(geom, g * div)
 
+    def dispersion_curve(self, max_mode: int) -> np.ndarray:
+        """Rows ``(k, quadratic form at cos(2 pi k x / width))`` for k = 1..max_mode.
+
+        Uses the four-term form, so the curve stays meaningful slightly away
+        from surface equilibrium; in three dimensions the mode runs along the
+        first horizontal coordinate.
+        """
+        profile = self.profile
+        x = fourier_nodes(profile.n, profile.width)
+        rows = np.empty((max_mode, 2))
+        for k in range(1, max_mode + 1):
+            mode = np.cos(2.0 * np.pi * k * x / profile.width)
+            if profile.dim == 3:
+                mode = np.broadcast_to(mode[:, None], profile.xshape)
+            rows[k - 1] = (k, self.full_second_variation(mode))
+        return rows
+
     # -- spectral decomposition -------------------------------------------------------
 
     @cached_property
@@ -736,22 +753,9 @@ def fd_oracle_second_variation(
 
 
 def dispersion_curve(field: ElasticField, psi: AnisotropyDensity, max_mode: int) -> np.ndarray:
-    """Rows ``(k, quadratic form at cos(2 pi k x / width))`` for k = 1..max_mode.
-
-    Uses the four-term form, so the curve stays meaningful slightly away
-    from surface equilibrium; in three dimensions the mode runs along the
-    first horizontal coordinate.
-    """
-    problem = StabilityProblem(field, psi)
-    profile = field.grid.profile
-    x = fourier_nodes(profile.n, profile.width)
-    rows = np.empty((max_mode, 2))
-    for k in range(1, max_mode + 1):
-        mode = np.cos(2.0 * np.pi * k * x / profile.width)
-        if profile.dim == 3:
-            mode = np.broadcast_to(mode[:, None], profile.xshape)
-        rows[k - 1] = (k, problem.full_second_variation(mode))
-    return rows
+    """Rows ``(k, four-term form at the k-th cosine mode)``; see
+    :meth:`StabilityProblem.dispersion_curve`."""
+    return StabilityProblem(field, psi).dispersion_curve(max_mode)
 
 
 # -- transport identities under the normal flow -------------------------------------

@@ -107,6 +107,25 @@ def test_malformed_json_is_a_config_error(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_fourier_profile_thickness_is_the_constant_offset(tmp_path, capsys):
+    from filmstab.config import build_problem_inputs, validate_config
+
+    # the example profile of the top-level README
+    example = {"kind": "fourier", "modes": [{"mode": 1, "amplitude": 0.1}], "thickness": 1.0}
+    cfg = flat_config(e0=0.05)
+    cfg["geometry"]["profile"] = example
+    validate_config(cfg, "critical-point")
+    profile = build_problem_inputs(cfg)[0]
+    assert profile.samples.min() == pytest.approx(0.9, abs=1e-14)
+    assert profile.samples.max() == pytest.approx(1.1, abs=1e-14)
+    code, _ = run(tmp_path, "critical-point", cfg)
+    assert code == 0
+    cfg["geometry"]["profile"] = dict(example, thickness="thick")
+    code, _ = run(tmp_path, "critical-point", cfg)
+    assert code == 1
+    assert "geometry.profile.thickness" in capsys.readouterr().err
+
+
 # -- critical-point -------------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from filmstab.elasticity import (
     LinearDensity,
     MismatchDatum,
     NonlinearDensity,
+    _flat_shapes,
     _from_interior,
     assemble_hessian,
     assemble_residual,
@@ -16,6 +17,7 @@ from filmstab.elasticity import (
     continue_critical_point,
     elastic_density_from_config,
     h1_gram,
+    interior_weight_vector,
     isotropic_tensor,
     legendre_hadamard_check,
     local_min_probe,
@@ -300,3 +302,119 @@ def test_density_from_config():
     assert isinstance(d, NonlinearDensity)
     with pytest.raises(ValueError):
         elastic_density_from_config({"kind": "hyper"}, dim=2)
+
+
+# -- dense reference assembly ---------------------------------------------------------
+
+
+def reference_assemble_hessian(grid, weighted_tangent):
+    """Dense interior-dof matrix of the quadratic form with given coefficients.
+
+    ``weighted_tangent`` has shape ``xshape + (ny, N, N, N, N)`` laid out
+    ``(i, a, m, b)`` and carries the quadrature weights; the result is the
+    matrix of ``sum_nodes w * C[grad v, grad w]`` over interior dofs.  The
+    same routine assembles elastic tangents, unit-coefficient stiffness
+    matrices, and any other gradient-gradient form.
+    """
+    nx, ny, N, nd = _flat_shapes(grid)
+    nyc = ny - 1
+    Lx, Ds, pcoef, scoef = grid.assembly_operators()
+    Cw = weighted_tangent.reshape(nx, ny, N, N, N, N)
+    K = np.zeros((nx, nyc, N, nx, nyc, N))
+    Ds_cols = Ds[:, 1:]          # samples t, trial/test dofs k >= 1
+    Ds_int = Ds[1:, 1:]          # samples pinned to interior rows
+    rows = np.arange(nyc)
+    cols = np.arange(nx)
+    for a in range(N):
+        for b in range(N):
+            C_ab = Cw[:, :, :, a, :, b]  # (nx, ny, N, N)
+            sa, sb = scoef[a], scoef[b]
+            if pcoef[a] is not None and pcoef[b] is not None:
+                T1 = np.einsum("rj,rtim,rp->jtipm", Lx[a], C_ab[:, 1:], Lx[b], optimize=True)
+                K[:, rows, :, :, rows, :] += T1.transpose(1, 0, 2, 3, 4)
+            if pcoef[a] is not None:
+                coef = sb[..., None, None] * C_ab
+                K += np.einsum("rj,rtim,tq->jtirqm", Lx[a], coef[:, 1:], Ds_int, optimize=True)
+            if pcoef[b] is not None:
+                coef = sa[..., None, None] * C_ab
+                K += np.einsum("tk,rtim,rp->rkiptm", Ds_int, coef[:, 1:], Lx[b], optimize=True)
+            coef = (sa * sb)[..., None, None] * C_ab
+            T4 = np.einsum("tk,rtim,tq->rkiqm", Ds_cols, coef, Ds_cols, optimize=True)
+            K[cols, :, :, cols, :, :] += T4
+    K = K.reshape(nd, nd)
+    return 0.5 * (K + K.T)
+
+
+def _curved_case(dim, kind, n, ny):
+    if dim == 2:
+        modes = [
+            {"mode": 0, "amplitude": 1.0},
+            {"mode": 1, "amplitude": 0.06},
+            {"mode": 2, "amplitude": 0.02, "phase": 0.5},
+        ]
+    else:
+        modes = [
+            {"mode": [0, 0], "amplitude": 1.0},
+            {"mode": [1, 0], "amplitude": 0.05},
+            {"mode": [1, 1], "amplitude": 0.02, "phase": 0.5},
+        ]
+    grid = build_grid(Profile.from_fourier_modes(dim, n, modes), ny)
+    dens = LinearDensity.isotropic(dim, LAM, MU) if kind == "linear" else NonlinearDensity(dim, LAM, MU)
+    # a smooth non-equilibrium field, so the coefficients vary from node to node
+    y = grid.y[..., None]
+    p = 0.02 * np.arange(1, dim + 1) * y * (y - 0.5 * grid.h[..., None, None])
+    field = ElasticField(grid, MismatchDatum.from_misfit(E0, dim, kind), dens, p=p)
+    return grid, grid.wq[..., None, None, None, None] * dens.tangent(field.gradient())
+
+
+def _max_rel(A, B):
+    return np.abs(A - B).max() / np.abs(B).max()
+
+
+@pytest.mark.parametrize(
+    "dim, kind, n, ny",
+    [(2, "linear", 24, 12), (2, "nonlinear", 24, 12), (3, "linear", 8, 6), (3, "nonlinear", 8, 6)],
+)
+def test_assemble_hessian_matches_dense_reference(dim, kind, n, ny):
+    grid, Cw = _curved_case(dim, kind, n, ny)
+    K = assemble_hessian(grid, Cw)
+    assert _max_rel(K, reference_assemble_hessian(grid, Cw)) <= 1e-13
+    assert np.array_equal(K, K.T)
+    G = h1_gram(grid)
+    N = grid.dim
+    eye4 = np.einsum("im,ab->iamb", np.eye(N), np.eye(N))
+    G_ref = reference_assemble_hessian(grid, grid.wq[..., None, None, None, None] * eye4)
+    G_ref[np.diag_indices(G.shape[0])] += interior_weight_vector(grid)
+    assert _max_rel(G, G_ref) <= 1e-13
+    assert np.array_equal(G, G.T)
+
+
+@pytest.mark.parametrize("dim, n, ny", [(2, 16, 8), (3, 8, 5)])
+def test_assemble_hessian_uses_major_symmetric_part(dim, n, ny):
+    grid, Cw = _curved_case(dim, "linear", n, ny)
+    rng = np.random.default_rng(3)
+    C = Cw * (1.0 + rng.uniform(-0.5, 0.5, size=Cw.shape))
+    major = np.swapaxes(np.swapaxes(C, -4, -2), -3, -1)  # C[..., m, b, i, a]
+    assert np.abs(C - major).max() > 0.1 * np.abs(C).max()
+    K = assemble_hessian(grid, C)
+    assert _max_rel(K, reference_assemble_hessian(grid, C)) <= 1e-13
+    assert np.array_equal(K, K.T)
+
+
+def test_assemble_hessian_memory_stays_near_one_matrix():
+    import tracemalloc
+
+    prof = _bumpy(48, amp=0.05)
+    grid = build_grid(prof, 32)
+    dens = NonlinearDensity(2, LAM, MU)
+    field = ElasticField(grid, MismatchDatum.from_misfit(E0, 2, "nonlinear"), dens)
+    Cw = grid.wq[..., None, None, None, None] * dens.tangent(field.gradient())
+    nd = _flat_shapes(grid)[3]
+    tracemalloc.start()
+    try:
+        K = assemble_hessian(grid, Cw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.shape == (nd, nd)
+    assert peak <= 1.5 * K.nbytes
