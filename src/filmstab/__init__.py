@@ -19,8 +19,6 @@ _EXPORTS = {
     "Profile": "geometry",
     "SurfaceGeometry": "geometry",
     "surface_geometry": "geometry",
-    "DomainMapping": "geometry",
-    "build_mapping": "geometry",
     "MappedGrid": "geometry",
     "build_grid": "geometry",
     "surface_integral": "geometry",
@@ -53,13 +51,7 @@ _EXPORTS = {
     "SurfaceFunction": "stability",
     "SimGramError": "stability",
     "CriticalityWarning": "stability",
-    "second_variation": "stability",
-    "full_second_variation": "stability",
     "fd_oracle_second_variation": "stability",
-    "lambda1": "stability",
-    "mu1": "stability",
-    "stability_verdict": "stability",
-    "criticality_residual": "stability",
     "dispersion_curve": "stability",
     # flat configurations
     "FlatConfiguration": "flat",

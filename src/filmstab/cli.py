@@ -116,18 +116,6 @@ def _write_report(out: Path, name: str, report: dict) -> Path:
     return path
 
 
-def _cosine_mode(profile, k: int):
-    import numpy as np
-
-    from .spectral import fourier_nodes
-
-    x = fourier_nodes(profile.n, profile.width)
-    mode = np.cos(2.0 * np.pi * k * x / profile.width)
-    if profile.dim == 3:
-        mode = np.broadcast_to(mode[:, None], profile.xshape).copy()
-    return mode
-
-
 # -- subcommand handlers ------------------------------------------------------------
 
 
@@ -245,6 +233,7 @@ def _cmd_crystalline(cfg: dict, args) -> int:
     from .flat import (
         BracketError,
         critical_thickness,
+        crystalline_epsilon0,
         crystalline_sweep,
         stability_of_thickness,
         write_crystalline_csv,
@@ -260,12 +249,7 @@ def _cmd_crystalline(cfg: dict, args) -> int:
     suppression_ds = [float(v) for v in analysis.get("suppression_thicknesses", [1.0, 10.0, 100.0])]
 
     rows = crystalline_sweep(density, datum, d, a_facet, b_facet, n=n, ny=ny, max_steps=max_steps)
-    eps0 = next((eps for eps, lam in rows if lam < 1.0), None)
-    if eps0 is None:
-        raise RuntimeError(
-            f"no stable regularization found down to eps = {rows[-1][0]:.3e}; "
-            "extend max_steps or weaken the mismatch"
-        )
+    eps0 = crystalline_epsilon0(rows)
 
     out = _out_dir(args)
     write_crystalline_csv(out / cfg.get("output", {}).get("csv", "crystalline.csv"), rows)
@@ -373,7 +357,7 @@ def _cmd_verify_identity(cfg: dict, args) -> int:
 
 def _cmd_oracle_check(cfg: dict, args) -> int:
     from .elasticity import solve_critical_point
-    from .stability import StabilityProblem, fd_oracle_second_variation
+    from .stability import StabilityProblem, cosine_mode, fd_oracle_second_variation
 
     profile, datum, density, psi, _, ny = build_problem_inputs(cfg)
     analysis = cfg.get("analysis", {})
@@ -388,7 +372,7 @@ def _cmd_oracle_check(cfg: dict, args) -> int:
     checks = []
     worst = None
     for k in modes:
-        phi = _cosine_mode(profile, k)
+        phi = cosine_mode(profile, k)
         assembled = problem.full_second_variation(phi)
         oracle = fd_oracle_second_variation(
             field, psi, phi, t=None if fd_step is None else float(fd_step), richardson=richardson

@@ -269,9 +269,6 @@ class MismatchDatum:
             out[..., c] += amp * np.cos(arg + phase)
         return out
 
-    def to_config(self) -> dict:
-        return {"A": self.A.tolist(), "modes": [dict(t) for t in self.modes]}
-
 
 # -- discrete fields -------------------------------------------------------------
 
@@ -493,11 +490,6 @@ class NewtonError(RuntimeError):
         self.residuals = list(residuals)
 
 
-def _interior(grid: MappedGrid, p: np.ndarray) -> np.ndarray:
-    nx, ny, N, _ = _flat_shapes(grid)
-    return p.reshape(nx, ny, N)[:, 1:].ravel()
-
-
 def _from_interior(grid: MappedGrid, vec: np.ndarray) -> np.ndarray:
     nx, ny, N, _ = _flat_shapes(grid)
     p = np.zeros((nx, ny, N))
@@ -606,14 +598,16 @@ def continue_critical_point(
 # -- diagnostics --------------------------------------------------------------------
 
 
-def coercivity_constant(grid: MappedGrid, K: np.ndarray) -> float:
+def coercivity_constant(grid: MappedGrid, K: np.ndarray, cho=None) -> float:
     """Sharp constant relating the tangent form to the Sobolev norm.
 
     Returns the smallest generalized eigenvalue of ``K`` against the
     first-order Sobolev Gram matrix on the same interior space: positive
     means the quadratic form controls the norm (coercive), negative means
     the form takes negative values and the configuration cannot be a local
-    minimizer of the bulk problem.
+    minimizer of the bulk problem.  ``cho`` is the caller's
+    ``cho_factor(K, lower=True)`` when it already holds one; without it the
+    factorization is computed here.
     """
     G = h1_gram(grid)
     nd = K.shape[0]
@@ -631,7 +625,7 @@ def coercivity_constant(grid: MappedGrid, K: np.ndarray) -> float:
         return float(vals[0])
 
     try:
-        L, lower = cho_factor(K, lower=True)
+        L, lower = cho if cho is not None else cho_factor(K, lower=True)
         return 1.0 / extreme(L, lower, "LA")
     except LinAlgError:
         pass

@@ -80,11 +80,7 @@ class FlatConfiguration:
 
     def gradient(self) -> np.ndarray:
         """The constant field gradient, last column equal to the slope."""
-        N = self.datum.dim
-        M = np.zeros((N, N))
-        M[: N - 1, : N - 1] = self.datum.A
-        M[:, N - 1] = self.slope
-        return M
+        return _affine_gradient(self.datum, self.slope)
 
     def deformation_det(self) -> float:
         """Determinant of the deformation gradient (identity added for the linear kind)."""
@@ -347,29 +343,6 @@ def scaling_law_check(
 
 # -- crystalline regularization ---------------------------------------------------------
 
-# cached attributes of StabilityProblem that do not depend on the surface density
-_SURFACE_FREE_CACHE = (
-    "tangent_samples",
-    "stiffness",
-    "_stiffness_cho",
-    "c0",
-    "coupling",
-    "zero_mean_basis",
-    "tangential_gradient_matrices",
-    "t_matrix",
-    "t_matrix_z",
-)
-
-
-def _with_surface_density(prob: StabilityProblem, psi: AnisotropyDensity) -> StabilityProblem:
-    """A problem sharing every surface-density-independent cached operator."""
-    fresh = StabilityProblem(prob.field, psi)
-    for name in _SURFACE_FREE_CACHE:
-        if name in prob.__dict__:
-            fresh.__dict__[name] = prob.__dict__[name]
-    return fresh
-
-
 def two_term_second_variation(field: ElasticField, a_facet: float, eps: float, phi) -> float:
     """Second variation at a flat state in its explicit two-term form.
 
@@ -407,46 +380,29 @@ def crystalline_sweep(
     surface density, so each extra step only re-assembles the surface Gram.
     """
     field = flat_field(density, datum, d, n, ny)
-    base = StabilityProblem(field, ShiftedFacetDensity(a_facet, b_facet, 0.5 * b_facet / a_facet, datum.dim))
-    _assert_flat_coefficient(base)
+    prob = StabilityProblem(field, ShiftedFacetDensity(a_facet, b_facet, 0.5 * b_facet / a_facet, datum.dim))
+    _assert_flat_coefficient(prob)
     rows = []
-    prob = base
     for k in range(1, max_steps + 1):
         eps = (b_facet / a_facet) * 0.5**k
-        prob = _with_surface_density(prob, ShiftedFacetDensity(a_facet, b_facet, eps, datum.dim))
+        prob = prob.with_surface_density(ShiftedFacetDensity(a_facet, b_facet, eps, datum.dim))
         lam, _ = prob.lambda1()
         rows.append((eps, lam))
     return rows
 
 
-def crystalline_epsilon0(
-    density: ElasticDensity,
-    datum: MismatchDatum,
-    d: float,
-    a_facet: float,
-    b_facet: float,
-    *,
-    n: int = 32,
-    ny: int = 20,
-    max_steps: int = 20,
-) -> float:
-    """Largest regularization in the halving sweep that is strictly stable.
+def crystalline_epsilon0(rows) -> float:
+    """Largest regularization of a :func:`crystalline_sweep` that is strictly stable.
 
-    Walks ``eps = (b/a) / 2**k`` from the largest admissible value down and
-    returns the first one whose largest eigenvalue drops below one.
+    Returns the first ``eps`` of the halving sweep whose largest eigenvalue
+    is below one.
     """
-    field = flat_field(density, datum, d, n, ny)
-    prob = StabilityProblem(field, ShiftedFacetDensity(a_facet, b_facet, 0.5 * b_facet / a_facet, datum.dim))
-    _assert_flat_coefficient(prob)
-    for k in range(1, max_steps + 1):
-        eps = (b_facet / a_facet) * 0.5**k
-        prob = _with_surface_density(prob, ShiftedFacetDensity(a_facet, b_facet, eps, datum.dim))
-        lam, _ = prob.lambda1()
+    for eps, lam in rows:
         if lam < 1.0:
             return eps
     raise RuntimeError(
-        f"no stable regularization found down to eps = {eps:.3e}; "
-        "the elastic term dominates the entire sweep (mis-scaled mismatch?)"
+        f"no stable regularization found down to eps = {rows[-1][0]:.3e}; "
+        "extend max_steps or weaken the mismatch"
     )
 
 

@@ -5,12 +5,9 @@ positive profile ``h`` on the cell ``(0, width)^(dim-1)`` with ``dim`` equal
 to 2 or 3.  This module provides:
 
 * :class:`Profile` -- positive periodic height samples with spectral
-  derivatives and (de)serialization,
+  derivatives and construction from configuration entries,
 * :class:`SurfaceGeometry` -- unit normal, shape operator, mean curvature and
   area element of the free surface, plus tangential calculus helpers,
-* :class:`DomainMapping` -- the blending diffeomorphism that carries the film
-  under profile ``h`` onto the film under a nearby profile ``g`` while fixing
-  the substrate,
 * :class:`MappedGrid` -- the tensor collocation grid ``(x, s*h(x))`` used by
   the elasticity solvers, with chain-rule derivative operators and positive
   quadrature weights.
@@ -21,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .spectral import (
-    barycentric_resample,
     cheb_diff_matrix,
     cheb_lobatto_nodes,
     clenshaw_curtis_weights,
@@ -35,8 +31,6 @@ __all__ = [
     "Profile",
     "SurfaceGeometry",
     "surface_geometry",
-    "DomainMapping",
-    "build_mapping",
     "MappedGrid",
     "build_grid",
     "tangential_gradient",
@@ -95,11 +89,6 @@ class Profile:
     def xshape(self) -> tuple:
         return self.samples.shape
 
-    def nodes(self) -> tuple:
-        """Per-direction coordinate arrays of the sample grid."""
-        x = fourier_nodes(self.n, self.width)
-        return (x,) * (self.dim - 1)
-
     def min(self) -> float:
         return float(self.samples.min())
 
@@ -124,51 +113,7 @@ class Profile:
             out[axis] = np.real(np.fft.ifftn(coeff * (1j * k).reshape(shape)))
         return out
 
-    # -- evaluation between nodes -------------------------------------------
-
-    def _normalize_points(self, points) -> np.ndarray:
-        """Coerce to shape ``(..., dim-1)``; bare arrays are allowed for dim 2."""
-        points = np.asarray(points, dtype=float)
-        if self.dim == 2 and (points.ndim == 0 or points.shape[-1] != 1):
-            points = points[..., None]
-        return points
-
-    def _eval_fourier(self, points: np.ndarray, derivative: int | None) -> np.ndarray:
-        """Trigonometric interpolation at arbitrary points.
-
-        ``points`` has shape ``(..., dim-1)``; ``derivative`` selects one
-        x-direction for a first derivative or None for plain values.
-        """
-        points = self._normalize_points(points)
-        coeff = self.fourier_cache / self.n ** (self.dim - 1)
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=1.0 / self.n) / self.width
-        kd = fourier_wavenumbers(self.n, self.width)
-        if self.dim == 2:
-            phase = np.exp(1j * np.multiply.outer(points[..., 0], k))
-            c = coeff * (1j * kd) if derivative == 0 else coeff
-            return np.real(phase @ c)
-        e1 = np.exp(1j * np.multiply.outer(points[..., 0], k))
-        e2 = np.exp(1j * np.multiply.outer(points[..., 1], k))
-        c = coeff.copy()
-        if derivative is not None:
-            c = c * (1j * kd).reshape((self.n, 1) if derivative == 0 else (1, self.n))
-        return np.real(np.einsum("...a,ab,...b->...", e1, c, e2))
-
-    def eval(self, points) -> np.ndarray:
-        """Profile values at arbitrary cell points.
-
-        For ``dim == 2`` a bare coordinate array is accepted; in general
-        ``points`` carries a trailing axis of length ``dim - 1``.
-        """
-        return self._eval_fourier(points, None)
-
-    def eval_grad(self, points) -> np.ndarray:
-        """Profile gradient at arbitrary cell points, shape ``(..., dim-1)``."""
-        return np.stack(
-            [self._eval_fourier(points, a) for a in range(self.dim - 1)], axis=-1
-        )
-
-    # -- constructors and serialization --------------------------------------
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def flat(cls, dim: int, n: int, thickness: float, width: float = 1.0) -> "Profile":
@@ -205,15 +150,6 @@ class Profile:
             arg = sum(2.0 * np.pi * mvec[a] * grids[a] / width for a in range(dim - 1))
             samples = samples + amp * np.cos(arg + phase)
         return cls(samples, width=width)
-
-    def to_config(self) -> dict:
-        return {
-            "kind": "samples",
-            "dim": self.dim,
-            "n": self.n,
-            "width": self.width,
-            "samples": self.samples.ravel().tolist(),
-        }
 
     @classmethod
     def from_config(cls, cfg: dict, n: int | None = None) -> "Profile":
@@ -343,132 +279,6 @@ def tangential_divergence(geom: SurfaceGeometry, vec: np.ndarray) -> np.ndarray:
 def surface_integral(geom: SurfaceGeometry, values: np.ndarray) -> float:
     """Integral over the free surface of per-node values."""
     return float(np.sum(geom.surface_weights * values))
-
-
-# -- blending diffeomorphism -------------------------------------------------
-
-
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """C-infinity transition: 0 for t <= 0, 1 for t >= 1."""
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        fa = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        fb = np.where(1.0 - t > 0.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return fa / (fa + fb)
-
-
-def _smoothstep_prime(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    ts = np.clip(np.where(inside, t, 0.5), 1e-8, 1.0 - 1e-8)
-    fa = np.exp(-1.0 / ts)
-    fb = np.exp(-1.0 / (1.0 - ts))
-    dfa = fa / ts**2
-    dfb = -fb / (1.0 - ts) ** 2
-    den = fa + fb
-    val = (dfa * den - fa * (dfa + dfb)) / den**2
-    return np.where(inside, val, 0.0)
-
-
-class DomainMapping:
-    """Diffeomorphism carrying the film under ``h`` onto the film under ``g``.
-
-    The map keeps horizontal coordinates and shifts the vertical one by a
-    smooth cutoff profile concentrated near the free surface:
-
-        (x, y) -> (x, y + rho(y - h(x)) * (g(x) - h(x)))
-
-    where ``rho`` is 1 on ``(-m0/4, m0/4)`` and vanishes outside
-    ``(-m0/2, m0/2)`` with ``m0 = min h``.  The substrate plane is fixed and
-    the sup displacement never exceeds ``max |g - h|``.
-    """
-
-    def __init__(self, base: Profile, target: Profile):
-        if base.dim != target.dim or base.n != target.n or base.width != target.width:
-            raise ValueError("base and target profiles must share the same grid")
-        gap = float(np.abs(target.samples - base.samples).max())
-        m0 = base.min()
-        if not gap < m0 / 4.0:
-            raise ValueError(
-                "profiles too far apart for the blending map: "
-                f"max|g - h| = {gap:.6g} must be < (min h)/4 = {m0 / 4.0:.6g}"
-            )
-        self.base = base
-        self.target = target
-        self.m0 = m0
-        self.gap = gap
-
-    def _rho(self, t: np.ndarray) -> np.ndarray:
-        return _smoothstep((self.m0 / 2.0 - np.abs(t)) / (self.m0 / 4.0))
-
-    def _rho_prime(self, t: np.ndarray) -> np.ndarray:
-        inner = (self.m0 / 2.0 - np.abs(t)) / (self.m0 / 4.0)
-        return _smoothstep_prime(inner) * (-np.sign(t)) / (self.m0 / 4.0)
-
-    def vertical(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """New vertical coordinate of the point ``(x, y)``."""
-        h = self.base.eval(x)
-        g = self.target.eval(x)
-        return y + self._rho(y - h) * (g - h)
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> tuple:
-        return x, self.vertical(x, y)
-
-    def gradient(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Jacobian of the map at ``(x, y)``, shape ``(..., N, N)``."""
-        y = np.asarray(y, dtype=float)
-        N = self.base.dim
-        h = self.base.eval(x)
-        g = self.target.eval(x)
-        dh = self.base.eval_grad(x)
-        dg = self.target.eval_grad(x)
-        rho = self._rho(y - h)
-        drho = self._rho_prime(y - h)
-        out = np.zeros(np.broadcast_shapes(h.shape, y.shape) + (N, N))
-        for a in range(N - 1):
-            out[..., a, a] = 1.0
-            out[..., N - 1, a] = drho * (-dh[..., a]) * (g - h) + rho * (dg[..., a] - dh[..., a])
-        out[..., N - 1, N - 1] = 1.0 + drho * (g - h)
-        return out
-
-    def inverse_vertical(self, x: np.ndarray, yprime: np.ndarray) -> np.ndarray:
-        """Solve ``vertical(x, y) = yprime`` for y, column by column."""
-        yprime = np.asarray(yprime, dtype=float)
-        h = self.base.eval(x)
-        g = self.target.eval(x)
-        y = np.array(yprime, dtype=float)
-        for _ in range(60):
-            rho = self._rho(y - h)
-            res = y + rho * (g - h) - yprime
-            slope = 1.0 + self._rho_prime(y - h) * (g - h)
-            step = res / slope
-            y = y - step
-            if np.abs(step).max() < 1e-14 * max(1.0, np.abs(yprime).max()):
-                break
-        return y
-
-    def sup_displacement(self, refine: int = 4) -> float:
-        """max |Phi - id| on a refined sample of the film; bounded by max|g-h|."""
-        prof = self.base
-        nfine = refine * prof.n
-        x = fourier_nodes(nfine, prof.width)
-        if prof.dim == 2:
-            pts = x[:, None]
-        else:
-            g1, g2 = np.meshgrid(x, x, indexing="ij")
-            pts = np.stack([g1, g2], axis=-1)
-        h = prof.eval(pts)
-        smax = 4 * 8
-        out = 0.0
-        for s in np.linspace(0.0, 1.0, smax):
-            y = s * h
-            out = max(out, float(np.abs(self.vertical(pts, y) - y).max()))
-        return out
-
-
-def build_mapping(base: Profile, target: Profile) -> DomainMapping:
-    """Blending diffeomorphism from the film of ``base`` to that of ``target``."""
-    return DomainMapping(base, target)
 
 
 # -- mapped tensor grid -------------------------------------------------------

@@ -68,19 +68,10 @@ __all__ = [
     "VERDICT_STABLE",
     "VERDICT_UNSTABLE",
     "VERDICT_INDEFINITE",
-    "coefficient_a",
-    "solve_vphi",
-    "second_variation",
-    "full_second_variation",
     "fd_oracle_second_variation",
     "first_variation",
     "total_energy",
-    "sim_inner_product",
-    "sim_gram",
-    "lambda1",
-    "mu1",
-    "criticality_residual",
-    "stability_verdict",
+    "cosine_mode",
     "dispersion_curve",
     "normal_velocity_defect",
     "curvature_velocity_defect",
@@ -196,6 +187,15 @@ def _horizontal_points(profile: Profile) -> np.ndarray:
     return np.stack([g1, g2], axis=-1)
 
 
+def cosine_mode(profile: Profile, k: int) -> np.ndarray:
+    """Nodal samples of ``cos(2 pi k x / width)``; in 3D along the first coordinate."""
+    x = fourier_nodes(profile.n, profile.width)
+    mode = np.cos(2.0 * np.pi * k * x / profile.width)
+    if profile.dim == 3:
+        mode = np.broadcast_to(mode[:, None], profile.xshape).copy()
+    return mode
+
+
 def _subnyquist_modes(profile: Profile) -> np.ndarray:
     """Columns of nodal cosine/sine samples for all sub-Nyquist nonzero modes."""
     n, width = profile.n, profile.width
@@ -228,8 +228,23 @@ class StabilityProblem:
     surface-to-bulk coupling matrix, surface Gram matrices, zero-mean basis
     -- are assembled once and shared by the quadratic form, the eigenvalue
     computations and the verdict.  ``psi`` may be omitted when only the bulk
-    pieces are needed (for example by :func:`solve_vphi`).
+    pieces are needed (for example by :meth:`solve_vphi`).
+    :meth:`with_surface_density` swaps ``psi`` and keeps every cached piece
+    that does not depend on it.
     """
+
+    # cached properties that do not depend on the surface density
+    _SURFACE_FREE = (
+        "tangent_samples",
+        "stiffness",
+        "_stiffness_cho",
+        "c0",
+        "coupling",
+        "zero_mean_basis",
+        "tangential_gradient_matrices",
+        "t_matrix",
+        "t_matrix_z",
+    )
 
     def __init__(self, field: ElasticField, psi: AnisotropyDensity | None = None):
         if psi is not None and psi.dim != field.grid.dim:
@@ -241,6 +256,14 @@ class StabilityProblem:
         self.grid = field.grid
         self.geom = field.grid.geom
         self.profile = field.grid.profile
+
+    def with_surface_density(self, psi: AnisotropyDensity) -> "StabilityProblem":
+        """The same equilibrium under ``psi``, sharing the surface-free cache."""
+        fresh = StabilityProblem(self.field, psi)
+        for name in self._SURFACE_FREE:
+            if name in self.__dict__:
+                fresh.__dict__[name] = self.__dict__[name]
+        return fresh
 
     def _require_psi(self) -> AnisotropyDensity:
         if self.psi is None:
@@ -266,7 +289,11 @@ class StabilityProblem:
     @cached_property
     def c0(self) -> float:
         """Coercivity constant of the bulk tangent form over the Sobolev norm."""
-        return coercivity_constant(self.grid, self.stiffness)
+        try:
+            cho = self._stiffness_cho
+        except LinAlgError:
+            cho = None
+        return coercivity_constant(self.grid, self.stiffness, cho)
 
     @cached_property
     def coupling(self) -> np.ndarray:
@@ -484,14 +511,9 @@ class StabilityProblem:
         from surface equilibrium; in three dimensions the mode runs along the
         first horizontal coordinate.
         """
-        profile = self.profile
-        x = fourier_nodes(profile.n, profile.width)
         rows = np.empty((max_mode, 2))
         for k in range(1, max_mode + 1):
-            mode = np.cos(2.0 * np.pi * k * x / profile.width)
-            if profile.dim == 3:
-                mode = np.broadcast_to(mode[:, None], profile.xshape)
-            rows[k - 1] = (k, self.full_second_variation(mode))
+            rows[k - 1] = (k, self.full_second_variation(cosine_mode(self.profile, k)))
         return rows
 
     # -- spectral decomposition -------------------------------------------------------
@@ -633,57 +655,6 @@ class StabilityProblem:
 # -- module-level operations ------------------------------------------------------
 
 
-def coefficient_a(field: ElasticField, psi: AnisotropyDensity) -> SurfaceFunction:
-    """Zeroth-order surface coefficient of the second variation."""
-    problem = StabilityProblem(field, psi)
-    return SurfaceFunction(problem.coefficient_a, problem.geom)
-
-
-def solve_vphi(field: ElasticField, phi) -> np.ndarray:
-    """Adjoint elastic correction of a surface speed."""
-    return StabilityProblem(field).solve_vphi(phi)
-
-
-def second_variation(field: ElasticField, psi: AnisotropyDensity, phi) -> float:
-    """Three-term quadratic form at an equilibrium pair."""
-    return StabilityProblem(field, psi).second_variation(phi)
-
-
-def full_second_variation(field: ElasticField, psi: AnisotropyDensity, phi) -> float:
-    """Four-term quadratic form, valid away from surface equilibrium."""
-    return StabilityProblem(field, psi).full_second_variation(phi)
-
-
-def sim_inner_product(field: ElasticField, psi: AnisotropyDensity, phi, theta) -> float:
-    """Surface inner product of two speeds by pointwise quadrature."""
-    return StabilityProblem(field, psi).sim_inner_product(phi, theta)
-
-
-def sim_gram(field: ElasticField, psi: AnisotropyDensity) -> np.ndarray:
-    """Gram matrix of the surface inner product on the zero-mean basis."""
-    return StabilityProblem(field, psi).sim_matrix_z
-
-
-def lambda1(field: ElasticField, psi: AnisotropyDensity) -> tuple:
-    """Largest correction eigenvalue and its normalized eigenfunction."""
-    return StabilityProblem(field, psi).lambda1()
-
-
-def mu1(field: ElasticField, psi: AnisotropyDensity) -> float:
-    """Constrained minimum of the bulk form over adjoint-feasible fields."""
-    return StabilityProblem(field, psi).mu1()
-
-
-def criticality_residual(field: ElasticField, psi: AnisotropyDensity) -> float:
-    """Sup-deviation of the surface equilibrium identity from its mean."""
-    return StabilityProblem(field, psi).criticality_residual()
-
-
-def stability_verdict(field: ElasticField, psi: AnisotropyDensity) -> StabilityReport:
-    """Full strict-stability report at an equilibrium elastic field."""
-    return StabilityProblem(field, psi).report()
-
-
 def total_energy(field: ElasticField, psi: AnisotropyDensity) -> float:
     """Bulk elastic energy plus anisotropic area of the free surface."""
     geom = field.grid.geom
@@ -776,7 +747,9 @@ def normal_velocity_defect(profile: Profile, phi, t: float) -> float:
     points = _horizontal_points(profile)
     moved_points = points - (t * arr / geom.area_jacobian)[..., None] * geom.grad_h
     moved_profile = Profile(profile.samples + t * arr * geom.area_jacobian, width=profile.width)
-    slope = moved_profile.eval_grad(moved_points)
+    slope = np.stack(
+        [trig_interpolate(g, profile.width, moved_points) for g in moved_profile.grad()], axis=-1
+    )
     jac = np.sqrt(1.0 + np.sum(slope**2, axis=-1))
     normal = np.concatenate([-slope, np.ones(arr.shape + (1,))], axis=-1) / jac[..., None]
     rate = (normal - geom.normal) / t

@@ -25,6 +25,7 @@ from filmstab.elasticity import (
 from filmstab.flat import (
     critical_thickness,
     crystalline_epsilon0,
+    crystalline_sweep,
     flat_field,
     lambda1_of_thickness,
     mu1_of_thickness,
@@ -39,7 +40,6 @@ from filmstab.stability import (
     StabilityProblem,
     curvature_velocity_defect,
     fd_oracle_second_variation,
-    full_second_variation,
     normal_velocity_defect,
 )
 
@@ -93,7 +93,7 @@ def test_criterion_2_pure_surface_value_is_two_pi_squared():
     field, _ = solve_critical_point(
         Profile.flat(2, 32, 1.0), MismatchDatum(np.array([[0.0]]), 2), density(), 20
     )
-    value = full_second_variation(field, ISO, cos_mode(32, 1))
+    value = StabilityProblem(field, ISO).full_second_variation(cos_mode(32, 1))
     target = 2.0 * np.pi**2
     rel = abs(value - target) / target
     report_line(2, rel < 1e-6, f"form value {value:.10f} vs 2*pi^2 = {target:.10f}, rel {rel:.2e}")
@@ -189,7 +189,7 @@ def test_criterion_5_flat_film_regime_structure():
 def test_criterion_6_facet_regularization_suppresses_instability():
     """Half the found stable regularization keeps thick films strictly stable."""
     dens, dat = density(), datum(1.2)
-    eps0 = crystalline_epsilon0(dens, dat, 1.0, 1.0, 1.0, n=32, ny=20)
+    eps0 = crystalline_epsilon0(crystalline_sweep(dens, dat, 1.0, 1.0, 1.0, n=32, ny=20))
     psi_star = ShiftedFacetDensity(1.0, 1.0, 0.5 * eps0, 2)
     verdicts = []
     for d, ny in ((1.0, 32), (10.0, 32), (100.0, 48)):

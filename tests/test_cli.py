@@ -198,7 +198,7 @@ def test_dispersion_csv_matches_direct_evaluation(tmp_path):
     from filmstab.elasticity import MismatchDatum, elastic_density_from_config, solve_critical_point
     from filmstab.anisotropy import anisotropy_from_config
     from filmstab.geometry import Profile
-    from filmstab.stability import full_second_variation
+    from filmstab.stability import StabilityProblem
     from filmstab.spectral import fourier_nodes
 
     density = elastic_density_from_config(LINEAR, 2)
@@ -206,7 +206,8 @@ def test_dispersion_csv_matches_direct_evaluation(tmp_path):
     field, _ = solve_critical_point(Profile.flat(2, 16, 1.0), datum, density, 12)
     psi = anisotropy_from_config(ISO, 2)
     phi = np.cos(2.0 * np.pi * fourier_nodes(16, 1.0))
-    assert float(rows[0][1]) == pytest.approx(full_second_variation(field, psi, phi), rel=1e-12)
+    expected = StabilityProblem(field, psi).full_second_variation(phi)
+    assert float(rows[0][1]) == pytest.approx(expected, rel=1e-12)
 
 
 # -- flat-threshold -------------------------------------------------------------------

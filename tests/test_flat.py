@@ -193,7 +193,7 @@ def test_crystalline_epsilon0_and_suppression():
     # the isotropic density cannot hold this mismatch even at unit thickness
     assert lambda1_of_thickness(1.0, density, PSI, datum) > 1.0
 
-    eps0 = crystalline_epsilon0(density, datum, 1.0, 1.0, 1.0)
+    eps0 = crystalline_epsilon0(crystalline_sweep(density, datum, 1.0, 1.0, 1.0))
     assert eps0 == 0.5  # first halving step is already stable
     psi_reg = ShiftedFacetDensity(1.0, 1.0, eps0 / 2.0, 2)
     for d in (1.0, 10.0):
@@ -206,7 +206,20 @@ def test_crystalline_sweep_exhaustion():
     # a mismatch so strong that twenty halvings never stabilize would indicate
     # a scaling bug; emulate it with a tiny facet coefficient and few steps
     with pytest.raises(RuntimeError, match="no stable regularization"):
-        crystalline_epsilon0(linear_density(), benchmark_datum(1.2), 1.0, 1e-4, 1e-4, max_steps=2)
+        crystalline_epsilon0(
+            crystalline_sweep(linear_density(), benchmark_datum(1.2), 1.0, 1e-4, 1e-4, max_steps=2)
+        )
+
+
+def test_with_surface_density_keeps_bulk_and_matches_fresh_problem():
+    field = flat_field(linear_density(), benchmark_datum(1.2), 1.0, 16, 12)
+    prob = StabilityProblem(field, ShiftedFacetDensity(1.0, 1.0, 0.5, 2))
+    prob.report()
+    psi2 = ShiftedFacetDensity(1.0, 1.0, 0.25, 2)
+    swapped = prob.with_surface_density(psi2)
+    assert swapped.psi is psi2
+    assert swapped.stiffness is prob.stiffness
+    assert swapped.report() == StabilityProblem(field, psi2).report()
 
 
 def test_two_term_form_matches_generic_assembly():

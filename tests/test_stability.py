@@ -19,21 +19,11 @@ from filmstab.stability import (
     SimGramError,
     StabilityProblem,
     SurfaceFunction,
-    coefficient_a,
-    criticality_residual,
     curvature_velocity_defect,
     dispersion_curve,
     fd_oracle_second_variation,
     first_variation,
-    full_second_variation,
-    lambda1,
-    mu1,
     normal_velocity_defect,
-    second_variation,
-    sim_gram,
-    sim_inner_product,
-    solve_vphi,
-    stability_verdict,
     total_energy,
 )
 
@@ -99,8 +89,8 @@ def test_zero_mean_basis_orthonormal_and_weighted():
 
 def test_coefficient_a_vanishes_flat_affine():
     field = flat_pair()
-    a = coefficient_a(field, IsotropicDensity(2))
-    assert np.abs(a.samples).max() < 1e-9
+    a = StabilityProblem(field, IsotropicDensity(2)).coefficient_a
+    assert np.abs(a).max() < 1e-9
 
 
 def test_coefficient_a_flat_substrate_modes():
@@ -128,8 +118,6 @@ def test_solve_vphi_zero_and_linearity():
     lhs = prob.solve_vphi(0.7 * phi - 1.3 * theta)
     rhs = 0.7 * prob.solve_vphi(phi) - 1.3 * prob.solve_vphi(theta)
     assert np.abs(lhs - rhs).max() < 1e-11 * max(np.abs(rhs).max(), 1e-300)
-
-    assert np.abs(solve_vphi(field, phi) - prob.solve_vphi(phi)).max() == 0.0
 
 
 def test_coupling_matches_general_assembly():
@@ -187,15 +175,12 @@ def test_sim_inner_product_flat_isotropic():
     # matrix path against quadrature path
     S = prob.sim_matrix
     assert phi @ S @ phi == pytest.approx(value, rel=1e-12)
-    assert sim_inner_product(field, psi, phi, theta) == pytest.approx(
-        prob.sim_inner_product(phi, theta), abs=1e-14
-    )
 
 
 def test_sim_gram_positive_definite_at_benchmark():
     field = flat_pair()
     psi = IsotropicDensity(2)
-    Sz = sim_gram(field, psi)
+    Sz = StabilityProblem(field, psi).sim_matrix_z
     assert np.abs(Sz - Sz.T).max() < 1e-12
     vals = np.linalg.eigvalsh(Sz)
     # smallest retained mode is k = 1 with weight 1/n
@@ -214,7 +199,6 @@ def test_second_variation_scaling_and_zero():
     four = prob.second_variation(2.0 * phi)
     assert four == pytest.approx(4.0 * one, rel=1e-10)
     assert prob.second_variation(np.zeros(32)) == 0.0
-    assert second_variation(field, psi, phi) == pytest.approx(one, rel=1e-14)
 
 
 def test_second_variation_warns_off_equilibrium():
@@ -234,9 +218,6 @@ def test_full_second_variation_flat_equals_three_term():
     # the transport field vanishes identically on a flat profile
     assert prob.full_second_variation(phi) == pytest.approx(
         prob.second_variation(phi), rel=1e-14
-    )
-    assert full_second_variation(field, psi, phi) == pytest.approx(
-        prob.full_second_variation(phi), rel=1e-14
     )
 
 
@@ -271,13 +252,13 @@ def test_lambda1_zero_without_mismatch():
     profile = Profile.flat(2, 24, 1.0)
     field, _ = solve_critical_point(profile, datum, density, ny=12)
     psi = IsotropicDensity(2)
-    lam, efn = lambda1(field, psi)
+    lam, efn = StabilityProblem(field, psi).lambda1()
     assert lam == 0.0
     assert efn.zero_mean
     with pytest.warns(UserWarning):
-        assert mu1(field, psi) == np.inf
+        assert StabilityProblem(field, psi).mu1() == np.inf
     with pytest.warns(UserWarning):
-        report = stability_verdict(field, psi)
+        report = StabilityProblem(field, psi).report()
     assert report.verdict == "strictly_stable"
     assert report.lambda1 == 0.0 and report.mu1 == np.inf
 
@@ -315,8 +296,8 @@ def test_lambda1_sign_convention():
 
 def test_lambda1_refinement_agreement():
     psi = IsotropicDensity(2)
-    lam_coarse, _ = lambda1(flat_pair(n=24, ny=16, e0=0.1), psi)
-    lam_fine, _ = lambda1(flat_pair(n=48, ny=24, e0=0.1), psi)
+    lam_coarse, _ = StabilityProblem(flat_pair(n=24, ny=16, e0=0.1), psi).lambda1()
+    lam_fine, _ = StabilityProblem(flat_pair(n=48, ny=24, e0=0.1), psi).lambda1()
     assert abs(lam_coarse - lam_fine) < 0.01 * lam_fine
 
 
@@ -357,7 +338,7 @@ def test_sim_gram_error_carries_eigenvalue():
 def test_criticality_residual_flat_and_perturbation_slope():
     field = flat_pair()
     psi = IsotropicDensity(2)
-    assert criticality_residual(field, psi) < 1e-10
+    assert StabilityProblem(field, psi).criticality_residual() < 1e-10
 
     density = elastic_density_from_config(LIN, 2)
     datum = MismatchDatum.from_misfit(0.05, 2, "linear")
@@ -366,7 +347,7 @@ def test_criticality_residual_flat_and_perturbation_slope():
         x = np.arange(32) / 32
         profile = Profile(1.0 + delta * np.cos(2.0 * np.pi * x))
         moved, _ = solve_critical_point(profile, datum, density, ny=20)
-        return criticality_residual(moved, psi)
+        return StabilityProblem(moved, psi).criticality_residual()
 
     r1 = residual_at(0.01)
     r2 = residual_at(0.005)
@@ -410,7 +391,7 @@ def test_fd_oracle_curved_matches_full_form():
     field = curved_pair()
     psi = IsotropicDensity(2)
     phi = cos_mode(32, 1) + 0.3 * np.sin(4.0 * np.pi * np.arange(32) / 32)
-    form = full_second_variation(field, psi, phi)
+    form = StabilityProblem(field, psi).full_second_variation(phi)
     oracle = fd_oracle_second_variation(field, psi, phi)
     assert abs(form - oracle) < 1e-2 * abs(oracle)
 
@@ -469,10 +450,48 @@ def test_unstable_verdict_with_strong_substrate_modes():
     field = flat_pair(e0=0.1, modes=((0, 2, 0.3),))
     eta = 1e-2
     psi = QuadraticFormDensity(np.diag([eta**2, 1.0]))
-    report = stability_verdict(field, psi)
+    report = StabilityProblem(field, psi).report()
     assert report.verdict == "not_strictly_stable"
     assert report.lambda1 > 1.0
     assert report.mu1 < 1.0
+
+
+def _curved_film_report(h):
+    """Report of a linear film over the profile samples ``h`` (ny 12 in 2D, 6 in 3D)."""
+    dim = h.ndim + 1
+    density = elastic_density_from_config(LIN, dim)
+    datum = MismatchDatum.from_misfit(0.05, dim, "linear")
+    field, _ = solve_critical_point(Profile(h), datum, density, ny=12 if dim == 2 else 6)
+    return StabilityProblem(field, IsotropicDensity(dim)).report()
+
+
+CURVED_FILMS = {
+    2: (16, [{"mode": 1, "amplitude": 0.04, "phase": 0.3},
+             {"mode": 2, "amplitude": 0.02, "phase": 1.1}]),
+    3: (10, [{"mode": [1, 0], "amplitude": 0.04, "phase": 0.3},
+             {"mode": [1, 2], "amplitude": 0.02, "phase": 1.1}]),
+}
+
+
+@pytest.mark.parametrize(
+    "dim, move",
+    [
+        (2, lambda h: np.roll(h, 5)),
+        (2, lambda h: np.roll(h[::-1], 1)),
+        (3, lambda h: h.T),
+        (3, lambda h: np.roll(h, (3, -2), axis=(0, 1))),
+    ],
+    ids=["2d-shift", "2d-mirror", "3d-axis-swap", "3d-shift"],
+)
+def test_report_invariant_under_lateral_symmetries(dim, move):
+    """Lateral shifts, the mirror and the 3D axis swap leave the report unchanged."""
+    n, modes = CURVED_FILMS[dim]
+    h = Profile.from_fourier_modes(dim, n, modes, thickness=1.0).samples
+    base, moved = _curved_film_report(h), _curved_film_report(move(h))
+    assert moved.verdict == base.verdict
+    assert moved.lambda1 == pytest.approx(base.lambda1, rel=1e-10)
+    assert moved.c0 == pytest.approx(base.c0, rel=1e-8)
+    assert moved.mu1 == pytest.approx(base.mu1, rel=1e-8)
 
 
 def test_dispersion_curve_flat_benchmark():
