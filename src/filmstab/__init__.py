@@ -58,7 +58,6 @@ _EXPORTS = {
     "solve_affine": "flat",
     "flat_field": "flat",
     "lambda1_of_thickness": "flat",
-    "mu1_of_thickness": "flat",
     "critical_thickness": "flat",
     "CriticalThickness": "flat",
     "BracketError": "flat",

@@ -119,8 +119,13 @@ def _validate_geometry(cfg, path="geometry"):
             _as_number(profile["thickness"], f"{ppath}.thickness")
     elif kind == "samples":
         samples = _get(profile, "samples", ppath)
-        if not isinstance(samples, list) or not samples:
-            raise ConfigError(f"{ppath}.samples", "expected a non-empty list")
+        count = n ** (dim - 1)
+        if not isinstance(samples, list) or len(samples) != count:
+            raise ConfigError(
+                f"{ppath}.samples", f"expected a flat list of n^{dim - 1} = {count} heights"
+            )
+        for i, height in enumerate(samples):
+            _as_number(height, f"{ppath}.samples[{i}]", positive=True)
     else:
         raise ConfigError(f"{ppath}.kind", f"unknown profile kind {kind!r}")
     if "width" in profile:

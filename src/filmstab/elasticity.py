@@ -606,35 +606,32 @@ def coercivity_constant(grid: MappedGrid, K: np.ndarray, cho=None) -> float:
     means the quadratic form controls the norm (coercive), negative means
     the form takes negative values and the configuration cannot be a local
     minimizer of the bulk problem.  ``cho`` is the caller's
-    ``cho_factor(K, lower=True)`` when it already holds one; without it the
-    factorization is computed here.
+    ``cho_factor(K, lower=True)`` when it already holds one, or ``False``
+    when the caller found ``K`` not positive definite; by default the
+    factorization is computed here.  A coercive ``K`` takes a Lanczos solve
+    against its factor, any other the dense generalized eigensolve.
     """
     G = h1_gram(grid)
+    if cho is None:
+        try:
+            cho = cho_factor(K, lower=True)
+        except LinAlgError:
+            cho = False
+    if cho is False:
+        return float(eigh(K, G, subset_by_index=[0, 0], eigvals_only=True)[0])
+    L, lower = cho
     nd = K.shape[0]
 
-    def extreme(L, lower, which):
-        def mv(w):
-            t = solve_triangular(L, w, lower=lower, trans="T" if lower else "N")
-            t = G @ t
-            return solve_triangular(L, t, lower=lower, trans="N" if lower else "T")
+    def mv(w):
+        t = solve_triangular(L, w, lower=lower, trans="T" if lower else "N")
+        t = G @ t
+        return solve_triangular(L, t, lower=lower, trans="N" if lower else "T")
 
-        op = LinearOperator((nd, nd), matvec=mv)
-        # fixed generic start vector keeps repeated runs bit-identical
-        v0 = np.random.default_rng(0).standard_normal(nd)
-        vals = eigsh(op, k=1, which=which, return_eigenvectors=False, tol=1e-10, v0=v0)
-        return float(vals[0])
-
-    try:
-        L, lower = cho if cho is not None else cho_factor(K, lower=True)
-        return 1.0 / extreme(L, lower, "LA")
-    except LinAlgError:
-        pass
-    try:
-        L, lower = cho_factor(-K, lower=True)
-        return -1.0 / extreme(L, lower, "SA")
-    except LinAlgError:
-        vals = eigh(K, G, subset_by_index=[0, 0], eigvals_only=True)
-        return float(vals[0])
+    op = LinearOperator((nd, nd), matvec=mv)
+    # fixed generic start vector keeps repeated runs bit-identical
+    v0 = np.random.default_rng(0).standard_normal(nd)
+    theta = eigsh(op, k=1, which="LA", return_eigenvectors=False, tol=1e-10, v0=v0)
+    return 1.0 / float(theta[0])
 
 
 def legendre_hadamard_check(

@@ -41,7 +41,6 @@ __all__ = [
     "solve_affine",
     "flat_field",
     "lambda1_of_thickness",
-    "mu1_of_thickness",
     "stability_of_thickness",
     "critical_thickness",
     "scaling_law_check",
@@ -216,20 +215,6 @@ def lambda1_of_thickness(
     """Largest correction eigenvalue of the flat film of thickness ``d``."""
     lam, _ = _flat_problem(d, density, psi, datum, cell=cell, n=n, ny=ny).lambda1()
     return lam
-
-
-def mu1_of_thickness(
-    d: float,
-    density: ElasticDensity,
-    psi: AnisotropyDensity,
-    datum: MismatchDatum,
-    *,
-    cell: str = "unit",
-    n: int = 32,
-    ny: int = 20,
-) -> float:
-    """Constrained elastic minimum of the flat film of thickness ``d``."""
-    return _flat_problem(d, density, psi, datum, cell=cell, n=n, ny=ny).mu1()
 
 
 def stability_of_thickness(

@@ -152,26 +152,19 @@ class Profile:
         return cls(samples, width=width)
 
     @classmethod
-    def from_config(cls, cfg: dict, n: int | None = None) -> "Profile":
-        kind = cfg.get("kind", "samples")
+    def from_config(cls, cfg: dict) -> "Profile":
+        """Profile of a validated config block carrying ``kind``, ``dim`` and ``n``."""
+        kind, dim, n = cfg["kind"], int(cfg["dim"]), int(cfg["n"])
         width = float(cfg.get("width", 1.0))
         if kind == "flat":
-            dim = int(cfg.get("dim", 2))
-            nn = int(cfg.get("n", n if n is not None else 0))
-            return cls.flat(dim, nn, float(cfg["thickness"]), width=width)
+            return cls.flat(dim, n, float(cfg["thickness"]), width=width)
         if kind == "fourier":
-            dim = int(cfg.get("dim", 2))
-            nn = int(cfg.get("n", n if n is not None else 0))
             modes = list(cfg["modes"])
             thickness = float(cfg.get("thickness", 0.0))
-            return cls.from_fourier_modes(dim, nn, modes, width=width, thickness=thickness)
+            return cls.from_fourier_modes(dim, n, modes, width=width, thickness=thickness)
         if kind == "samples":
-            dim = int(cfg.get("dim", 2))
             samples = np.asarray(cfg["samples"], dtype=float)
-            if dim == 3:
-                nn = int(round(samples.size ** 0.5))
-                samples = samples.reshape(nn, nn)
-            return cls(samples, width=width)
+            return cls(samples.reshape((n,) * (dim - 1)), width=width)
         raise ValueError(f"unknown profile kind {kind!r}")
 
 

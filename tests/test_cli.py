@@ -126,6 +126,36 @@ def test_fourier_profile_thickness_is_the_constant_offset(tmp_path, capsys):
     assert "geometry.profile.thickness" in capsys.readouterr().err
 
 
+def _samples_config(dim, n, samples):
+    cfg = flat_config(e0=0.05)
+    cfg["geometry"].update(dim=dim, n=n, ny=6)
+    cfg["geometry"]["profile"] = {"kind": "samples", "samples": samples}
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "dim, n, samples",
+    [(2, 32, [1.0] * 16), (3, 8, [1.0] * 10), (2, 8, [1.0] * 3 + ["1.0"] + [1.0] * 4)],
+    ids=["2d-fewer-than-n", "3d-not-n-squared", "2d-string-height"],
+)
+def test_bad_samples_profile_rejected(tmp_path, capsys, dim, n, samples):
+    code, _ = run(tmp_path, "critical-point", _samples_config(dim, n, samples))
+    assert code == 1
+    assert "geometry.profile.samples" in capsys.readouterr().err
+
+
+def test_samples_profile_runs_at_the_configured_resolution(tmp_path):
+    from filmstab.config import build_problem_inputs, validate_config
+
+    heights = [1.0 + 0.001 * k for k in range(64)]
+    cfg = validate_config(_samples_config(3, 8, heights), "critical-point")
+    profile = build_problem_inputs(cfg)[0]
+    assert profile.samples.shape == (8, 8)
+    assert profile.samples[1, 2] == heights[10]
+    code, _ = run(tmp_path, "critical-point", cfg)
+    assert code == 0
+
+
 # -- critical-point -------------------------------------------------------------------
 
 

@@ -15,7 +15,6 @@ from filmstab.flat import (
     crystalline_sweep,
     flat_field,
     lambda1_of_thickness,
-    mu1_of_thickness,
     scaling_law_check,
     solve_affine,
     stability_of_thickness,
@@ -126,7 +125,7 @@ def test_lambda1_refinement_agreement():
 
 def test_mu1_increases_under_thickness_halving():
     mus = [
-        mu1_of_thickness(d, linear_density(), PSI, benchmark_datum(), cell="unit")
+        1.0 / lambda1_of_thickness(d, linear_density(), PSI, benchmark_datum(), cell="unit")
         for d in (1.0, 0.5, 0.25)
     ]
     assert mus[0] < mus[1] < mus[2]

@@ -4,13 +4,19 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, eigh
 
 from filmstab.anisotropy import IsotropicDensity, QuadraticFormDensity
 from filmstab.elasticity import (
+    ElasticField,
+    LinearDensity,
     MismatchDatum,
     assemble_residual,
+    build_grid,
     continue_critical_point,
     elastic_density_from_config,
+    h1_gram,
+    isotropic_tensor,
     solve_critical_point,
 )
 from filmstab.geometry import Profile, surface_geometry
@@ -26,6 +32,7 @@ from filmstab.stability import (
     normal_velocity_defect,
     total_energy,
 )
+from oracles import lanczos_mu1
 
 LIN = {"kind": "linear", "lam": 2.0, "mu": 1.0}
 
@@ -305,11 +312,66 @@ def test_mu1_inverse_relation_and_thickness_monotonicity():
     psi = IsotropicDensity(2)
     prob = StabilityProblem(flat_pair(n=24, ny=16, e0=0.2), psi)
     lam, _ = prob.lambda1()
-    mu = prob.mu1()
+    mu = lanczos_mu1(prob)
     assert mu == pytest.approx(1.0 / lam, rel=1e-6)
+    assert prob.mu1() == pytest.approx(mu, rel=1e-6)
 
     thin = StabilityProblem(flat_pair(n=24, ny=16, e0=0.2, thickness=0.5), psi)
-    assert thin.mu1() > mu  # thinner film resists the constrained minimum more
+    assert lanczos_mu1(thin) > mu  # thinner film resists the constrained minimum more
+
+
+@pytest.mark.parametrize(
+    "dim, kind, n, ny, modes",
+    [
+        (2, "nonlinear", 16, 10, [{"mode": 0, "amplitude": 1.0},
+                                  {"mode": 1, "amplitude": 0.05, "phase": 0.3},
+                                  {"mode": 2, "amplitude": 0.02}]),
+        (3, "linear", 8, 6, [{"mode": [0, 0], "amplitude": 1.0},
+                             {"mode": [1, 0], "amplitude": 0.05, "phase": 0.3},
+                             {"mode": [1, 1], "amplitude": 0.02}]),
+    ],
+    ids=["2d-nonlinear", "3d-linear"],
+)
+def test_mu1_matches_lanczos_oracle_on_curved_films(dim, kind, n, ny, modes):
+    density = elastic_density_from_config({"kind": kind, "lam": 2.0, "mu": 1.0}, dim)
+    datum = MismatchDatum.from_misfit(0.1, dim, kind)
+    profile = Profile.from_fourier_modes(dim, n, modes)
+    field, _ = solve_critical_point(profile, datum, density, ny=ny)
+    prob = StabilityProblem(field, IsotropicDensity(dim))
+    mu = prob.mu1()
+    assert np.isfinite(mu) and mu > 1.0
+    assert mu == pytest.approx(lanczos_mu1(prob), rel=1e-6)
+
+
+def test_indefinite_stiffness_is_factored_once(monkeypatch):
+    """A stiffness without a Cholesky factor is tried once; c0 is the dense value."""
+    import filmstab.elasticity as elasticity
+    import filmstab.stability as stability
+
+    density = object.__new__(LinearDensity)  # bypasses the positivity check
+    density.dim, density.C = 2, isotropic_tensor(2, 1.0, -0.3)
+    datum = MismatchDatum.from_misfit(0.05, 2, "linear")
+    field = ElasticField(build_grid(Profile.flat(2, 16, 1.0), 8), datum, density)
+    prob = StabilityProblem(field, IsotropicDensity(2))
+    factored = []
+    for module in (elasticity, stability):
+        original = module.cho_factor
+
+        def counting(A, *args, _original=original, **kwargs):
+            factored.append(A)
+            return _original(A, *args, **kwargs)
+
+        monkeypatch.setattr(module, "cho_factor", counting)
+    report = prob.report()
+    assert len(factored) == 1 and factored[0] is prob.stiffness
+    dense = eigh(prob.stiffness, h1_gram(prob.grid), eigvals_only=True, subset_by_index=[0, 0])
+    assert report.c0 == pytest.approx(float(dense[0]), rel=1e-12)
+    assert report.c0 < 0.0
+    assert report.verdict == "not_strictly_stable"
+    assert np.isnan(report.lambda1) and np.isnan(report.mu1)
+    with pytest.raises(LinAlgError):
+        prob.lambda1()
+    assert len(factored) == 1
 
 
 def test_sim_gram_error_carries_eigenvalue():
