@@ -48,7 +48,6 @@ _EXPORTS = {
     # stability
     "StabilityProblem": "stability",
     "StabilityReport": "stability",
-    "SurfaceFunction": "stability",
     "SimGramError": "stability",
     "CriticalityWarning": "stability",
     "fd_oracle_second_variation": "stability",

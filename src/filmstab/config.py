@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 
 __all__ = [
     "ConfigError",
@@ -22,7 +23,10 @@ __all__ = [
     "jsonable",
 ]
 
-RESOLUTION_MIN_N = 4
+# Smallest grids the geometry accepts; geometry imports these.  The command
+# line imports this module before it seeds the threading environment, so it
+# must not import numpy.
+RESOLUTION_MIN_N = 8
 RESOLUTION_MIN_NY = 4
 
 
@@ -299,10 +303,23 @@ def validate_config(cfg: dict, command: str) -> dict:
     return cfg
 
 
+@contextmanager
+def _block(path: str):
+    """Report a domain constructor's ``ValueError`` as a defect of the block at ``path``."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(path, str(err)) from err
+
+
 def build_problem_inputs(cfg: dict):
     """Domain objects for a validated config with a geometry block.
 
-    Returns ``(profile, datum, density, psi, n, ny)``.
+    Returns ``(profile, datum, density, psi, n, ny)``.  Values that pass the
+    schema but that the domain objects reject (a negative profile, moduli
+    outside the stable range, a density of the wrong dimension, a nonlinear
+    mismatch that reverses orientation) raise :class:`ConfigError` naming
+    their block.
     """
     import numpy as np
 
@@ -318,17 +335,33 @@ def build_problem_inputs(cfg: dict):
     pblock.setdefault("dim", dim)
     pblock.setdefault("n", n)
     pblock.setdefault("width", width)
-    profile = Profile.from_config(pblock)
+    with _block("geometry.profile"):
+        profile = Profile.from_config(pblock)
 
-    density = elastic_density_from_config(cfg["material"], dim)
-    psi = anisotropy_from_config(cfg["anisotropy"], dim) if "anisotropy" in cfg else None
+    kind = cfg["material"]["kind"]
+    with _block("material"):
+        density = elastic_density_from_config(cfg["material"], dim)
+        if density.dim != dim:
+            raise ValueError(f"tensor dimension {density.dim} does not match geometry.dim = {dim}")
+    psi = None
+    if "anisotropy" in cfg:
+        with _block("anisotropy"):
+            psi = anisotropy_from_config(cfg["anisotropy"], dim)
+            if psi.dim != dim:
+                raise ValueError(f"density dimension {psi.dim} does not match geometry.dim = {dim}")
 
     mis = cfg["mismatch"]
     modes = mis.get("modes")
-    if "A" in mis:
-        datum = MismatchDatum(np.asarray(mis["A"], dtype=float), dim, modes=modes)
-    else:
-        datum = MismatchDatum.from_misfit(float(mis["e0"]), dim, cfg["material"]["kind"], modes=modes)
+    with _block("mismatch"):
+        if "A" in mis:
+            datum = MismatchDatum(np.asarray(mis["A"], dtype=float), dim, modes=modes)
+        else:
+            datum = MismatchDatum.from_misfit(float(mis["e0"]), dim, kind, modes=modes)
+        if kind == "nonlinear" and np.linalg.det(datum.A) <= 0.0:
+            raise ValueError(
+                "the nonlinear kind needs an orientation-preserving substrate "
+                f"stretch, got det A = {np.linalg.det(datum.A):.6g}"
+            )
     return profile, datum, density, psi, n, ny
 
 

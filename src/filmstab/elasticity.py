@@ -387,13 +387,13 @@ def assemble_residual(grid: MappedGrid, weighted_stress: np.ndarray) -> np.ndarr
     dofs (all rows above the substrate).
     """
     nx, ny, N, nd = _flat_shapes(grid)
-    Lx, Ds, pcoef, scoef = grid.assembly_operators()
+    Lx, Ds, scoef = grid.assembly_operators()
     F = weighted_stress.reshape(nx, ny, N, N)
     out = np.zeros((nx, ny - 1, N))
     Ds_cols = Ds[:, 1:]
     for a in range(N):
         Fa = F[..., a]
-        if pcoef[a] is not None:
+        if a < N - 1:
             out += np.einsum("rj,rti->jti", Lx[a], Fa)[:, 1:]
         out += np.einsum("tk,rti->rki", Ds_cols, scoef[a][..., None] * Fa)
     return out.ravel()
@@ -428,7 +428,7 @@ def assemble_hessian(grid: MappedGrid, weighted_tangent: np.ndarray) -> np.ndarr
     """
     nx, ny, N, nd = _flat_shapes(grid)
     nyc, nh = ny - 1, N - 1
-    Lx, Ds, _, scoef = grid.assembly_operators()
+    Lx, Ds, scoef = grid.assembly_operators()
     Cw = weighted_tangent.reshape(nx, ny, N, N, N, N)
     Cw = 0.5 * (Cw + Cw.transpose(0, 1, 4, 5, 2, 3))
     s = np.stack(scoef, axis=-1)  # (nx, ny, N) vertical-derivative factors

@@ -12,8 +12,7 @@ reduces to spectral data as functions of the thickness.  This module
   crosses one, and checks the thickness scaling inequality,
 * runs the facet-regularization sweep showing that a sufficiently stiff
   crystalline surface density suppresses the instability at every
-  thickness, cross-checking the explicit two-term quadratic form against
-  the generic assembly,
+  thickness,
 * emits CSV tables for threshold and regularization plots.
 """
 
@@ -31,7 +30,7 @@ from .elasticity import (
     MismatchDatum,
     NewtonError,
 )
-from .geometry import Profile, build_grid, surface_integral, tangential_gradient
+from .geometry import Profile, build_grid
 from .stability import StabilityProblem, StabilityReport
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "stability_of_thickness",
     "critical_thickness",
     "scaling_law_check",
-    "two_term_second_variation",
     "crystalline_sweep",
     "crystalline_epsilon0",
     "threshold_rows",
@@ -327,25 +325,6 @@ def scaling_law_check(
 
 
 # -- crystalline regularization ---------------------------------------------------------
-
-def two_term_second_variation(field: ElasticField, a_facet: float, eps: float, phi) -> float:
-    """Second variation at a flat state in its explicit two-term form.
-
-    For the facet-regularized densities the surface contribution collapses to
-    ``(a/eps)`` times the squared tangential gradient, because the zeroth-order
-    coefficient vanishes at an affine state and the density's curvature at the
-    vertical direction is ``a/eps`` times the identity on the tangent plane.
-    The elastic term reuses the adjoint solve; the surface term is assembled
-    by direct quadrature, independently of the generic Gram-matrix path.
-    """
-    prob = StabilityProblem(field)
-    phi = np.asarray(phi, dtype=float)
-    v = prob.solve_vphi(phi)
-    geom = field.grid.geom
-    grad = tangential_gradient(geom, phi)
-    surface = surface_integral(geom, np.einsum("...i,...i->...", grad, grad))
-    return -prob.elastic_pairing(v, v) + (a_facet / eps) * surface
-
 
 def crystalline_sweep(
     density: ElasticDensity,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import RESOLUTION_MIN_N, RESOLUTION_MIN_NY
 from .spectral import (
     cheb_diff_matrix,
     cheb_lobatto_nodes,
@@ -38,9 +39,6 @@ __all__ = [
     "tangential_divergence",
     "surface_integral",
 ]
-
-_MIN_SURFACE_N = 8
-_MIN_GRID_NY = 4
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -81,7 +79,6 @@ class Profile:
         self.dim = dim
         self.n = samples.shape[0]
         self.width = float(width)
-        self._fourier_cache = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -95,16 +92,9 @@ class Profile:
     def max(self) -> float:
         return float(self.samples.max())
 
-    @property
-    def fourier_cache(self) -> np.ndarray:
-        """Lazily built FFT coefficients of the samples."""
-        if self._fourier_cache is None:
-            self._fourier_cache = np.fft.fftn(self.samples)
-        return self._fourier_cache
-
     def grad(self) -> np.ndarray:
         """Spectral gradient at the sample nodes, shape ``(dim-1,) + xshape``."""
-        coeff = self.fourier_cache
+        coeff = np.fft.fftn(self.samples)
         out = np.empty((self.dim - 1,) + self.xshape)
         for axis in range(self.dim - 1):
             k = fourier_wavenumbers(self.n, self.width)
@@ -185,9 +175,9 @@ class SurfaceGeometry:
     """
 
     def __init__(self, profile: Profile):
-        if profile.n < _MIN_SURFACE_N:
+        if profile.n < RESOLUTION_MIN_N:
             raise ValueError(
-                f"surface geometry needs n >= {_MIN_SURFACE_N} points per direction, got {profile.n}"
+                f"surface geometry needs n >= {RESOLUTION_MIN_N} points per direction, got {profile.n}"
             )
         self.profile = profile
         N = profile.dim
@@ -292,8 +282,8 @@ class MappedGrid:
     """
 
     def __init__(self, profile: Profile, ny: int):
-        if ny < _MIN_GRID_NY:
-            raise ValueError(f"mapped grid needs ny >= {_MIN_GRID_NY}, got ny={ny}")
+        if ny < RESOLUTION_MIN_NY:
+            raise ValueError(f"mapped grid needs ny >= {RESOLUTION_MIN_NY}, got ny={ny}")
         self.profile = profile
         self.geom = SurfaceGeometry(profile)
         self.ny = ny
@@ -314,7 +304,7 @@ class MappedGrid:
             self._Lx = (np.kron(self.Dx, eye), np.kron(eye, self.Dx))
 
         h = profile.samples
-        grad_h = np.moveaxis(profile.grad(), 0, -1)  # xshape + (N-1,)
+        grad_h = self.geom.grad_h  # xshape + (N-1,)
         self.h = h
         self.y = h[..., None] * self.s  # xshape + (ny,)
 
@@ -374,23 +364,18 @@ class MappedGrid:
     def assembly_operators(self):
         """Dense building blocks for bilinear-form assembly.
 
-        Returns ``(Lx, Ds, pcoef, scoef)`` where ``Lx`` is the list of
+        Returns ``(Lx, Ds, scoef)`` where ``Lx`` is the list of
         flattened-horizontal derivative matrices (one per horizontal
-        direction), ``Ds`` the vertical collocation matrix, and for every
-        physical direction ``a`` the gradient acts on a flattened nodal field
-        as ``pcoef[a] * (Lx_a u) + scoef[a] * (u Ds^T)`` with per-node
-        coefficient arrays of shape ``(nx, ny)``.
+        direction), ``Ds`` the vertical collocation matrix, and ``scoef``
+        holds per-node coefficient arrays of shape ``(nx, ny)``.  The gradient
+        acts on a flattened nodal field along a lateral direction ``a < N - 1``
+        as ``Lx_a u + scoef[a] * (u Ds^T)`` and along the vertical direction
+        as ``scoef[N - 1] * (u Ds^T)``.
         """
-        N = self.dim
         nx, ny = self.nx, self.ny
-        pcoef = []
-        scoef = []
-        for a in range(N - 1):
-            pcoef.append(np.ones((nx, ny)))
-            scoef.append(self.slope[..., a].reshape(nx, ny))
-        pcoef.append(None)
+        scoef = [self.slope[..., a].reshape(nx, ny) for a in range(self.dim - 1)]
         scoef.append(self.vertical_scale.reshape(nx, ny))
-        return self._Lx, self.Ds, pcoef, scoef
+        return self._Lx, self.Ds, scoef
 
     def surface_trace(self, u: np.ndarray) -> np.ndarray:
         """Values of a nodal field on the free-surface row ``s = 1``."""

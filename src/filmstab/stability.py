@@ -45,14 +45,12 @@ from .anisotropy import AnisotropyDensity, aniso_mean_curvature, aniso_shape_ope
 from .elasticity import (
     ElasticField,
     NewtonError,
-    _from_interior,
     assemble_hessian,
     coercivity_constant,
     continue_critical_point,
 )
 from .geometry import (
     Profile,
-    SurfaceGeometry,
     surface_geometry,
     surface_integral,
     tangential_divergence,
@@ -61,7 +59,6 @@ from .geometry import (
 from .spectral import fourier_nodes, trig_interpolate
 
 __all__ = [
-    "SurfaceFunction",
     "StabilityReport",
     "StabilityProblem",
     "SimGramError",
@@ -81,45 +78,6 @@ __all__ = [
 VERDICT_STABLE = "strictly_stable"
 VERDICT_UNSTABLE = "not_strictly_stable"
 VERDICT_INDEFINITE = "indefinite_sim_product"
-
-
-class SurfaceFunction:
-    """Scalar nodal values on the free surface, optionally flagged zero-mean.
-
-    ``samples`` lives on the horizontal grid of the underlying profile, so
-    periodicity is inherited from the grid.  When ``zero_mean`` is set the
-    constructor verifies that the area-weighted surface integral vanishes to
-    quadrature tolerance; zero-mean speeds are the admissible perturbation
-    class (they conserve film volume to first order).
-    """
-
-    def __init__(self, samples, geom: SurfaceGeometry | None = None, zero_mean: bool = False):
-        samples = np.asarray(samples, dtype=float)
-        if geom is not None and samples.shape != geom.profile.xshape:
-            raise ValueError(
-                f"surface samples must match the grid {geom.profile.xshape}, got {samples.shape}"
-            )
-        if zero_mean:
-            if geom is None:
-                raise ValueError("the zero-mean flag needs the surface geometry")
-            total = float(np.sum(geom.surface_weights * samples))
-            area = float(np.sum(geom.surface_weights))
-            if abs(total) > 1e-9 * area * (1.0 + np.abs(samples).max()):
-                raise ValueError(f"samples are not zero-mean: surface integral = {total:.3e}")
-        self.samples = samples
-        self.zero_mean = bool(zero_mean)
-
-    @classmethod
-    def project_zero_mean(cls, samples, geom: SurfaceGeometry) -> "SurfaceFunction":
-        """Subtract the area-weighted mean and flag the result."""
-        samples = np.asarray(samples, dtype=float)
-        w = geom.surface_weights
-        mean = float(np.sum(w * samples) / np.sum(w))
-        return cls(samples - mean, geom, zero_mean=True)
-
-
-def _samples(phi) -> np.ndarray:
-    return phi.samples if isinstance(phi, SurfaceFunction) else np.asarray(phi, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -229,14 +187,13 @@ class StabilityProblem:
     surface-to-bulk coupling matrix, surface Gram matrices, zero-mean basis
     -- are assembled once and shared by the quadratic form, the eigenvalue
     computations and the verdict.  ``psi`` may be omitted when only the bulk
-    pieces are needed (for example by :meth:`solve_vphi`).
+    pieces are needed (the stiffness, its factor, ``c0`` and the coupling).
     :meth:`with_surface_density` swaps ``psi`` and keeps every cached piece
     that does not depend on it.
     """
 
     # cached properties that do not depend on the surface density
     _SURFACE_FREE = (
-        "tangent_samples",
         "stiffness",
         "_stiffness_cho",
         "c0",
@@ -274,14 +231,10 @@ class StabilityProblem:
     # -- bulk side -------------------------------------------------------------
 
     @cached_property
-    def tangent_samples(self) -> np.ndarray:
-        return self.field.density.tangent(self.field.gradient())
-
-    @cached_property
     def stiffness(self) -> np.ndarray:
         """Interior-dof matrix of the bulk tangent form at the equilibrium."""
-        Cw = self.grid.wq[..., None, None, None, None] * self.tangent_samples
-        return assemble_hessian(self.grid, Cw)
+        tangent = self.field.density.tangent(self.field.gradient())
+        return assemble_hessian(self.grid, self.grid.wq[..., None, None, None, None] * tangent)
 
     @cached_property
     def _stiffness_cho(self):
@@ -313,7 +266,7 @@ class StabilityProblem:
         grid = self.grid
         nx, ny, N = grid.nx, grid.ny, grid.dim
         top = grid.surface_index
-        Lx, Ds, pcoef, scoef = grid.assembly_operators()
+        Lx, Ds, scoef = grid.assembly_operators()
         normal = self.geom.normal
         proj = np.eye(N) - normal[..., :, None] * normal[..., None, :]
         stress = np.einsum("...ib,...ba->...ia", self.field.surface_stress(), proj)
@@ -322,37 +275,10 @@ class StabilityProblem:
         idx = np.arange(nx)
         for a in range(N):
             Ga = G[..., a]
-            if pcoef[a] is not None:
+            if a < N - 1:
                 out[:, top - 1, :, :] += np.einsum("rp,ri->pir", Lx[a], Ga)
             out[idx, :, :, idx] += np.einsum("k,r,ri->rki", Ds[top, 1:], scoef[a][:, top], Ga)
         return -out.reshape(nx * (ny - 1) * N, nx)
-
-    def solve_vphi(self, phi) -> np.ndarray:
-        """Adjoint elastic correction of a surface speed, as nodal samples.
-
-        The returned field vanishes on the substrate row, is laterally
-        periodic, and its bulk tangent pairing against any test field equals
-        minus the surface integral of ``phi`` times the stress contracted
-        with the tangential gradient of the test field.
-        """
-        arr = _samples(phi)
-        if arr.shape != self.profile.xshape:
-            raise ValueError(f"speed must have shape {self.profile.xshape}, got {arr.shape}")
-        rhs = self.coupling @ arr.ravel()
-        if not np.any(rhs):
-            return np.zeros(self.profile.xshape + (self.grid.ny, self.grid.dim))
-        return _from_interior(self.grid, cho_solve(self._require_cho(), rhs))
-
-    def elastic_pairing(self, v: np.ndarray, w: np.ndarray) -> float:
-        """Bulk tangent form between two nodal fields, by direct quadrature."""
-        density = np.einsum(
-            "...iamb,...ia,...mb->...",
-            self.tangent_samples,
-            self.grid.gradient(v),
-            self.grid.gradient(w),
-            optimize=True,
-        )
-        return self.grid.volume_integral(density)
 
     # -- surface side ------------------------------------------------------------
 
@@ -406,25 +332,37 @@ class StabilityProblem:
             )
         return mats
 
-    @cached_property
-    def sim_matrix(self) -> np.ndarray:
-        """Gram matrix of the surface inner product on all nodal speeds."""
+    def _surface_form(self, hess: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """Matrix of ``int H[grad_T phi, grad_T theta] + coef * phi * theta`` on nodal speeds.
+
+        ``hess`` holds one ``N x N`` matrix and ``coef`` one value per surface
+        node; the tangential gradients and the surface integral are the
+        collocation matrices and the surface weights.
+        """
         nx, N = self.grid.nx, self.grid.dim
         w = self.geom.surface_weights.ravel()
-        hess = self.surface_hessian.reshape(nx, N, N)
         TG = self.tangential_gradient_matrices
         S = np.zeros((nx, nx))
         for c in range(N):
             for d in range(N):
                 S += TG[c].T @ ((w * hess[:, c, d])[:, None] * TG[d])
-        S[np.diag_indices(nx)] += w * self.coefficient_a.ravel()
+        S[np.diag_indices(nx)] += w * coef
         return 0.5 * (S + S.T)
+
+    def _on_zero_mean(self, S: np.ndarray) -> np.ndarray:
+        Z = self.zero_mean_basis
+        Sz = Z.T @ S @ Z
+        return 0.5 * (Sz + Sz.T)
+
+    @cached_property
+    def sim_matrix(self) -> np.ndarray:
+        """Gram matrix of the surface inner product on all nodal speeds."""
+        nx, N = self.grid.nx, self.grid.dim
+        return self._surface_form(self.surface_hessian.reshape(nx, N, N), self.coefficient_a.ravel())
 
     @cached_property
     def sim_matrix_z(self) -> np.ndarray:
-        Z = self.zero_mean_basis
-        Sz = Z.T @ self.sim_matrix @ Z
-        return 0.5 * (Sz + Sz.T)
+        return self._on_zero_mean(self.sim_matrix)
 
     @cached_property
     def sim_gram_min(self) -> float:
@@ -439,14 +377,6 @@ class StabilityProblem:
             return cholesky(self.sim_matrix_z, lower=True)
         except LinAlgError as err:
             raise SimGramError(self.sim_gram_min) from err
-
-    def sim_inner_product(self, phi, theta) -> float:
-        """Surface inner product of two speeds, by pointwise quadrature."""
-        p, q = _samples(phi), _samples(theta)
-        tp = tangential_gradient(self.geom, p)
-        tq = tangential_gradient(self.geom, q)
-        quad = np.einsum("...ij,...i,...j->...", self.surface_hessian, tp, tq)
-        return surface_integral(self.geom, quad + self.coefficient_a * p * q)
 
     # -- quadratic forms -----------------------------------------------------------
 
@@ -490,11 +420,24 @@ class StabilityProblem:
                 CriticalityWarning,
                 stacklevel=2,
             )
-        return self._three_term_form(_samples(phi))
+        return self._three_term_form(self._speed(phi))
+
+    def _speed(self, phi) -> np.ndarray:
+        arr = np.asarray(phi, dtype=float)
+        if arr.shape != self.profile.xshape:
+            raise ValueError(f"speed must have shape {self.profile.xshape}, got {arr.shape}")
+        return arr
 
     def _three_term_form(self, arr: np.ndarray) -> float:
-        v = self.solve_vphi(arr)
-        return -self.elastic_pairing(v, v) + self.sim_inner_product(arr, arr)
+        """Surface norm minus elastic correction: ``a S a - r K^-1 r`` with ``r = R a``.
+
+        ``S`` is :attr:`sim_matrix`, ``K`` the stiffness and ``R`` the
+        coupling, so the correction is the bulk tangent energy of the
+        adjoint state of the speed.
+        """
+        a = arr.ravel()
+        r = self.coupling @ a
+        return float(a @ self.sim_matrix @ a - r @ cho_solve(self._require_cho(), r))
 
     def full_second_variation(self, phi) -> float:
         """Four-term quadratic form, valid away from surface equilibrium.
@@ -505,7 +448,7 @@ class StabilityProblem:
         direction.  At equilibrium pairs the correction integrates to zero
         and the two forms agree.
         """
-        arr = _samples(phi)
+        arr = self._speed(phi)
         geom = self.geom
         slope = geom.grad_h
         X = np.concatenate([slope, np.sum(slope**2, axis=-1, keepdims=True)], axis=-1)
@@ -560,15 +503,16 @@ class StabilityProblem:
     def lambda1(self) -> tuple:
         """Largest correction eigenvalue with its normalized eigenfunction.
 
-        The eigenfunction has unit surface inner-product norm and its sign
-        is fixed by making its first nonzero Fourier coefficient
-        nonnegative.
+        The eigenfunction is returned as nodal samples on the surface grid.
+        It lies in the span of the zero-mean basis, has unit surface
+        inner-product norm, and its sign is fixed by making its first
+        nonzero Fourier coefficient nonnegative.
         """
         vals, vecs = self._pencil
         lam = float(max(vals[-1], 0.0))
         z = solve_triangular(self._sim_cho, vecs[:, -1], lower=True, trans="T")
         phi = _canonical_sign((self.zero_mean_basis @ z).reshape(self.profile.xshape))
-        return lam, SurfaceFunction(phi, self.geom, zero_mean=True)
+        return lam, phi
 
     def mu1(self) -> float:
         """Constrained minimum of the bulk form over adjoint-feasible fields.
@@ -596,12 +540,10 @@ class StabilityProblem:
 
     def surface_h1_gram_z(self) -> np.ndarray:
         """First-order Sobolev Gram of surface speeds on the zero-mean basis."""
-        w = self.geom.surface_weights.ravel()
-        G = sum(M.T @ (w[:, None] * M) for M in self.tangential_gradient_matrices)
-        G[np.diag_indices(len(w))] += w
-        Z = self.zero_mean_basis
-        Gz = Z.T @ G @ Z
-        return 0.5 * (Gz + Gz.T)
+        nx, N = self.grid.nx, self.grid.dim
+        return self._on_zero_mean(
+            self._surface_form(np.broadcast_to(np.eye(N), (nx, N, N)), np.ones(nx))
+        )
 
     def report(self) -> StabilityReport:
         residual = self.criticality_residual()
@@ -678,7 +620,7 @@ def fd_oracle_second_variation(
     """
     profile = field.grid.profile
     geom = field.grid.geom
-    vertical = _samples(phi) * geom.area_jacobian
+    vertical = np.asarray(phi, dtype=float) * geom.area_jacobian
     if t is None:
         t = 1e-3 * profile.max()
     base_value = total_energy(field, psi)
@@ -724,7 +666,7 @@ def normal_velocity_defect(profile: Profile, phi, t: float) -> float:
     ``t``.
     """
     geom = surface_geometry(profile)
-    arr = _samples(phi)
+    arr = np.asarray(phi, dtype=float)
     points = _horizontal_points(profile)
     moved_points = points - (t * arr / geom.area_jacobian)[..., None] * geom.grad_h
     moved_profile = Profile(profile.samples + t * arr * geom.area_jacobian, width=profile.width)
@@ -751,7 +693,7 @@ def curvature_velocity_defect(profile: Profile, psi: AnisotropyDensity, phi, t: 
     quotient.  The combined sup-norm defect decays linearly in ``t``.
     """
     geom = surface_geometry(profile)
-    arr = _samples(phi)
+    arr = np.asarray(phi, dtype=float)
     points = _horizontal_points(profile)
     moved_points = points - (t * arr / geom.area_jacobian)[..., None] * geom.grad_h
     moved_profile = Profile(profile.samples + t * arr * geom.area_jacobian, width=profile.width)

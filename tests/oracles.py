@@ -5,11 +5,23 @@ off the ``lambda1`` pencil through the exact identity ``mu1 = 1 / lambda1``.
 The minimization here solves the constrained problem directly, by a
 Lanczos iteration on the nd-dimensional bulk space, so tests that compare
 the two check the identity instead of assuming it.
+
+``StabilityProblem.second_variation`` evaluates the quadratic form on the
+assembled matrices: the surface Gram ``sim_matrix`` minus the coupling
+pairing through the stiffness factor.  The direct route here evaluates the
+same terms pointwise: the adjoint state as a nodal field, its bulk energy by
+volume quadrature of the tangent, and the surface product by quadrature of
+tangential gradients.  ``two_term_second_variation`` is the explicit form
+of the facet-regularized densities at a flat state.
 """
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.sparse.linalg import LinearOperator, eigsh
+
+from filmstab.elasticity import _from_interior
+from filmstab.geometry import surface_integral, tangential_gradient
+from filmstab.stability import StabilityProblem
 
 
 def lanczos_mu1(problem) -> float:
@@ -44,3 +56,67 @@ def lanczos_mu1(problem) -> float:
     if theta <= 0.0:
         return float("inf")
     return 1.0 / theta
+
+
+def solve_vphi(problem, phi) -> np.ndarray:
+    """Adjoint elastic correction of a surface speed, as nodal samples.
+
+    The returned field vanishes on the substrate row, is laterally
+    periodic, and its bulk tangent pairing against any test field equals
+    minus the surface integral of ``phi`` times the stress contracted
+    with the tangential gradient of the test field.
+    """
+    arr = np.asarray(phi, dtype=float)
+    if arr.shape != problem.profile.xshape:
+        raise ValueError(f"speed must have shape {problem.profile.xshape}, got {arr.shape}")
+    rhs = problem.coupling @ arr.ravel()
+    if not np.any(rhs):
+        return np.zeros(problem.profile.xshape + (problem.grid.ny, problem.grid.dim))
+    return _from_interior(problem.grid, cho_solve(problem._require_cho(), rhs))
+
+
+def elastic_pairing(problem, v: np.ndarray, w: np.ndarray) -> float:
+    """Bulk tangent form between two nodal fields, by direct quadrature."""
+    field = problem.field
+    density = np.einsum(
+        "...iamb,...ia,...mb->...",
+        field.density.tangent(field.gradient()),
+        problem.grid.gradient(v),
+        problem.grid.gradient(w),
+        optimize=True,
+    )
+    return problem.grid.volume_integral(density)
+
+
+def sim_inner_product(problem, phi, theta) -> float:
+    """Surface inner product of two speeds, by pointwise quadrature."""
+    p, q = np.asarray(phi, dtype=float), np.asarray(theta, dtype=float)
+    tp = tangential_gradient(problem.geom, p)
+    tq = tangential_gradient(problem.geom, q)
+    quad = np.einsum("...ij,...i,...j->...", problem.surface_hessian, tp, tq)
+    return surface_integral(problem.geom, quad + problem.coefficient_a * p * q)
+
+
+def three_term_form(problem, phi) -> float:
+    """Surface norm minus elastic correction of a speed, by quadrature."""
+    v = solve_vphi(problem, phi)
+    return -elastic_pairing(problem, v, v) + sim_inner_product(problem, phi, phi)
+
+
+def two_term_second_variation(field, a_facet: float, eps: float, phi) -> float:
+    """Second variation at a flat state in its explicit two-term form.
+
+    For the facet-regularized densities the surface contribution collapses to
+    ``(a/eps)`` times the squared tangential gradient, because the zeroth-order
+    coefficient vanishes at an affine state and the density's curvature at the
+    vertical direction is ``a/eps`` times the identity on the tangent plane.
+    The elastic term reuses the adjoint solve; the surface term is assembled
+    by direct quadrature, independently of the generic Gram-matrix path.
+    """
+    prob = StabilityProblem(field)
+    phi = np.asarray(phi, dtype=float)
+    v = solve_vphi(prob, phi)
+    geom = field.grid.geom
+    grad = tangential_gradient(geom, phi)
+    surface = surface_integral(geom, np.einsum("...i,...i->...", grad, grad))
+    return -elastic_pairing(prob, v, v) + (a_facet / eps) * surface

@@ -144,6 +144,50 @@ def test_bad_samples_profile_rejected(tmp_path, capsys, dim, n, samples):
     assert "geometry.profile.samples" in capsys.readouterr().err
 
 
+def test_resolution_below_the_surface_minimum_rejected(tmp_path, capsys):
+    code, _ = run(tmp_path, "critical-point", flat_config(n=6, e0=0.05))
+    assert code == 1
+    assert "geometry.n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "blocks, path",
+    [
+        ({"material": {"kind": "linear", "lam": -5.0, "mu": 1.0}}, "material"),
+        ({"material": {"kind": "nonlinear", "lam": -1.0, "mu": 1.0}}, "material"),
+        ({"anisotropy": {"kind": "crystalline", "a": 1.0, "b": 1.0, "eps": 1.0}}, "anisotropy"),
+        ({"anisotropy": {"kind": "quadratic", "M": np.eye(3).tolist()}}, "anisotropy"),
+        ({"anisotropy": {"kind": "quadratic", "M": [[1.0, 0.0], [0.0, -1.0]]}}, "anisotropy"),
+        ({"material": {"kind": "linear", "tensor": np.eye(2).tolist()}}, "material"),
+        ({"material": {"kind": "nonlinear", "lam": 2.0, "mu": 1.0}, "mismatch": {"e0": -1.5}},
+         "mismatch"),
+        ({"geometry.profile": {"kind": "fourier", "modes": [{"mode": 1, "amplitude": 2.0}],
+                               "thickness": 1.0}}, "geometry.profile"),
+    ],
+    ids=[
+        "linear-negative-lam",
+        "nonlinear-negative-lam",
+        "crystalline-eps-above-b-over-a",
+        "quadratic-3x3-in-2d",
+        "quadratic-indefinite",
+        "tensor-2x2",
+        "nonlinear-reversed-stretch",
+        "negative-fourier-profile",
+    ],
+)
+def test_block_rejected_by_its_domain_object_is_a_config_error(tmp_path, capsys, blocks, path):
+    cfg = flat_config(e0=0.05)
+    for dotted, value in blocks.items():
+        *parents, key = dotted.split(".")
+        target = cfg
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+    code, _ = run(tmp_path, "critical-point", cfg)
+    assert code == 1
+    assert f"config error: {path}:" in capsys.readouterr().err
+
+
 def test_samples_profile_runs_at_the_configured_resolution(tmp_path):
     from filmstab.config import build_problem_inputs, validate_config
 

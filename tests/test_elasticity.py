@@ -318,7 +318,7 @@ def reference_assemble_hessian(grid, weighted_tangent):
     """
     nx, ny, N, nd = _flat_shapes(grid)
     nyc = ny - 1
-    Lx, Ds, pcoef, scoef = grid.assembly_operators()
+    Lx, Ds, scoef = grid.assembly_operators()
     Cw = weighted_tangent.reshape(nx, ny, N, N, N, N)
     K = np.zeros((nx, nyc, N, nx, nyc, N))
     Ds_cols = Ds[:, 1:]          # samples t, trial/test dofs k >= 1
@@ -329,13 +329,13 @@ def reference_assemble_hessian(grid, weighted_tangent):
         for b in range(N):
             C_ab = Cw[:, :, :, a, :, b]  # (nx, ny, N, N)
             sa, sb = scoef[a], scoef[b]
-            if pcoef[a] is not None and pcoef[b] is not None:
+            if a < N - 1 and b < N - 1:
                 T1 = np.einsum("rj,rtim,rp->jtipm", Lx[a], C_ab[:, 1:], Lx[b], optimize=True)
                 K[:, rows, :, :, rows, :] += T1.transpose(1, 0, 2, 3, 4)
-            if pcoef[a] is not None:
+            if a < N - 1:
                 coef = sb[..., None, None] * C_ab
                 K += np.einsum("rj,rtim,tq->jtirqm", Lx[a], coef[:, 1:], Ds_int, optimize=True)
-            if pcoef[b] is not None:
+            if b < N - 1:
                 coef = sa[..., None, None] * C_ab
                 K += np.einsum("tk,rtim,rp->rkiptm", Ds_int, coef[:, 1:], Lx[b], optimize=True)
             coef = (sa * sb)[..., None, None] * C_ab

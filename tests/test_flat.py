@@ -19,12 +19,12 @@ from filmstab.flat import (
     solve_affine,
     stability_of_thickness,
     threshold_rows,
-    two_term_second_variation,
     write_crystalline_csv,
     write_threshold_csv,
 )
 from filmstab.geometry import Profile
 from filmstab.stability import StabilityProblem
+from oracles import two_term_second_variation
 
 LAM, MU = 2.0, 1.0
 
