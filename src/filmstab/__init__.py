@@ -18,11 +18,9 @@ _EXPORTS = {
     # geometry
     "Profile": "geometry",
     "SurfaceGeometry": "geometry",
-    "surface_geometry": "geometry",
     "MappedGrid": "geometry",
     "build_grid": "geometry",
     "surface_integral": "geometry",
-    "tangential_gradient": "geometry",
     "tangential_divergence": "geometry",
     # anisotropy
     "AnisotropyDensity": "anisotropy",
@@ -30,8 +28,6 @@ _EXPORTS = {
     "QuadraticFormDensity": "anisotropy",
     "RegularizedFacetDensity": "anisotropy",
     "ShiftedFacetDensity": "anisotropy",
-    "CylinderSupportDensity": "anisotropy",
-    "crystalline_family": "anisotropy",
     "anisotropy_from_config": "anisotropy",
     "aniso_mean_curvature": "anisotropy",
     # elasticity
@@ -60,7 +56,6 @@ _EXPORTS = {
     "critical_thickness": "flat",
     "CriticalThickness": "flat",
     "BracketError": "flat",
-    "scaling_law_check": "flat",
     "crystalline_epsilon0": "flat",
     # polynomial identities
     "PolyRing": "polyident",

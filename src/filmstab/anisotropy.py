@@ -21,12 +21,7 @@ Concrete families:
 * :class:`RegularizedFacetDensity` -- ``a * sqrt(|z_horizontal|^2 +
   eps^2 z_N^2)``, the smooth core of the crystalline family,
 * :class:`ShiftedFacetDensity` -- the regularized core plus ``(b - a*eps) *
-  |z_N|``, smooth wherever ``z_N != 0``,
-* :class:`CylinderSupportDensity` -- ``a |z_horizontal| + b |z_N|``, the
-  sharp crystalline limit; evaluation only.
-
-:func:`crystalline_family` bundles the three crystalline members for one
-``(a, b, eps)``.
+  |z_N|``, smooth wherever ``z_N != 0``.
 """
 
 from __future__ import annotations
@@ -42,11 +37,8 @@ __all__ = [
     "QuadraticFormDensity",
     "RegularizedFacetDensity",
     "ShiftedFacetDensity",
-    "CylinderSupportDensity",
-    "crystalline_family",
     "aniso_mean_curvature",
     "aniso_shape_operator",
-    "convexity_constants",
     "anisotropy_from_config",
 ]
 
@@ -197,46 +189,6 @@ class ShiftedFacetDensity(AnisotropyDensity):
         return self.core.hessian(z)
 
 
-class CylinderSupportDensity(AnisotropyDensity):
-    """Sharp crystalline density ``a |z_horizontal| + b |z_N|``.
-
-    Support function of a coordinate cylinder; it is evaluation-only, and any
-    derivative request raises since the density has facets.
-    """
-
-    kind = "cylinder-support"
-    upward_only = True
-
-    def __init__(self, a: float, b: float, dim: int):
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError(f"facet coefficients must be positive, got a={a}, b={b}")
-        self.a = float(a)
-        self.b = float(b)
-        self.dim = dim
-
-    def value(self, z):
-        z = np.asarray(z, dtype=float)
-        return self.a * np.linalg.norm(z[..., :-1], axis=-1) + self.b * np.abs(z[..., -1])
-
-    def gradient(self, z):
-        raise NotImplementedError("the sharp crystalline density has facets; no gradient exists")
-
-    def hessian(self, z):
-        raise NotImplementedError("the sharp crystalline density has facets; no curvature exists")
-
-
-def crystalline_family(a: float, b: float, eps: float, dim: int = 2):
-    """The shifted density, its smooth core and the sharp limit for one (a, b, eps).
-
-    The shifted member matches the sharp one on the vertical axis
-    (``psi(0, .., 0, 1) = b`` for every admissible eps), increases pointwise
-    on upward directions as eps decreases, and converges to the sharp density
-    from below.
-    """
-    shifted = ShiftedFacetDensity(a, b, eps, dim)
-    return shifted, shifted.core, CylinderSupportDensity(a, b, dim)
-
-
 # -- curvature operators -------------------------------------------------------
 
 
@@ -270,72 +222,6 @@ def aniso_shape_operator(geom: SurfaceGeometry, psi: AnisotropyDensity):
     B_psi = hess @ B
     tr = np.einsum("...ij,...jk,...ki->...", hess, B, B)
     return B_psi, tr
-
-
-# -- convexity constants -------------------------------------------------------
-
-
-def _sphere_samples(dim: int, count: int, upward_only: bool) -> np.ndarray:
-    if dim == 2:
-        if upward_only:
-            theta = np.linspace(1e-3, np.pi - 1e-3, count)
-        else:
-            theta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    # Fibonacci sphere
-    i = np.arange(count) + 0.5
-    phi = np.arccos(1.0 - 2.0 * i / count)
-    golden = np.pi * (1.0 + np.sqrt(5.0))
-    theta = golden * i
-    pts = np.stack(
-        [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)], axis=-1
-    )
-    if upward_only:
-        pts = pts[pts[..., -1] > 1e-3]
-    return pts
-
-
-def _tangent_basis(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement, shape (..., dim-1, dim)."""
-    dim = v.shape[-1]
-    if dim == 2:
-        t = np.stack([-v[..., 1], v[..., 0]], axis=-1)
-        return t[..., None, :]
-    ref = np.zeros_like(v)
-    ref[..., 0] = 1.0
-    swap = np.abs(v[..., 0]) > 0.9
-    ref[swap, 0] = 0.0
-    ref[swap, 1] = 1.0
-    t1 = np.cross(v, ref)
-    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
-    t2 = np.cross(v, t1)
-    return np.stack([t1, t2], axis=-2)
-
-
-def convexity_constants(psi: AnisotropyDensity, samples: int = 10_000):
-    """Sampled bounds ``(m, M, cbar)`` for a density.
-
-    ``m`` and ``M`` bound ``psi`` on unit directions from below and above;
-    ``cbar`` is the smallest tangential Hessian eigenvalue over the sampled
-    directions, a convexity modulus transverse to the radial direction.  For
-    upward-only densities the sampling is restricted to directions with
-    positive vertical component.  All three are estimates from dense
-    deterministic sampling, not certified bounds.
-    """
-    pts = _sphere_samples(psi.dim, samples, psi.upward_only)
-    vals = psi.value(pts)
-    m, M = float(vals.min()), float(vals.max())
-    try:
-        hess = psi.hessian(pts)
-    except NotImplementedError:
-        return m, M, float("nan")
-    basis = _tangent_basis(pts)
-    proj = np.einsum("...ai,...ij,...bj->...ab", basis, hess, basis)
-    if psi.dim == 2:
-        tangential = proj[..., 0, 0]
-    else:
-        tangential = np.linalg.eigvalsh(proj)[..., 0]
-    return m, M, float(tangential.min())
 
 
 def anisotropy_from_config(cfg: dict, dim: int) -> AnisotropyDensity:

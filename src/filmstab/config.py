@@ -61,14 +61,14 @@ def _get(block: dict, key: str, path: str, required=True, default=None):
 def _as_number(value, path, *, positive=False, integer=False, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, "must be finite")
     if integer:
         if int(value) != value:
             raise ConfigError(path, f"expected an integer, got {value}")
         value = int(value)
     else:
         value = float(value)
-        if not math.isfinite(value):
-            raise ConfigError(path, "must be finite")
     if positive and value <= 0:
         raise ConfigError(path, f"must be positive, got {value}")
     if minimum is not None and value < minimum:
@@ -86,12 +86,14 @@ def _validate_modes(modes, path, dim, allow_component=False):
         _check_keys(term, allowed, tpath)
         if "mode" not in term or "amplitude" not in term:
             raise ConfigError(tpath, "each mode needs 'mode' and 'amplitude'")
-        mode = term["mode"]
+        mode, mpath = term["mode"], f"{tpath}.mode"
         if dim == 3:
             if not (isinstance(mode, list) and len(mode) == 2):
-                raise ConfigError(f"{tpath}.mode", "expected a pair of integers for dim=3")
-        elif not isinstance(mode, (int, float)):
-            raise ConfigError(f"{tpath}.mode", "expected an integer for dim=2")
+                raise ConfigError(mpath, "expected a pair of integers for dim=3")
+            for j, m in enumerate(mode):
+                _as_number(m, f"{mpath}[{j}]", integer=True)
+        else:
+            _as_number(mode, mpath, integer=True)
         _as_number(term["amplitude"], f"{tpath}.amplitude")
         if "phase" in term:
             _as_number(term["phase"], f"{tpath}.phase")
@@ -99,6 +101,13 @@ def _validate_modes(modes, path, dim, allow_component=False):
             comp = _as_number(term["component"], f"{tpath}.component", integer=True)
             if not 0 <= comp < dim - 1:
                 raise ConfigError(f"{tpath}.component", f"out of range for dim={dim}")
+
+
+def _validate_positive_list(values, path):
+    if not isinstance(values, list) or not values:
+        raise ConfigError(path, "expected a non-empty list of positive numbers")
+    for i, value in enumerate(values):
+        _as_number(value, f"{path}[{i}]", positive=True)
 
 
 def _validate_geometry(cfg, path="geometry"):
@@ -231,10 +240,7 @@ def _validate_analysis(cfg, command, path="analysis"):
         if "rel_tol" in block:
             _as_number(block["rel_tol"], f"{path}.rel_tol", positive=True)
         if "thicknesses" in block:
-            if not isinstance(block["thicknesses"], list) or not block["thicknesses"]:
-                raise ConfigError(f"{path}.thicknesses", "expected a non-empty list")
-            for i, d in enumerate(block["thicknesses"]):
-                _as_number(d, f"{path}.thicknesses[{i}]", positive=True)
+            _validate_positive_list(block["thicknesses"], f"{path}.thicknesses")
     elif command == "crystalline":
         _as_number(_get(block, "a", path), f"{path}.a", positive=True)
         _as_number(_get(block, "b", path), f"{path}.b", positive=True)
@@ -245,8 +251,9 @@ def _validate_analysis(cfg, command, path="analysis"):
         if "max_thickness" in block:
             _as_number(block["max_thickness"], f"{path}.max_thickness", positive=True)
         if "suppression_thicknesses" in block:
-            for i, d in enumerate(block["suppression_thicknesses"]):
-                _as_number(d, f"{path}.suppression_thicknesses[{i}]", positive=True)
+            _validate_positive_list(
+                block["suppression_thicknesses"], f"{path}.suppression_thicknesses"
+            )
     elif command == "verify-identity":
         dim = _as_number(_get(block, "dim", path), f"{path}.dim", integer=True)
         if dim not in (2, 3):

@@ -29,6 +29,13 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, solve_triangu
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .geometry import MappedGrid, Profile, build_grid
+from .spectral import (
+    barycentric_resample,
+    cheb_lobatto_nodes,
+    cosine_series,
+    fourier_derivative,
+    lateral_grids,
+)
 
 __all__ = [
     "ElasticDensity",
@@ -45,8 +52,6 @@ __all__ = [
     "solve_critical_point",
     "continue_critical_point",
     "coercivity_constant",
-    "legendre_hadamard_check",
-    "local_min_probe",
 ]
 
 
@@ -253,21 +258,12 @@ class MismatchDatum:
 
     def periodic_part(self, profile: Profile) -> np.ndarray:
         """Samples of ``q`` on the horizontal grid, shape ``xshape + (dim-1,)``."""
-        from .spectral import fourier_nodes
-
-        x = fourier_nodes(profile.n, profile.width)
-        grids = (x,) if self.dim == 2 else np.meshgrid(x, x, indexing="ij")
-        out = np.zeros(profile.xshape + (self.dim - 1,))
-        for term in self.modes:
-            c = int(term.get("component", 0))
-            m = np.atleast_1d(np.asarray(term["mode"], dtype=float))
-            amp = float(term["amplitude"])
-            phase = float(term.get("phase", 0.0))
-            arg = sum(
-                2.0 * np.pi * m[a] * grids[a] / profile.width for a in range(self.dim - 1)
-            )
-            out[..., c] += amp * np.cos(arg + phase)
-        return out
+        per_component = [
+            [t for t in self.modes if int(t.get("component", 0)) == c] for c in range(self.dim - 1)
+        ]
+        return np.stack(
+            [cosine_series(profile.n, profile.width, self.dim, ts) for ts in per_component], axis=-1
+        )
 
 
 # -- discrete fields -------------------------------------------------------------
@@ -275,8 +271,6 @@ class MismatchDatum:
 
 def _base_parts(grid: MappedGrid, datum: MismatchDatum, density: ElasticDensity):
     """Closed-form base field and its exact gradient on the grid nodes."""
-    from .spectral import fourier_derivative, fourier_nodes
-
     N = grid.dim
     if datum.dim != N or density.dim != N:
         raise ValueError("profile, datum and density dimensions must agree")
@@ -285,8 +279,7 @@ def _base_parts(grid: MappedGrid, datum: MismatchDatum, density: ElasticDensity)
         raise ValueError("nonlinear kind needs an orientation-preserving mismatch, det A > 0")
 
     prof = grid.profile
-    x = fourier_nodes(prof.n, prof.width)
-    grids = (x,) if N == 2 else np.meshgrid(x, x, indexing="ij")
+    grids = lateral_grids(prof.n, prof.width, N)
     q = datum.periodic_part(prof)  # xshape + (N-1,)
 
     base = np.zeros(prof.xshape + (grid.ny, N))
@@ -346,11 +339,8 @@ class ElasticField:
         """Third-order samples ``d(grad u)_ia / dx_b``, ``xshape + (ny, N, N, N)``."""
         g = self.gradient()
         N = self.grid.dim
-        out = np.empty(g.shape + (N,))
-        for i in range(N):
-            for a in range(N):
-                out[..., i, a, :] = self.grid.scalar_gradient(g[..., i, a])
-        return out
+        dg = self.grid.gradient(g.reshape(g.shape[:-2] + (N * N,)))
+        return dg.reshape(g.shape + (N,))
 
     def energy(self) -> float:
         return self.grid.volume_integral(self.density.value(self.gradient()))
@@ -570,8 +560,6 @@ def continue_critical_point(
     kind this only saves Newton iterations; for the nonlinear kind it keeps
     the iterate inside the admissible set when the profile step is small.
     """
-    from .spectral import barycentric_resample
-
     grid = field.grid
     ny_new = ny if ny is not None else grid.ny
     if new_profile.xshape != grid.profile.xshape or new_profile.width != grid.profile.width:
@@ -579,8 +567,6 @@ def continue_critical_point(
     nx = grid.nx
     h_old = grid.profile.samples.reshape(nx)
     h_new = new_profile.samples.reshape(nx)
-    from .spectral import cheb_lobatto_nodes
-
     s_new = cheb_lobatto_nodes(ny_new)
     # old scaled coordinate of each new node, clipped to the old film
     s_tgt = np.clip(np.outer(h_new / h_old, s_new), 0.0, 1.0)
@@ -632,55 +618,3 @@ def coercivity_constant(grid: MappedGrid, K: np.ndarray, cho=None) -> float:
     v0 = np.random.default_rng(0).standard_normal(nd)
     theta = eigsh(op, k=1, which="LA", return_eigenvectors=False, tol=1e-10, v0=v0)
     return 1.0 / float(theta[0])
-
-
-def legendre_hadamard_check(
-    density: ElasticDensity, xi: np.ndarray, samples: int = 512, seed: int = 0
-) -> float:
-    """Smallest sampled rank-one value of the tangent tensor at ``xi``.
-
-    Scans unit directions ``c, n`` and returns the minimum of
-    ``C[c otimes n, c otimes n]`` over the sample set and over the leading
-    axes of ``xi``; a nonnegative result is consistent with rank-one
-    convexity along the checked directions.
-    """
-    rng = np.random.default_rng(seed)
-    N = density.dim
-    c = rng.normal(size=(samples, N))
-    n = rng.normal(size=(samples, N))
-    c /= np.linalg.norm(c, axis=1, keepdims=True)
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
-    C = density.tangent(np.asarray(xi, dtype=float))
-    vals = np.einsum("...iamb,si,sa,sm,sb->...s", C, c, n, c, n)
-    return float(vals.min())
-
-
-def local_min_probe(
-    field: ElasticField, count: int = 8, scale: float = 1e-4, seed: int = 0
-) -> tuple[bool, float]:
-    """Probe that an equilibrium is an energy local minimum at fixed profile.
-
-    Evaluates the energy at random admissible interior perturbations of size
-    ``scale`` around the field and returns ``(all nonnegative, smallest
-    increment)``, a direct check that does not rely on the assembled
-    tangent.
-    """
-    rng = np.random.default_rng(seed)
-    grid = field.grid
-    e0 = field.energy()
-    floor = 1e-12 * (1.0 + abs(e0))
-    worst = np.inf
-    ok = True
-    for _ in range(count):
-        dp = rng.normal(size=field.p.shape)
-        dp[..., 0, :] = 0.0
-        dp *= scale / max(np.abs(dp).max(), 1e-300)
-        for sign in (1.0, -1.0):
-            cand = field.with_p(field.p + sign * dp)
-            if not field.density.admissible(cand.gradient()):
-                continue
-            diff = cand.energy() - e0
-            worst = min(worst, diff)
-            if diff < -floor:
-                ok = False
-    return ok, worst

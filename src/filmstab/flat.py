@@ -9,7 +9,7 @@ reduces to spectral data as functions of the thickness.  This module
   two cell conventions (fixed unit cell, or a cube cell whose width grows
   with the thickness),
 * locates the critical thickness where the largest correction eigenvalue
-  crosses one, and checks the thickness scaling inequality,
+  crosses one,
 * runs the facet-regularization sweep showing that a sufficiently stiff
   crystalline surface density suppresses the instability at every
   thickness,
@@ -19,7 +19,7 @@ reduces to spectral data as functions of the thickness.  This module
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "lambda1_of_thickness",
     "stability_of_thickness",
     "critical_thickness",
-    "scaling_law_check",
     "crystalline_sweep",
     "crystalline_epsilon0",
     "threshold_rows",
@@ -253,13 +252,7 @@ class CriticalThickness:
     lambda_high: float
 
     def to_dict(self) -> dict:
-        return {
-            "d_crit": self.d_crit,
-            "d_low": self.d_low,
-            "d_high": self.d_high,
-            "lambda_low": self.lambda_low,
-            "lambda_high": self.lambda_high,
-        }
+        return asdict(self)
 
 
 def critical_thickness(
@@ -301,27 +294,6 @@ def critical_thickness(
         else:
             hi, lam_hi = mid, lam_mid
     raise RuntimeError(f"bisection did not reach relative width {rel_tol} in {max_iter} steps")
-
-
-def scaling_law_check(
-    density: ElasticDensity,
-    psi: AnisotropyDensity,
-    datum: MismatchDatum,
-    d: float,
-    *,
-    n: int = 32,
-    ny: int = 20,
-) -> tuple:
-    """Both sides of the thickness scaling inequality at matched resolution.
-
-    Returns ``(lhs, rhs)`` with ``lhs`` the largest eigenvalue on the cube
-    cell of side ``d`` and ``rhs = d *`` the unit-cube value; the inequality
-    ``lhs >= rhs`` holds with near equality because rescaling maps the two
-    eigen-systems onto each other.
-    """
-    lhs = lambda1_of_thickness(d, density, psi, datum, cell="cube", n=n, ny=ny)
-    rhs = d * lambda1_of_thickness(1.0, density, psi, datum, cell="cube", n=n, ny=ny)
-    return lhs, rhs
 
 
 # -- crystalline regularization ---------------------------------------------------------

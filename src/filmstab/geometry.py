@@ -6,8 +6,9 @@ to 2 or 3.  This module provides:
 
 * :class:`Profile` -- positive periodic height samples with spectral
   derivatives and construction from configuration entries,
-* :class:`SurfaceGeometry` -- unit normal, shape operator, mean curvature and
-  area element of the free surface, plus tangential calculus helpers,
+* :class:`SurfaceGeometry` -- unit normal, tangent projector, shape
+  operator, mean curvature and area element of the free surface, plus
+  tangential calculus helpers,
 * :class:`MappedGrid` -- the tensor collocation grid ``(x, s*h(x))`` used by
   the elasticity solvers, with chain-rule derivative operators and positive
   quadrature weights.
@@ -22,19 +23,16 @@ from .spectral import (
     cheb_diff_matrix,
     cheb_lobatto_nodes,
     clenshaw_curtis_weights,
+    cosine_series,
     fourier_derivative,
     fourier_diff_matrix,
-    fourier_nodes,
-    fourier_wavenumbers,
 )
 
 __all__ = [
     "Profile",
     "SurfaceGeometry",
-    "surface_geometry",
     "MappedGrid",
     "build_grid",
-    "tangential_gradient",
     "tangential_jacobian",
     "tangential_divergence",
     "surface_integral",
@@ -94,14 +92,9 @@ class Profile:
 
     def grad(self) -> np.ndarray:
         """Spectral gradient at the sample nodes, shape ``(dim-1,) + xshape``."""
-        coeff = np.fft.fftn(self.samples)
-        out = np.empty((self.dim - 1,) + self.xshape)
-        for axis in range(self.dim - 1):
-            k = fourier_wavenumbers(self.n, self.width)
-            shape = [1] * (self.dim - 1)
-            shape[axis] = self.n
-            out[axis] = np.real(np.fft.ifftn(coeff * (1j * k).reshape(shape)))
-        return out
+        return np.stack(
+            [fourier_derivative(self.samples, self.width, axis=a) for a in range(self.dim - 1)]
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -123,23 +116,7 @@ class Profile:
         """
         if dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {dim}")
-        x = fourier_nodes(n, width)
-        if dim == 2:
-            grids = (x,)
-        else:
-            grids = np.meshgrid(x, x, indexing="ij")
-        shape = (n,) if dim == 2 else (n, n)
-        samples = np.full(shape, float(thickness))
-        for term in modes:
-            m = term["mode"]
-            amp = float(term["amplitude"])
-            phase = float(term.get("phase", 0.0))
-            mvec = np.atleast_1d(np.asarray(m, dtype=float))
-            if mvec.size != dim - 1:
-                raise ValueError(f"mode {m} has wrong dimension for dim={dim}")
-            arg = sum(2.0 * np.pi * mvec[a] * grids[a] / width for a in range(dim - 1))
-            samples = samples + amp * np.cos(arg + phase)
-        return cls(samples, width=width)
+        return cls(cosine_series(n, width, dim, modes, start=thickness), width=width)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Profile":
@@ -165,6 +142,9 @@ class SurfaceGeometry:
     ----------
     normal : array, ``xshape + (N,)``
         Outward unit normal ``(-grad h, 1) / sqrt(1 + |grad h|^2)``.
+    tangent_projector : array, ``xshape + (N, N)``
+        ``I - normal normal^T``, the orthogonal projector onto the tangent
+        space.
     shape_operator : array, ``xshape + (N, N)``
         Gradient of the normal extended constantly in the vertical direction,
         restricted to the tangent space.  Annihilates the normal on both
@@ -187,14 +167,10 @@ class SurfaceGeometry:
         normal = np.concatenate([-self.grad_h, np.ones(profile.xshape + (1,))], axis=-1)
         normal /= jac[..., None]
         self.normal = _readonly(normal)
+        self.tangent_projector = _readonly(np.eye(N) - normal[..., :, None] * normal[..., None, :])
         self.area_jacobian = _readonly(jac)
 
-        # full gradient of the vertically constant extension of the normal
-        dnu = np.zeros(profile.xshape + (N, N))
-        for a in range(N - 1):
-            dnu[..., :, a] = fourier_derivative(normal, width=profile.width, axis=a)
-        proj = np.eye(N) - normal[..., :, None] * normal[..., None, :]
-        B = dnu @ proj
+        B = tangential_jacobian(self, normal)
         self.shape_operator = _readonly(B)
         self.mean_curvature = _readonly(np.trace(B, axis1=-2, axis2=-1))
 
@@ -206,41 +182,17 @@ class SurfaceGeometry:
         return self.profile.dim
 
 
-def surface_geometry(profile: Profile) -> SurfaceGeometry:
-    """Normal, shape operator, mean curvature and area element of ``h``."""
-    return SurfaceGeometry(profile)
-
-
 # -- tangential calculus on the free surface --------------------------------
-
-
-def _surface_x_gradient(geom: SurfaceGeometry, values: np.ndarray) -> np.ndarray:
-    """Horizontal spectral gradient of per-node surface data, ``(..., N-1)``."""
-    prof = geom.profile
-    out = np.empty(values.shape + (prof.dim - 1,))
-    for a in range(prof.dim - 1):
-        out[..., a] = fourier_derivative(values, width=prof.width, axis=a)
-    return out
-
-
-def tangential_gradient(geom: SurfaceGeometry, phi: np.ndarray) -> np.ndarray:
-    """Tangential gradient of a scalar surface field, shape ``xshape + (N,)``.
-
-    The field is extended constantly in the vertical direction; projecting its
-    full gradient onto the tangent space gives the tangential gradient, which
-    does not depend on the extension.
-    """
-    phi = np.asarray(phi, dtype=float)
-    gx = _surface_x_gradient(geom, phi)
-    full = np.concatenate([gx, np.zeros(phi.shape + (1,))], axis=-1)
-    return full - np.sum(full * geom.normal, axis=-1)[..., None] * geom.normal
 
 
 def tangential_jacobian(geom: SurfaceGeometry, vec: np.ndarray) -> np.ndarray:
     """Row-wise tangential gradients of a surface vector field.
 
     ``vec`` has shape ``xshape + (m,)``; the result ``xshape + (m, N)`` holds
-    the tangential gradient of each component in its rows.
+    the tangential gradient of each component in its rows.  Each component
+    is extended constantly in the vertical direction and its full gradient
+    projected onto the tangent space, which does not depend on the
+    extension.  The shape operator is the tangential jacobian of the normal.
     """
     vec = np.asarray(vec, dtype=float)
     prof = geom.profile
@@ -249,8 +201,7 @@ def tangential_jacobian(geom: SurfaceGeometry, vec: np.ndarray) -> np.ndarray:
     full = np.zeros(prof.xshape + (m, N))
     for a in range(N - 1):
         full[..., a] = fourier_derivative(vec, width=prof.width, axis=a)
-    proj = np.eye(N) - geom.normal[..., :, None] * geom.normal[..., None, :]
-    return full @ proj
+    return full @ geom.tangent_projector
 
 
 def tangential_divergence(geom: SurfaceGeometry, vec: np.ndarray) -> np.ndarray:
@@ -321,10 +272,6 @@ class MappedGrid:
 
     # -- derivative application ------------------------------------------------
 
-    def x_derivative(self, u: np.ndarray, axis: int) -> np.ndarray:
-        """Periodic spectral derivative along horizontal axis ``axis``."""
-        return fourier_derivative(u, width=self.profile.width, axis=axis)
-
     def s_derivative(self, u: np.ndarray) -> np.ndarray:
         """Collocation derivative along the scaled vertical axis.
 
@@ -334,15 +281,6 @@ class MappedGrid:
         ax = self.dim - 1
         return np.moveaxis(np.tensordot(self.Ds, u, axes=(1, ax)), 0, ax)
 
-    def scalar_gradient(self, u: np.ndarray) -> np.ndarray:
-        """Physical gradient of one scalar nodal field, ``xshape + (ny, N)``."""
-        us = self.s_derivative(u)
-        out = np.empty(u.shape + (self.dim,))
-        for a in range(self.dim - 1):
-            out[..., a] = self.x_derivative(u, a) + self.slope[..., a] * us
-        out[..., self.dim - 1] = self.vertical_scale * us
-        return out
-
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Gradient of a vector nodal field ``xshape + (ny, m)``.
 
@@ -351,7 +289,10 @@ class MappedGrid:
         us = self.s_derivative(u)
         out = np.empty(u.shape + (self.dim,))
         for a in range(self.dim - 1):
-            out[..., a] = self.x_derivative(u, a) + self.slope[..., a, None] * us
+            out[..., a] = (
+                fourier_derivative(u, width=self.profile.width, axis=a)
+                + self.slope[..., a, None] * us
+            )
         out[..., self.dim - 1] = self.vertical_scale[..., None] * us
         return out
 

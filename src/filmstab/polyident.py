@@ -21,7 +21,7 @@ prime field with a quantified Schwartz-Zippel failure bound in 3D.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "PolyRing",
@@ -391,10 +391,9 @@ def build_Q(N: int) -> PolyMatrix:
     return PolyMatrix(ring, entries)
 
 
-def _traction_coefficient(ring: PolyRing, i: int, h: int, m: int) -> MultiPoly:
+def _traction_coefficient(ring: PolyRing, N: int, i: int, h: int, m: int) -> MultiPoly:
     """Coefficient of the (m, vertical)-derivative of component ``h`` in the
     ``i``-traction of the vertical-derivative field: ``sum_j C_ijhm n_j``."""
-    N = 2 if len(ring.names) == 2 + 16 else 3
     out = ring.zero
     for j in range(1, N + 1):
         out = out + ring.var(f"C{i}{j}{h}{m}") * ring.var(f"n{j}")
@@ -427,7 +426,8 @@ def build_M(N: int) -> PolyMatrix:
             for h in (1, 2):
                 for m in (1, 2):
                     key = tuple(sorted((m, 2))) + (h,)
-                    row[col_index[key]] = row[col_index[key]] + _traction_coefficient(ring, i, h, m)
+                    coef = _traction_coefficient(ring, N, i, h, m)
+                    row[col_index[key]] = row[col_index[key]] + coef
             entries.append(row)
         for i in (1, 2):  # tangential derivatives of each first derivative
             for j in (1, 2):
@@ -467,7 +467,7 @@ def build_M(N: int) -> PolyMatrix:
         for h in (1, 2, 3):
             for m in (1, 2, 3):
                 c = s_col(m, 3, h)
-                row[c] = row[c] + _traction_coefficient(ring, i, h, m)
+                row[c] = row[c] + _traction_coefficient(ring, N, i, h, m)
         entries.append(row)
     return PolyMatrix(ring, entries)
 
@@ -489,16 +489,7 @@ class IdentityReport:
     counterexample: dict | None = field(default=None)
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "verified": self.verified,
-            "trials": self.trials,
-            "sign": self.sign,
-            "degree_bound": self.degree_bound,
-            "failure_bound": self.failure_bound,
-            "exact": self.exact,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 def _vertical_power(N: int) -> int:
@@ -547,47 +538,26 @@ def verify_identity(
     degree_bound = max(M.degree_bound(), power + Q.degree_bound())
     rng = random.Random(seed)
     names = M.ring.names
+    counterexample = None
     for _ in range(trials):
         assignment = {name: rng.randrange(p) for name in names}
         det_m = det_mod(M.evaluate(assignment, p), p)
         rhs = pow(assignment[vertical], power, p) * det_mod(Q.evaluate(assignment, p), p) % p
         if det_m == rhs and det_m == (-rhs) % p:
             continue  # both sides vanished; no sign information
-        if det_m == rhs:
-            trial_sign = 1
-        elif det_m == (-rhs) % p:
-            trial_sign = -1
-        else:
-            return IdentityReport(
-                dim=N,
-                verified=False,
-                trials=trials,
-                sign=0,
-                degree_bound=degree_bound,
-                failure_bound=(degree_bound / p) ** trials,
-                exact=exact,
-                counterexample=assignment,
-            )
-        if sign == 0:
-            sign = trial_sign
-        elif sign != trial_sign:
-            return IdentityReport(
-                dim=N,
-                verified=False,
-                trials=trials,
-                sign=0,
-                degree_bound=degree_bound,
-                failure_bound=(degree_bound / p) ** trials,
-                exact=exact,
-                counterexample=assignment,
-            )
+        trial_sign = 1 if det_m == rhs else -1 if det_m == (-rhs) % p else 0
+        if trial_sign == 0 or sign not in (0, trial_sign):
+            counterexample = assignment
+            break
+        sign = trial_sign
+    verified = counterexample is None
     return IdentityReport(
         dim=N,
-        verified=True,
+        verified=verified,
         trials=trials,
-        sign=sign if sign else 1,
+        sign=(sign or 1) if verified else 0,
         degree_bound=degree_bound,
         failure_bound=(degree_bound / p) ** trials,
         exact=exact,
-        counterexample=None,
+        counterexample=counterexample,
     )

@@ -1,5 +1,5 @@
-"""Shared spectral building blocks: Fourier differentiation on uniform periodic
-grids and Chebyshev-Lobatto collocation on [0, 1].
+"""Shared spectral building blocks: Fourier differentiation and cosine series on
+uniform periodic grids, and Chebyshev-Lobatto collocation on [0, 1].
 
 Everything in the package that differentiates or integrates numerically goes
 through these helpers, so their conventions are fixed here once:
@@ -24,7 +24,8 @@ __all__ = [
     "cheb_diff_matrix",
     "clenshaw_curtis_weights",
     "barycentric_resample",
-    "trig_interpolate",
+    "lateral_grids",
+    "cosine_series",
 ]
 
 
@@ -33,6 +34,30 @@ def fourier_nodes(n: int, width: float = 1.0) -> np.ndarray:
     if n < 4:
         raise ValueError(f"periodic grid needs n >= 4, got n={n}")
     return (width / n) * np.arange(n)
+
+
+def lateral_grids(n: int, width: float, dim: int) -> tuple:
+    """Node coordinates of a film's periodic cell, one ``xshape`` array per lateral axis."""
+    x = fourier_nodes(n, width)
+    return (x,) if dim == 2 else tuple(np.meshgrid(x, x, indexing="ij"))
+
+
+def cosine_series(n: int, width: float, dim: int, terms, start: float = 0.0) -> np.ndarray:
+    """Samples of ``start + sum a * cos(2*pi*(m . x)/width + p)`` on the periodic cell.
+
+    Each term is a ``{"mode": m, "amplitude": a, "phase": p}`` mapping (phase
+    optional, ``m`` an integer in 2D and a pair in 3D); terms are added in
+    order onto the constant ``start``.
+    """
+    grids = lateral_grids(n, width, dim)
+    out = np.full(grids[0].shape, float(start))
+    for term in terms:
+        m = np.atleast_1d(np.asarray(term["mode"], dtype=float))
+        if m.size != dim - 1:
+            raise ValueError(f"mode {term['mode']} has wrong dimension for dim={dim}")
+        arg = sum(2.0 * np.pi * m[a] * grids[a] / width for a in range(dim - 1))
+        out = out + float(term["amplitude"]) * np.cos(arg + float(term.get("phase", 0.0)))
+    return out
 
 
 def fourier_wavenumbers(n: int, width: float = 1.0) -> np.ndarray:
@@ -154,34 +179,3 @@ def barycentric_resample(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
         nodal = np.take_along_axis(np.broadcast_to(values, kern.shape), idx[..., None], axis=-1)
         out = np.where(hit, nodal[..., 0], out)
     return out
-
-
-def trig_interpolate(samples: np.ndarray, width: float, points: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolant of periodic nodal samples at arbitrary points.
-
-    ``samples`` is a full periodic grid, shape ``(n,)`` or ``(n, n)``;
-    ``points`` carries a trailing coordinate axis matching the grid dimension
-    (a bare array is accepted in the one-dimensional case).  Exact at the
-    nodes and spectrally accurate in between.
-    """
-    samples = np.asarray(samples, dtype=float)
-    ndim = samples.ndim
-    if ndim not in (1, 2):
-        raise ValueError(f"samples must be a 1d or 2d periodic grid, got ndim={samples.ndim}")
-    n = samples.shape[0]
-    if ndim == 2 and samples.shape != (n, n):
-        raise ValueError(f"2d samples must be square, got {samples.shape}")
-    points = np.asarray(points, dtype=float)
-    if ndim == 1 and (points.ndim == 0 or points.shape[-1] != 1):
-        points = points[..., None]
-    if points.shape[-1] != ndim:
-        raise ValueError(f"points must end with a length-{ndim} coordinate axis")
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / width
-    if ndim == 1:
-        coeff = np.fft.fft(samples) / n
-        phase = np.exp(1j * np.multiply.outer(points[..., 0], k))
-        return np.real(phase @ coeff)
-    coeff = np.fft.fft2(samples) / n**2
-    e1 = np.exp(1j * np.multiply.outer(points[..., 0], k))
-    e2 = np.exp(1j * np.multiply.outer(points[..., 1], k))
-    return np.real(np.einsum("...a,ab,...b->...", e1, coeff, e2))

@@ -12,9 +12,7 @@ speed.  This module assembles that form and its spectral decomposition:
   self-adjoint operator, its Gram matrix on the zero-mean subspace, and
   the extreme eigenvalues that decide strict stability,
 * an independent finite-difference oracle that differentiates the total
-  energy along a profile family by re-solving the equilibrium,
-* pointwise transport identities for the normal and the anisotropic
-  curvature under the normal flow of the surface.
+  energy along a profile family by re-solving the equilibrium.
 
 The verdict: a configuration is strictly stable exactly when the bulk
 tangent form is coercive, the surface inner product is positive definite
@@ -49,14 +47,8 @@ from .elasticity import (
     coercivity_constant,
     continue_critical_point,
 )
-from .geometry import (
-    Profile,
-    surface_geometry,
-    surface_integral,
-    tangential_divergence,
-    tangential_gradient,
-)
-from .spectral import fourier_nodes, trig_interpolate
+from .geometry import Profile, surface_integral, tangential_divergence
+from .spectral import fourier_nodes, lateral_grids
 
 __all__ = [
     "StabilityReport",
@@ -67,12 +59,9 @@ __all__ = [
     "VERDICT_UNSTABLE",
     "VERDICT_INDEFINITE",
     "fd_oracle_second_variation",
-    "first_variation",
     "total_energy",
     "cosine_mode",
     "dispersion_curve",
-    "normal_velocity_defect",
-    "curvature_velocity_defect",
 ]
 
 VERDICT_STABLE = "strictly_stable"
@@ -137,15 +126,6 @@ def _canonical_sign(samples: np.ndarray) -> np.ndarray:
     return -samples if key < 0.0 else samples
 
 
-def _horizontal_points(profile: Profile) -> np.ndarray:
-    """Node coordinates of the horizontal grid with a trailing axis."""
-    x = fourier_nodes(profile.n, profile.width)
-    if profile.dim == 2:
-        return x[:, None]
-    g1, g2 = np.meshgrid(x, x, indexing="ij")
-    return np.stack([g1, g2], axis=-1)
-
-
 def cosine_mode(profile: Profile, k: int) -> np.ndarray:
     """Nodal samples of ``cos(2 pi k x / width)``; in 3D along the first coordinate."""
     x = fourier_nodes(profile.n, profile.width)
@@ -158,16 +138,16 @@ def cosine_mode(profile: Profile, k: int) -> np.ndarray:
 def _subnyquist_modes(profile: Profile) -> np.ndarray:
     """Columns of nodal cosine/sine samples for all sub-Nyquist nonzero modes."""
     n, width = profile.n, profile.width
-    x = fourier_nodes(n, width)
+    grids = lateral_grids(n, width, profile.dim)
     kmax = (n - 1) // 2 if n % 2 else n // 2 - 1
     cols = []
     if profile.dim == 2:
         for k in range(1, kmax + 1):
-            arg = 2.0 * np.pi * k * x / width
+            arg = 2.0 * np.pi * k * grids[0] / width
             cols.append(np.cos(arg))
             cols.append(np.sin(arg))
     else:
-        g1, g2 = np.meshgrid(x, x, indexing="ij")
+        g1, g2 = grids
         seen = set()
         for k1 in range(-kmax, kmax + 1):
             for k2 in range(-kmax, kmax + 1):
@@ -267,9 +247,9 @@ class StabilityProblem:
         nx, ny, N = grid.nx, grid.ny, grid.dim
         top = grid.surface_index
         Lx, Ds, scoef = grid.assembly_operators()
-        normal = self.geom.normal
-        proj = np.eye(N) - normal[..., :, None] * normal[..., None, :]
-        stress = np.einsum("...ib,...ba->...ia", self.field.surface_stress(), proj)
+        stress = np.einsum(
+            "...ib,...ba->...ia", self.field.surface_stress(), self.geom.tangent_projector
+        )
         G = (self.geom.surface_weights[..., None, None] * stress).reshape(nx, N, N)
         out = np.zeros((nx, ny - 1, N, nx))
         idx = np.arange(nx)
@@ -323,8 +303,7 @@ class StabilityProblem:
         """Per-component matrices of the tangential gradient on nodal speeds."""
         N = self.grid.dim
         Lx = self.grid.assembly_operators()[0]
-        normal = self.geom.normal
-        proj = np.eye(N) - normal[..., :, None] * normal[..., None, :]
+        proj = self.geom.tangent_projector
         mats = []
         for c in range(N):
             mats.append(
@@ -496,10 +475,6 @@ class StabilityProblem:
         A = solve_triangular(M, solve_triangular(M, Kt, lower=True).T, lower=True)
         return eigh(0.5 * (A + A.T))
 
-    def correction_spectrum(self) -> np.ndarray:
-        """All correction eigenvalues, ascending; nonnegative up to roundoff."""
-        return self._pencil[0].copy()
-
     def lambda1(self) -> tuple:
         """Largest correction eigenvalue with its normalized eigenfunction.
 
@@ -584,19 +559,6 @@ def total_energy(field: ElasticField, psi: AnisotropyDensity) -> float:
     return field.energy() + surface_integral(geom, psi.value(geom.normal))
 
 
-def first_variation(field: ElasticField, psi: AnisotropyDensity, direction) -> float:
-    """Derivative of the total energy along a vertical profile direction.
-
-    ``direction`` holds nodal samples of the profile perturbation rate; the
-    energy rate is its flat-cell integral against the surface energy density
-    plus the anisotropic curvature.
-    """
-    geom = field.grid.geom
-    g = field.surface_energy_density() + aniso_mean_curvature(field.grid.profile, psi)
-    arr = np.asarray(direction, dtype=float)
-    return surface_integral(geom, arr * g / geom.area_jacobian)
-
-
 def fd_oracle_second_variation(
     field: ElasticField,
     psi: AnisotropyDensity,
@@ -650,60 +612,3 @@ def dispersion_curve(field: ElasticField, psi: AnisotropyDensity, max_mode: int)
     """Rows ``(k, four-term form at the k-th cosine mode)``; see
     :meth:`StabilityProblem.dispersion_curve`."""
     return StabilityProblem(field, psi).dispersion_curve(max_mode)
-
-
-# -- transport identities under the normal flow -------------------------------------
-
-
-def normal_velocity_defect(profile: Profile, phi, t: float) -> float:
-    """Sup defect of the normal-velocity identity at step ``t``.
-
-    The surface is moved with normal speed ``phi`` for time ``t`` (graph
-    update ``h + t * phi * area_jacobian``) and the new normal is evaluated
-    at the transported foot point ``x - t * phi * grad h / area_jacobian``.
-    The difference quotient of the normal approaches minus the tangential
-    gradient of the speed, so the returned sup norm decays linearly in
-    ``t``.
-    """
-    geom = surface_geometry(profile)
-    arr = np.asarray(phi, dtype=float)
-    points = _horizontal_points(profile)
-    moved_points = points - (t * arr / geom.area_jacobian)[..., None] * geom.grad_h
-    moved_profile = Profile(profile.samples + t * arr * geom.area_jacobian, width=profile.width)
-    slope = np.stack(
-        [trig_interpolate(g, profile.width, moved_points) for g in moved_profile.grad()], axis=-1
-    )
-    jac = np.sqrt(1.0 + np.sum(slope**2, axis=-1))
-    normal = np.concatenate([-slope, np.ones(arr.shape + (1,))], axis=-1) / jac[..., None]
-    rate = (normal - geom.normal) / t
-    defect = rate + tangential_gradient(geom, arr)
-    return float(np.sqrt(np.sum(defect**2, axis=-1)).max())
-
-
-def curvature_velocity_defect(profile: Profile, psi: AnisotropyDensity, phi, t: float) -> float:
-    """Sup defect of the curvature transport identity at step ``t``.
-
-    Along the same normal flow as :func:`normal_velocity_defect`, the
-    anisotropic curvature evaluated at the transported foot point changes at
-    the rate given by minus the tangential divergence of the anisotropy
-    Hessian applied to the tangential speed gradient -- once normal
-    transport is removed: the normal derivative of the curvature equals
-    minus the trace of the anisotropy Hessian composed with the squared
-    shape operator, so the speed times that trace is added to the difference
-    quotient.  The combined sup-norm defect decays linearly in ``t``.
-    """
-    geom = surface_geometry(profile)
-    arr = np.asarray(phi, dtype=float)
-    points = _horizontal_points(profile)
-    moved_points = points - (t * arr / geom.area_jacobian)[..., None] * geom.grad_h
-    moved_profile = Profile(profile.samples + t * arr * geom.area_jacobian, width=profile.width)
-    curv_moved = aniso_mean_curvature(moved_profile, psi)
-    interp_points = moved_points[..., 0] if profile.dim == 2 else moved_points
-    curv_at = trig_interpolate(curv_moved, profile.width, interp_points)
-    curv_base = aniso_mean_curvature(profile, psi)
-    hess = psi.hessian(geom.normal)
-    flux = np.einsum("...ij,...j->...i", hess, tangential_gradient(geom, arr))
-    _, trace_part = aniso_shape_operator(geom, psi)
-    rate = (curv_at - curv_base) / t
-    defect = rate + arr * trace_part + tangential_divergence(geom, flux)
-    return float(np.abs(defect).max())

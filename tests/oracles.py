@@ -20,8 +20,9 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from filmstab.elasticity import _from_interior
-from filmstab.geometry import surface_integral, tangential_gradient
+from filmstab.geometry import surface_integral
 from filmstab.stability import StabilityProblem
+from diagnostics import tangential_gradient
 
 
 def lanczos_mu1(problem) -> float:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from filmstab.anisotropy import (
-    CylinderSupportDensity,
     IsotropicDensity,
     QuadraticFormDensity,
     RegularizedFacetDensity,
@@ -12,10 +11,9 @@ from filmstab.anisotropy import (
     aniso_mean_curvature,
     aniso_shape_operator,
     anisotropy_from_config,
-    convexity_constants,
-    crystalline_family,
 )
-from filmstab.geometry import Profile, surface_geometry
+from filmstab.geometry import Profile, SurfaceGeometry
+from diagnostics import CylinderSupportDensity, convexity_constants, crystalline_family
 
 
 def _bump_profile(n=256, amp=0.1):
@@ -193,7 +191,7 @@ def test_mean_curvature_is_first_variation_of_surface_energy(dim):
 
 def test_shape_operator_trace_frozen_value():
     prof = _bump_profile()
-    geom = surface_geometry(prof)
+    geom = SurfaceGeometry(prof)
     B_psi, tr = aniso_shape_operator(geom, IsotropicDensity(2))
     # isotropic Hessian is the tangential projector, so B_psi is B itself
     assert np.abs(B_psi - geom.shape_operator).max() < 1e-11
@@ -207,7 +205,7 @@ def test_shape_operator_trace_with_anisotropy():
     # weight the vertical direction: at the crest the normal is vertical and
     # the tangential Hessian entry of the regularized core is a/eps there
     a, eps = 1.3, 0.2
-    geom = surface_geometry(_bump_profile())
+    geom = SurfaceGeometry(_bump_profile())
     core = RegularizedFacetDensity(a, eps, 2)
     _, tr = aniso_shape_operator(geom, core)
     kappa = 0.1 * (2 * np.pi) ** 2

@@ -144,6 +144,39 @@ def test_bad_samples_profile_rejected(tmp_path, capsys, dim, n, samples):
     assert "geometry.profile.samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "dim, block, mode, path",
+    [
+        (2, "profile", 1.5, "geometry.profile.modes[1].mode"),
+        (2, "profile", float("nan"), "geometry.profile.modes[1].mode"),
+        (3, "profile", [1, 0.5], "geometry.profile.modes[1].mode[1]"),
+        (2, "mismatch", 0.5, "mismatch.modes[0].mode"),
+        (3, "mismatch", [1, "a"], "mismatch.modes[0].mode[1]"),
+    ],
+    ids=[
+        "2d-profile-fraction",
+        "2d-profile-nan",
+        "3d-profile-fraction",
+        "2d-mismatch-fraction",
+        "3d-mismatch-string",
+    ],
+)
+def test_fourier_mode_must_be_integer(tmp_path, capsys, dim, block, mode, path):
+    cfg = flat_config(n=8, ny=4, e0=0.05)
+    cfg["geometry"]["dim"] = dim
+    zero = 0 if dim == 2 else [0, 0]
+    if block == "profile":
+        cfg["geometry"]["profile"] = {
+            "kind": "fourier",
+            "modes": [{"mode": zero, "amplitude": 1.0}, {"mode": mode, "amplitude": 0.05}],
+        }
+    else:
+        cfg["mismatch"]["modes"] = [{"mode": mode, "amplitude": 0.01}]
+    code, _ = run(tmp_path, "critical-point", cfg)
+    assert code == 1
+    assert f"config error: {path}:" in capsys.readouterr().err
+
+
 def test_resolution_below_the_surface_minimum_rejected(tmp_path, capsys):
     code, _ = run(tmp_path, "critical-point", flat_config(n=6, e0=0.05))
     assert code == 1
@@ -334,6 +367,16 @@ def test_crystalline_suppression_success(tmp_path, capsys):
     lines = (out / "crystalline.csv").read_text().strip().splitlines()
     assert lines[0] == "epsilon,lambda1"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("thicknesses", [5, [], [1.0, -2.0], [1.0, "10"]],
+                         ids=["scalar", "empty", "negative", "string"])
+def test_bad_suppression_thicknesses_rejected(tmp_path, capsys, thicknesses):
+    analysis = {"a": 1.0, "b": 1.0, "suppression_thicknesses": thicknesses}
+    cfg = flat_config(n=16, ny=12, e0=1.2, analysis=analysis, anisotropy=None)
+    code, _ = run(tmp_path, "crystalline", cfg)
+    assert code == 1
+    assert "config error: analysis.suppression_thicknesses" in capsys.readouterr().err
 
 
 def test_crystalline_sweep_exhaustion_is_numerical_failure(tmp_path, capsys):

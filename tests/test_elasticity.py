@@ -19,11 +19,10 @@ from filmstab.elasticity import (
     h1_gram,
     interior_weight_vector,
     isotropic_tensor,
-    legendre_hadamard_check,
-    local_min_probe,
     solve_critical_point,
 )
 from filmstab.geometry import Profile, build_grid
+from diagnostics import legendre_hadamard_check, local_min_probe
 
 LAM, MU, E0 = 2.0, 1.0, 0.05
 
@@ -223,6 +222,48 @@ def test_energy_residual_consistency_3d():
     t = 1e-6
     fd = (field.with_p(p + t * dp).energy() - field.with_p(p - t * dp).energy()) / (2 * t)
     assert fd == pytest.approx(float(r @ dvec), rel=1e-6)
+
+
+@pytest.mark.parametrize("dim, n, ny", [(2, 16, 8), (3, 12, 6)])
+def test_gradient_derivative_matches_analytic_field(dim, n, ny):
+    # on a curved film, p_i = c_i y^2 cos(K . x + phase_i) over the base field
+    # of a strained substrate with a lateral wiggle q_0 = amp cos(Q . x): the
+    # samples are band-limited in x and polynomial in s, so the collocation
+    # derivatives are exact up to rounding
+    x = np.arange(n) / n
+    X = (x,) if dim == 2 else np.meshgrid(x, x, indexing="ij")
+    h = 1.0 + 0.1 * np.cos(2 * np.pi * X[0])
+    if dim == 3:
+        h = h + 0.05 * np.sin(2 * np.pi * X[1])
+    grid = build_grid(Profile(h), ny)
+    amp, Q = 0.02, 2 * np.pi * np.array([1.0, 2.0, 0.0][: dim - 1] + [0.0])
+    A = np.array([[0.05, 0.01], [-0.02, 0.03]])[: dim - 1, : dim - 1]
+    wiggle = {"component": 0, "mode": [1, 2][: dim - 1], "amplitude": amp}
+    datum = MismatchDatum(A, dim, modes=[wiggle])
+    c = np.array([0.3, -0.7, 0.5][:dim])
+    phase = np.array([0.0, 0.9, -0.4][:dim])
+    K = 2 * np.pi * np.array([1.0, 1.0][: dim - 1] + [0.0])
+    e = np.eye(dim)[-1]
+
+    lateral = sum(K[a] * X[a] for a in range(dim - 1))[..., None, None]  # xshape + (1, 1)
+    theta = lateral + phase  # xshape + (1, N)
+    y = grid.y[..., None]  # xshape + (ny, 1)
+    p = c * y**2 * np.cos(theta)
+    field = ElasticField(grid, datum, LinearDensity.isotropic(dim, LAM, MU), p)
+
+    cos, sin = ((c * f(theta))[..., None, None] for f in (np.cos, np.sin))
+    KK, Ke = np.multiply.outer(K, K), np.multiply.outer(K, e)
+    expected = (
+        -(y**2)[..., None, None] * cos * KK
+        - 2 * y[..., None, None] * sin * (Ke + Ke.T)
+        + 2 * cos * np.multiply.outer(e, e)
+    )
+    q_arg = sum(Q[a] * X[a] for a in range(dim - 1))[..., None]
+    expected[..., 0, :, :] -= amp * np.cos(q_arg)[..., None, None] * np.multiply.outer(Q, Q)
+
+    got = field.gradient_derivative()
+    assert got.shape == grid.y.shape + (dim, dim, dim)
+    assert np.abs(got - expected).max() < 1e-10 * np.abs(expected).max()
 
 
 def test_solution_converges_under_refinement():

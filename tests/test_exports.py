@@ -1,12 +1,16 @@
-"""Every name the package exports must resolve.
+"""Every name the package exports must resolve, and the package must stand alone.
 
 ``filmstab`` resolves its top-level names lazily through ``_EXPORTS``, so a
 deleted or renamed function leaves a stale entry that fails only when some
-caller asks for it.
+caller asks for it.  The test helpers ``oracles`` and ``diagnostics`` sit on
+the import path while the tests run, so a package module importing them
+would pass here and fail once installed.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import filmstab
 
@@ -22,3 +26,18 @@ def test_exports_and_module_all_names_resolve():
         module = importlib.import_module(f"filmstab.{info.name}")
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"filmstab.{info.name}.__all__ names missing {missing}"
+
+
+def test_package_does_not_import_the_test_modules():
+    forbidden = {"oracles", "diagnostics", "tests"}
+    for path in sorted(Path(filmstab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            roots = {name.split(".")[0] for name in names}
+            bad = roots & forbidden
+            assert not bad, f"{path.name} line {node.lineno} imports {bad}"

@@ -15,7 +15,6 @@ from filmstab.flat import (
     crystalline_sweep,
     flat_field,
     lambda1_of_thickness,
-    scaling_law_check,
     solve_affine,
     stability_of_thickness,
     threshold_rows,
@@ -24,6 +23,7 @@ from filmstab.flat import (
 )
 from filmstab.geometry import Profile
 from filmstab.stability import StabilityProblem
+from diagnostics import scaling_law_check
 from oracles import two_term_second_variation
 
 LAM, MU = 2.0, 1.0
