@@ -243,7 +243,7 @@ def _cmd_crystalline(cfg: dict, args) -> int:
     analysis = cfg["analysis"]
     a_facet = float(analysis["a"])
     b_facet = float(analysis["b"])
-    d = float(analysis.get("d", getattr(profile, "thickness", None) or profile.max()))
+    d = float(analysis.get("d", profile.max()))
     max_steps = int(analysis.get("max_steps", 8))
     max_thickness = float(analysis.get("max_thickness", 1000.0))
     suppression_ds = [float(v) for v in analysis.get("suppression_thicknesses", [1.0, 10.0, 100.0])]

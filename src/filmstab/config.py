@@ -30,6 +30,11 @@ RESOLUTION_MIN_N = 8
 RESOLUTION_MIN_NY = 4
 
 
+def max_resolved_mode(n: int) -> int:
+    """Highest lateral mode below Nyquist on ``n`` points (``k`` and ``n - k`` alias)."""
+    return (n - 1) // 2 if n % 2 else n // 2 - 1
+
+
 class ConfigError(ValueError):
     """A configuration defect, carrying the dotted path of the bad field."""
 
@@ -216,7 +221,13 @@ _ANALYSIS_KEYS = {
 _NEEDS_PROBLEM = {"critical-point", "stability", "flat-threshold", "crystalline", "oracle-check"}
 
 
-def _validate_analysis(cfg, command, path="analysis"):
+def _check_resolved(k, n, path):
+    kmax = max_resolved_mode(n)
+    if k > kmax:
+        raise ConfigError(path, f"mode {k} is not resolved on n = {n} points; at most {kmax}")
+
+
+def _validate_analysis(cfg, command, n, path="analysis"):
     block = _require_mapping(cfg, path)
     _check_keys(block, _ANALYSIS_KEYS[command], path)
     if command == "critical-point":
@@ -226,7 +237,8 @@ def _validate_analysis(cfg, command, path="analysis"):
             _as_number(block["max_iter"], f"{path}.max_iter", integer=True, minimum=1)
     elif command == "stability":
         if "max_mode" in block:
-            _as_number(block["max_mode"], f"{path}.max_mode", integer=True, minimum=1)
+            max_mode = _as_number(block["max_mode"], f"{path}.max_mode", integer=True, minimum=1)
+            _check_resolved(max_mode, n, f"{path}.max_mode")
     elif command == "flat-threshold":
         bracket = _get(block, "bracket", path)
         if not (isinstance(bracket, list) and len(bracket) == 2):
@@ -265,7 +277,8 @@ def _validate_analysis(cfg, command, path="analysis"):
         if not isinstance(modes, list) or not modes:
             raise ConfigError(f"{path}.modes", "expected a non-empty list of integers")
         for i, k in enumerate(modes):
-            _as_number(k, f"{path}.modes[{i}]", integer=True, minimum=1)
+            k = _as_number(k, f"{path}.modes[{i}]", integer=True, minimum=1)
+            _check_resolved(k, n, f"{path}.modes[{i}]")
         if "rel_tol" in block:
             _as_number(block["rel_tol"], f"{path}.rel_tol", positive=True)
         if "fd_step" in block:
@@ -295,8 +308,9 @@ def validate_config(cfg: dict, command: str) -> dict:
         top_allowed |= {"geometry", "material", "anisotropy", "mismatch"}
     _check_keys(cfg, top_allowed, "config")
 
+    n = None
     if command in _NEEDS_PROBLEM:
-        dim, _, _ = _validate_geometry(_get(cfg, "geometry", "config"))
+        dim, n, _ = _validate_geometry(_get(cfg, "geometry", "config"))
         _validate_material(_get(cfg, "material", "config"))
         # the crystalline command sweeps its own facet densities, so its
         # anisotropy block is advisory only
@@ -304,7 +318,7 @@ def validate_config(cfg: dict, command: str) -> dict:
             _validate_anisotropy(_get(cfg, "anisotropy", "config", required=command != "crystalline", default={"kind": "isotropic"}))
         _validate_mismatch(_get(cfg, "mismatch", "config"), dim)
     if command == "verify-identity" or "analysis" in cfg:
-        _validate_analysis(_get(cfg, "analysis", "config", required=command == "verify-identity", default={}), command)
+        _validate_analysis(_get(cfg, "analysis", "config", required=command == "verify-identity", default={}), command, n)
     if "output" in cfg:
         _validate_output(cfg["output"])
     return cfg

@@ -207,61 +207,6 @@ class MultiPoly:
         return " + ".join(bits)
 
 
-# -- exact division and fraction-free determinants -------------------------------
-
-
-def _order_key(ring: PolyRing):
-    nvars = len(ring.names)
-
-    def key(mono):
-        dense = [0] * nvars
-        for v, e in mono:
-            dense[v] = e
-        return (sum(e for _, e in mono), tuple(dense))
-
-    return key
-
-
-def _divide_monomials(num, den):
-    """The quotient monomial, or None when ``den`` does not divide ``num``."""
-    rest = dict(num)
-    for v, e in den:
-        have = rest.get(v, 0)
-        if have < e:
-            return None
-        if have == e:
-            del rest[v]
-        else:
-            rest[v] = have - e
-    return tuple(sorted(rest.items()))
-
-
-def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
-    """Quotient of an exact polynomial division; raises when not divisible."""
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    key = _order_key(num.ring)
-    lead_den = max(den.terms, key=key)
-    coeff_den = den.terms[lead_den]
-    rem = dict(num.terms)
-    quot = {}
-    while rem:
-        lead_rem = max(rem, key=key)
-        mono = _divide_monomials(lead_rem, lead_den)
-        coeff, remainder = divmod(rem[lead_rem], coeff_den)
-        if mono is None or remainder:
-            raise ArithmeticError("division is not exact")
-        quot[mono] = quot.get(mono, 0) + coeff
-        for m, c in den.terms.items():
-            mm = _mul_monomials(m, mono)
-            val = rem.get(mm, 0) - coeff * c
-            if val:
-                rem[mm] = val
-            else:
-                rem.pop(mm, None)
-    return MultiPoly(num.ring, quot)
-
-
 class PolyMatrix:
     """A square matrix of polynomials from one ring."""
 
@@ -291,33 +236,13 @@ class PolyMatrix:
         self.entries[i][j] = value
 
     def det(self) -> MultiPoly:
-        """Exact symbolic determinant by fraction-free elimination.
+        """Exact symbolic determinant by cofactor expansion along the first row.
 
-        One-step Bareiss: every division is by the previous pivot and is
-        exact over the integers, so intermediate entries stay the minors of
-        the original matrix instead of blowing up.
+        Zero entries are skipped, so the cost follows the sparsity of the
+        matrix.  Meant for small sparse systems such as the planar one; the
+        three-dimensional system is checked by evaluation instead.
         """
-        n = self.size
-        a = [row[:] for row in self.entries]
-        sign = 1
-        prev = self.ring.one
-        for k in range(n - 1):
-            if a[k][k].is_zero:
-                for r in range(k + 1, n):
-                    if not a[r][k].is_zero:
-                        a[k], a[r] = a[r], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return self.ring.zero
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                    a[i][j] = divide_exact(num, prev)
-                a[i][k] = self.ring.zero
-            prev = a[k][k]
-        result = a[n - 1][n - 1]
-        return -result if sign < 0 else result
+        return _cofactor_det(self.ring, self.entries)
 
     def evaluate(self, assignment: dict, modulus: int | None = None):
         """Integer matrix of entry values at the assignment."""
@@ -328,6 +253,17 @@ class PolyMatrix:
     def degree_bound(self) -> int:
         """Hadamard-style total-degree bound for the determinant: sum of row maxima."""
         return sum(max(e.degree() for e in row) for row in self.entries)
+
+
+def _cofactor_det(ring: PolyRing, rows) -> MultiPoly:
+    if len(rows) == 1:
+        return rows[0][0]
+    total = ring.zero
+    for j, entry in enumerate(rows[0]):
+        if not entry.is_zero:
+            term = entry * _cofactor_det(ring, [row[:j] + row[j + 1:] for row in rows[1:]])
+            total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 def det_mod(rows, p: int = FIELD_PRIME) -> int:
@@ -502,7 +438,6 @@ def verify_identity(
     *,
     matrix: PolyMatrix | None = None,
     seed: int | None = None,
-    p: int = FIELD_PRIME,
 ) -> IdentityReport:
     """Check ``det(system) = +/- n_vertical^p * det(acoustic)`` exactly.
 
@@ -540,12 +475,13 @@ def verify_identity(
     names = M.ring.names
     counterexample = None
     for _ in range(trials):
-        assignment = {name: rng.randrange(p) for name in names}
-        det_m = det_mod(M.evaluate(assignment, p), p)
-        rhs = pow(assignment[vertical], power, p) * det_mod(Q.evaluate(assignment, p), p) % p
-        if det_m == rhs and det_m == (-rhs) % p:
+        assignment = {name: rng.randrange(FIELD_PRIME) for name in names}
+        det_m = det_mod(M.evaluate(assignment, FIELD_PRIME))
+        rhs = pow(assignment[vertical], power, FIELD_PRIME)
+        rhs = rhs * det_mod(Q.evaluate(assignment, FIELD_PRIME)) % FIELD_PRIME
+        if det_m == rhs and det_m == (-rhs) % FIELD_PRIME:
             continue  # both sides vanished; no sign information
-        trial_sign = 1 if det_m == rhs else -1 if det_m == (-rhs) % p else 0
+        trial_sign = 1 if det_m == rhs else -1 if det_m == (-rhs) % FIELD_PRIME else 0
         if trial_sign == 0 or sign not in (0, trial_sign):
             counterexample = assignment
             break
@@ -557,7 +493,7 @@ def verify_identity(
         trials=trials,
         sign=(sign or 1) if verified else 0,
         degree_bound=degree_bound,
-        failure_bound=(degree_bound / p) ** trials,
+        failure_bound=(degree_bound / FIELD_PRIME) ** trials,
         exact=exact,
         counterexample=counterexample,
     )

@@ -23,7 +23,6 @@ __all__ = [
     "cheb_lobatto_nodes",
     "cheb_diff_matrix",
     "clenshaw_curtis_weights",
-    "barycentric_resample",
     "lateral_grids",
     "cosine_series",
 ]
@@ -145,37 +144,3 @@ def clenshaw_curtis_weights(ny: int) -> np.ndarray:
     # map [-1, 1] -> [0, 1] and flip to ascending s
     return 0.5 * w[::-1]
 
-
-def barycentric_resample(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Evaluate a Chebyshev-Lobatto nodal expansion at arbitrary points.
-
-    ``values`` holds samples at ``cheb_lobatto_nodes(ny)`` in its last axis,
-    ``targets`` holds evaluation points in [0, 1] whose leading axes broadcast
-    against ``values[..., 0]``; the result has the shape of ``targets``.
-    Points that coincide with a node return the nodal value exactly.
-    """
-    values = np.asarray(values, dtype=float)
-    ny = values.shape[-1]
-    s = cheb_lobatto_nodes(ny)
-    w = _lobatto_barycentric_weights(ny)
-
-    t = np.asarray(targets, dtype=float)
-    if t.ndim == values.ndim and t.shape[:-1] == values.shape[:-1]:
-        # one set of targets per nodal column
-        values = values[..., None, :]
-    diff = t[..., None] - s  # (..., ny)
-    exact = np.abs(diff) < 1e-14
-    safe = np.where(exact, 1.0, diff)
-    kern = w / safe
-    kern = np.where(exact, 0.0, kern)
-    num = np.einsum("...k,...k->...", kern, np.broadcast_to(values, kern.shape))
-    den = kern.sum(axis=-1)
-
-    hit = exact.any(axis=-1)
-    den = np.where(hit, 1.0, den)
-    out = num / den
-    if np.any(hit):
-        idx = exact.argmax(axis=-1)
-        nodal = np.take_along_axis(np.broadcast_to(values, kern.shape), idx[..., None], axis=-1)
-        out = np.where(hit, nodal[..., 0], out)
-    return out

@@ -47,7 +47,8 @@ from .elasticity import (
     coercivity_constant,
     continue_critical_point,
 )
-from .geometry import Profile, surface_integral, tangential_divergence
+from .config import max_resolved_mode
+from .geometry import Profile, surface_integral, tangential_divergence, tangential_jacobian
 from .spectral import fourier_nodes, lateral_grids
 
 __all__ = [
@@ -139,7 +140,7 @@ def _subnyquist_modes(profile: Profile) -> np.ndarray:
     """Columns of nodal cosine/sine samples for all sub-Nyquist nonzero modes."""
     n, width = profile.n, profile.width
     grids = lateral_grids(n, width, profile.dim)
-    kmax = (n - 1) // 2 if n % 2 else n // 2 - 1
+    kmax = max_resolved_mode(n)
     cols = []
     if profile.dim == 2:
         for k in range(1, kmax + 1):
@@ -301,15 +302,9 @@ class StabilityProblem:
     @cached_property
     def tangential_gradient_matrices(self) -> list:
         """Per-component matrices of the tangential gradient on nodal speeds."""
-        N = self.grid.dim
-        Lx = self.grid.assembly_operators()[0]
-        proj = self.geom.tangent_projector
-        mats = []
-        for c in range(N):
-            mats.append(
-                sum(proj[..., c, a].reshape(-1, 1) * Lx[a] for a in range(N - 1))
-            )
-        return mats
+        nx = self.grid.nx
+        jac = tangential_jacobian(self.geom, np.eye(nx).reshape(self.profile.xshape + (nx,)))
+        return [jac[..., c].reshape(nx, nx) for c in range(self.grid.dim)]
 
     def _surface_form(self, hess: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """Matrix of ``int H[grad_T phi, grad_T theta] + coef * phi * theta`` on nodal speeds.
@@ -565,17 +560,17 @@ def fd_oracle_second_variation(
     phi,
     t: float | None = None,
     richardson: bool = True,
-    **solve_kwargs,
 ) -> float:
     """Second difference of the total energy along a normal-speed direction.
 
     Independent of the assembled quadratic form: the profile is moved to
     ``h +- t * phi * area_jacobian`` (the graph perturbation whose normal
-    speed is ``phi``), the elastic equilibrium is re-solved by warm-started
-    continuation, and the total energy is centrally differenced.  With
-    ``richardson`` the steps ``t`` and ``t/2`` are combined to cancel the
-    leading quadratic truncation error.  The default step is ``1e-3`` times
-    the sup of the profile.
+    speed is ``phi``), the elastic equilibrium is re-solved by Newton started
+    from the unperturbed field node for node (see
+    :func:`~filmstab.elasticity.continue_critical_point`), and the total
+    energy is centrally differenced.  With ``richardson`` the steps ``t``
+    and ``t/2`` are combined to cancel the leading quadratic truncation
+    error.  The default step is ``1e-3`` times the sup of the profile.
 
     Raises ``RuntimeError`` suggesting a smaller step when a perturbed
     profile is inadmissible or its equilibrium solve fails to converge.
@@ -590,7 +585,7 @@ def fd_oracle_second_variation(
     def energy_at(step: float) -> float:
         try:
             moved_profile = Profile(profile.samples + step * vertical, width=profile.width)
-            moved, _ = continue_critical_point(field, moved_profile, **solve_kwargs)
+            moved, _ = continue_critical_point(field, moved_profile)
         except (ValueError, NewtonError) as err:
             raise RuntimeError(
                 f"equilibrium continuation failed at profile step {step:+.3e}; "

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from filmstab.cli import main
+from filmstab.config import validate_config
 
 LINEAR = {"kind": "linear", "lam": 2.0, "mu": 1.0}
 ISO = {"kind": "isotropic"}
@@ -83,6 +84,25 @@ def test_unknown_analysis_key_rejected(tmp_path, capsys):
     code, _ = run(tmp_path, "flat-threshold", cfg)
     assert code == 1
     assert "analysis.max_mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n, command, analysis, key",
+    [
+        (16, "stability", {"max_mode": 8}, "analysis.max_mode"),
+        (9, "stability", {"max_mode": 5}, "analysis.max_mode"),
+        (16, "oracle-check", {"modes": [1, 8]}, "analysis.modes[1]"),
+        (9, "oracle-check", {"modes": [5]}, "analysis.modes[0]"),
+    ],
+)
+def test_unresolved_lateral_mode_rejected(tmp_path, capsys, n, command, analysis, key):
+    cfg = flat_config(n=n, ny=4, e0=0.05, analysis=analysis)
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 1
+    assert key in capsys.readouterr().err
+    # one mode lower is the highest the grid resolves, and passes validation
+    lower = {k: v - 1 if k == "max_mode" else v[:-1] + [v[-1] - 1] for k, v in analysis.items()}
+    validate_config(flat_config(n=n, ny=4, e0=0.05, analysis=lower), command)
 
 
 def test_both_mismatch_forms_rejected(tmp_path, capsys):
@@ -451,6 +471,19 @@ def test_oracle_check_mismatch_exits_three(tmp_path, capsys):
     code, _ = run(tmp_path, "oracle-check", cfg)
     assert code == 3
     assert "oracle mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fd_step", [None, 0.01])
+def test_oracle_check_nonlinear_curved_film(tmp_path, capsys, fd_step):
+    # the re-solves on this film end where the energy test only sees rounding
+    modes = [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.01}]
+    analysis = {"modes": [1]} if fd_step is None else {"modes": [1], "fd_step": fd_step}
+    cfg = flat_config(n=32, ny=24, e0=0.05, analysis=analysis)
+    cfg["geometry"]["profile"] = {"kind": "fourier", "modes": modes}
+    cfg["material"] = {"kind": "nonlinear", "lam": 2.0, "mu": 1.0}
+    code, out = run(tmp_path, "oracle-check", cfg)
+    assert code == 0, capsys.readouterr().err
+    assert load_report(out, "oracle_check.json")["results"]["worst_rel_error"] <= 1e-3
 
 
 # -- global flags ---------------------------------------------------------------------

@@ -12,7 +12,6 @@ from filmstab.polyident import (
     build_M,
     build_Q,
     det_mod,
-    divide_exact,
     verify_identity,
 )
 
@@ -70,17 +69,6 @@ def test_evaluate_exact_and_modular():
     vals = {"x": 4, "y": -3, "z": 11}
     assert poly.evaluate(vals) == 3 * 16 * (-3) - 77 + 2
     assert poly.evaluate(vals, 97) == (3 * 16 * (-3) - 77 + 2) % 97
-
-
-def test_exact_division():
-    ring = small_ring()
-    x, y = ring.var("x"), ring.var("y")
-    assert divide_exact(x * x - y * y, x - y) == x + y
-    assert divide_exact(ring.zero, x) == ring.zero
-    with pytest.raises(ArithmeticError):
-        divide_exact(x * x + 1, x - y)
-    with pytest.raises(ZeroDivisionError):
-        divide_exact(x, ring.zero)
 
 
 # -- determinants ------------------------------------------------------------------
