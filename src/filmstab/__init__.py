@@ -49,7 +49,6 @@ _EXPORTS = {
     "fd_oracle_second_variation": "stability",
     "dispersion_curve": "stability",
     # flat configurations
-    "FlatConfiguration": "flat",
     "solve_affine": "flat",
     "flat_field": "flat",
     "lambda1_of_thickness": "flat",

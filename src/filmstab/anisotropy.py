@@ -64,9 +64,6 @@ class AnisotropyDensity:
     def hessian(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        return self.value(z)
-
 
 def _check_nonzero(z: np.ndarray, name: str) -> None:
     norms = np.linalg.norm(z, axis=-1)

@@ -246,6 +246,11 @@ def _cmd_crystalline(cfg: dict, args) -> int:
     d = float(analysis.get("d", profile.max()))
     max_steps = int(analysis.get("max_steps", 8))
     max_thickness = float(analysis.get("max_thickness", 1000.0))
+    if not d < max_thickness:
+        raise ConfigError(
+            "analysis.max_thickness",
+            f"must exceed the sweep thickness d = {d:g}, got {max_thickness:g}",
+        )
     suppression_ds = [float(v) for v in analysis.get("suppression_thicknesses", [1.0, 10.0, 100.0])]
 
     rows = crystalline_sweep(density, datum, d, a_facet, b_facet, n=n, ny=ny, max_steps=max_steps)

@@ -127,7 +127,7 @@ def _validate_geometry(cfg, path="geometry"):
         _as_number(block["width"], f"{path}.width", positive=True)
     profile = _require_mapping(_get(block, "profile", path), f"{path}.profile")
     ppath = f"{path}.profile"
-    _check_keys(profile, {"kind", "thickness", "modes", "samples", "width"}, ppath)
+    _check_keys(profile, {"kind", "thickness", "modes", "samples"}, ppath)
     kind = _get(profile, "kind", ppath, required=False, default="flat")
     if kind == "flat":
         _as_number(_get(profile, "thickness", ppath), f"{ppath}.thickness", positive=True)
@@ -146,8 +146,6 @@ def _validate_geometry(cfg, path="geometry"):
             _as_number(height, f"{ppath}.samples[{i}]", positive=True)
     else:
         raise ConfigError(f"{ppath}.kind", f"unknown profile kind {kind!r}")
-    if "width" in profile:
-        _as_number(profile["width"], f"{ppath}.width", positive=True)
     return dim, n, ny
 
 
@@ -350,12 +348,8 @@ def build_problem_inputs(cfg: dict):
 
     geo = cfg["geometry"]
     dim, n, ny = int(geo["dim"]), int(geo["n"]), int(geo["ny"])
-    width = float(geo.get("width", 1.0))
-    pblock = dict(geo["profile"])
+    pblock = dict(geo["profile"], dim=dim, n=n, width=float(geo.get("width", 1.0)))
     pblock.setdefault("kind", "flat")
-    pblock.setdefault("dim", dim)
-    pblock.setdefault("n", n)
-    pblock.setdefault("width", width)
     with _block("geometry.profile"):
         profile = Profile.from_config(pblock)
 

@@ -570,34 +570,28 @@ def continue_critical_point(field: ElasticField, new_profile: Profile) -> tuple[
 # -- diagnostics --------------------------------------------------------------------
 
 
-def coercivity_constant(grid: MappedGrid, K: np.ndarray, cho=None) -> float:
+def coercivity_constant(grid: MappedGrid, K: np.ndarray, cho) -> float:
     """Sharp constant relating the tangent form to the Sobolev norm.
 
     Returns the smallest generalized eigenvalue of ``K`` against the
     first-order Sobolev Gram matrix on the same interior space: positive
     means the quadratic form controls the norm (coercive), negative means
     the form takes negative values and the configuration cannot be a local
-    minimizer of the bulk problem.  ``cho`` is the caller's
-    ``cho_factor(K, lower=True)`` when it already holds one, or ``False``
-    when the caller found ``K`` not positive definite; by default the
-    factorization is computed here.  A coercive ``K`` takes a Lanczos solve
-    against its factor, any other the dense generalized eigensolve.
+    minimizer of the bulk problem.  ``cho`` is ``cho_factor(K, lower=True)``,
+    or ``False`` when ``K`` is not positive definite.  A coercive ``K`` takes
+    a Lanczos solve against its factor, any other the dense generalized
+    eigensolve.
     """
     G = h1_gram(grid)
-    if cho is None:
-        try:
-            cho = cho_factor(K, lower=True)
-        except LinAlgError:
-            cho = False
     if cho is False:
         return float(eigh(K, G, subset_by_index=[0, 0], eigvals_only=True)[0])
-    L, lower = cho
+    L = cho[0]
     nd = K.shape[0]
 
     def mv(w):
-        t = solve_triangular(L, w, lower=lower, trans="T" if lower else "N")
+        t = solve_triangular(L, w, lower=True, trans="T")
         t = G @ t
-        return solve_triangular(L, t, lower=lower, trans="N" if lower else "T")
+        return solve_triangular(L, t, lower=True)
 
     op = LinearOperator((nd, nd), matvec=mv)
     # fixed generic start vector keeps repeated runs bit-identical

@@ -34,7 +34,6 @@ from .geometry import Profile, build_grid
 from .stability import StabilityProblem, StabilityReport
 
 __all__ = [
-    "FlatConfiguration",
     "BracketError",
     "CriticalThickness",
     "solve_affine",
@@ -50,56 +49,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FlatConfiguration:
-    """An affine equilibrium of a flat film.
-
-    The field is ``(A x, 0) + y * slope`` (for the nonlinear kind this is the
-    deformation itself, for the linear kind the displacement), so its
-    gradient is a constant matrix and the traction on every horizontal plane
-    vanishes up to ``residual``.
-    """
-
-    density: ElasticDensity
-    datum: MismatchDatum
-    thickness: float
-    slope: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        if self.thickness <= 0.0:
-            raise ValueError(f"thickness must be positive, got {self.thickness}")
-        if self.residual > 1e-8:
-            raise ValueError(f"affine slope is not equilibrated: residual {self.residual:.3e}")
-        if self.deformation_det() <= 0.0:
-            raise ValueError("the affine deformation is not orientation preserving")
-
-    def gradient(self) -> np.ndarray:
-        """The constant field gradient, last column equal to the slope."""
-        return _affine_gradient(self.datum, self.slope)
-
-    def deformation_det(self) -> float:
-        """Determinant of the deformation gradient (identity added for the linear kind)."""
-        M = self.gradient()
-        if self.density.kind == "linear":
-            M = M + np.eye(self.datum.dim)
-        return float(np.linalg.det(M))
-
-    def energy_density(self) -> float:
-        """The constant elastic energy density of the affine state."""
-        return float(self.density.value(self.gradient()))
-
-    def field(self, n: int, ny: int, *, width: float = 1.0) -> ElasticField:
-        """The affine state sampled on an ``n x ny`` grid of lateral width ``width``."""
-        profile = Profile.flat(self.datum.dim, n, self.thickness, width=width)
-        grid = build_grid(profile, ny)
-        kappa = 1.0 if self.density.kind == "nonlinear" else 0.0
-        N = self.datum.dim
-        p = np.zeros(profile.xshape + (ny, N))
-        rate = self.slope.copy()
-        rate[N - 1] -= kappa
-        p += grid.y[..., None] * rate
-        return ElasticField(grid, self.datum, self.density, p)
+_AFFINE_TOL = 1e-11
+_AFFINE_MAX_ITER = 40
+_BISECTION_MAX_ITER = 80
 
 
 def _affine_gradient(datum: MismatchDatum, b: np.ndarray) -> np.ndarray:
@@ -110,20 +62,18 @@ def _affine_gradient(datum: MismatchDatum, b: np.ndarray) -> np.ndarray:
     return M
 
 
-def solve_affine(
-    density: ElasticDensity,
-    datum: MismatchDatum,
-    thickness: float = 1.0,
-    *,
-    tol: float = 1e-11,
-    max_iter: int = 40,
-) -> FlatConfiguration:
+def solve_affine(density: ElasticDensity, datum: MismatchDatum) -> np.ndarray:
     """Solve the traction-free condition for the affine slope.
 
-    The slope ``b`` satisfies the last column of the stress vanishing,
-    ``stress(gradient(b))[:, -1] = 0``: one Newton step settles the linear
-    kind, while the nonlinear kind starts from the vertical unit vector and
-    needs the mismatch close enough to the identity for Newton to contract.
+    The affine state is ``(A x, 0) + y * b`` (for the nonlinear kind the
+    deformation itself, for the linear kind the displacement), so its
+    gradient is the constant matrix with last column ``b``, and ``b`` does
+    not depend on the thickness.  It satisfies the last column of the stress
+    vanishing, ``stress(gradient(b))[:, -1] = 0``: one Newton step settles
+    the linear kind, while the nonlinear kind starts from the vertical unit
+    vector and needs the mismatch close enough to the identity for Newton to
+    contract.  A linear slope whose deformation ``I + gradient`` reverses
+    orientation raises ``ValueError``.
     """
     if datum.modes:
         raise ValueError("flat configurations need a laterally uniform datum (no substrate modes)")
@@ -131,14 +81,16 @@ def solve_affine(
     kappa = 1.0 if density.kind == "nonlinear" else 0.0
     b = kappa * np.eye(N)[N - 1]
     residuals = []
-    for _ in range(max_iter):
+    for _ in range(_AFFINE_MAX_ITER):
         M = _affine_gradient(datum, b)
         if not density.admissible(M):
             raise NewtonError("affine Newton left the admissible set (mismatch too large?)", residuals)
         traction = density.stress(M)[:, N - 1]
         residuals.append(float(np.abs(traction).max()))
-        if residuals[-1] < tol:
-            return FlatConfiguration(density, datum, thickness, b, residuals[-1])
+        if residuals[-1] < _AFFINE_TOL:
+            if density.kind == "linear" and np.linalg.det(M + np.eye(N)) <= 0.0:
+                raise ValueError("the affine deformation is not orientation preserving")
+            return b
         jac = density.tangent(M)[:, N - 1, :, N - 1]
         try:
             step = np.linalg.solve(jac, traction)
@@ -148,7 +100,8 @@ def solve_affine(
             ) from exc
         b = b - step
     raise NewtonError(
-        f"affine Newton did not reach {tol:.1e} in {max_iter} steps (mismatch too large?)",
+        f"affine Newton did not reach {_AFFINE_TOL:.1e} in {_AFFINE_MAX_ITER} steps "
+        "(mismatch too large?)",
         residuals,
     )
 
@@ -162,8 +115,13 @@ def flat_field(
     *,
     width: float = 1.0,
 ) -> ElasticField:
-    """Affine equilibrium field on a flat film of the given thickness."""
-    return solve_affine(density, datum, thickness).field(n, ny, width=width)
+    """The affine equilibrium on an ``n x ny`` grid of a flat film of lateral width ``width``."""
+    rate = solve_affine(density, datum)
+    if density.kind == "nonlinear":
+        # the base field already carries the vertical identity y
+        rate[-1] -= 1.0
+    grid = build_grid(Profile.flat(datum.dim, n, thickness, width=width), ny)
+    return ElasticField(grid, datum, density, grid.y[..., None] * rate)
 
 
 # -- spectral data as functions of thickness -----------------------------------------
@@ -265,7 +223,6 @@ def critical_thickness(
     n: int = 32,
     ny: int = 20,
     rel_tol: float = 1e-3,
-    max_iter: int = 80,
 ) -> CriticalThickness:
     """Bisect the thickness at which the largest correction eigenvalue reaches one.
 
@@ -284,7 +241,7 @@ def critical_thickness(
     lam_lo, lam_hi = lam(lo), lam(hi)
     if not lam_lo < 1.0 < lam_hi:
         raise BracketError((lo, hi), lam_lo, lam_hi)
-    for _ in range(max_iter):
+    for _ in range(_BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo < rel_tol * mid:
             return CriticalThickness(mid, lo, hi, lam_lo, lam_hi)
@@ -293,7 +250,9 @@ def critical_thickness(
             lo, lam_lo = mid, lam_mid
         else:
             hi, lam_hi = mid, lam_mid
-    raise RuntimeError(f"bisection did not reach relative width {rel_tol} in {max_iter} steps")
+    raise RuntimeError(
+        f"bisection did not reach relative width {rel_tol} in {_BISECTION_MAX_ITER} steps"
+    )
 
 
 # -- crystalline regularization ---------------------------------------------------------

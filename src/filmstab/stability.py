@@ -49,7 +49,7 @@ from .elasticity import (
 )
 from .config import max_resolved_mode
 from .geometry import Profile, surface_integral, tangential_divergence, tangential_jacobian
-from .spectral import fourier_nodes, lateral_grids
+from .spectral import cosine_series, lateral_grids
 
 __all__ = [
     "StabilityReport",
@@ -129,11 +129,8 @@ def _canonical_sign(samples: np.ndarray) -> np.ndarray:
 
 def cosine_mode(profile: Profile, k: int) -> np.ndarray:
     """Nodal samples of ``cos(2 pi k x / width)``; in 3D along the first coordinate."""
-    x = fourier_nodes(profile.n, profile.width)
-    mode = np.cos(2.0 * np.pi * k * x / profile.width)
-    if profile.dim == 3:
-        mode = np.broadcast_to(mode[:, None], profile.xshape).copy()
-    return mode
+    mode = k if profile.dim == 2 else [k, 0]
+    return cosine_series(profile.n, profile.width, profile.dim, [{"mode": mode, "amplitude": 1.0}])
 
 
 def _subnyquist_modes(profile: Profile) -> np.ndarray:
@@ -167,10 +164,8 @@ class StabilityProblem:
     The heavy pieces -- bulk tangent matrix with its Cholesky factor,
     surface-to-bulk coupling matrix, surface Gram matrices, zero-mean basis
     -- are assembled once and shared by the quadratic form, the eigenvalue
-    computations and the verdict.  ``psi`` may be omitted when only the bulk
-    pieces are needed (the stiffness, its factor, ``c0`` and the coupling).
-    :meth:`with_surface_density` swaps ``psi`` and keeps every cached piece
-    that does not depend on it.
+    computations and the verdict.  :meth:`with_surface_density` swaps
+    ``psi`` and keeps every cached piece that does not depend on it.
     """
 
     # cached properties that do not depend on the surface density
@@ -185,8 +180,8 @@ class StabilityProblem:
         "t_matrix_z",
     )
 
-    def __init__(self, field: ElasticField, psi: AnisotropyDensity | None = None):
-        if psi is not None and psi.dim != field.grid.dim:
+    def __init__(self, field: ElasticField, psi: AnisotropyDensity):
+        if psi.dim != field.grid.dim:
             raise ValueError(
                 f"surface density dimension {psi.dim} != film dimension {field.grid.dim}"
             )
@@ -203,11 +198,6 @@ class StabilityProblem:
             if name in self.__dict__:
                 fresh.__dict__[name] = self.__dict__[name]
         return fresh
-
-    def _require_psi(self) -> AnisotropyDensity:
-        if self.psi is None:
-            raise ValueError("this quantity needs the surface energy density")
-        return self.psi
 
     # -- bulk side -------------------------------------------------------------
 
@@ -271,16 +261,15 @@ class StabilityProblem:
         minus the trace of the anisotropy Hessian composed with the squared
         shape operator.
         """
-        psi = self._require_psi()
         dgrad = self.grid.surface_trace(self.field.gradient_derivative())
         normal_rate = np.einsum("...iab,...b->...ia", dgrad, self.geom.normal)
         elastic_part = np.einsum("...ia,...ia->...", self.field.surface_stress(), normal_rate)
-        _, trace_part = aniso_shape_operator(self.geom, psi)
+        _, trace_part = aniso_shape_operator(self.geom, self.psi)
         return elastic_part - trace_part
 
     @cached_property
     def surface_hessian(self) -> np.ndarray:
-        return self._require_psi().hessian(self.geom.normal)
+        return self.psi.hessian(self.geom.normal)
 
     @cached_property
     def zero_mean_basis(self) -> np.ndarray:
@@ -357,8 +346,7 @@ class StabilityProblem:
     @cached_property
     def _surface_potential(self) -> np.ndarray:
         """Elastic energy density plus anisotropic curvature on the surface."""
-        psi = self._require_psi()
-        return self.field.surface_energy_density() + aniso_mean_curvature(self.profile, psi)
+        return self.field.surface_energy_density() + aniso_mean_curvature(self.profile, self.psi)
 
     @cached_property
     def criticality(self) -> tuple:

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from filmstab.anisotropy import IsotropicDensity
 from filmstab.elasticity import _from_interior
 from filmstab.geometry import surface_integral
 from filmstab.stability import StabilityProblem
@@ -114,7 +115,7 @@ def two_term_second_variation(field, a_facet: float, eps: float, phi) -> float:
     The elastic term reuses the adjoint solve; the surface term is assembled
     by direct quadrature, independently of the generic Gram-matrix path.
     """
-    prob = StabilityProblem(field)
+    prob = StabilityProblem(field, IsotropicDensity(field.grid.dim))
     phi = np.asarray(phi, dtype=float)
     v = solve_vphi(prob, phi)
     geom = field.grid.geom

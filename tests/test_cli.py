@@ -146,6 +146,18 @@ def test_fourier_profile_thickness_is_the_constant_offset(tmp_path, capsys):
     assert "geometry.profile.thickness" in capsys.readouterr().err
 
 
+def test_geometry_width_is_the_only_width_knob(tmp_path, capsys):
+    cfg = flat_config(e0=0.05, output={"field": "field.npz"})
+    cfg["geometry"]["width"] = 2.0
+    code, out = run(tmp_path, "critical-point", cfg)
+    assert code == 0
+    assert float(np.load(out / "field.npz")["width"]) == 2.0
+    cfg["geometry"]["profile"]["width"] = 3.0
+    code, _ = run(tmp_path, "critical-point", cfg)
+    assert code == 1
+    assert "geometry.profile.width: unknown key" in capsys.readouterr().err
+
+
 def _samples_config(dim, n, samples):
     cfg = flat_config(e0=0.05)
     cfg["geometry"].update(dim=dim, n=n, ny=6)
@@ -272,11 +284,11 @@ def test_flat_benchmark_matches_affine_solution(tmp_path):
     assert code == 0
 
     from filmstab.elasticity import MismatchDatum, elastic_density_from_config
-    from filmstab.flat import solve_affine
+    from filmstab.flat import flat_field
 
     density = elastic_density_from_config(LINEAR, 2)
     datum = MismatchDatum.from_misfit(0.05, 2, "linear")
-    affine = solve_affine(density, datum).field(16, 12)
+    affine = flat_field(density, datum, 1.0, 16, 12)
     dumped = np.load(out / "field.npz")
     assert np.abs(dumped["p"] - affine.p).max() < 1e-9
 
@@ -397,6 +409,18 @@ def test_bad_suppression_thicknesses_rejected(tmp_path, capsys, thicknesses):
     code, _ = run(tmp_path, "crystalline", cfg)
     assert code == 1
     assert "config error: analysis.suppression_thicknesses" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bounds", [{"d": 2000.0}, {"max_thickness": 0.5}], ids=["d-above-default", "max-below-profile"]
+)
+def test_crystalline_max_thickness_below_d_rejected(tmp_path, capsys, bounds):
+    analysis = dict({"a": 1.0, "b": 1.0, "max_steps": 2}, **bounds)
+    cfg = flat_config(n=16, ny=12, e0=1.2, analysis=analysis, anisotropy=None)
+    code, out = run(tmp_path, "crystalline", cfg)
+    assert code == 1
+    assert "config error: analysis.max_thickness" in capsys.readouterr().err
+    assert not (out / "crystalline.csv").exists()
 
 
 def test_crystalline_sweep_exhaustion_is_numerical_failure(tmp_path, capsys):

@@ -331,14 +331,15 @@ def test_coercivity_constant_matches_dense_eigensolve():
     K = assemble_hessian(
         grid, grid.wq[..., None, None, None, None] * dens.tangent(field.gradient())
     )
-    c0 = coercivity_constant(grid, K)
-    from scipy.linalg import eigh
+    from scipy.linalg import cho_factor, eigh
+
+    c0 = coercivity_constant(grid, K, cho_factor(K, lower=True))
 
     dense = eigh(K, h1_gram(grid), eigvals_only=True)[0]
     assert c0 == pytest.approx(float(dense), rel=1e-8)
     assert c0 > 0.0
     # negated form exercises the non-coercive branch
-    c0_neg = coercivity_constant(grid, -K)
+    c0_neg = coercivity_constant(grid, -K, False)
     dense_neg = eigh(-K, h1_gram(grid), eigvals_only=True)[0]
     assert c0_neg == pytest.approx(float(dense_neg), rel=1e-8)
     assert c0_neg < 0.0

@@ -10,6 +10,7 @@ from filmstab.anisotropy import IsotropicDensity, ShiftedFacetDensity
 from filmstab.elasticity import MismatchDatum, NewtonError, elastic_density_from_config, solve_critical_point
 from filmstab.flat import (
     BracketError,
+    _affine_gradient,
     critical_thickness,
     crystalline_epsilon0,
     crystalline_sweep,
@@ -55,28 +56,30 @@ GOLDEN_LAMBDA_UNIT = 0.002386654364870762
 
 
 def test_solve_affine_linear_benchmark():
-    cfg = solve_affine(linear_density(), benchmark_datum())
+    b = solve_affine(linear_density(), benchmark_datum())
     # plane strain: the vertical contraction is -e0 * lam / (lam + 2 mu)
     expected = -0.05 * LAM / (LAM + 2.0 * MU)
-    assert cfg.slope == pytest.approx([0.0, expected], abs=1e-14)
-    assert cfg.residual < 1e-11
-    assert cfg.deformation_det() > 0.0
-    M = cfg.gradient()
+    assert b == pytest.approx([0.0, expected], abs=1e-14)
+    M = _affine_gradient(benchmark_datum(), b)
+    assert np.linalg.det(np.eye(2) + M) > 0.0
     assert M[0, 0] == 0.05 and M[1, 0] == 0.0
     assert np.abs(linear_density().stress(M)[:, 1]).max() < 1e-14
 
 
 def test_solve_affine_nonlinear_identity():
-    cfg = solve_affine(nonlinear_density(), MismatchDatum(np.array([[1.0]]), 2))
-    assert cfg.slope == pytest.approx([0.0, 1.0], abs=1e-13)
-    assert cfg.residual < 1e-13
-    assert cfg.energy_density() == pytest.approx(0.0, abs=1e-14)
+    datum = MismatchDatum(np.array([[1.0]]), 2)
+    b = solve_affine(nonlinear_density(), datum)
+    assert b == pytest.approx([0.0, 1.0], abs=1e-13)
+    M = _affine_gradient(datum, b)
+    assert np.abs(nonlinear_density().stress(M)[:, 1]).max() < 1e-13
+    assert nonlinear_density().value(M) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_solve_affine_nonlinear_stretch_and_divergence():
-    cfg = solve_affine(nonlinear_density(), MismatchDatum(np.array([[1.1]]), 2))
-    assert cfg.residual < 1e-11
-    assert 0.0 < cfg.slope[1] < 1.0  # lateral stretch contracts the film vertically
+    datum = MismatchDatum(np.array([[1.1]]), 2)
+    b = solve_affine(nonlinear_density(), datum)
+    assert np.abs(nonlinear_density().stress(_affine_gradient(datum, b))[:, 1]).max() < 1e-11
+    assert 0.0 < b[1] < 1.0  # lateral stretch contracts the film vertically
     with pytest.raises(NewtonError, match="mismatch too large"):
         solve_affine(nonlinear_density(), MismatchDatum(np.array([[3.0]]), 2))
 
@@ -85,6 +88,12 @@ def test_solve_affine_rejects_substrate_modes():
     datum = MismatchDatum(np.array([[0.05]]), 2, modes=[{"component": 0, "mode": 1, "amplitude": 0.1}])
     with pytest.raises(ValueError, match="laterally uniform"):
         solve_affine(linear_density(), datum)
+
+
+def test_flat_field_rejects_orientation_reversing_linear_slope():
+    # e0 = -1.5 folds the film: I + gradient = diag(-0.5, 1.75)
+    with pytest.raises(ValueError, match="not orientation preserving"):
+        flat_field(linear_density(), benchmark_datum(-1.5), 1.0, 16, 12)
 
 
 def test_affine_field_matches_grid_solve():

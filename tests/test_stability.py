@@ -97,7 +97,7 @@ def test_coefficient_a_flat_substrate_modes():
 
 def test_solve_vphi_zero_and_linearity():
     field = flat_pair()
-    prob = StabilityProblem(field)
+    prob = StabilityProblem(field, IsotropicDensity(2))
     assert not np.any(solve_vphi(prob, np.zeros(32)))
 
     phi = cos_mode(32, 1)
@@ -109,7 +109,7 @@ def test_solve_vphi_zero_and_linearity():
 
 def test_coupling_matches_general_assembly():
     field = curved_pair()
-    prob = StabilityProblem(field)
+    prob = StabilityProblem(field, IsotropicDensity(2))
     grid = field.grid
     N, ny = grid.dim, grid.ny
     normal = grid.geom.normal
@@ -128,7 +128,7 @@ def test_coupling_matches_general_assembly():
 
 def test_solve_vphi_decay_and_self_convergence():
     field = flat_pair(n=24, ny=16)
-    prob = StabilityProblem(field)
+    prob = StabilityProblem(field, IsotropicDensity(2))
     phi = cos_mode(24, 1)
     v = solve_vphi(prob, phi)
     # driven at the free surface, the correction decays toward the substrate
@@ -137,7 +137,7 @@ def test_solve_vphi_decay_and_self_convergence():
 
     energy = elastic_pairing(prob, v, v)
     fine = flat_pair(n=48, ny=32)
-    prob_fine = StabilityProblem(fine)
+    prob_fine = StabilityProblem(fine, IsotropicDensity(2))
     v_fine = solve_vphi(prob_fine, cos_mode(48, 1))
     energy_fine = elastic_pairing(prob_fine, v_fine, v_fine)
     assert abs(energy - energy_fine) < 1e-3 * abs(energy_fine)
