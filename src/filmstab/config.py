@@ -309,6 +309,8 @@ def validate_config(cfg: dict, command: str) -> dict:
     n = None
     if command in _NEEDS_PROBLEM:
         dim, n, _ = _validate_geometry(_get(cfg, "geometry", "config"))
+        if command in ("flat-threshold", "crystalline") and "width" in cfg["geometry"]:
+            raise ConfigError("geometry.width", f"{command} sets its own cell; remove the key")
         _validate_material(_get(cfg, "material", "config"))
         # the crystalline command sweeps its own facet densities, so its
         # anisotropy block is advisory only

@@ -24,6 +24,8 @@ module and the finite-difference oracles both rely on.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, solve_triangular
 from scipy.sparse.linalg import LinearOperator, eigsh
@@ -295,7 +297,9 @@ class ElasticField:
     """An elastic state ``base + p`` on a mapped grid.
 
     ``p`` is the nodal unknown, shape ``xshape + (ny, dim)``, zero on the
-    substrate row; the base carries the mismatch datum exactly.
+    substrate row; the base carries the mismatch datum exactly.  The
+    stiffness and its Cholesky factor are cached on the field, so the
+    stability problem and the warm-started re-solves share them.
     """
 
     def __init__(self, grid: MappedGrid, datum: MismatchDatum, density: ElasticDensity, p=None):
@@ -346,6 +350,20 @@ class ElasticField:
     def surface_energy_density(self) -> np.ndarray:
         """Elastic energy density on the free-surface row."""
         return self.grid.surface_trace(self.density.value(self.gradient()))
+
+    @cached_property
+    def stiffness(self) -> np.ndarray:
+        """Interior-dof matrix of the tangent form at this field."""
+        tangent = self.density.tangent(self.gradient())
+        return assemble_hessian(self.grid, self.grid.wq[..., None, None, None, None] * tangent)
+
+    @cached_property
+    def stiffness_cho(self):
+        """``cho_factor(stiffness, lower=True)``; ``False`` when it is not positive definite."""
+        try:
+            return cho_factor(self.stiffness, lower=True)
+        except LinAlgError:
+            return False
 
 
 # -- assembly ---------------------------------------------------------------------
@@ -481,6 +499,51 @@ def _from_interior(grid: MappedGrid, vec: np.ndarray) -> np.ndarray:
     return p.reshape(grid.profile.xshape + (ny, N))
 
 
+# inner solves of a preconditioned Newton step stop at this fraction of the
+# outer residual target, and give way to a factored tangent past the cap
+_PCG_RTOL = 0.1
+_PCG_MAX_ITER = 30
+
+
+def _pcg_step(grid: MappedGrid, tangent_w: np.ndarray, r: np.ndarray, cho, target: float):
+    """Newton step ``dp`` with ``K dp = -r`` by CG preconditioned with a fixed factor.
+
+    ``K v`` is applied without assembling ``K``: it is the residual of the
+    weighted, major-symmetrised tangent acting on ``grad v``, which is the
+    tangent form's matrix-vector product for every density kind.  ``cho`` is
+    a Cholesky factor of a nearby stiffness.  Returns ``None`` on
+    nonpositive curvature or when the residual is still above ``target``
+    after ``_PCG_MAX_ITER`` iterations.
+    """
+    N = grid.dim
+    Cw = tangent_w.reshape(-1, N, N, N, N)
+    Cw = 0.5 * (Cw + Cw.transpose(0, 3, 4, 1, 2))
+
+    def apply(v):
+        gv = grid.gradient(_from_interior(grid, v)).reshape(-1, N, N)
+        return assemble_residual(grid, np.einsum("kiamb,kmb->kia", Cw, gv))
+
+    x = np.zeros_like(r)
+    res = -r
+    z = cho_solve(cho, res)
+    d = z
+    rz = res @ z
+    for _ in range(_PCG_MAX_ITER):
+        q = apply(d)
+        curvature = d @ q
+        if curvature <= 0.0:
+            return None
+        alpha = rz / curvature
+        x = x + alpha * d
+        res = res - alpha * q
+        if np.linalg.norm(res) <= target:
+            return x
+        z = cho_solve(cho, res)
+        rz, rz_old = res @ z, rz
+        d = z + (rz / rz_old) * d
+    return None
+
+
 def solve_critical_point(
     profile: Profile,
     datum: MismatchDatum,
@@ -489,6 +552,7 @@ def solve_critical_point(
     p0: np.ndarray | None = None,
     tol: float = 1e-11,
     max_iter: int = 50,
+    precond=None,
 ) -> tuple[ElasticField, dict]:
     """Equilibrium elastic field over a profile by a guarded Newton iteration.
 
@@ -501,6 +565,16 @@ def solve_critical_point(
     instead, since the energy test can no longer tell steps apart.  Returns
     the field and an info dict with iteration count, final residual norm and
     energy.
+
+    Each Newton step solves ``K dp = -r`` with the assembled, factored
+    tangent ``K``.  Given ``precond``, the ``cho_factor(K0, lower=True)`` of
+    a nearby stiffness, the step is first tried by conjugate gradients on
+    the matrix-free tangent preconditioned by ``K0`` (inexact Newton), and
+    factors ``K`` only when that fails (see :func:`_pcg_step`).  The true
+    residual test is the same either way, so ``precond`` changes the cost
+    of a solve, not which fields it accepts.  A step that is not a descent
+    direction, possible only when ``K`` has no Cholesky factor, raises
+    :class:`NewtonError`.
     """
     grid = build_grid(profile, ny)
     field = ElasticField(grid, datum, density, p=p0)
@@ -524,11 +598,19 @@ def solve_critical_point(
             info = {"iterations": it, "residual_norm": rnorm, "energy": energy}
             return result, info
         tangent_w = grid.wq[..., None, None, None, None] * density.tangent(gradu)
-        K = assemble_hessian(grid, tangent_w)
-        try:
-            dp_vec = cho_solve(cho_factor(K), -r)
-        except LinAlgError:
-            dp_vec = np.linalg.solve(K, -r)
+        dp_vec = None
+        if precond is not None:
+            dp_vec = _pcg_step(grid, tangent_w, r, precond, _PCG_RTOL * tol * scale)
+        if dp_vec is None:
+            K = assemble_hessian(grid, tangent_w)
+            try:
+                dp_vec = cho_solve(cho_factor(K), -r)
+            except LinAlgError:
+                dp_vec = np.linalg.solve(K, -r)
+                if r @ dp_vec >= 0.0:
+                    raise NewtonError(
+                        f"non-descent Newton step (r·dp = {r @ dp_vec:.3e})", residuals
+                    )
         dp = _from_interior(grid, dp_vec)
         slope = float(r @ dp_vec)
         # below this predicted decrease the energy test only compares rounding
@@ -560,11 +642,21 @@ def continue_critical_point(field: ElasticField, new_profile: Profile) -> tuple[
     film.  For the linear kind this only saves Newton iterations; for the
     nonlinear kind it keeps the iterate inside the admissible set when the
     profile step is small.
+
+    The Newton steps are preconditioned conjugate-gradient solves against
+    the old field's cached stiffness factor (see
+    :func:`solve_critical_point`), so a re-solve assembles and factors
+    nothing unless the inner solve falls back.  A field whose stiffness has
+    no Cholesky factor is re-solved with factored steps.
     """
     grid = field.grid
     if new_profile.xshape != grid.profile.xshape or new_profile.width != grid.profile.width:
         raise ValueError("warm start requires matching horizontal grids")
-    return solve_critical_point(new_profile, field.datum, field.density, grid.ny, p0=field.p)
+    cho = field.stiffness_cho
+    return solve_critical_point(
+        new_profile, field.datum, field.density, grid.ny, p0=field.p,
+        precond=None if cho is False else cho,
+    )
 
 
 # -- diagnostics --------------------------------------------------------------------

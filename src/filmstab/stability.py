@@ -29,21 +29,21 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import (
     LinAlgError,
-    cho_factor,
     cho_solve,
     cholesky,
     eigh,
     eigvalsh,
     solve_triangular,
 )
-# no eigensolver runs here; the benchmark tracer rebinds this name at install
+# no factorisation (the field holds the stiffness factor) and no eigensolver
+# runs here; the benchmark tracer rebinds both names at install
+from scipy.linalg import cho_factor  # noqa: F401
 from scipy.sparse.linalg import eigsh  # noqa: F401
 
 from .anisotropy import AnisotropyDensity, aniso_mean_curvature, aniso_shape_operator
 from .elasticity import (
     ElasticField,
     NewtonError,
-    assemble_hessian,
     coercivity_constant,
     continue_critical_point,
 )
@@ -161,17 +161,17 @@ def _subnyquist_modes(profile: Profile) -> np.ndarray:
 class StabilityProblem:
     """Cached second-variation machinery at an equilibrium elastic field.
 
-    The heavy pieces -- bulk tangent matrix with its Cholesky factor,
-    surface-to-bulk coupling matrix, surface Gram matrices, zero-mean basis
-    -- are assembled once and shared by the quadratic form, the eigenvalue
-    computations and the verdict.  :meth:`with_surface_density` swaps
-    ``psi`` and keeps every cached piece that does not depend on it.
+    The heavy pieces -- bulk tangent matrix with its Cholesky factor (both
+    cached on the field), surface-to-bulk coupling matrix, surface Gram
+    matrices, zero-mean basis -- are assembled once and shared by the
+    quadratic form, the eigenvalue computations and the verdict.
+    :meth:`with_surface_density` swaps ``psi`` and keeps every cached piece
+    that does not depend on it.
     """
 
-    # cached properties that do not depend on the surface density
+    # cached properties that do not depend on the surface density; the
+    # stiffness and its factor are shared through the field
     _SURFACE_FREE = (
-        "stiffness",
-        "_stiffness_cho",
         "c0",
         "coupling",
         "zero_mean_basis",
@@ -203,17 +203,13 @@ class StabilityProblem:
 
     @cached_property
     def stiffness(self) -> np.ndarray:
-        """Interior-dof matrix of the bulk tangent form at the equilibrium."""
-        tangent = self.field.density.tangent(self.field.gradient())
-        return assemble_hessian(self.grid, self.grid.wq[..., None, None, None, None] * tangent)
+        """Interior-dof matrix of the bulk tangent form at the equilibrium (the field's)."""
+        return self.field.stiffness
 
     @cached_property
     def _stiffness_cho(self):
         """Cholesky factor of the stiffness; ``False`` when it is not positive definite."""
-        try:
-            return cho_factor(self.stiffness, lower=True)
-        except LinAlgError:
-            return False
+        return self.field.stiffness_cho
 
     def _require_cho(self):
         if self._stiffness_cho is False:
@@ -559,6 +555,14 @@ def fd_oracle_second_variation(
     energy is centrally differenced.  With ``richardson`` the steps ``t``
     and ``t/2`` are combined to cancel the leading quadratic truncation
     error.  The default step is ``1e-3`` times the sup of the profile.
+
+    The re-solves take conjugate-gradient Newton steps preconditioned by the
+    unperturbed field's stiffness factor, which is computed once and shared
+    with :class:`StabilityProblem`.  The factor only speeds them up: each
+    re-solved field passes the same residual test on the moved grid, and
+    the matrix-vector products come from the density's tangent, not from
+    the assembled stiffness, so the differenced energies stay independent
+    of the assembled form.
 
     Raises ``RuntimeError`` suggesting a smaller step when a perturbed
     profile is inadmissible or its equilibrium solve fails to converge.

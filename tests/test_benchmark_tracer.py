@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,21 +50,44 @@ def test_tracer_wraps_every_name_and_runs_the_cli(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, analysis, expected",
+    "command, overrides, expected, limits, counter",
     [
-        ("stability", {"max_mode": 2}, {"elasticity.coercivity_constant", "stability.pencil"}),
+        (
+            "stability",
+            {"analysis": {"max_mode": 2}},
+            {"elasticity.coercivity_constant", "stability.pencil"},
+            {},
+            "elasticity.c0_matvecs",
+        ),
         (
             "flat-threshold",
-            {"bracket": [100.0, 1600.0], "rel_tol": 0.1, "thicknesses": [200.0]},
+            {"analysis": {"bracket": [100.0, 1600.0], "rel_tol": 0.1, "thicknesses": [200.0]}},
             {"elasticity.coercivity_constant", "stability.pencil", "flat.flat_field"},
+            {},
+            "elasticity.c0_matvecs",
+        ),
+        (
+            # one mode with Richardson is four re-solves, each preconditioned
+            # by the base film's factor: only the base solve and the
+            # stiffness are factored
+            "oracle-check",
+            {
+                "geometry": dict(TINY["geometry"], n=16, ny=8),
+                "analysis": {"modes": [1], "rel_tol": 1e-3},
+            },
+            {"stability.fd_oracle_second_variation"},
+            {"elasticity.continue_critical_point": (4, 4), "elasticity.cholesky": (0, 2)},
+            "elasticity.newton_iters",
         ),
     ],
-    ids=["stability", "flat-threshold"],
+    ids=["stability", "flat-threshold", "oracle-check"],
 )
-def test_tracer_counts_the_numerical_layers(tmp_path, command, analysis, expected):
+def test_tracer_counts_the_numerical_layers(tmp_path, command, overrides, expected, limits, counter):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(dict(TINY, analysis=analysis)))
+    config.write_text(json.dumps(dict(TINY, **overrides)))
     run = trace(tmp_path, [command, "--config", str(config), "--threads", "1"])
-    names = {span[0] for span in run["spans"]}
-    assert expected <= names
-    assert run["counters"]["elasticity.c0_matvecs"] > 0
+    calls = Counter(span[0] for span in run["spans"])
+    assert expected <= set(calls)
+    for name, (low, high) in limits.items():
+        assert low <= calls[name] <= high, (name, calls[name])
+    assert run["counters"][counter] > 0

@@ -158,6 +158,23 @@ def test_geometry_width_is_the_only_width_knob(tmp_path, capsys):
     assert "geometry.profile.width: unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, analysis",
+    [
+        ("flat-threshold", {"bracket": [100.0, 1600.0], "rel_tol": 0.1}),
+        ("crystalline", {"a": 1.0, "b": 1.0, "max_steps": 2}),
+    ],
+    ids=["flat-threshold", "crystalline"],
+)
+def test_geometry_width_rejected_where_the_command_sets_its_cell(tmp_path, capsys, command, analysis):
+    cfg = flat_config(n=8, ny=4, e0=0.05, analysis=analysis)
+    cfg["geometry"]["width"] = 5.0
+    code, out = run(tmp_path, command, cfg)
+    assert code == 1
+    assert "config error: geometry.width" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def _samples_config(dim, n, samples):
     cfg = flat_config(e0=0.05)
     cfg["geometry"].update(dim=dim, n=n, ny=6)

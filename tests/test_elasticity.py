@@ -8,6 +8,7 @@ from filmstab.elasticity import (
     ElasticField,
     LinearDensity,
     MismatchDatum,
+    NewtonError,
     NonlinearDensity,
     _flat_shapes,
     _from_interior,
@@ -300,6 +301,64 @@ def test_warm_start_and_continuation():
     warm, _ = continue_critical_point(field, prof2)
     cold, _ = solve_critical_point(prof2, datum, dens, ny=8)
     assert np.abs(warm.p - cold.p).max() < 1e-9
+
+
+def _count_hessians(monkeypatch):
+    """Patch ``assemble_hessian`` in the elasticity module; returns the call list."""
+    import filmstab.elasticity as elasticity
+
+    calls = []
+    original = elasticity.assemble_hessian
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(elasticity, "assemble_hessian", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+def test_preconditioned_resolve_does_not_depend_on_the_factor(monkeypatch, kind):
+    # the factor of another film only preconditions the inner solves: the
+    # re-solve reaches the energy of the factored steps
+    datum = MismatchDatum.from_misfit(E0, 2, kind)
+    dens = elastic_density_from_config({"kind": kind, "lam": LAM, "mu": MU}, 2)
+    field, _ = solve_critical_point(_bumpy(16), datum, dens, ny=8)
+    other, _ = solve_critical_point(Profile.flat(2, 16, 1.2), datum, dens, ny=8)
+    cho = other.stiffness_cho
+    prof2 = _bumpy(16, amp=0.11)
+    _, factored = solve_critical_point(prof2, datum, dens, ny=8, p0=field.p)
+    calls = _count_hessians(monkeypatch)
+    _, info = solve_critical_point(prof2, datum, dens, ny=8, p0=field.p, precond=cho)
+    assert calls == []  # every step was taken by the inner solve
+    assert info["energy"] == pytest.approx(factored["energy"], rel=1e-12)
+
+
+def test_poor_preconditioner_falls_back_to_the_factored_step(monkeypatch):
+    datum = MismatchDatum.from_misfit(E0, 2, "linear")
+    dens = LinearDensity.isotropic(2, LAM, MU)
+    field, _ = solve_critical_point(_bumpy(16), datum, dens, ny=8)
+    prof2 = _bumpy(16, amp=0.11)
+    _, factored = solve_critical_point(prof2, datum, dens, ny=8, p0=field.p)
+    # the identity leaves the inner solve unpreconditioned, which misses the
+    # target within the iteration cap
+    identity = (np.eye(_flat_shapes(field.grid)[3]), True)
+    calls = _count_hessians(monkeypatch)
+    _, info = solve_critical_point(prof2, datum, dens, ny=8, p0=field.p, precond=identity)
+    assert len(calls) == info["iterations"] == 1
+    assert info["energy"] == pytest.approx(factored["energy"], rel=1e-12)
+
+
+def test_non_descent_newton_step_is_named():
+    # an indefinite tensor (bypassing the positivity check) gives a tangent
+    # without a Cholesky factor whose solved step climbs the energy
+    dens = object.__new__(LinearDensity)
+    dens.dim, dens.C = 2, isotropic_tensor(2, -3.0, 1.0)
+    datum = MismatchDatum.from_misfit(E0, 2, "linear")
+    with pytest.raises(NewtonError, match="non-descent Newton step") as err:
+        solve_critical_point(Profile.flat(2, 16, 1.0), datum, dens, ny=8)
+    assert len(err.value.residuals) == 1
 
 
 @pytest.mark.parametrize("n, ny", [(8, 5), (10, 6)])

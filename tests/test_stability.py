@@ -448,6 +448,38 @@ def test_fd_oracle_zero_direction_and_step_error():
         fd_oracle_second_variation(field, psi, np.full(32, 1.0), t=5.0)
 
 
+def test_fd_oracle_neither_assembles_nor_factors(monkeypatch):
+    """Once the base factor is cached, the oracle's re-solves are inner solves against it."""
+    import filmstab.elasticity as elasticity
+
+    field = flat_pair(n=16, ny=8)
+    psi = IsotropicDensity(2)
+    prob = StabilityProblem(field, psi)
+    form = prob.second_variation(cos_mode(16, 1))  # caches the stiffness factor
+    calls = []
+    for name in ("assemble_hessian", "cho_factor"):
+        original = getattr(elasticity, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(elasticity, name, counting)
+    oracle = fd_oracle_second_variation(field, psi, cos_mode(16, 1))
+    assert calls == []
+    assert abs(form - oracle) < 1e-3 * abs(oracle)
+
+
+def test_problem_shares_the_field_stiffness():
+    field = flat_pair(n=16, ny=8)
+    prob = StabilityProblem(field, IsotropicDensity(2))
+    assert prob.stiffness is field.stiffness
+    assert prob._stiffness_cho is field.stiffness_cho
+    swapped = prob.with_surface_density(QuadraticFormDensity(np.diag([1.0, 2.0])))
+    assert swapped.stiffness is field.stiffness
+    assert swapped._stiffness_cho is field.stiffness_cho
+
+
 def test_pure_surface_oracle_flat_mode():
     density = elastic_density_from_config(LIN, 2)
     datum = MismatchDatum(np.array([[0.0]]), 2)
