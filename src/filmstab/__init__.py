@@ -38,6 +38,7 @@ _EXPORTS = {
     "MismatchDatum": "elasticity",
     "ElasticField": "elasticity",
     "NewtonError": "elasticity",
+    "CoercivityError": "elasticity",
     "solve_critical_point": "elasticity",
     "continue_critical_point": "elasticity",
     "coercivity_constant": "elasticity",

@@ -24,11 +24,9 @@ module and the finite-difference oracles both rely on.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, solve_triangular
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .geometry import MappedGrid, Profile, build_grid
 from .spectral import cosine_series, fourier_derivative, lateral_grids
@@ -41,10 +39,12 @@ __all__ = [
     "MismatchDatum",
     "ElasticField",
     "NewtonError",
+    "CoercivityError",
     "assemble_residual",
     "assemble_hessian",
     "h1_gram",
     "interior_weight_vector",
+    "factor_solve",
     "solve_critical_point",
     "continue_critical_point",
     "coercivity_constant",
@@ -299,7 +299,9 @@ class ElasticField:
     ``p`` is the nodal unknown, shape ``xshape + (ny, dim)``, zero on the
     substrate row; the base carries the mismatch datum exactly.  The
     stiffness and its Cholesky factor are cached on the field, so the
-    stability problem and the warm-started re-solves share them.
+    stability problem and the warm-started re-solves share them.  The
+    linear tangent does not depend on ``p``, so for the linear kind
+    :meth:`with_p` shares that cache too.
     """
 
     def __init__(self, grid: MappedGrid, datum: MismatchDatum, density: ElasticDensity, p=None):
@@ -317,12 +319,14 @@ class ElasticField:
             if np.abs(p[..., 0, :]).max() > 1e-13:
                 raise ValueError("p must vanish on the substrate row")
         self.p = p
+        self._stiffness = {}  # "matrix" and "cho", once built
 
     def with_p(self, p: np.ndarray) -> "ElasticField":
         new = object.__new__(ElasticField)
         new.grid, new.datum, new.density = self.grid, self.datum, self.density
         new.base, new.base_grad = self.base, self.base_grad
         new.p = p
+        new._stiffness = self._stiffness if self.density.kind == "linear" else {}
         return new
 
     def total(self) -> np.ndarray:
@@ -351,19 +355,27 @@ class ElasticField:
         """Elastic energy density on the free-surface row."""
         return self.grid.surface_trace(self.density.value(self.gradient()))
 
-    @cached_property
+    @property
     def stiffness(self) -> np.ndarray:
         """Interior-dof matrix of the tangent form at this field."""
-        tangent = self.density.tangent(self.gradient())
-        return assemble_hessian(self.grid, self.grid.wq[..., None, None, None, None] * tangent)
+        cache = self._stiffness
+        if "matrix" not in cache:
+            tangent = self.density.tangent(self.gradient())
+            cache["matrix"] = assemble_hessian(
+                self.grid, self.grid.wq[..., None, None, None, None] * tangent
+            )
+        return cache["matrix"]
 
-    @cached_property
+    @property
     def stiffness_cho(self):
         """``cho_factor(stiffness, lower=True)``; ``False`` when it is not positive definite."""
-        try:
-            return cho_factor(self.stiffness, lower=True)
-        except LinAlgError:
-            return False
+        cache = self._stiffness
+        if "cho" not in cache:
+            try:
+                cache["cho"] = cho_factor(self.stiffness, lower=True)
+            except LinAlgError:
+                cache["cho"] = False
+        return cache["cho"]
 
 
 # -- assembly ---------------------------------------------------------------------
@@ -481,6 +493,12 @@ def h1_gram(grid: MappedGrid) -> np.ndarray:
     return G
 
 
+def _h1_gram_matvec(grid: MappedGrid, v: np.ndarray) -> np.ndarray:
+    """``h1_gram(grid) @ v`` without assembling the Gram matrix."""
+    wq = grid.wq.reshape(-1, 1, 1)
+    return _form_apply(grid, v, lambda g: wq * g) + interior_weight_vector(grid) * v
+
+
 # -- solves -----------------------------------------------------------------------
 
 
@@ -497,6 +515,36 @@ def _from_interior(grid: MappedGrid, vec: np.ndarray) -> np.ndarray:
     p = np.zeros((nx, ny, N))
     p[:, 1:] = vec.reshape(nx, ny - 1, N)
     return p.reshape(grid.profile.xshape + (ny, N))
+
+
+def _form_apply(grid: MappedGrid, v: np.ndarray, flux) -> np.ndarray:
+    """Matrix-vector product of a gradient-gradient form, without its matrix.
+
+    ``flux`` maps the gradient samples of ``v``, shape ``(-1, N, N)``, to the
+    weighted stress samples the form pairs with ``grad w``; the result is the
+    ``assemble_residual`` of that stress, the product with ``v`` of the
+    matrix ``assemble_hessian`` builds from the same coefficients.
+    """
+    N = grid.dim
+    gv = grid.gradient(_from_interior(grid, v)).reshape(-1, N, N)
+    return assemble_residual(grid, flux(gv))
+
+
+def factor_solve(cho, b: np.ndarray, trans: str | None = None) -> np.ndarray:
+    """Solve against a Cholesky factor ``cho = cho_factor(K)``, reading the factor once.
+
+    Without ``trans`` the result is ``K^-1 b``; ``trans="N"`` or ``"T"``
+    solves with the stored triangle ``F`` alone, giving ``F^-1 b`` or
+    ``F^-T b``.  The factor is not scanned for non-finite entries, which
+    would cost as much as the solve: ``cho_factor`` checked ``K`` when it
+    built it, and the factor of a finite matrix is finite.  A non-finite
+    ``b`` raises ``ValueError``.
+    """
+    b = np.asarray_chkfinite(b)
+    if trans is None:
+        return cho_solve(cho, b, check_finite=False)
+    c, lower = cho
+    return solve_triangular(c, b, lower=lower, trans=trans, check_finite=False)
 
 
 # inner solves of a preconditioned Newton step stop at this fraction of the
@@ -519,17 +567,16 @@ def _pcg_step(grid: MappedGrid, tangent_w: np.ndarray, r: np.ndarray, cho, targe
     Cw = tangent_w.reshape(-1, N, N, N, N)
     Cw = 0.5 * (Cw + Cw.transpose(0, 3, 4, 1, 2))
 
-    def apply(v):
-        gv = grid.gradient(_from_interior(grid, v)).reshape(-1, N, N)
-        return assemble_residual(grid, np.einsum("kiamb,kmb->kia", Cw, gv))
+    def flux(g):
+        return np.einsum("kiamb,kmb->kia", Cw, g)
 
     x = np.zeros_like(r)
     res = -r
-    z = cho_solve(cho, res)
+    z = factor_solve(cho, res)
     d = z
     rz = res @ z
     for _ in range(_PCG_MAX_ITER):
-        q = apply(d)
+        q = _form_apply(grid, d, flux)
         curvature = d @ q
         if curvature <= 0.0:
             return None
@@ -538,10 +585,35 @@ def _pcg_step(grid: MappedGrid, tangent_w: np.ndarray, r: np.ndarray, cho, targe
         res = res - alpha * q
         if np.linalg.norm(res) <= target:
             return x
-        z = cho_solve(cho, res)
+        z = factor_solve(cho, res)
         rz, rz_old = res @ z, rz
         d = z + (rz / rz_old) * d
     return None
+
+
+def _factored_step(work: ElasticField, tangent_w: np.ndarray, r: np.ndarray, residuals):
+    """Newton step ``dp`` with ``K dp = -r`` by the Cholesky factor of the tangent ``K``.
+
+    The linear tangent does not depend on ``p``, so there ``K`` is the
+    field's own stiffness, factored once and kept by every field of the
+    solve; a nonlinear ``K`` is assembled and factored for this step alone.
+    When ``K`` has no Cholesky factor the step is solved directly, and one
+    that is not a descent direction raises :class:`NewtonError`.
+    """
+    if work.density.kind == "linear":
+        K, cho = work.stiffness, work.stiffness_cho
+    else:
+        K = assemble_hessian(work.grid, tangent_w)
+        try:
+            cho = cho_factor(K)
+        except LinAlgError:
+            cho = False
+    if cho is not False:
+        return factor_solve(cho, -r)
+    dp_vec = np.linalg.solve(K, -r)
+    if r @ dp_vec >= 0.0:
+        raise NewtonError(f"non-descent Newton step (r·dp = {r @ dp_vec:.3e})", residuals)
+    return dp_vec
 
 
 def solve_critical_point(
@@ -567,14 +639,16 @@ def solve_critical_point(
     energy.
 
     Each Newton step solves ``K dp = -r`` with the assembled, factored
-    tangent ``K``.  Given ``precond``, the ``cho_factor(K0, lower=True)`` of
-    a nearby stiffness, the step is first tried by conjugate gradients on
-    the matrix-free tangent preconditioned by ``K0`` (inexact Newton), and
-    factors ``K`` only when that fails (see :func:`_pcg_step`).  The true
-    residual test is the same either way, so ``precond`` changes the cost
-    of a solve, not which fields it accepts.  A step that is not a descent
-    direction, possible only when ``K`` has no Cholesky factor, raises
-    :class:`NewtonError`.
+    tangent ``K``; for the linear kind ``K`` is the field's
+    :attr:`~ElasticField.stiffness`, so the returned field carries its
+    factor and nothing is factored twice.  Given ``precond``, the
+    ``cho_factor(K0, lower=True)`` of a nearby stiffness, the step is first
+    tried by conjugate gradients on the matrix-free tangent preconditioned
+    by ``K0`` (inexact Newton), and factors ``K`` only when that fails (see
+    :func:`_pcg_step`).  The true residual test is the same either way, so
+    ``precond`` changes the cost of a solve, not which fields it accepts.  A
+    step that is not a descent direction, possible only when ``K`` has no
+    Cholesky factor, raises :class:`NewtonError`.
     """
     grid = build_grid(profile, ny)
     field = ElasticField(grid, datum, density, p=p0)
@@ -602,15 +676,7 @@ def solve_critical_point(
         if precond is not None:
             dp_vec = _pcg_step(grid, tangent_w, r, precond, _PCG_RTOL * tol * scale)
         if dp_vec is None:
-            K = assemble_hessian(grid, tangent_w)
-            try:
-                dp_vec = cho_solve(cho_factor(K), -r)
-            except LinAlgError:
-                dp_vec = np.linalg.solve(K, -r)
-                if r @ dp_vec >= 0.0:
-                    raise NewtonError(
-                        f"non-descent Newton step (r·dp = {r @ dp_vec:.3e})", residuals
-                    )
+            dp_vec = _factored_step(work, tangent_w, r, residuals)
         dp = _from_interior(grid, dp_vec)
         slope = float(r @ dp_vec)
         # below this predicted decrease the energy test only compares rounding
@@ -662,6 +728,26 @@ def continue_critical_point(field: ElasticField, new_profile: Profile) -> tuple[
 # -- diagnostics --------------------------------------------------------------------
 
 
+class CoercivityError(RuntimeError):
+    """The Lanczos solve for ``c0`` did not converge.
+
+    Carries the number of operator applications as ``matvecs`` and the
+    requested relative accuracy as ``tol``.
+    """
+
+    def __init__(self, matvecs: int, tol: float):
+        super().__init__(
+            f"the Lanczos solve for c0 did not converge after {matvecs} matvecs "
+            f"at tolerance {tol:g}"
+        )
+        self.matvecs = matvecs
+        self.tol = tol
+
+
+# relative accuracy of the c0 Lanczos eigenvalue
+_C0_TOL = 1e-10
+
+
 def coercivity_constant(grid: MappedGrid, K: np.ndarray, cho) -> float:
     """Sharp constant relating the tangent form to the Sobolev norm.
 
@@ -671,22 +757,29 @@ def coercivity_constant(grid: MappedGrid, K: np.ndarray, cho) -> float:
     the form takes negative values and the configuration cannot be a local
     minimizer of the bulk problem.  ``cho`` is ``cho_factor(K, lower=True)``,
     or ``False`` when ``K`` is not positive definite.  A coercive ``K`` takes
-    a Lanczos solve against its factor, any other the dense generalized
-    eigensolve.
+    a Lanczos solve for the top eigenvalue of ``L^-1 G L^-T`` against its
+    factor ``L``, with the Gram ``G`` applied without assembling it; any
+    other ``K`` takes the dense generalized eigensolve against
+    :func:`h1_gram`.  A Lanczos solve that does not converge raises
+    :class:`CoercivityError`.
     """
-    G = h1_gram(grid)
     if cho is False:
-        return float(eigh(K, G, subset_by_index=[0, 0], eigvals_only=True)[0])
-    L = cho[0]
+        return float(eigh(K, h1_gram(grid), subset_by_index=[0, 0], eigvals_only=True)[0])
     nd = K.shape[0]
+    matvecs = 0
 
     def mv(w):
-        t = solve_triangular(L, w, lower=True, trans="T")
-        t = G @ t
-        return solve_triangular(L, t, lower=True)
+        nonlocal matvecs
+        matvecs += 1
+        t = factor_solve(cho, w, trans="T")
+        return factor_solve(cho, _h1_gram_matvec(grid, t), trans="N")
 
-    op = LinearOperator((nd, nd), matvec=mv)
+    # with the dtype given, LinearOperator does not spend a matvec to find it
+    op = LinearOperator((nd, nd), matvec=mv, dtype=float)
     # fixed generic start vector keeps repeated runs bit-identical
     v0 = np.random.default_rng(0).standard_normal(nd)
-    theta = eigsh(op, k=1, which="LA", return_eigenvectors=False, tol=1e-10, v0=v0)
+    try:
+        theta = eigsh(op, k=1, which="LA", return_eigenvectors=False, tol=_C0_TOL, v0=v0)
+    except ArpackNoConvergence as err:
+        raise CoercivityError(matvecs, _C0_TOL) from err
     return 1.0 / float(theta[0])

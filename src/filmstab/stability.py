@@ -27,14 +27,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import (
-    LinAlgError,
-    cho_solve,
-    cholesky,
-    eigh,
-    eigvalsh,
-    solve_triangular,
-)
+from scipy.linalg import LinAlgError, cholesky, eigh, eigvalsh, solve_triangular
 # no factorisation (the field holds the stiffness factor) and no eigensolver
 # runs here; the benchmark tracer rebinds both names at install
 from scipy.linalg import cho_factor  # noqa: F401
@@ -46,6 +39,7 @@ from .elasticity import (
     NewtonError,
     coercivity_constant,
     continue_critical_point,
+    factor_solve,
 )
 from .config import max_resolved_mode
 from .geometry import Profile, surface_integral, tangential_divergence, tangential_jacobian
@@ -395,7 +389,7 @@ class StabilityProblem:
         """
         a = arr.ravel()
         r = self.coupling @ a
-        return float(a @ self.sim_matrix @ a - r @ cho_solve(self._require_cho(), r))
+        return float(a @ self.sim_matrix @ a - r @ factor_solve(self._require_cho(), r))
 
     def full_second_variation(self, phi) -> float:
         """Four-term quadratic form, valid away from surface equilibrium.
@@ -437,7 +431,7 @@ class StabilityProblem:
         of the i-th and j-th surface basis speeds, assembled with one
         adjoint solve per basis function against the cached factorization.
         """
-        V = cho_solve(self._require_cho(), self.coupling)
+        V = factor_solve(self._require_cho(), self.coupling)
         return self.coupling.T @ V
 
     @cached_property

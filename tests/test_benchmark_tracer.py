@@ -56,7 +56,13 @@ def test_tracer_wraps_every_name_and_runs_the_cli(tmp_path):
             "stability",
             {"analysis": {"max_mode": 2}},
             {"elasticity.coercivity_constant", "stability.pencil"},
-            {},
+            # the linear Newton step factors the field's own stiffness, and
+            # c0 applies the Sobolev Gram without assembling it
+            {
+                "elasticity.assemble_hessian": (1, 1),
+                "elasticity.cholesky": (1, 1),
+                "elasticity.h1_gram": (0, 0),
+            },
             "elasticity.c0_matvecs",
         ),
         (
@@ -68,15 +74,19 @@ def test_tracer_wraps_every_name_and_runs_the_cli(tmp_path):
         ),
         (
             # one mode with Richardson is four re-solves, each preconditioned
-            # by the base film's factor: only the base solve and the
-            # stiffness are factored
+            # by the base film's factor: only the base film's stiffness is
+            # assembled and factored, once for its solve and its problem
             "oracle-check",
             {
                 "geometry": dict(TINY["geometry"], n=16, ny=8),
                 "analysis": {"modes": [1], "rel_tol": 1e-3},
             },
             {"stability.fd_oracle_second_variation"},
-            {"elasticity.continue_critical_point": (4, 4), "elasticity.cholesky": (0, 2)},
+            {
+                "elasticity.continue_critical_point": (4, 4),
+                "elasticity.cholesky": (1, 1),
+                "elasticity.assemble_hessian": (1, 1),
+            },
             "elasticity.newton_iters",
         ),
     ],

@@ -476,6 +476,22 @@ def test_verify_identity_requires_dimension(tmp_path, capsys):
     assert "analysis.dim" in capsys.readouterr().err
 
 
+def test_c0_non_convergence_exits_two(tmp_path, capsys, monkeypatch):
+    import filmstab.elasticity as elasticity
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def stalled(A, **kwargs):
+        A.matvec(kwargs["v0"])
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(elasticity, "eigsh", stalled)
+    rc, _ = run(tmp_path, "stability", flat_config(n=8, ny=4, e0=0.05))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: the Lanczos solve for c0 did not converge after 1 matvecs" in err
+    assert "tolerance 1e-10" in err
+
+
 def test_verify_identity_counterexample_exits_three(tmp_path, capsys, monkeypatch):
     import filmstab.polyident as polyident
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from filmstab.elasticity import (
+    CoercivityError,
     ElasticField,
     LinearDensity,
     MismatchDatum,
@@ -12,11 +13,13 @@ from filmstab.elasticity import (
     NonlinearDensity,
     _flat_shapes,
     _from_interior,
+    _h1_gram_matvec,
     assemble_hessian,
     assemble_residual,
     coercivity_constant,
     continue_critical_point,
     elastic_density_from_config,
+    factor_solve,
     h1_gram,
     interior_weight_vector,
     isotropic_tensor,
@@ -382,26 +385,81 @@ def test_nonlinear_3d_cold_solve_converges_past_roundoff(n, ny):
 
 
 def test_coercivity_constant_matches_dense_eigensolve():
-    prof = _bumpy(12, amp=0.08)
-    grid = build_grid(prof, 6)
-    datum = MismatchDatum.from_misfit(E0, 2, "linear")
-    dens = LinearDensity.isotropic(2, LAM, MU)
-    field, _ = solve_critical_point(prof, datum, dens, ny=6)
-    K = assemble_hessian(
-        grid, grid.wq[..., None, None, None, None] * dens.tangent(field.gradient())
-    )
     from scipy.linalg import cho_factor, eigh
 
-    c0 = coercivity_constant(grid, K, cho_factor(K, lower=True))
+    curved_3d = Profile.from_fourier_modes(
+        3,
+        8,
+        [
+            {"mode": [0, 0], "amplitude": 1.0},
+            {"mode": [1, 0], "amplitude": 0.05},
+            {"mode": [1, 1], "amplitude": 0.02, "phase": 0.5},
+        ],
+    )
+    for prof, ny in [(_bumpy(12, amp=0.08), 6), (curved_3d, 5)]:
+        dim = prof.dim
+        grid = build_grid(prof, ny)
+        datum = MismatchDatum.from_misfit(E0, dim, "linear")
+        dens = LinearDensity.isotropic(dim, LAM, MU)
+        field, _ = solve_critical_point(prof, datum, dens, ny=ny)
+        K = assemble_hessian(
+            grid, grid.wq[..., None, None, None, None] * dens.tangent(field.gradient())
+        )
+        c0 = coercivity_constant(grid, K, cho_factor(K, lower=True))
 
-    dense = eigh(K, h1_gram(grid), eigvals_only=True)[0]
-    assert c0 == pytest.approx(float(dense), rel=1e-8)
-    assert c0 > 0.0
-    # negated form exercises the non-coercive branch
-    c0_neg = coercivity_constant(grid, -K, False)
-    dense_neg = eigh(-K, h1_gram(grid), eigvals_only=True)[0]
-    assert c0_neg == pytest.approx(float(dense_neg), rel=1e-8)
-    assert c0_neg < 0.0
+        dense = eigh(K, h1_gram(grid), eigvals_only=True)[0]
+        assert c0 == pytest.approx(float(dense), rel=1e-8)
+        assert c0 > 0.0
+        # negated form exercises the non-coercive branch
+        c0_neg = coercivity_constant(grid, -K, False)
+        dense_neg = eigh(-K, h1_gram(grid), eigvals_only=True)[0]
+        assert c0_neg == pytest.approx(float(dense_neg), rel=1e-8)
+        assert c0_neg < 0.0
+
+
+def test_c0_lanczos_non_convergence_is_named(monkeypatch):
+    import filmstab.elasticity as elasticity
+    from scipy.linalg import cho_factor
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def stalled(A, **kwargs):
+        for _ in range(3):
+            A.matvec(kwargs["v0"])
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(elasticity, "eigsh", stalled)
+    grid = build_grid(_bumpy(12), 6)
+    K = h1_gram(grid)
+    with pytest.raises(CoercivityError, match="c0 did not converge after 3 matvecs") as err:
+        coercivity_constant(grid, K, cho_factor(K, lower=True))
+    assert err.value.matvecs == 3
+    assert err.value.tol == 1e-10
+    assert "tolerance 1e-10" in str(err.value)
+
+
+@pytest.mark.parametrize("dim, n, ny", [(2, 16, 8), (3, 8, 5)])
+def test_matrix_free_h1_gram_matches_assembled(dim, n, ny):
+    grid, _ = _curved_case(dim, "linear", n, ny)
+    v = np.random.default_rng(4).standard_normal(_flat_shapes(grid)[3])
+    Gv = h1_gram(grid) @ v
+    assert np.abs(_h1_gram_matvec(grid, v) - Gv).max() <= 1e-13 * np.abs(Gv).max()
+
+
+def test_factor_solve_rejects_non_finite_right_hand_side():
+    from scipy.linalg import cho_factor, cho_solve
+
+    grid = build_grid(_bumpy(12), 6)
+    G = h1_gram(grid)
+    cho = cho_factor(G, lower=True)
+    b = np.random.default_rng(5).standard_normal(G.shape[0])
+    assert np.array_equal(factor_solve(cho, b), cho_solve(cho, b))
+    L = np.tril(cho[0])
+    assert np.allclose(L @ factor_solve(cho, b, trans="N"), b, rtol=0.0, atol=1e-12)
+    assert np.allclose(L.T @ factor_solve(cho, b, trans="T"), b, rtol=0.0, atol=1e-12)
+    b[3] = np.nan
+    for trans in (None, "N", "T"):
+        with pytest.raises(ValueError):
+            factor_solve(cho, b, trans=trans)
 
 
 def test_legendre_hadamard_isotropic_value():

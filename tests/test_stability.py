@@ -188,6 +188,16 @@ def test_second_variation_scaling_and_zero():
     assert prob.second_variation(np.zeros(32)) == 0.0
 
 
+def test_second_variation_rejects_non_finite_speed():
+    # solves against the cached factor skip the factor's scan but still
+    # check the right-hand side
+    prob = StabilityProblem(flat_pair(n=16, ny=8), IsotropicDensity(2))
+    phi = cos_mode(16, 1)
+    phi[5] = np.nan
+    with pytest.raises(ValueError):
+        prob.second_variation(phi)
+
+
 def test_second_variation_warns_off_equilibrium():
     field = curved_pair()
     psi = IsotropicDensity(2)
@@ -468,6 +478,29 @@ def test_fd_oracle_neither_assembles_nor_factors(monkeypatch):
     oracle = fd_oracle_second_variation(field, psi, cos_mode(16, 1))
     assert calls == []
     assert abs(form - oracle) < 1e-3 * abs(oracle)
+
+
+def test_linear_cold_solve_and_report_factor_once(monkeypatch):
+    """The linear Newton step and the problem share one stiffness and one factor."""
+    import filmstab.elasticity as elasticity
+    import filmstab.stability as stability
+
+    calls = []
+    for module, name in [(elasticity, "assemble_hessian"), (elasticity, "cho_factor"), (stability, "cho_factor")]:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    datum = MismatchDatum.from_misfit(0.1, 2, "linear")
+    profile = Profile(1.0 + 0.03 * np.cos(2.0 * np.pi * np.arange(16) / 16))
+    field, info = solve_critical_point(profile, datum, elastic_density_from_config(LIN, 2), ny=8)
+    assert info["iterations"] == 1
+    report = StabilityProblem(field, IsotropicDensity(2)).report()
+    assert report.c0 > 0.0 and np.isfinite(report.lambda1)
+    assert sorted(calls) == ["assemble_hessian", "cho_factor"]
 
 
 def test_problem_shares_the_field_stiffness():
