@@ -298,9 +298,9 @@ class ElasticField:
 
     ``p`` is the nodal unknown, shape ``xshape + (ny, dim)``, zero on the
     substrate row; the base carries the mismatch datum exactly.  The
-    stiffness and its Cholesky factor are cached on the field, so the
-    stability problem and the warm-started re-solves share them.  The
-    linear tangent does not depend on ``p``, so for the linear kind
+    stiffness and its Cholesky factor are cached on the field, so the Newton
+    steps, the stability problem and the warm-started re-solves share them.
+    The linear tangent does not depend on ``p``, so for the linear kind
     :meth:`with_p` shares that cache too.
     """
 
@@ -591,26 +591,19 @@ def _pcg_step(grid: MappedGrid, tangent_w: np.ndarray, r: np.ndarray, cho, targe
     return None
 
 
-def _factored_step(work: ElasticField, tangent_w: np.ndarray, r: np.ndarray, residuals):
-    """Newton step ``dp`` with ``K dp = -r`` by the Cholesky factor of the tangent ``K``.
+def _factored_step(work: ElasticField, r: np.ndarray, residuals):
+    """Newton step ``dp`` with ``K dp = -r`` by the iterate's own stiffness ``K``.
 
-    The linear tangent does not depend on ``p``, so there ``K`` is the
-    field's own stiffness, factored once and kept by every field of the
-    solve; a nonlinear ``K`` is assembled and factored for this step alone.
-    When ``K`` has no Cholesky factor the step is solved directly, and one
-    that is not a descent direction raises :class:`NewtonError`.
+    ``K`` and its Cholesky factor are the ones cached on ``work``: a linear
+    field shares them with every field of its solve, a nonlinear iterate
+    builds its own.  When ``K`` has no Cholesky factor the step is solved
+    directly, and one that is not a descent direction raises
+    :class:`NewtonError`.
     """
-    if work.density.kind == "linear":
-        K, cho = work.stiffness, work.stiffness_cho
-    else:
-        K = assemble_hessian(work.grid, tangent_w)
-        try:
-            cho = cho_factor(K)
-        except LinAlgError:
-            cho = False
+    cho = work.stiffness_cho
     if cho is not False:
         return factor_solve(cho, -r)
-    dp_vec = np.linalg.solve(K, -r)
+    dp_vec = np.linalg.solve(work.stiffness, -r)
     if r @ dp_vec >= 0.0:
         raise NewtonError(f"non-descent Newton step (r·dp = {r @ dp_vec:.3e})", residuals)
     return dp_vec
@@ -638,21 +631,22 @@ def solve_critical_point(
     the field and an info dict with iteration count, final residual norm and
     energy.
 
-    Each Newton step solves ``K dp = -r`` with the assembled, factored
-    tangent ``K``; for the linear kind ``K`` is the field's
-    :attr:`~ElasticField.stiffness`, so the returned field carries its
-    factor and nothing is factored twice.  Given ``precond``, the
-    ``cho_factor(K0, lower=True)`` of a nearby stiffness, the step is first
-    tried by conjugate gradients on the matrix-free tangent preconditioned
-    by ``K0`` (inexact Newton), and factors ``K`` only when that fails (see
-    :func:`_pcg_step`).  The true residual test is the same either way, so
-    ``precond`` changes the cost of a solve, not which fields it accepts.  A
-    step that is not a descent direction, possible only when ``K`` has no
-    Cholesky factor, raises :class:`NewtonError`.
+    Every Newton step is first a conjugate-gradient solve of ``K dp = -r``
+    on the matrix-free tangent ``K``, preconditioned by the newest Cholesky
+    factor at hand (inexact Newton, see :func:`_pcg_step`).  With no factor
+    yet, or when that solve fails, the step is solved by the iterate's own
+    :attr:`~ElasticField.stiffness_cho`, which becomes the newest factor.
+    ``precond`` is the first factor: the ``cho_factor(K0, lower=True)`` of a
+    nearby stiffness, or ``None`` or ``False`` for none.  The true residual
+    test is the same for every step, so the factors change the cost of a
+    solve, not which fields it accepts.  A step that is not a descent
+    direction, possible only when ``K`` has no Cholesky factor, raises
+    :class:`NewtonError`.
     """
     grid = build_grid(profile, ny)
     field = ElasticField(grid, datum, density, p=p0)
     p = field.p.copy()
+    cho = precond
     residuals = []
     scale = None
     for it in range(max_iter):
@@ -671,12 +665,13 @@ def solve_critical_point(
             result = field.with_p(p)
             info = {"iterations": it, "residual_norm": rnorm, "energy": energy}
             return result, info
-        tangent_w = grid.wq[..., None, None, None, None] * density.tangent(gradu)
         dp_vec = None
-        if precond is not None:
-            dp_vec = _pcg_step(grid, tangent_w, r, precond, _PCG_RTOL * tol * scale)
+        if cho:
+            tangent_w = grid.wq[..., None, None, None, None] * density.tangent(gradu)
+            dp_vec = _pcg_step(grid, tangent_w, r, cho, _PCG_RTOL * tol * scale)
         if dp_vec is None:
-            dp_vec = _factored_step(work, tangent_w, r, residuals)
+            dp_vec = _factored_step(work, r, residuals)
+            cho = work.stiffness_cho
         dp = _from_interior(grid, dp_vec)
         slope = float(r @ dp_vec)
         # below this predicted decrease the energy test only compares rounding
@@ -709,19 +704,17 @@ def continue_critical_point(field: ElasticField, new_profile: Profile) -> tuple[
     nonlinear kind it keeps the iterate inside the admissible set when the
     profile step is small.
 
-    The Newton steps are preconditioned conjugate-gradient solves against
-    the old field's cached stiffness factor (see
-    :func:`solve_critical_point`), so a re-solve assembles and factors
-    nothing unless the inner solve falls back.  A field whose stiffness has
-    no Cholesky factor is re-solved with factored steps.
+    The old field's cached stiffness factor is the first preconditioner of
+    the Newton steps (see :func:`solve_critical_point`), so a re-solve
+    assembles and factors nothing unless an inner solve falls back.  A
+    field whose stiffness has no Cholesky factor starts with a factored
+    step.
     """
     grid = field.grid
     if new_profile.xshape != grid.profile.xshape or new_profile.width != grid.profile.width:
         raise ValueError("warm start requires matching horizontal grids")
-    cho = field.stiffness_cho
     return solve_critical_point(
-        new_profile, field.datum, field.density, grid.ny, p0=field.p,
-        precond=None if cho is False else cho,
+        new_profile, field.datum, field.density, grid.ny, p0=field.p, precond=field.stiffness_cho
     )
 
 

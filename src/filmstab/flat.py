@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .anisotropy import AnisotropyDensity, ShiftedFacetDensity
+from .anisotropy import AnisotropyDensity, IsotropicDensity
 from .elasticity import (
     ElasticDensity,
     ElasticField,
@@ -270,20 +270,19 @@ def crystalline_sweep(
 ) -> list:
     """Largest eigenvalue along the facet-regularization halving sweep.
 
-    Returns ``[(eps, lambda1), ...]`` for ``eps = (b/a) / 2, (b/a) / 4, ...``;
-    the sweep reuses the elastic operators, which do not change with the
-    surface density, so each extra step only re-assembles the surface Gram.
+    Returns ``[(eps, lambda1), ...]`` for ``eps = (b/a) / 2, (b/a) / 4, ...``
+    of ``ShiftedFacetDensity(a, b, eps)``.  On the flat film the normal is
+    ``e_N``, where that density's Hessian is ``a/eps`` times the isotropic
+    one and the surface coefficient vanishes for both, so every row is
+    ``(eps/a) lambda1_iso`` of the one isotropic problem.
     """
-    field = flat_field(density, datum, d, n, ny)
-    prob = StabilityProblem(field, ShiftedFacetDensity(a_facet, b_facet, 0.5 * b_facet / a_facet, datum.dim))
+    if not (a_facet > 0.0 and b_facet > 0.0):
+        raise ValueError(f"facet coefficients must be positive, got a={a_facet}, b={b_facet}")
+    prob = StabilityProblem(flat_field(density, datum, d, n, ny), IsotropicDensity(datum.dim))
     _assert_flat_coefficient(prob)
-    rows = []
-    for k in range(1, max_steps + 1):
-        eps = (b_facet / a_facet) * 0.5**k
-        prob = prob.with_surface_density(ShiftedFacetDensity(a_facet, b_facet, eps, datum.dim))
-        lam, _ = prob.lambda1()
-        rows.append((eps, lam))
-    return rows
+    lam_iso, _ = prob.lambda1()
+    eps = [(b_facet / a_facet) * 0.5**k for k in range(1, max_steps + 1)]
+    return [(e, e / a_facet * lam_iso) for e in eps]
 
 
 def crystalline_epsilon0(rows) -> float:

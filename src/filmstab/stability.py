@@ -159,20 +159,7 @@ class StabilityProblem:
     cached on the field), surface-to-bulk coupling matrix, surface Gram
     matrices, zero-mean basis -- are assembled once and shared by the
     quadratic form, the eigenvalue computations and the verdict.
-    :meth:`with_surface_density` swaps ``psi`` and keeps every cached piece
-    that does not depend on it.
     """
-
-    # cached properties that do not depend on the surface density; the
-    # stiffness and its factor are shared through the field
-    _SURFACE_FREE = (
-        "c0",
-        "coupling",
-        "zero_mean_basis",
-        "tangential_gradient_matrices",
-        "t_matrix",
-        "t_matrix_z",
-    )
 
     def __init__(self, field: ElasticField, psi: AnisotropyDensity):
         if psi.dim != field.grid.dim:
@@ -184,14 +171,6 @@ class StabilityProblem:
         self.grid = field.grid
         self.geom = field.grid.geom
         self.profile = field.grid.profile
-
-    def with_surface_density(self, psi: AnisotropyDensity) -> "StabilityProblem":
-        """The same equilibrium under ``psi``, sharing the surface-free cache."""
-        fresh = StabilityProblem(self.field, psi)
-        for name in self._SURFACE_FREE:
-            if name in self.__dict__:
-                fresh.__dict__[name] = self.__dict__[name]
-        return fresh
 
     # -- bulk side -------------------------------------------------------------
 

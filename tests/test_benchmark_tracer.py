@@ -66,6 +66,15 @@ def test_tracer_wraps_every_name_and_runs_the_cli(tmp_path):
             "elasticity.c0_matvecs",
         ),
         (
+            # the nonlinear Newton factors its first step only, and the
+            # problem factors the stiffness at the solution
+            "stability",
+            {"material": dict(TINY["material"], kind="nonlinear"), "analysis": {"max_mode": 2}},
+            {"elasticity.coercivity_constant", "stability.pencil"},
+            {"elasticity.assemble_hessian": (2, 2), "elasticity.cholesky": (2, 2)},
+            "elasticity.newton_iters",
+        ),
+        (
             "flat-threshold",
             {"analysis": {"bracket": [100.0, 1600.0], "rel_tol": 0.1, "thicknesses": [200.0]}},
             {"elasticity.coercivity_constant", "stability.pencil", "flat.flat_field"},
@@ -90,7 +99,7 @@ def test_tracer_wraps_every_name_and_runs_the_cli(tmp_path):
             "elasticity.newton_iters",
         ),
     ],
-    ids=["stability", "flat-threshold", "oracle-check"],
+    ids=["stability", "stability-nonlinear", "flat-threshold", "oracle-check"],
 )
 def test_tracer_counts_the_numerical_layers(tmp_path, command, overrides, expected, limits, counter):
     config = tmp_path / "config.json"

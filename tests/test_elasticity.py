@@ -29,6 +29,11 @@ from filmstab.geometry import Profile, build_grid
 from diagnostics import legendre_hadamard_check, local_min_probe
 
 LAM, MU, E0 = 2.0, 1.0, 0.05
+CURVED_3D_MODES = [
+    {"mode": [0, 0], "amplitude": 1.0},
+    {"mode": [1, 0], "amplitude": 0.05},
+    {"mode": [1, 1], "amplitude": 0.02},
+]
 
 
 def _bumpy(n, amp=0.1):
@@ -321,6 +326,15 @@ def _count_hessians(monkeypatch):
     return calls
 
 
+def _always_factored(monkeypatch, *args, **kwargs):
+    """``solve_critical_point`` with every Newton step taken by its own factor."""
+    import filmstab.elasticity as elasticity
+
+    with monkeypatch.context() as patch:
+        patch.setattr(elasticity, "_pcg_step", lambda *a: None)
+        return solve_critical_point(*args, **kwargs)
+
+
 @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
 def test_preconditioned_resolve_does_not_depend_on_the_factor(monkeypatch, kind):
     # the factor of another film only preconditions the inner solves: the
@@ -331,11 +345,30 @@ def test_preconditioned_resolve_does_not_depend_on_the_factor(monkeypatch, kind)
     other, _ = solve_critical_point(Profile.flat(2, 16, 1.2), datum, dens, ny=8)
     cho = other.stiffness_cho
     prof2 = _bumpy(16, amp=0.11)
-    _, factored = solve_critical_point(prof2, datum, dens, ny=8, p0=field.p)
+    _, factored = _always_factored(monkeypatch, prof2, datum, dens, ny=8, p0=field.p)
     calls = _count_hessians(monkeypatch)
     _, info = solve_critical_point(prof2, datum, dens, ny=8, p0=field.p, precond=cho)
     assert calls == []  # every step was taken by the inner solve
     assert info["energy"] == pytest.approx(factored["energy"], rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, n, ny", [(2, 16, 8), (3, 8, 6)])
+def test_cold_nonlinear_solve_matches_always_factored_newton(monkeypatch, dim, n, ny):
+    # steps after the first are preconditioned by the newest factor; the
+    # residual test is the same, so the equilibrium and its spectrum are too
+    from filmstab.anisotropy import IsotropicDensity
+    from filmstab.stability import StabilityProblem
+
+    prof = _bumpy(n) if dim == 2 else Profile.from_fourier_modes(3, n, CURVED_3D_MODES)
+    datum = MismatchDatum.from_misfit(E0, dim, "nonlinear")
+    dens = NonlinearDensity(dim, LAM, MU)
+    field, info = solve_critical_point(prof, datum, dens, ny=ny)
+    ref_field, ref = _always_factored(monkeypatch, prof, datum, dens, ny=ny)
+    assert info["iterations"] == ref["iterations"]
+    assert info["energy"] == pytest.approx(ref["energy"], rel=1e-12)
+    lam, _ = StabilityProblem(field, IsotropicDensity(dim)).lambda1()
+    ref_lam, _ = StabilityProblem(ref_field, IsotropicDensity(dim)).lambda1()
+    assert lam == pytest.approx(ref_lam, rel=1e-10)
 
 
 def test_poor_preconditioner_falls_back_to_the_factored_step(monkeypatch):
@@ -369,15 +402,7 @@ def test_nonlinear_3d_cold_solve_converges_past_roundoff(n, ny):
     # these films reach a residual a few times the target after three steps,
     # where the predicted energy decrease is below the energy's rounding;
     # the residual-decrease test takes the last step
-    prof = Profile.from_fourier_modes(
-        3,
-        n,
-        [
-            {"mode": [0, 0], "amplitude": 1.0},
-            {"mode": [1, 0], "amplitude": 0.05},
-            {"mode": [1, 1], "amplitude": 0.02},
-        ],
-    )
+    prof = Profile.from_fourier_modes(3, n, CURVED_3D_MODES)
     datum = MismatchDatum.from_misfit(E0, 3, "nonlinear")
     _, info = solve_critical_point(prof, datum, NonlinearDensity(3, LAM, MU), ny=ny)
     assert info["iterations"] <= 5

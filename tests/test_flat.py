@@ -219,15 +219,19 @@ def test_crystalline_sweep_exhaustion():
         )
 
 
-def test_with_surface_density_keeps_bulk_and_matches_fresh_problem():
-    field = flat_field(linear_density(), benchmark_datum(1.2), 1.0, 16, 12)
-    prob = StabilityProblem(field, ShiftedFacetDensity(1.0, 1.0, 0.5, 2))
-    prob.report()
-    psi2 = ShiftedFacetDensity(1.0, 1.0, 0.25, 2)
-    swapped = prob.with_surface_density(psi2)
-    assert swapped.psi is psi2
-    assert swapped.stiffness is prob.stiffness
-    assert swapped.report() == StabilityProblem(field, psi2).report()
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+@pytest.mark.parametrize("dim, n, ny", [(2, 16, 12), (3, 8, 6)])
+def test_crystalline_sweep_matches_fresh_facet_problems(dim, n, ny, kind):
+    # every row is read off the isotropic problem; each must be the largest
+    # eigenvalue of a problem built with its own facet density
+    density = elastic_density_from_config({"kind": kind, "lam": LAM, "mu": MU}, dim)
+    datum = MismatchDatum.from_misfit(0.06, dim, kind)
+    a, b = 0.8, 1.1
+    rows = crystalline_sweep(density, datum, 1.0, a, b, n=n, ny=ny, max_steps=3)
+    field = flat_field(density, datum, 1.0, n, ny)
+    for eps, lam in rows:
+        fresh, _ = StabilityProblem(field, ShiftedFacetDensity(a, b, eps, dim)).lambda1()
+        assert lam == pytest.approx(fresh, rel=1e-12)
 
 
 def test_two_term_form_matches_generic_assembly():
