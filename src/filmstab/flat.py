@@ -9,7 +9,12 @@ reduces to spectral data as functions of the thickness.  This module
   two cell conventions (fixed unit cell, or a cube cell whose width grows
   with the thickness),
 * locates the critical thickness where the largest correction eigenvalue
-  crosses one,
+  crosses one, and reports the verdict along a thickness sweep.  The unit
+  cell solves one problem per thickness.  The cube cell of thickness ``d``
+  is the ``d``-dilate of the one at ``d = 1`` and the affine slope does not
+  depend on ``d``, so the stiffness is ``d^(N-2)`` times the ``d = 1`` one
+  and ``lambda1(d) = d * lambda1(1)`` exactly on the grid: the cube-cell
+  threshold and sweep each solve the ``d = 1`` problem only,
 * runs the facet-regularization sweep showing that a sufficiently stiff
   crystalline surface density suppresses the instability at every
   thickness,
@@ -31,7 +36,7 @@ from .elasticity import (
     NewtonError,
 )
 from .geometry import Profile, build_grid
-from .stability import StabilityProblem, StabilityReport
+from .stability import VERDICT_STABLE, VERDICT_UNSTABLE, StabilityProblem, StabilityReport
 
 __all__ = [
     "BracketError",
@@ -229,15 +234,24 @@ def critical_thickness(
     Requires the eigenvalue below one at the low end of the bracket and above
     one at the high end; otherwise raises :class:`BracketError` carrying both
     endpoint values (the facet-regularized densities never bracket, since they
-    are stable at every thickness).
+    are stable at every thickness).  The unit cell solves a problem at every
+    step.  The cube cell solves the ``d = 1`` problem once and bisects
+    ``lambda1(d) = d * lambda1(1)``, which is exact on the grid.
     """
-
-    def lam(d: float) -> float:
-        return lambda1_of_thickness(d, density, psi, datum, cell=cell, n=n, ny=ny)
-
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0.0 < lo < hi:
-        raise ValueError(f"bracket must satisfy 0 < low < high, got {bracket}")
+    if not 0.0 < lo < hi < np.inf:
+        raise ValueError(f"bracket must satisfy 0 < low < high < inf, got {bracket}")
+    if cell == "cube":
+        rate = lambda1_of_thickness(1.0, density, psi, datum, cell=cell, n=n, ny=ny)
+
+        def lam(d: float) -> float:
+            return d * rate
+
+    else:
+
+        def lam(d: float) -> float:
+            return lambda1_of_thickness(d, density, psi, datum, cell=cell, n=n, ny=ny)
+
     lam_lo, lam_hi = lam(lo), lam(hi)
     if not lam_lo < 1.0 < lam_hi:
         raise BracketError((lo, hi), lam_lo, lam_hi)
@@ -313,11 +327,31 @@ def threshold_rows(
     n: int = 32,
     ny: int = 20,
 ) -> list:
-    """Rows ``(d, lambda1, mu1, verdict)`` along a thickness sweep."""
+    """Rows ``(d, lambda1, mu1, verdict)`` along a thickness sweep.
+
+    The unit cell reports every thickness from its own problem.  The cube
+    cell reports the ``d = 1`` problem once and scales it: ``lambda1`` by
+    ``d`` and ``mu1`` by ``1/d``.  The stiffness and the surface Gram of the
+    flat film are positive multiples of the ``d = 1`` ones, so the signs of
+    ``c0`` and ``sim_gram_min`` do not depend on ``d``; when the ``d = 1``
+    eigenvalues are NaN (an indefinite surface product, or a stiffness that
+    is not positive definite), every row copies its verdict.
+    """
+    ds = [float(d) for d in thicknesses]
+    if not all(0.0 < d < np.inf for d in ds):
+        raise ValueError(f"thicknesses must be finite and strictly positive, got {ds}")
+    if cell != "cube":
+        reports = [stability_of_thickness(d, density, psi, datum, cell=cell, n=n, ny=ny) for d in ds]
+        return [(d, r.lambda1, r.mu1, r.verdict) for d, r in zip(ds, reports)]
+    unit = stability_of_thickness(1.0, density, psi, datum, cell=cell, n=n, ny=ny)
     rows = []
-    for d in thicknesses:
-        report = stability_of_thickness(float(d), density, psi, datum, cell=cell, n=n, ny=ny)
-        rows.append((float(d), report.lambda1, report.mu1, report.verdict))
+    for d in ds:
+        lam = d * unit.lambda1
+        if np.isnan(lam):
+            verdict = unit.verdict
+        else:
+            verdict = VERDICT_STABLE if unit.c0 > 0.0 and lam < 1.0 else VERDICT_UNSTABLE
+        rows.append((d, lam, unit.mu1 / d, verdict))
     return rows
 
 

@@ -212,12 +212,14 @@ def scaling_law_check(
     n: int = 32,
     ny: int = 20,
 ) -> tuple:
-    """Both sides of the thickness scaling inequality at matched resolution.
+    """Both sides of the thickness scaling law at matched resolution.
 
     Returns ``(lhs, rhs)`` with ``lhs`` the largest eigenvalue on the cube
-    cell of side ``d`` and ``rhs = d *`` the unit-cube value; the inequality
-    ``lhs >= rhs`` holds with near equality because rescaling maps the two
-    eigen-systems onto each other.
+    cell of side ``d`` and ``rhs = d *`` the unit-cube value.  The cube grid
+    of side ``d`` is the ``d``-dilate of the unit one, so the stiffness is a
+    positive multiple of the unit one and ``lhs == rhs`` holds exactly on
+    the grid, up to round-off; the cube-cell threshold and sweep of
+    ``filmstab.flat`` rely on it.  Both sides are solved here per thickness.
     """
     lhs = lambda1_of_thickness(d, density, psi, datum, cell="cube", n=n, ny=ny)
     rhs = d * lambda1_of_thickness(1.0, density, psi, datum, cell="cube", n=n, ny=ny)

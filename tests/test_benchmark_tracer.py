@@ -75,10 +75,17 @@ def test_tracer_wraps_every_name_and_runs_the_cli(tmp_path):
             "elasticity.newton_iters",
         ),
         (
+            # the cube cell scales one d = 1 problem: the bisection builds one
+            # for lambda1, and the sweep one for its report
             "flat-threshold",
-            {"analysis": {"bracket": [100.0, 1600.0], "rel_tol": 0.1, "thicknesses": [200.0]}},
+            {"analysis": {"bracket": [100.0, 1600.0], "rel_tol": 0.1, "thicknesses": [200.0, 400.0]}},
             {"elasticity.coercivity_constant", "stability.pencil", "flat.flat_field"},
-            {},
+            {
+                "elasticity.assemble_hessian": (2, 2),
+                "elasticity.cholesky": (2, 2),
+                "flat.lambda1_of_thickness": (1, 1),
+                "flat.stability_of_thickness": (1, 1),
+            },
             "elasticity.c0_matvecs",
         ),
         (

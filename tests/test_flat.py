@@ -157,6 +157,29 @@ def test_scaling_law():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def surface_density(surface, dim):
+    return IsotropicDensity(dim) if surface == "isotropic" else ShiftedFacetDensity(0.8, 1.1, 0.3, dim)
+
+
+GRIDS = [(2, 16, 12), (3, 8, 6)]
+
+
+@pytest.mark.parametrize("surface", ["isotropic", "shifted-facet"])
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+@pytest.mark.parametrize("dim, n, ny", GRIDS)
+def test_scaling_law_is_exact_on_the_grid(dim, n, ny, kind, surface):
+    # the cube-cell threshold and sweep read d * lambda1(1); the per-thickness
+    # problems are the oracle
+    density = elastic_density_from_config({"kind": kind, "lam": LAM, "mu": MU}, dim)
+    datum = MismatchDatum.from_misfit(0.06, dim, kind)
+    psi = surface_density(surface, dim)
+    rate = lambda1_of_thickness(1.0, density, psi, datum, cell="cube", n=n, ny=ny)
+    assert rate > 0.0
+    for d in (3.0, 100.0, 1600.0):
+        lam = lambda1_of_thickness(d, density, psi, datum, cell="cube", n=n, ny=ny)
+        assert d * rate == pytest.approx(lam, rel=1e-12)
+
+
 # -- critical thickness ---------------------------------------------------------------
 
 
@@ -261,6 +284,46 @@ def test_threshold_csv_round_trip(tmp_path):
     assert read[0] == ["d", "lambda1", "mu1", "verdict"]
     assert float(read[1][1]) == rows[0][1]
     assert read[2][3] == "not_strictly_stable"
+
+
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+@pytest.mark.parametrize("dim, n, ny", GRIDS)
+def test_cube_threshold_rows_match_per_thickness_reports(dim, n, ny, kind):
+    density = elastic_density_from_config({"kind": kind, "lam": LAM, "mu": MU}, dim)
+    datum = MismatchDatum.from_misfit(0.06, dim, kind)
+    psi = IsotropicDensity(dim)
+    d_crit = 1.0 / lambda1_of_thickness(1.0, density, psi, datum, cell="cube", n=n, ny=ny)
+    ds = [f * d_crit for f in (0.25, 0.9, 1.1, 4.0)]
+    rows = threshold_rows(density, psi, datum, ds, cell="cube", n=n, ny=ny)
+    assert [row[3] for row in rows] == ["strictly_stable"] * 2 + ["not_strictly_stable"] * 2
+    for (d, lam, mu, verdict), want in zip(rows, ds):
+        report = stability_of_thickness(want, density, psi, datum, cell="cube", n=n, ny=ny)
+        assert d == want
+        assert lam == pytest.approx(report.lambda1, rel=1e-12)
+        assert mu == pytest.approx(report.mu1, rel=1e-12)
+        assert verdict == report.verdict
+
+
+def test_cube_threshold_rows_without_mismatch():
+    # no correction at any thickness: mu1 is the +inf sentinel, with its warning
+    datum = benchmark_datum(0.0)
+    ds = [1.0, 500.0]
+    with pytest.warns(UserWarning, match="elastic correction vanishes"):
+        rows = threshold_rows(linear_density(), PSI, datum, ds, cell="cube", n=16, ny=12)
+    assert rows == [(d, 0.0, float("inf"), "strictly_stable") for d in ds]
+    for row, d in zip(rows, ds):
+        with pytest.warns(UserWarning, match="elastic correction vanishes"):
+            report = stability_of_thickness(d, linear_density(), PSI, datum, cell="cube", n=16, ny=12)
+        assert row == (d, report.lambda1, report.mu1, report.verdict)
+
+
+@pytest.mark.parametrize("bad", [0.0, -5.0, float("inf"), float("nan")])
+def test_cube_threshold_rejects_bad_thicknesses(bad):
+    with pytest.raises(ValueError):
+        threshold_rows(linear_density(), PSI, benchmark_datum(), [200.0, bad], cell="cube", n=16, ny=12)
+    if bad > 0.0:
+        with pytest.raises(ValueError):
+            critical_thickness(linear_density(), PSI, benchmark_datum(), (100.0, bad), n=16, ny=12)
 
 
 def test_crystalline_csv_round_trip(tmp_path):
