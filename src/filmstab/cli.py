@@ -197,7 +197,7 @@ def _cmd_stability(cfg: dict, args) -> int:
 
 
 def _cmd_flat_threshold(cfg: dict, args) -> int:
-    from .flat import critical_thickness, threshold_rows, write_threshold_csv
+    from .flat import critical_thickness, cube_unit_problem, threshold_rows, write_threshold_csv
 
     _, datum, density, psi, n, ny = build_problem_inputs(cfg)
     analysis = cfg["analysis"]
@@ -205,14 +205,16 @@ def _cmd_flat_threshold(cfg: dict, args) -> int:
     cell = analysis.get("cell", "cube")
     rel_tol = float(analysis.get("rel_tol", 1e-3))
 
+    # the cube cell's threshold and sweep both scale one d = 1 problem
+    unit = cube_unit_problem(density, psi, datum, n=n, ny=ny) if cell == "cube" else None
     result = critical_thickness(
-        density, psi, datum, bracket, cell=cell, n=n, ny=ny, rel_tol=rel_tol
+        density, psi, datum, bracket, cell=cell, n=n, ny=ny, rel_tol=rel_tol, unit=unit
     )
     out = _out_dir(args)
     results = dict(result.to_dict(), cell=cell)
     if "thicknesses" in analysis:
         rows = threshold_rows(
-            density, psi, datum, analysis["thicknesses"], cell=cell, n=n, ny=ny
+            density, psi, datum, analysis["thicknesses"], cell=cell, n=n, ny=ny, unit=unit
         )
         csv_name = cfg.get("output", {}).get("csv", "threshold.csv")
         write_threshold_csv(out / csv_name, rows)

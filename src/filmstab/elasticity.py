@@ -38,6 +38,7 @@ __all__ = [
     "elastic_density_from_config",
     "MismatchDatum",
     "ElasticField",
+    "LateralCholesky",
     "NewtonError",
     "CoercivityError",
     "assemble_residual",
@@ -298,10 +299,10 @@ class ElasticField:
 
     ``p`` is the nodal unknown, shape ``xshape + (ny, dim)``, zero on the
     substrate row; the base carries the mismatch datum exactly.  The
-    stiffness and its Cholesky factor are cached on the field, so the Newton
-    steps, the stability problem and the warm-started re-solves share them.
-    The linear tangent does not depend on ``p``, so for the linear kind
-    :meth:`with_p` shares that cache too.
+    stiffness, its per-wavenumber blocks and its Cholesky factor are cached
+    on the field, so the Newton steps, the stability problem and the
+    warm-started re-solves share them.  The linear tangent does not depend
+    on ``p``, so for the linear kind :meth:`with_p` shares that cache too.
     """
 
     def __init__(self, grid: MappedGrid, datum: MismatchDatum, density: ElasticDensity, p=None):
@@ -319,7 +320,7 @@ class ElasticField:
             if np.abs(p[..., 0, :]).max() > 1e-13:
                 raise ValueError("p must vanish on the substrate row")
         self.p = p
-        self._stiffness = {}  # "matrix" and "cho", once built
+        self._stiffness = {}  # "matrix", "blocks" and "cho", once built
 
     def with_p(self, p: np.ndarray) -> "ElasticField":
         new = object.__new__(ElasticField)
@@ -355,24 +356,59 @@ class ElasticField:
         """Elastic energy density on the free-surface row."""
         return self.grid.surface_trace(self.density.value(self.gradient()))
 
+    def _weighted_tangent(self) -> np.ndarray:
+        return self.grid.wq[..., None, None, None, None] * self.density.tangent(self.gradient())
+
     @property
     def stiffness(self) -> np.ndarray:
         """Interior-dof matrix of the tangent form at this field."""
         cache = self._stiffness
         if "matrix" not in cache:
-            tangent = self.density.tangent(self.gradient())
-            cache["matrix"] = assemble_hessian(
-                self.grid, self.grid.wq[..., None, None, None, None] * tangent
-            )
+            cache["matrix"] = assemble_hessian(self.grid, self._weighted_tangent())
         return cache["matrix"]
 
     @property
+    def stiffness_blocks(self):
+        """Per-wavenumber blocks of the stiffness, or ``None`` unless the field is laterally uniform.
+
+        The field is laterally uniform when the profile is flat, the grid
+        slope vanishes and the weighted tangent samples are the same in every
+        lateral column, all tested exactly.  The stiffness then commutes with
+        lateral shifts, and the real FFT over the lateral axes turns it into
+        one Hermitian block per wavenumber (see :func:`_lateral_blocks`),
+        built from the matrix-free tangent without assembling the stiffness.
+        """
+        cache = self._stiffness
+        if "blocks" not in cache:
+            grid, h = self.grid, self.grid.h
+            cache["blocks"] = None
+            if np.all(h == h.flat[0]) and not np.any(grid.slope):
+                tangent_w = self._weighted_tangent()
+                columns = tangent_w.reshape(grid.nx, -1)
+                if np.all(columns == columns[0]):
+                    flux = _tangent_flux(grid, tangent_w)
+                    cache["blocks"] = _lateral_blocks(grid, lambda v: _form_apply(grid, v, flux))
+        return cache["blocks"]
+
+    @property
     def stiffness_cho(self):
-        """``cho_factor(stiffness, lower=True)``; ``False`` when it is not positive definite."""
+        """Cholesky factor of the stiffness; ``False`` when it is not positive definite.
+
+        A laterally uniform field gets a :class:`LateralCholesky` of its
+        :attr:`stiffness_blocks` and never assembles the stiffness; any other
+        field gets ``cho_factor(stiffness, lower=True)``.  A block without a
+        Cholesky factor gives ``False`` with no dense retry: the blocks are a
+        unitary block-diagonalisation of the stiffness, so it is positive
+        definite exactly when they all are.
+        """
         cache = self._stiffness
         if "cho" not in cache:
+            blocks = self.stiffness_blocks
             try:
-                cache["cho"] = cho_factor(self.stiffness, lower=True)
+                if blocks is None:
+                    cache["cho"] = cho_factor(self.stiffness, lower=True)
+                else:
+                    cache["cho"] = LateralCholesky(self.grid.xshape, blocks)
             except LinAlgError:
                 cache["cho"] = False
         return cache["cho"]
@@ -499,6 +535,49 @@ def _h1_gram_matvec(grid: MappedGrid, v: np.ndarray) -> np.ndarray:
     return _form_apply(grid, v, lambda g: wq * g) + interior_weight_vector(grid) * v
 
 
+def _lateral_blocks(grid: MappedGrid, apply) -> np.ndarray:
+    """Per-wavenumber blocks of an interior-dof operator that commutes with lateral shifts.
+
+    ``apply`` is the operator's matrix-vector product.  Its responses to the
+    ``m = (ny - 1) * N`` unit vectors of lateral column 0 are the block
+    column ``k(j)`` that the shifts repeat, so the operator maps ``v`` to
+    the lateral convolution ``sum_j' k(j - j') v(j')``.  The real FFT of
+    ``k`` over the lateral axes is one Hermitian ``m x m`` block per
+    wavenumber of the half spectrum, returned as ``(n_k, m, m)``; the other
+    half are their complex conjugates.
+    """
+    nx, _, _, nd = _flat_shapes(grid)
+    m = nd // nx
+    column = np.stack([apply(e) for e in np.eye(m, nd)], axis=-1)
+    axes = tuple(range(grid.dim - 1))
+    blocks = np.fft.rfftn(column.reshape(grid.xshape + (m, m)), axes=axes).reshape(-1, m, m)
+    return 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
+
+
+class LateralCholesky:
+    """Cholesky factors of the per-wavenumber blocks of a laterally uniform stiffness.
+
+    ``blocks`` come from :func:`_lateral_blocks`; a block without a
+    Cholesky factor raises ``LinAlgError``.  :meth:`solve` takes the real
+    FFT of the right-hand side over the lateral axes, solves each
+    wavenumber against its block and transforms back, so a solve costs
+    ``O(nd log nx + nd (ny N))`` instead of the dense ``O(nd^2)``.
+    """
+
+    def __init__(self, xshape: tuple, blocks: np.ndarray):
+        self.xshape = tuple(xshape)
+        self.factors = [cho_factor(block, lower=True) for block in blocks]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``K^-1 b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``."""
+        axes = tuple(range(len(self.xshape)))
+        bk = np.fft.rfftn(b.reshape(self.xshape + (-1,) + b.shape[1:]), axes=axes)
+        per_mode = bk.reshape((len(self.factors),) + bk.shape[len(axes):])
+        for k, c in enumerate(self.factors):
+            per_mode[k] = cho_solve(c, per_mode[k], check_finite=False)
+        return np.fft.irfftn(per_mode.reshape(bk.shape), s=self.xshape, axes=axes).reshape(b.shape)
+
+
 # -- solves -----------------------------------------------------------------------
 
 
@@ -530,21 +609,33 @@ def _form_apply(grid: MappedGrid, v: np.ndarray, flux) -> np.ndarray:
     return assemble_residual(grid, flux(gv))
 
 
-def factor_solve(cho, b: np.ndarray, trans: str | None = None) -> np.ndarray:
-    """Solve against a Cholesky factor ``cho = cho_factor(K)``, reading the factor once.
+def _tangent_flux(grid: MappedGrid, tangent_w: np.ndarray):
+    """The :func:`_form_apply` flux of a weighted tangent, major-symmetrised like its matrix."""
+    N = grid.dim
+    Cw = tangent_w.reshape(-1, N, N, N, N)
+    Cw = 0.5 * (Cw + Cw.transpose(0, 3, 4, 1, 2))
+    return lambda g: np.einsum("kiamb,kmb->kia", Cw, g)
 
-    Without ``trans`` the result is ``K^-1 b``; ``trans="N"`` or ``"T"``
-    solves with the stored triangle ``F`` alone, giving ``F^-1 b`` or
-    ``F^-T b``.  The factor is not scanned for non-finite entries, which
-    would cost as much as the solve: ``cho_factor`` checked ``K`` when it
-    built it, and the factor of a finite matrix is finite.  A non-finite
-    ``b`` raises ``ValueError``.
+
+def factor_solve(cho, b: np.ndarray, trans: str | None = None) -> np.ndarray:
+    """Solve against a stiffness factor, reading the factor once.
+
+    ``cho`` is a dense ``cho_factor(K, lower=True)`` or a
+    :class:`LateralCholesky`, and ``b`` a vector or a matrix of right-hand
+    sides.  Without ``trans`` the result is ``K^-1 b``; ``trans="N"`` or
+    ``"T"`` solves with the stored triangle ``F`` of a dense factor alone,
+    giving ``F^-1 b`` or ``F^-T b``.  The factor is not scanned for
+    non-finite entries, which would cost as much as the solve:
+    ``cho_factor`` checked ``K`` when it built it, and the factor of a
+    finite matrix is finite.  A non-finite ``b`` raises ``ValueError``.
     """
     b = np.asarray_chkfinite(b)
-    if trans is None:
-        return cho_solve(cho, b, check_finite=False)
-    c, lower = cho
-    return solve_triangular(c, b, lower=lower, trans=trans, check_finite=False)
+    if trans is not None:
+        c, lower = cho
+        return solve_triangular(c, b, lower=lower, trans=trans, check_finite=False)
+    if isinstance(cho, LateralCholesky):
+        return cho.solve(b)
+    return cho_solve(cho, b, check_finite=False)
 
 
 # inner solves of a preconditioned Newton step stop at this fraction of the
@@ -563,13 +654,7 @@ def _pcg_step(grid: MappedGrid, tangent_w: np.ndarray, r: np.ndarray, cho, targe
     nonpositive curvature or when the residual is still above ``target``
     after ``_PCG_MAX_ITER`` iterations.
     """
-    N = grid.dim
-    Cw = tangent_w.reshape(-1, N, N, N, N)
-    Cw = 0.5 * (Cw + Cw.transpose(0, 3, 4, 1, 2))
-
-    def flux(g):
-        return np.einsum("kiamb,kmb->kia", Cw, g)
-
+    flux = _tangent_flux(grid, tangent_w)
     x = np.zeros_like(r)
     res = -r
     z = factor_solve(cho, res)
@@ -748,14 +833,25 @@ def coercivity_constant(grid: MappedGrid, K: np.ndarray, cho) -> float:
     first-order Sobolev Gram matrix on the same interior space: positive
     means the quadratic form controls the norm (coercive), negative means
     the form takes negative values and the configuration cannot be a local
-    minimizer of the bulk problem.  ``cho`` is ``cho_factor(K, lower=True)``,
-    or ``False`` when ``K`` is not positive definite.  A coercive ``K`` takes
-    a Lanczos solve for the top eigenvalue of ``L^-1 G L^-T`` against its
-    factor ``L``, with the Gram ``G`` applied without assembling it; any
-    other ``K`` takes the dense generalized eigensolve against
-    :func:`h1_gram`.  A Lanczos solve that does not converge raises
-    :class:`CoercivityError`.
+    minimizer of the bulk problem.
+
+    ``K`` is the dense stiffness, or the ``(n_k, m, m)`` per-wavenumber
+    blocks of a laterally uniform one (:attr:`ElasticField.stiffness_blocks`).
+    Blocks take the exact minimum over wavenumbers of the block eigenvalue
+    problems against the Gram's blocks, which are taken the same way from its
+    matrix-free product; neither matrix is assembled.  For a dense ``K``,
+    ``cho`` is ``cho_factor(K, lower=True)``, or ``False`` when ``K`` is not
+    positive definite.  A coercive dense ``K`` takes a Lanczos solve for the
+    top eigenvalue of ``L^-1 G L^-T`` against its factor ``L``, with the Gram
+    ``G`` applied without assembling it; any other dense ``K`` takes the
+    dense generalized eigensolve against :func:`h1_gram`.  A Lanczos solve
+    that does not converge raises :class:`CoercivityError`.
     """
+    if K.ndim == 3:
+        G = _lateral_blocks(grid, lambda v: _h1_gram_matvec(grid, v))
+        return min(
+            float(eigh(Kk, Gk, subset_by_index=[0, 0], eigvals_only=True)[0]) for Kk, Gk in zip(K, G)
+        )
     if cho is False:
         return float(eigh(K, h1_gram(grid), subset_by_index=[0, 0], eigvals_only=True)[0])
     nd = K.shape[0]

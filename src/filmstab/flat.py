@@ -14,7 +14,8 @@ reduces to spectral data as functions of the thickness.  This module
   is the ``d``-dilate of the one at ``d = 1`` and the affine slope does not
   depend on ``d``, so the stiffness is ``d^(N-2)`` times the ``d = 1`` one
   and ``lambda1(d) = d * lambda1(1)`` exactly on the grid: the cube-cell
-  threshold and sweep each solve the ``d = 1`` problem only,
+  threshold and sweep solve the ``d = 1`` problem only, and can share it
+  (:func:`cube_unit_problem`),
 * runs the facet-regularization sweep showing that a sufficiently stiff
   crystalline surface density suppresses the instability at every
   thickness,
@@ -43,6 +44,7 @@ __all__ = [
     "CriticalThickness",
     "solve_affine",
     "flat_field",
+    "cube_unit_problem",
     "lambda1_of_thickness",
     "stability_of_thickness",
     "critical_thickness",
@@ -162,6 +164,22 @@ def _assert_flat_coefficient(prob: StabilityProblem) -> None:
         )
 
 
+def cube_unit_problem(
+    density: ElasticDensity,
+    psi: AnisotropyDensity,
+    datum: MismatchDatum,
+    *,
+    n: int = 32,
+    ny: int = 20,
+) -> StabilityProblem:
+    """The cube cell's ``d = 1`` problem, which every cube-cell thickness scales.
+
+    Pass it as ``unit`` to :func:`critical_thickness` and
+    :func:`threshold_rows` so that both read one problem.
+    """
+    return _flat_problem(1.0, density, psi, datum, cell="cube", n=n, ny=ny)
+
+
 def lambda1_of_thickness(
     d: float,
     density: ElasticDensity,
@@ -228,6 +246,7 @@ def critical_thickness(
     n: int = 32,
     ny: int = 20,
     rel_tol: float = 1e-3,
+    unit: StabilityProblem | None = None,
 ) -> CriticalThickness:
     """Bisect the thickness at which the largest correction eigenvalue reaches one.
 
@@ -235,14 +254,17 @@ def critical_thickness(
     one at the high end; otherwise raises :class:`BracketError` carrying both
     endpoint values (the facet-regularized densities never bracket, since they
     are stable at every thickness).  The unit cell solves a problem at every
-    step.  The cube cell solves the ``d = 1`` problem once and bisects
-    ``lambda1(d) = d * lambda1(1)``, which is exact on the grid.
+    step.  The cube cell bisects ``lambda1(d) = d * lambda1(1)``, which is
+    exact on the grid, off the ``d = 1`` problem ``unit`` (see
+    :func:`cube_unit_problem`), built here when not given.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi < np.inf:
         raise ValueError(f"bracket must satisfy 0 < low < high < inf, got {bracket}")
     if cell == "cube":
-        rate = lambda1_of_thickness(1.0, density, psi, datum, cell=cell, n=n, ny=ny)
+        if unit is None:
+            unit = cube_unit_problem(density, psi, datum, n=n, ny=ny)
+        rate, _ = unit.lambda1()
 
         def lam(d: float) -> float:
             return d * rate
@@ -326,16 +348,19 @@ def threshold_rows(
     cell: str = "cube",
     n: int = 32,
     ny: int = 20,
+    unit: StabilityProblem | None = None,
 ) -> list:
     """Rows ``(d, lambda1, mu1, verdict)`` along a thickness sweep.
 
     The unit cell reports every thickness from its own problem.  The cube
-    cell reports the ``d = 1`` problem once and scales it: ``lambda1`` by
-    ``d`` and ``mu1`` by ``1/d``.  The stiffness and the surface Gram of the
-    flat film are positive multiples of the ``d = 1`` ones, so the signs of
-    ``c0`` and ``sim_gram_min`` do not depend on ``d``; when the ``d = 1``
-    eigenvalues are NaN (an indefinite surface product, or a stiffness that
-    is not positive definite), every row copies its verdict.
+    cell reports the ``d = 1`` problem ``unit`` once (see
+    :func:`cube_unit_problem`; built here when not given) and scales it:
+    ``lambda1`` by ``d`` and ``mu1`` by ``1/d``.  The stiffness and the
+    surface Gram of the flat film are positive multiples of the ``d = 1``
+    ones, so the signs of ``c0`` and ``sim_gram_min`` do not depend on
+    ``d``; when the ``d = 1`` eigenvalues are NaN (an indefinite surface
+    product, or a stiffness that is not positive definite), every row copies
+    its verdict.
     """
     ds = [float(d) for d in thicknesses]
     if not all(0.0 < d < np.inf for d in ds):
@@ -343,15 +368,17 @@ def threshold_rows(
     if cell != "cube":
         reports = [stability_of_thickness(d, density, psi, datum, cell=cell, n=n, ny=ny) for d in ds]
         return [(d, r.lambda1, r.mu1, r.verdict) for d, r in zip(ds, reports)]
-    unit = stability_of_thickness(1.0, density, psi, datum, cell=cell, n=n, ny=ny)
+    if unit is None:
+        unit = cube_unit_problem(density, psi, datum, n=n, ny=ny)
+    report = unit.report()
     rows = []
     for d in ds:
-        lam = d * unit.lambda1
+        lam = d * report.lambda1
         if np.isnan(lam):
-            verdict = unit.verdict
+            verdict = report.verdict
         else:
-            verdict = VERDICT_STABLE if unit.c0 > 0.0 and lam < 1.0 else VERDICT_UNSTABLE
-        rows.append((d, lam, unit.mu1 / d, verdict))
+            verdict = VERDICT_STABLE if report.c0 > 0.0 and lam < 1.0 else VERDICT_UNSTABLE
+        rows.append((d, lam, report.mu1 / d, verdict))
     return rows
 
 

@@ -156,9 +156,10 @@ class StabilityProblem:
     """Cached second-variation machinery at an equilibrium elastic field.
 
     The heavy pieces -- bulk tangent matrix with its Cholesky factor (both
-    cached on the field), surface-to-bulk coupling matrix, surface Gram
-    matrices, zero-mean basis -- are assembled once and shared by the
-    quadratic form, the eigenvalue computations and the verdict.
+    cached on the field; a flat film factors it per lateral wavenumber and
+    never assembles it), surface-to-bulk coupling matrix, surface Gram
+    matrices, zero-mean basis -- are built once and shared by the quadratic
+    form, the eigenvalue computations and the verdict.
     """
 
     def __init__(self, field: ElasticField, psi: AnisotropyDensity):
@@ -191,8 +192,14 @@ class StabilityProblem:
 
     @cached_property
     def c0(self) -> float:
-        """Coercivity constant of the bulk tangent form over the Sobolev norm."""
-        return coercivity_constant(self.grid, self.stiffness, self._stiffness_cho)
+        """Coercivity constant of the bulk tangent form over the Sobolev norm.
+
+        A laterally uniform field passes its per-wavenumber stiffness blocks,
+        so a flat film never assembles the dense stiffness.
+        """
+        blocks = self.field.stiffness_blocks
+        K = self.stiffness if blocks is None else blocks
+        return coercivity_constant(self.grid, K, self._stiffness_cho)
 
     @cached_property
     def coupling(self) -> np.ndarray:

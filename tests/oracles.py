@@ -4,7 +4,10 @@
 off the ``lambda1`` pencil through the exact identity ``mu1 = 1 / lambda1``.
 The minimization here solves the constrained problem directly, by a
 Lanczos iteration on the nd-dimensional bulk space, so tests that compare
-the two check the identity instead of assuming it.
+the two check the identity instead of assuming it.  Both routes here
+factor the dense assembled stiffness themselves, so they stay independent of
+the factor the package chooses (dense, or per lateral wavenumber on flat
+films).
 
 ``StabilityProblem.second_variation`` evaluates the quadratic form on the
 assembled matrices: the surface Gram ``sim_matrix`` minus the coupling
@@ -16,7 +19,7 @@ of the facet-regularized densities at a flat state.
 """
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from filmstab.anisotropy import IsotropicDensity
@@ -43,7 +46,7 @@ def lanczos_mu1(problem) -> float:
     if np.abs(stress).max() <= 1e-12 * (1.0 + bulk_scale):
         return float("inf")
     Rz = problem.coupling @ problem.zero_mean_basis
-    L = problem._stiffness_cho[0]
+    L = cho_factor(problem.field.stiffness, lower=True)[0]
     nd = Rz.shape[0]
 
     def matvec(x):
@@ -74,7 +77,8 @@ def solve_vphi(problem, phi) -> np.ndarray:
     rhs = problem.coupling @ arr.ravel()
     if not np.any(rhs):
         return np.zeros(problem.profile.xshape + (problem.grid.ny, problem.grid.dim))
-    return _from_interior(problem.grid, cho_solve(problem._require_cho(), rhs))
+    cho = cho_factor(problem.field.stiffness, lower=True)
+    return _from_interior(problem.grid, cho_solve(cho, rhs))
 
 
 def elastic_pairing(problem, v: np.ndarray, w: np.ndarray) -> float:

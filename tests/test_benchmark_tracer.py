@@ -56,42 +56,45 @@ def test_tracer_wraps_every_name_and_runs_the_cli(tmp_path):
             "stability",
             {"analysis": {"max_mode": 2}},
             {"elasticity.coercivity_constant", "stability.pencil"},
-            # the linear Newton step factors the field's own stiffness, and
-            # c0 applies the Sobolev Gram without assembling it
+            # the flat film's stiffness is factored in lateral-Fourier blocks,
+            # one per wavenumber of the half spectrum (5 at n = 8), and c0 is
+            # read off the blocks: nothing is assembled and no Lanczos runs
             {
-                "elasticity.assemble_hessian": (1, 1),
-                "elasticity.cholesky": (1, 1),
+                "elasticity.assemble_hessian": (0, 0),
+                "elasticity.cholesky": (5, 5),
                 "elasticity.h1_gram": (0, 0),
             },
-            "elasticity.c0_matvecs",
+            "linalg.cholesky_gflop",
         ),
         (
-            # the nonlinear Newton factors its first step only, and the
-            # problem factors the stiffness at the solution
+            # the nonlinear Newton factors the flat start's 5 blocks for its
+            # first step only; the solution is not uniform to the last bit, so
+            # the problem assembles and factors its dense stiffness
             "stability",
             {"material": dict(TINY["material"], kind="nonlinear"), "analysis": {"max_mode": 2}},
             {"elasticity.coercivity_constant", "stability.pencil"},
-            {"elasticity.assemble_hessian": (2, 2), "elasticity.cholesky": (2, 2)},
+            {"elasticity.assemble_hessian": (1, 1), "elasticity.cholesky": (6, 6)},
             "elasticity.newton_iters",
         ),
         (
-            # the cube cell scales one d = 1 problem: the bisection builds one
-            # for lambda1, and the sweep one for its report
+            # the cube cell's bisection and sweep share one d = 1 problem,
+            # factored in 5 blocks
             "flat-threshold",
             {"analysis": {"bracket": [100.0, 1600.0], "rel_tol": 0.1, "thicknesses": [200.0, 400.0]}},
             {"elasticity.coercivity_constant", "stability.pencil", "flat.flat_field"},
             {
-                "elasticity.assemble_hessian": (2, 2),
-                "elasticity.cholesky": (2, 2),
-                "flat.lambda1_of_thickness": (1, 1),
-                "flat.stability_of_thickness": (1, 1),
+                "stability.StabilityProblem": (1, 1),
+                "elasticity.assemble_hessian": (0, 0),
+                "elasticity.cholesky": (5, 5),
+                "flat.lambda1_of_thickness": (0, 0),
+                "flat.stability_of_thickness": (0, 0),
             },
-            "elasticity.c0_matvecs",
+            "linalg.cholesky_gflop",
         ),
         (
             # one mode with Richardson is four re-solves, each preconditioned
-            # by the base film's factor: only the base film's stiffness is
-            # assembled and factored, once for its solve and its problem
+            # by the base film's block factor (9 blocks at n = 16): no
+            # stiffness is assembled
             "oracle-check",
             {
                 "geometry": dict(TINY["geometry"], n=16, ny=8),
@@ -100,8 +103,8 @@ def test_tracer_wraps_every_name_and_runs_the_cli(tmp_path):
             {"stability.fd_oracle_second_variation"},
             {
                 "elasticity.continue_critical_point": (4, 4),
-                "elasticity.cholesky": (1, 1),
-                "elasticity.assemble_hessian": (1, 1),
+                "elasticity.cholesky": (9, 9),
+                "elasticity.assemble_hessian": (0, 0),
             },
             "elasticity.newton_iters",
         ),

@@ -485,7 +485,11 @@ def test_c0_non_convergence_exits_two(tmp_path, capsys, monkeypatch):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
 
     monkeypatch.setattr(elasticity, "eigsh", stalled)
-    rc, _ = run(tmp_path, "stability", flat_config(n=8, ny=4, e0=0.05))
+    # a curved film: c0 of a flat one is read off its lateral blocks, with no Lanczos
+    cfg = flat_config(n=8, ny=4, e0=0.05)
+    modes = [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.05}]
+    cfg["geometry"]["profile"] = {"kind": "fourier", "modes": modes}
+    rc, _ = run(tmp_path, "stability", cfg)
     assert rc == 2
     err = capsys.readouterr().err
     assert "numerical failure: the Lanczos solve for c0 did not converge after 1 matvecs" in err

@@ -1,0 +1,152 @@
+"""The lateral-Fourier block factor of flat films against the dense path.
+
+A laterally uniform field factors its stiffness one wavenumber at a time
+(``ElasticField.stiffness_blocks`` and ``LateralCholesky``).  The dense
+assembly and Cholesky factor stay the reference: a twin of the same field
+with its blocks withheld takes the dense path, and every quantity read off
+the factor must agree with it.
+"""
+
+import numpy as np
+import pytest
+
+import filmstab.elasticity as elasticity
+from filmstab.anisotropy import IsotropicDensity
+from filmstab.elasticity import (
+    ElasticField,
+    LateralCholesky,
+    LinearDensity,
+    MismatchDatum,
+    NonlinearDensity,
+    build_grid,
+    factor_solve,
+    solve_critical_point,
+)
+from filmstab.flat import critical_thickness, cube_unit_problem, flat_field
+from filmstab.geometry import Profile
+from filmstab.stability import StabilityProblem, cosine_mode, fd_oracle_second_variation
+
+
+def dense_twin(field: ElasticField) -> ElasticField:
+    """The same field with its lateral blocks withheld, so it takes the dense path."""
+    twin = ElasticField(field.grid, field.datum, field.density, field.p)
+    twin._stiffness["blocks"] = None
+    return twin
+
+
+def density_of(kind: str, dim: int):
+    if kind == "linear":
+        return LinearDensity.isotropic(dim, 2.0, 1.0)
+    return NonlinearDensity(dim, 2.0, 1.0)
+
+
+def rel_err(a, b) -> float:
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+GRIDS = [(2, 16, 8), (2, 48, 32), (3, 8, 6)]
+
+
+@pytest.mark.parametrize("width", [1.0, 3.0], ids=["width-1", "cube-cell"])
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+@pytest.mark.parametrize("dim, n, ny", GRIDS, ids=[f"{d}D-{n}x{ny}" for d, n, ny in GRIDS])
+def test_block_factor_matches_the_dense_path(dim, n, ny, kind, width):
+    density = density_of(kind, dim)
+    datum = MismatchDatum.from_misfit(0.05, dim, kind)
+    field = flat_field(density, datum, 3.0, n, ny, width=width)
+    dense = dense_twin(field)
+    assert isinstance(field.stiffness_cho, LateralCholesky)
+    assert isinstance(dense.stiffness_cho, tuple)
+
+    rng = np.random.default_rng(7)
+    nd = dense.stiffness.shape[0]
+    for b in (rng.standard_normal(nd), rng.standard_normal((nd, 3))):
+        x = factor_solve(field.stiffness_cho, b)
+        assert x.shape == b.shape
+        assert rel_err(x, factor_solve(dense.stiffness_cho, b)) <= 1e-10
+
+    psi = IsotropicDensity(dim)
+    blocks, ref = StabilityProblem(field, psi), StabilityProblem(dense, psi)
+    assert blocks.c0 == pytest.approx(ref.c0, rel=1e-10)
+    assert blocks.lambda1()[0] == pytest.approx(ref.lambda1()[0], rel=1e-10)
+    assert blocks.mu1() == pytest.approx(ref.mu1(), rel=1e-10)
+    for phi in (cosine_mode(field.grid.profile, 1), rng.standard_normal(field.grid.xshape)):
+        assert blocks.full_second_variation(phi) == pytest.approx(
+            ref.full_second_variation(phi), rel=1e-10
+        )
+    # the flat film never assembles its stiffness
+    assert "matrix" not in field._stiffness
+
+
+def test_dispatch_rejects_a_curved_profile():
+    density = density_of("linear", 2)
+    datum = MismatchDatum.from_misfit(0.05, 2, "linear")
+    modes = [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 1e-3}]
+    field = ElasticField(build_grid(Profile.from_fourier_modes(2, 16, modes), 8), datum, density)
+    assert field.stiffness_blocks is None
+    assert isinstance(field.stiffness_cho, tuple)
+
+
+def test_dispatch_rejects_a_tangent_with_one_perturbed_column():
+    density = density_of("nonlinear", 2)
+    datum = MismatchDatum.from_misfit(0.05, 2, "nonlinear")
+    field = flat_field(density, datum, 1.0, 16, 8)
+    assert field.stiffness_blocks is not None
+    p = field.p.copy()
+    p[3, 2, 0] += 1e-12
+    perturbed = ElasticField(field.grid, datum, density, p)
+    assert perturbed.stiffness_blocks is None
+    assert isinstance(perturbed.stiffness_cho, tuple)
+
+
+def test_fd_oracle_takes_the_same_pcg_iterations_with_either_factor(monkeypatch):
+    density = density_of("linear", 2)
+    datum = MismatchDatum.from_misfit(0.05, 2, "linear")
+    field, _ = solve_critical_point(Profile.flat(2, 16, 1.0), datum, density, ny=8)
+    dense = dense_twin(field)
+    assert isinstance(field.stiffness_cho, LateralCholesky)
+    assert isinstance(dense.stiffness_cho, tuple)
+
+    # each PCG iteration applies the matrix-free tangent once
+    applies = []
+    original = elasticity._form_apply
+
+    def counting(grid, v, flux):
+        applies.append(1)
+        return original(grid, v, flux)
+
+    monkeypatch.setattr(elasticity, "_form_apply", counting)
+    psi, phi = IsotropicDensity(2), cosine_mode(field.grid.profile, 1)
+    values, counts = [], []
+    for f in (field, dense):
+        applies.clear()
+        values.append(fd_oracle_second_variation(f, psi, phi))
+        counts.append(len(applies))
+    assert counts[0] == counts[1] > 0
+    assert values[0] == pytest.approx(values[1], rel=1e-6)
+
+
+def test_3d_flat_critical_thickness_at_n32():
+    """The 3D flat threshold at n = 32, where a dense stiffness would not fit.
+
+    At ny = 6 the stiffness has 15,360 dofs, ≈1.9 GB per dense copy.  The
+    lowest lateral modes are exact on both grids, so the cube cell's
+    ``lambda1(1)`` equals the dense-path value at n = 8.
+    """
+    density = density_of("linear", 3)
+    datum = MismatchDatum.from_misfit(0.05, 3, "linear")
+    psi = IsotropicDensity(3)
+    unit = cube_unit_problem(density, psi, datum, n=32, ny=6)
+    assert isinstance(unit.field.stiffness_cho, LateralCholesky)
+    coarse = cube_unit_problem(density, psi, datum, n=8, ny=6)
+    coarse = StabilityProblem(dense_twin(coarse.field), psi)
+
+    rate, ref = unit.lambda1()[0], coarse.lambda1()[0]
+    assert rate == pytest.approx(ref, rel=1e-10)
+    bracket = (0.5 / ref, 2.0 / ref)
+    found = critical_thickness(density, psi, datum, bracket, n=32, ny=6, unit=unit)
+    expected = critical_thickness(density, psi, datum, bracket, n=8, ny=6, unit=coarse)
+    assert found.d_crit == pytest.approx(expected.d_crit, rel=1e-12)
+    assert found.lambda_low < 1.0 < found.lambda_high
+    assert "matrix" not in unit.field._stiffness

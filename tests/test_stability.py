@@ -334,16 +334,33 @@ def test_mu1_matches_lanczos_oracle_on_curved_films(dim, kind, n, ny, modes):
     assert mu == pytest.approx(lanczos_mu1(prob), rel=1e-6)
 
 
-def test_indefinite_stiffness_is_factored_once(monkeypatch):
-    """A stiffness without a Cholesky factor is tried once; c0 is the dense value."""
-    import filmstab.elasticity as elasticity
-    import filmstab.stability as stability
-
+def _indefinite_problem(profile):
     density = object.__new__(LinearDensity)  # bypasses the positivity check
     density.dim, density.C = 2, isotropic_tensor(2, 1.0, -0.3)
     datum = MismatchDatum.from_misfit(0.05, 2, "linear")
-    field = ElasticField(build_grid(Profile.flat(2, 16, 1.0), 8), datum, density)
-    prob = StabilityProblem(field, IsotropicDensity(2))
+    return StabilityProblem(ElasticField(build_grid(profile, 8), datum, density), IsotropicDensity(2))
+
+
+def _record_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def recording(A, *args, **kwargs):
+        calls.append(A)
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_indefinite_stiffness_is_factored_once(monkeypatch):
+    """A dense stiffness without a Cholesky factor is tried once; c0 is the dense value."""
+    import filmstab.elasticity as elasticity
+    import filmstab.stability as stability
+
+    # a curved film, where the dense path runs
+    modes = [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.05}]
+    prob = _indefinite_problem(Profile.from_fourier_modes(2, 16, modes))
     factored = []
     for module in (elasticity, stability):
         original = module.cho_factor
@@ -363,6 +380,29 @@ def test_indefinite_stiffness_is_factored_once(monkeypatch):
     with pytest.raises(LinAlgError):
         prob.lambda1()
     assert len(factored) == 1
+
+
+def test_indefinite_flat_stiffness_fails_its_blocks_once(monkeypatch):
+    """A flat film's block factor fails once, with no dense retry and no assembly."""
+    import filmstab.elasticity as elasticity
+
+    prob = _indefinite_problem(Profile.flat(2, 16, 1.0))
+    factored = _record_calls(monkeypatch, elasticity, "cho_factor")
+    assembled = _record_calls(monkeypatch, elasticity, "assemble_hessian")
+    report = prob.report()
+    m = 7 * 2  # (ny - 1) * N dofs per lateral column
+    assert factored and all(A.shape == (m, m) for A in factored)
+    assert not assembled
+    assert prob.field.stiffness_cho is False
+    assert report.c0 < 0.0
+    assert report.verdict == "not_strictly_stable"
+    assert np.isnan(report.lambda1) and np.isnan(report.mu1)
+    with pytest.raises(LinAlgError):
+        prob.lambda1()
+    attempts = len(factored)
+    assert prob.field.stiffness_cho is False and len(factored) == attempts
+    dense = eigh(prob.stiffness, h1_gram(prob.grid), eigvals_only=True, subset_by_index=[0, 0])
+    assert report.c0 == pytest.approx(float(dense[0]), rel=1e-12)
 
 
 def test_sim_gram_error_carries_eigenvalue():
