@@ -826,35 +826,37 @@ class CoercivityError(RuntimeError):
 _C0_TOL = 1e-10
 
 
-def coercivity_constant(grid: MappedGrid, K: np.ndarray, cho) -> float:
-    """Sharp constant relating the tangent form to the Sobolev norm.
+def coercivity_constant(field: ElasticField) -> float:
+    """Sharp constant relating the field's tangent form to the Sobolev norm.
 
-    Returns the smallest generalized eigenvalue of ``K`` against the
-    first-order Sobolev Gram matrix on the same interior space: positive
-    means the quadratic form controls the norm (coercive), negative means
-    the form takes negative values and the configuration cannot be a local
-    minimizer of the bulk problem.
+    Returns the smallest generalized eigenvalue of the stiffness ``K``
+    against the first-order Sobolev Gram matrix on the same interior space:
+    positive means the quadratic form controls the norm (coercive), negative
+    means the form takes negative values and the configuration cannot be a
+    local minimizer of the bulk problem.
 
-    ``K`` is the dense stiffness, or the ``(n_k, m, m)`` per-wavenumber
-    blocks of a laterally uniform one (:attr:`ElasticField.stiffness_blocks`).
-    Blocks take the exact minimum over wavenumbers of the block eigenvalue
-    problems against the Gram's blocks, which are taken the same way from its
-    matrix-free product; neither matrix is assembled.  For a dense ``K``,
-    ``cho`` is ``cho_factor(K, lower=True)``, or ``False`` when ``K`` is not
-    positive definite.  A coercive dense ``K`` takes a Lanczos solve for the
-    top eigenvalue of ``L^-1 G L^-T`` against its factor ``L``, with the Gram
-    ``G`` applied without assembling it; any other dense ``K`` takes the
-    dense generalized eigensolve against :func:`h1_gram`.  A Lanczos solve
-    that does not converge raises :class:`CoercivityError`.
+    The route follows the field.  A laterally uniform one takes the exact
+    minimum over wavenumbers of its :attr:`~ElasticField.stiffness_blocks`
+    against the Gram's blocks, taken the same way from its matrix-free
+    product, and assembles neither matrix.  Otherwise a coercive ``K`` takes
+    a Lanczos solve for the top eigenvalue of ``L^-1 G L^-T`` against its
+    factor ``L`` (:attr:`~ElasticField.stiffness_cho`), with the Gram ``G``
+    applied matrix-free, and raises :class:`CoercivityError` when it does not
+    converge; a ``K`` without a Cholesky factor takes the dense generalized
+    eigensolve against :func:`h1_gram`.
     """
-    if K.ndim == 3:
+    grid = field.grid
+    blocks = field.stiffness_blocks
+    if blocks is not None:
         G = _lateral_blocks(grid, lambda v: _h1_gram_matvec(grid, v))
         return min(
-            float(eigh(Kk, Gk, subset_by_index=[0, 0], eigvals_only=True)[0]) for Kk, Gk in zip(K, G)
+            float(eigh(Kk, Gk, subset_by_index=[0, 0], eigvals_only=True)[0])
+            for Kk, Gk in zip(blocks, G)
         )
+    cho = field.stiffness_cho
     if cho is False:
-        return float(eigh(K, h1_gram(grid), subset_by_index=[0, 0], eigvals_only=True)[0])
-    nd = K.shape[0]
+        return float(eigh(field.stiffness, h1_gram(grid), subset_by_index=[0, 0], eigvals_only=True)[0])
+    nd = _flat_shapes(grid)[3]
     matvecs = 0
 
     def mv(w):

@@ -37,7 +37,7 @@ from .elasticity import (
     NewtonError,
 )
 from .geometry import Profile, build_grid
-from .stability import VERDICT_STABLE, VERDICT_UNSTABLE, StabilityProblem, StabilityReport
+from .stability import StabilityProblem, StabilityReport, verdict_of
 
 __all__ = [
     "BracketError",
@@ -314,8 +314,7 @@ def crystalline_sweep(
     """
     if not (a_facet > 0.0 and b_facet > 0.0):
         raise ValueError(f"facet coefficients must be positive, got a={a_facet}, b={b_facet}")
-    prob = StabilityProblem(flat_field(density, datum, d, n, ny), IsotropicDensity(datum.dim))
-    _assert_flat_coefficient(prob)
+    prob = _flat_problem(d, density, IsotropicDensity(datum.dim), datum, cell="unit", n=n, ny=ny)
     lam_iso, _ = prob.lambda1()
     eps = [(b_facet / a_facet) * 0.5**k for k in range(1, max_steps + 1)]
     return [(e, e / a_facet * lam_iso) for e in eps]
@@ -358,9 +357,9 @@ def threshold_rows(
     ``lambda1`` by ``d`` and ``mu1`` by ``1/d``.  The stiffness and the
     surface Gram of the flat film are positive multiples of the ``d = 1``
     ones, so the signs of ``c0`` and ``sim_gram_min`` do not depend on
-    ``d``; when the ``d = 1`` eigenvalues are NaN (an indefinite surface
-    product, or a stiffness that is not positive definite), every row copies
-    its verdict.
+    ``d``, and :func:`~filmstab.stability.verdict_of` gives every row the
+    ``d = 1`` verdict when its eigenvalues are NaN (an indefinite surface
+    product, or a stiffness that is not positive definite).
     """
     ds = [float(d) for d in thicknesses]
     if not all(0.0 < d < np.inf for d in ds):
@@ -370,16 +369,10 @@ def threshold_rows(
         return [(d, r.lambda1, r.mu1, r.verdict) for d, r in zip(ds, reports)]
     if unit is None:
         unit = cube_unit_problem(density, psi, datum, n=n, ny=ny)
-    report = unit.report()
-    rows = []
-    for d in ds:
-        lam = d * report.lambda1
-        if np.isnan(lam):
-            verdict = report.verdict
-        else:
-            verdict = VERDICT_STABLE if report.c0 > 0.0 and lam < 1.0 else VERDICT_UNSTABLE
-        rows.append((d, lam, report.mu1 / d, verdict))
-    return rows
+    r = unit.report()
+    return [
+        (d, d * r.lambda1, r.mu1 / d, verdict_of(r.c0, r.sim_gram_min, d * r.lambda1)) for d in ds
+    ]
 
 
 def write_threshold_csv(path, rows) -> None:

@@ -73,7 +73,11 @@ def fourier_wavenumbers(n: int, width: float = 1.0) -> np.ndarray:
 
 
 def fourier_derivative(values: np.ndarray, width: float = 1.0, axis: int = 0) -> np.ndarray:
-    """Spectral derivative of real periodic samples along one axis."""
+    """Spectral derivative of real periodic samples along one axis.
+
+    Lines constant along the axis get exact zeros, which the FFT leaves
+    round-off in when ``n`` has a prime factor above 3.
+    """
     values = np.asarray(values, dtype=float)
     n = values.shape[axis]
     k = fourier_wavenumbers(n, width)
@@ -81,7 +85,8 @@ def fourier_derivative(values: np.ndarray, width: float = 1.0, axis: int = 0) ->
     shape[axis] = n
     coeff = np.fft.fft(values, axis=axis)
     coeff *= (1j * k).reshape(shape)
-    return np.real(np.fft.ifft(coeff, axis=axis))
+    constant = np.all(values == np.take(values, [0], axis=axis), axis=axis, keepdims=True)
+    return np.where(constant, 0.0, np.real(np.fft.ifft(coeff, axis=axis)))
 
 
 def fourier_diff_matrix(n: int, width: float = 1.0) -> np.ndarray:

@@ -27,9 +27,9 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, eigh, eigvalsh, solve_triangular
-# no factorisation (the field holds the stiffness factor) and no eigensolver
-# runs here; the benchmark tracer rebinds both names at install
+from scipy.linalg import LinAlgError, eigh, eigvalsh
+# the stiffness factor and the c0 Lanczos solve live in elasticity, and
+# nothing here calls these two; the benchmark tracer rebinds both at install
 from scipy.linalg import cho_factor  # noqa: F401
 from scipy.sparse.linalg import eigsh  # noqa: F401
 
@@ -53,6 +53,7 @@ __all__ = [
     "VERDICT_STABLE",
     "VERDICT_UNSTABLE",
     "VERDICT_INDEFINITE",
+    "verdict_of",
     "fd_oracle_second_variation",
     "total_energy",
     "cosine_mode",
@@ -62,6 +63,19 @@ __all__ = [
 VERDICT_STABLE = "strictly_stable"
 VERDICT_UNSTABLE = "not_strictly_stable"
 VERDICT_INDEFINITE = "indefinite_sim_product"
+
+
+def verdict_of(c0: float, sim_gram_min: float, lambda1: float) -> str:
+    """The strict-stability verdict of the three spectral quantities.
+
+    A surface product that is not positive definite on zero-mean speeds is
+    ``indefinite_sim_product``; otherwise the pair is ``strictly_stable``
+    exactly when ``c0 > 0`` and ``lambda1 < 1``, so a NaN ``lambda1`` (no
+    correction operator) never is.
+    """
+    if sim_gram_min <= 0.0:
+        return VERDICT_INDEFINITE
+    return VERDICT_STABLE if c0 > 0.0 and lambda1 < 1.0 else VERDICT_UNSTABLE
 
 
 @dataclass(frozen=True)
@@ -181,25 +195,9 @@ class StabilityProblem:
         return self.field.stiffness
 
     @cached_property
-    def _stiffness_cho(self):
-        """Cholesky factor of the stiffness; ``False`` when it is not positive definite."""
-        return self.field.stiffness_cho
-
-    def _require_cho(self):
-        if self._stiffness_cho is False:
-            raise LinAlgError("the bulk tangent form is not positive definite")
-        return self._stiffness_cho
-
-    @cached_property
     def c0(self) -> float:
-        """Coercivity constant of the bulk tangent form over the Sobolev norm.
-
-        A laterally uniform field passes its per-wavenumber stiffness blocks,
-        so a flat film never assembles the dense stiffness.
-        """
-        blocks = self.field.stiffness_blocks
-        K = self.stiffness if blocks is None else blocks
-        return coercivity_constant(self.grid, K, self._stiffness_cho)
+        """Coercivity constant of the bulk tangent form over the Sobolev norm."""
+        return coercivity_constant(self.field)
 
     @cached_property
     def coupling(self) -> np.ndarray:
@@ -308,15 +306,6 @@ class StabilityProblem:
         """Smallest eigenvalue of the surface Gram on the zero-mean basis."""
         return float(eigvalsh(self.sim_matrix_z)[0])
 
-    @cached_property
-    def _sim_cho(self) -> np.ndarray:
-        if self.sim_gram_min <= 0.0:
-            raise SimGramError(self.sim_gram_min)
-        try:
-            return cholesky(self.sim_matrix_z, lower=True)
-        except LinAlgError as err:
-            raise SimGramError(self.sim_gram_min) from err
-
     # -- quadratic forms -----------------------------------------------------------
 
     @cached_property
@@ -361,21 +350,19 @@ class StabilityProblem:
         return self._three_term_form(self._speed(phi))
 
     def _speed(self, phi) -> np.ndarray:
-        arr = np.asarray(phi, dtype=float)
+        arr = np.asarray_chkfinite(phi, dtype=float)
         if arr.shape != self.profile.xshape:
             raise ValueError(f"speed must have shape {self.profile.xshape}, got {arr.shape}")
         return arr
 
     def _three_term_form(self, arr: np.ndarray) -> float:
-        """Surface norm minus elastic correction: ``a S a - r K^-1 r`` with ``r = R a``.
+        """Surface norm minus elastic correction: ``a (S - T) a``.
 
-        ``S`` is :attr:`sim_matrix`, ``K`` the stiffness and ``R`` the
-        coupling, so the correction is the bulk tangent energy of the
-        adjoint state of the speed.
+        ``S`` is :attr:`sim_matrix` and ``T`` is :attr:`t_matrix`, whose
+        form is the bulk tangent energy of the adjoint state of the speed.
         """
         a = arr.ravel()
-        r = self.coupling @ a
-        return float(a @ self.sim_matrix @ a - r @ factor_solve(self._require_cho(), r))
+        return float(a @ (self.sim_matrix - self.t_matrix) @ a)
 
     def full_second_variation(self, phi) -> float:
         """Four-term quadratic form, valid away from surface equilibrium.
@@ -414,25 +401,36 @@ class StabilityProblem:
         """Gram of the elastic-correction operator on all nodal speeds.
 
         Entry ``(i, j)`` is the bulk tangent pairing of the adjoint states
-        of the i-th and j-th surface basis speeds, assembled with one
-        adjoint solve per basis function against the cached factorization.
+        of the i-th and j-th surface basis speeds: ``T = R^T K^-1 R`` with
+        ``R`` the coupling, one adjoint solve per basis function against the
+        field's stiffness factor.  Raises ``LinAlgError`` when the stiffness
+        is not positive definite.
         """
-        V = factor_solve(self._require_cho(), self.coupling)
-        return self.coupling.T @ V
+        cho = self.field.stiffness_cho
+        if cho is False:
+            raise LinAlgError("the bulk tangent form is not positive definite")
+        return self.coupling.T @ factor_solve(cho, self.coupling)
 
     @cached_property
     def t_matrix_z(self) -> np.ndarray:
-        Z = self.zero_mean_basis
-        return Z.T @ self.t_matrix @ Z
+        return self._on_zero_mean(self.t_matrix)
 
     @cached_property
     def _pencil(self) -> tuple:
-        """Eigenpairs of the correction operator against the surface Gram."""
-        M = self._sim_cho
-        Kt = self.t_matrix_z
-        Kt = 0.5 * (Kt + Kt.T)
-        A = solve_triangular(M, solve_triangular(M, Kt, lower=True).T, lower=True)
-        return eigh(0.5 * (A + A.T))
+        """Eigenpairs of the correction operator against the surface Gram.
+
+        The generalized symmetric eigenproblem ``T_z v = lambda S_z v`` on
+        the zero-mean basis, with eigenvectors normalised to ``v S_z v = 1``.
+        Raises :class:`SimGramError` when ``S_z`` is not positive definite.
+        """
+        if self.sim_gram_min <= 0.0:
+            raise SimGramError(self.sim_gram_min)
+        # read before the try: a stiffness without a factor raises its own LinAlgError
+        Tz = self.t_matrix_z
+        try:
+            return eigh(Tz, self.sim_matrix_z)
+        except LinAlgError as err:
+            raise SimGramError(self.sim_gram_min) from err
 
     def lambda1(self) -> tuple:
         """Largest correction eigenvalue with its normalized eigenfunction.
@@ -444,8 +442,7 @@ class StabilityProblem:
         """
         vals, vecs = self._pencil
         lam = float(max(vals[-1], 0.0))
-        z = solve_triangular(self._sim_cho, vecs[:, -1], lower=True, trans="T")
-        phi = _canonical_sign((self.zero_mean_basis @ z).reshape(self.profile.xshape))
+        phi = _canonical_sign((self.zero_mean_basis @ vecs[:, -1]).reshape(self.profile.xshape))
         return lam, phi
 
     def mu1(self) -> float:
@@ -484,27 +481,22 @@ class StabilityProblem:
         c0 = self.c0
         sgm = self.sim_gram_min
         lam = mu = equiv = float("nan")
-        if sgm <= 0.0:
-            verdict = VERDICT_INDEFINITE
-        elif self._stiffness_cho is False:
-            # bulk tangent form not positive definite: the correction operator
-            # is undefined and the pair cannot be strictly stable
-            verdict = VERDICT_UNSTABLE
-        else:
+        # the eigenvalues are posed only for a positive definite surface
+        # product and bulk tangent form; otherwise they stay NaN
+        if sgm > 0.0 and self.field.stiffness_cho is not False:
             lam, _ = self.lambda1()
             mu = self.mu1()
             equiv = float(
                 eigh(self.sim_matrix_z, self.surface_h1_gram_z(), eigvals_only=True,
                      subset_by_index=[0, 0])[0]
             )
-            verdict = VERDICT_STABLE if c0 > 0.0 and lam < 1.0 else VERDICT_UNSTABLE
         return StabilityReport(
             c0=c0,
             sim_gram_min=sgm,
             lambda1=lam,
             mu1=mu,
             criticality_residual=residual,
-            verdict=verdict,
+            verdict=verdict_of(c0, sgm, lam),
             coercivity_const=(1.0 - lam) * equiv,
         )
 

@@ -5,14 +5,14 @@ off the ``lambda1`` pencil through the exact identity ``mu1 = 1 / lambda1``.
 The minimization here solves the constrained problem directly, by a
 Lanczos iteration on the nd-dimensional bulk space, so tests that compare
 the two check the identity instead of assuming it.  Both routes here
-factor the dense assembled stiffness themselves, so they stay independent of
-the factor the package chooses (dense, or per lateral wavenumber on flat
-films).
+factor the dense assembled stiffness (and the minimization the surface
+Gram) themselves, so they stay independent of the factors the package
+chooses (dense, or per lateral wavenumber on flat films).
 
-``StabilityProblem.second_variation`` evaluates the quadratic form on the
-assembled matrices: the surface Gram ``sim_matrix`` minus the coupling
-pairing through the stiffness factor.  The direct route here evaluates the
-same terms pointwise: the adjoint state as a nodal field, its bulk energy by
+``StabilityProblem.second_variation`` reads the quadratic form off one
+matrix on nodal speeds: the surface Gram ``sim_matrix`` minus the
+elastic-correction Gram ``t_matrix``.  The direct route here solves the
+adjoint problem of the one speed and evaluates the same terms pointwise: the adjoint state as a nodal field, its bulk energy by
 volume quadrature of the tangent, and the surface product by quadrature of
 tangential gradients.  ``two_term_second_variation`` is the explicit form
 of the facet-regularized densities at a flat state.
@@ -39,7 +39,7 @@ def lanczos_mu1(problem) -> float:
     Gram).  When the surface stress vanishes identically the constraint is
     infeasible and ``+inf`` is returned.
     """
-    sim_cho = problem._sim_cho
+    sim_cho = cho_factor(problem.sim_matrix_z, lower=True)
     field = problem.field
     stress = field.surface_stress()
     bulk_scale = float(np.abs(field.density.stress(field.gradient())).max())
@@ -51,7 +51,7 @@ def lanczos_mu1(problem) -> float:
 
     def matvec(x):
         t = solve_triangular(L, x, lower=True, trans="T")
-        t = Rz @ cho_solve((sim_cho, True), Rz.T @ t)
+        t = Rz @ cho_solve(sim_cho, Rz.T @ t)
         return solve_triangular(L, t, lower=True)
 
     op = LinearOperator((nd, nd), matvec=matvec)

@@ -409,8 +409,15 @@ def test_nonlinear_3d_cold_solve_converges_past_roundoff(n, ny):
     assert info["residual_norm"] <= 1e-11
 
 
+def _with_stiffness(field: ElasticField, K: np.ndarray) -> ElasticField:
+    """A twin of ``field`` whose stiffness cache holds ``K``, taken as dense."""
+    twin = ElasticField(field.grid, field.datum, field.density, field.p)
+    twin._stiffness.update(matrix=K, blocks=None)
+    return twin
+
+
 def test_coercivity_constant_matches_dense_eigensolve():
-    from scipy.linalg import cho_factor, eigh
+    from scipy.linalg import eigh
 
     curved_3d = Profile.from_fourier_modes(
         3,
@@ -430,13 +437,13 @@ def test_coercivity_constant_matches_dense_eigensolve():
         K = assemble_hessian(
             grid, grid.wq[..., None, None, None, None] * dens.tangent(field.gradient())
         )
-        c0 = coercivity_constant(grid, K, cho_factor(K, lower=True))
+        c0 = coercivity_constant(_with_stiffness(field, K))
 
         dense = eigh(K, h1_gram(grid), eigvals_only=True)[0]
         assert c0 == pytest.approx(float(dense), rel=1e-8)
         assert c0 > 0.0
         # negated form exercises the non-coercive branch
-        c0_neg = coercivity_constant(grid, -K, False)
+        c0_neg = coercivity_constant(_with_stiffness(field, -K))
         dense_neg = eigh(-K, h1_gram(grid), eigvals_only=True)[0]
         assert c0_neg == pytest.approx(float(dense_neg), rel=1e-8)
         assert c0_neg < 0.0
@@ -444,7 +451,6 @@ def test_coercivity_constant_matches_dense_eigensolve():
 
 def test_c0_lanczos_non_convergence_is_named(monkeypatch):
     import filmstab.elasticity as elasticity
-    from scipy.linalg import cho_factor
     from scipy.sparse.linalg import ArpackNoConvergence
 
     def stalled(A, **kwargs):
@@ -454,9 +460,10 @@ def test_c0_lanczos_non_convergence_is_named(monkeypatch):
 
     monkeypatch.setattr(elasticity, "eigsh", stalled)
     grid = build_grid(_bumpy(12), 6)
-    K = h1_gram(grid)
+    density = LinearDensity.isotropic(2, LAM, MU)
+    field = ElasticField(grid, MismatchDatum.from_misfit(E0, 2, "linear"), density)
     with pytest.raises(CoercivityError, match="c0 did not converge after 3 matvecs") as err:
-        coercivity_constant(grid, K, cho_factor(K, lower=True))
+        coercivity_constant(_with_stiffness(field, h1_gram(grid)))
     assert err.value.matvecs == 3
     assert err.value.tol == 1e-10
     assert "tolerance 1e-10" in str(err.value)

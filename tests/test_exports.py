@@ -41,3 +41,22 @@ def test_package_does_not_import_the_test_modules():
             roots = {name.split(".")[0] for name in names}
             bad = roots & forbidden
             assert not bad, f"{path.name} line {node.lineno} imports {bad}"
+
+
+def test_only_elasticity_factors_or_runs_a_lanczos_solve():
+    """``cho_factor``, ``cholesky``, ``solve_triangular`` and ``eigsh`` are called in one module.
+
+    The stiffness factor and the ``c0`` Lanczos solve live in
+    ``elasticity.py``; every other module reads them from there, so a second
+    factorisation route does not creep back in.  Importing the names is
+    allowed: the benchmark tracer rebinds them in ``stability.py``.
+    """
+    guarded = {"cho_factor", "cholesky", "solve_triangular", "eigsh"}
+    for path in sorted(Path(filmstab.__file__).parent.glob("*.py")):
+        if path.name == "elasticity.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                assert name not in guarded, f"{path.name} line {node.lineno} calls {name}"

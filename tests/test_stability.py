@@ -189,8 +189,8 @@ def test_second_variation_scaling_and_zero():
 
 
 def test_second_variation_rejects_non_finite_speed():
-    # solves against the cached factor skip the factor's scan but still
-    # check the right-hand side
+    # the form is read off cached matrices, so no solve sees the speed:
+    # the speed itself is checked
     prob = StabilityProblem(flat_pair(n=16, ny=8), IsotropicDensity(2))
     phi = cos_mode(16, 1)
     phi[5] = np.nan
@@ -554,7 +554,21 @@ def test_problem_shares_the_field_stiffness():
     field = flat_pair(n=16, ny=8)
     prob = StabilityProblem(field, IsotropicDensity(2))
     assert prob.stiffness is field.stiffness
-    assert prob._stiffness_cho is field.stiffness_cho
+
+
+@pytest.mark.parametrize("pair", [flat_pair, curved_pair], ids=["flat", "curved"])
+def test_form_values_after_the_report_make_no_solve(monkeypatch, pair):
+    """Every form value is read off the cached ``t_matrix``: no solve per speed."""
+    import filmstab.elasticity as elasticity
+    import filmstab.stability as stability
+
+    prob = StabilityProblem(pair(n=16, ny=8), IsotropicDensity(2))
+    prob.report()
+    solves = [_record_calls(monkeypatch, module, "factor_solve") for module in (elasticity, stability)]
+    curve = prob.dispersion_curve(4)
+    value = prob.full_second_variation(cos_mode(16, 1) + 0.3 * cos_mode(16, 2))
+    assert solves == [[], []]
+    assert np.all(np.isfinite(curve)) and np.isfinite(value)
 
 
 def test_pure_surface_oracle_flat_mode():
