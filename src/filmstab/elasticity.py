@@ -299,10 +299,12 @@ class ElasticField:
 
     ``p`` is the nodal unknown, shape ``xshape + (ny, dim)``, zero on the
     substrate row; the base carries the mismatch datum exactly.  The
-    stiffness, its per-wavenumber blocks and its Cholesky factor are cached
-    on the field, so the Newton steps, the stability problem and the
-    warm-started re-solves share them.  The linear tangent does not depend
-    on ``p``, so for the linear kind :meth:`with_p` shares that cache too.
+    stiffness's Cholesky factor (or its per-wavenumber blocks and their
+    factors) is cached on the field, so the Newton steps, the stability
+    problem and the warm-started re-solves share it; the dense stiffness
+    itself is kept only once :attr:`stiffness` is read.  The linear tangent
+    does not depend on ``p``, so for the linear kind :meth:`with_p` shares
+    that cache too.
     """
 
     def __init__(self, grid: MappedGrid, datum: MismatchDatum, density: ElasticDensity, p=None):
@@ -361,7 +363,13 @@ class ElasticField:
 
     @property
     def stiffness(self) -> np.ndarray:
-        """Interior-dof matrix of the tangent form at this field."""
+        """Interior-dof matrix of the tangent form at this field, assembled on first read.
+
+        The solves never read it: :attr:`stiffness_cho` assembles a matrix of
+        its own and factors it in place, so the dense stiffness is kept only
+        once this property has been read (by the tests, or by the
+        eigensolve and Newton step of a stiffness without a Cholesky factor).
+        """
         cache = self._stiffness
         if "matrix" not in cache:
             cache["matrix"] = assemble_hessian(self.grid, self._weighted_tangent())
@@ -396,19 +404,25 @@ class ElasticField:
 
         A laterally uniform field gets a :class:`LateralCholesky` of its
         :attr:`stiffness_blocks` and never assembles the stiffness; any other
-        field gets ``cho_factor(stiffness, lower=True)``.  A block without a
-        Cholesky factor gives ``False`` with no dense retry: the blocks are a
-        unitary block-diagonalisation of the stiffness, so it is positive
-        definite exactly when they all are.
+        field gets ``cho_factor(K, lower=True)`` of a freshly assembled ``K``,
+        factored in place and not kept, so the factor is the only dense
+        matrix the field holds.  A :attr:`stiffness` already read is factored
+        in a copy and left as it was.  A block without a Cholesky factor
+        gives ``False`` with no dense retry: the blocks are a unitary
+        block-diagonalisation of the stiffness, so it is positive definite
+        exactly when they all are.
         """
         cache = self._stiffness
         if "cho" not in cache:
             blocks = self.stiffness_blocks
             try:
-                if blocks is None:
-                    cache["cho"] = cho_factor(self.stiffness, lower=True)
-                else:
+                if blocks is not None:
                     cache["cho"] = LateralCholesky(self.grid.xshape, blocks)
+                elif "matrix" in cache:
+                    cache["cho"] = cho_factor(cache["matrix"], lower=True)
+                else:
+                    K = assemble_hessian(self.grid, self._weighted_tangent())
+                    cache["cho"] = _factor_in_place(K)
             except LinAlgError:
                 cache["cho"] = False
         return cache["cho"]
@@ -519,13 +533,16 @@ def assemble_hessian(grid: MappedGrid, weighted_tangent: np.ndarray) -> np.ndarr
     return K.reshape(nd, nd)
 
 
+def _h1_coefficients(grid: MappedGrid) -> np.ndarray:
+    """Weighted gradient-gradient coefficients ``w d_im d_ab`` of the Sobolev inner product."""
+    I = np.eye(grid.dim)
+    return grid.wq[..., None, None, None, None] * np.einsum("im,ab->iamb", I, I)
+
+
 def h1_gram(grid: MappedGrid) -> np.ndarray:
     """Gram matrix of the first-order Sobolev inner product on interior dofs."""
-    nx, ny, N, nd = _flat_shapes(grid)
-    I = np.eye(N)
-    eye4 = np.einsum("im,ab->iamb", I, I)
-    G = assemble_hessian(grid, grid.wq[..., None, None, None, None] * eye4)
-    G[np.diag_indices(nd)] += interior_weight_vector(grid)
+    G = assemble_hessian(grid, _h1_coefficients(grid))
+    G[np.diag_indices(G.shape[0])] += interior_weight_vector(grid)
     return G
 
 
@@ -615,6 +632,16 @@ def _tangent_flux(grid: MappedGrid, tangent_w: np.ndarray):
     Cw = tangent_w.reshape(-1, N, N, N, N)
     Cw = 0.5 * (Cw + Cw.transpose(0, 3, 4, 1, 2))
     return lambda g: np.einsum("kiamb,kmb->kia", Cw, g)
+
+
+def _factor_in_place(K: np.ndarray):
+    """``cho_factor(K, lower=True)`` of a symmetric C-ordered ``K``, overwriting ``K``.
+
+    ``K.T`` is the same symmetric matrix in Fortran order, which LAPACK
+    factors without a copy.  ``K`` holds the factor afterwards, or garbage
+    when the factorisation raises ``LinAlgError``.
+    """
+    return cho_factor(K.T, lower=True, overwrite_a=True)
 
 
 def factor_solve(cho, b: np.ndarray, trans: str | None = None) -> np.ndarray:
@@ -822,28 +849,66 @@ class CoercivityError(RuntimeError):
         self.tol = tol
 
 
-# relative accuracy of the c0 Lanczos eigenvalue
+# relative accuracy of the c0 eigenvalue
 _C0_TOL = 1e-10
+# accuracy of the first, rough Lanczos pass, whose Ritz value bounds c0 above
+_C0_ROUGH_TOL = 1e-2
+# ARPACK restarts the unshifted pass may take before c0 pays for a shifted factor
+_C0_BUDGET = 8
+# the shift, as a fraction of the rough upper bound on c0
+_C0_SHIFT = 0.99
+
+
+def _shifted_stiffness_cho(field: ElasticField, sigma: float):
+    """Cholesky factor of ``K - sigma G``, or ``None`` when it has none (``sigma >= c0``).
+
+    ``K - sigma G`` is assembled in one pass from the field's weighted tangent
+    minus ``sigma`` times the Sobolev coefficients of :func:`h1_gram`, and
+    factored in place.
+    """
+    grid = field.grid
+    K = assemble_hessian(grid, field._weighted_tangent() - sigma * _h1_coefficients(grid))
+    K[np.diag_indices(K.shape[0])] -= sigma * interior_weight_vector(grid)
+    try:
+        return _factor_in_place(K)
+    except LinAlgError:
+        return None
 
 
 def coercivity_constant(field: ElasticField) -> float:
     """Sharp constant relating the field's tangent form to the Sobolev norm.
 
-    Returns the smallest generalized eigenvalue of the stiffness ``K``
-    against the first-order Sobolev Gram matrix on the same interior space:
-    positive means the quadratic form controls the norm (coercive), negative
-    means the form takes negative values and the configuration cannot be a
-    local minimizer of the bulk problem.
+    Returns the smallest generalized eigenvalue ``c0`` of the stiffness ``K``
+    against the first-order Sobolev Gram matrix ``G`` on the same interior
+    space: positive means the quadratic form controls the norm (coercive),
+    negative means the form takes negative values and the configuration
+    cannot be a local minimizer of the bulk problem.
 
     The route follows the field.  A laterally uniform one takes the exact
     minimum over wavenumbers of its :attr:`~ElasticField.stiffness_blocks`
     against the Gram's blocks, taken the same way from its matrix-free
-    product, and assembles neither matrix.  Otherwise a coercive ``K`` takes
-    a Lanczos solve for the top eigenvalue of ``L^-1 G L^-T`` against its
-    factor ``L`` (:attr:`~ElasticField.stiffness_cho`), with the Gram ``G``
-    applied matrix-free, and raises :class:`CoercivityError` when it does not
-    converge; a ``K`` without a Cholesky factor takes the dense generalized
-    eigensolve against :func:`h1_gram`.
+    product, and assembles neither matrix.  A ``K`` without a Cholesky
+    factor takes the dense generalized eigensolve against :func:`h1_gram`.
+
+    Any other ``K`` takes Lanczos solves for the top eigenvalue of
+    ``L^-1 G L^-T``, which is ``1/c0``, against its factor ``L``
+    (:attr:`~ElasticField.stiffness_cho`), with ``G`` applied matrix-free:
+
+    1. a rough pass at ``_C0_ROUGH_TOL``; a Ritz value never exceeds the top
+       eigenvalue, so its reciprocal ``c~`` bounds ``c0`` above;
+    2. the same solve continued from the rough Ritz vector at ``_C0_TOL``,
+       within ``_C0_BUDGET`` ARPACK restarts, which ends most films;
+    3. past the budget, on a clustered bottom spectrum, the shift
+       ``sigma = _C0_SHIFT * c~``: ``K - sigma G`` has a Cholesky factor
+       ``L_s`` exactly when ``sigma < c0``, and then the top eigenvalue
+       ``theta`` of ``L_s^-1 G L_s^-T`` is well separated and
+       ``c0 = sigma + 1/theta``; a ``K - sigma G`` without a factor sends
+       the solve back to step 2 with no budget.
+
+    Every pass starts from a fixed vector or from the previous one's, and
+    the route depends on counts only, so repeated runs are bit-identical.
+    A pass that does not converge raises :class:`CoercivityError` with the
+    matvecs of all passes.
     """
     grid = field.grid
     blocks = field.stiffness_blocks
@@ -859,18 +924,31 @@ def coercivity_constant(field: ElasticField) -> float:
     nd = _flat_shapes(grid)[3]
     matvecs = 0
 
-    def mv(w):
-        nonlocal matvecs
-        matvecs += 1
-        t = factor_solve(cho, w, trans="T")
-        return factor_solve(cho, _h1_gram_matvec(grid, t), trans="N")
+    def top_pair(factor, v0, tol, maxiter=None):
+        """Top eigenpair of ``F^-1 G F^-T`` for the factor ``F`` of ``factor``."""
 
-    # with the dtype given, LinearOperator does not spend a matvec to find it
-    op = LinearOperator((nd, nd), matvec=mv, dtype=float)
-    # fixed generic start vector keeps repeated runs bit-identical
+        def mv(w):
+            nonlocal matvecs
+            matvecs += 1
+            t = factor_solve(factor, w, trans="T")
+            return factor_solve(factor, _h1_gram_matvec(grid, t), trans="N")
+
+        # with the dtype given, LinearOperator does not spend a matvec to find it
+        op = LinearOperator((nd, nd), matvec=mv, dtype=float)
+        theta, y = eigsh(op, k=1, which="LA", tol=tol, v0=v0, maxiter=maxiter)
+        return float(theta[0]), y[:, 0]
+
     v0 = np.random.default_rng(0).standard_normal(nd)
     try:
-        theta = eigsh(op, k=1, which="LA", return_eigenvectors=False, tol=_C0_TOL, v0=v0)
+        theta, y = top_pair(cho, v0, _C0_ROUGH_TOL)
+        try:
+            return 1.0 / top_pair(cho, y, _C0_TOL, _C0_BUDGET)[0]
+        except ArpackNoConvergence:
+            pass
+        sigma = _C0_SHIFT / theta
+        shifted = _shifted_stiffness_cho(field, sigma)
+        if shifted is None:
+            return 1.0 / top_pair(cho, y, _C0_TOL)[0]
+        return sigma + 1.0 / top_pair(shifted, v0, _C0_TOL)[0]
     except ArpackNoConvergence as err:
         raise CoercivityError(matvecs, _C0_TOL) from err
-    return 1.0 / float(theta[0])

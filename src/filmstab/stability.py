@@ -169,11 +169,12 @@ def _subnyquist_modes(profile: Profile) -> np.ndarray:
 class StabilityProblem:
     """Cached second-variation machinery at an equilibrium elastic field.
 
-    The heavy pieces -- bulk tangent matrix with its Cholesky factor (both
-    cached on the field; a flat film factors it per lateral wavenumber and
-    never assembles it), surface-to-bulk coupling matrix, surface Gram
-    matrices, zero-mean basis -- are built once and shared by the quadratic
-    form, the eigenvalue computations and the verdict.
+    The heavy pieces -- the Cholesky factor of the bulk tangent matrix
+    (cached on the field, which factors the matrix in place and keeps no
+    dense copy; a flat film factors it per lateral wavenumber and never
+    assembles it), surface-to-bulk coupling matrix, surface Gram matrices,
+    zero-mean basis -- are built once and shared by the quadratic form, the
+    eigenvalue computations and the verdict.
     """
 
     def __init__(self, field: ElasticField, psi: AnisotropyDensity):
@@ -191,7 +192,12 @@ class StabilityProblem:
 
     @cached_property
     def stiffness(self) -> np.ndarray:
-        """Interior-dof matrix of the bulk tangent form at the equilibrium (the field's)."""
+        """Interior-dof matrix of the bulk tangent form at the equilibrium.
+
+        The field's :attr:`~filmstab.elasticity.ElasticField.stiffness`,
+        assembled on its first read; the report reads only the field's
+        factor, and the dense matrix only when there is no factor.
+        """
         return self.field.stiffness
 
     @cached_property

@@ -343,6 +343,37 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert (outs[0] / "dispersion.csv").read_bytes() == (outs[1] / "dispersion.csv").read_bytes()
 
 
+def test_repeat_runs_through_the_shifted_c0_are_byte_identical(tmp_path, monkeypatch):
+    import filmstab.elasticity as elasticity
+
+    # a curved 3D film with a clustered bottom c0 spectrum, which outruns the
+    # unshifted Lanczos budget and takes the shifted factor
+    modes = [
+        {"mode": [0, 0], "amplitude": 1.0},
+        {"mode": [1, 0], "amplitude": 0.03},
+        {"mode": [0, 1], "amplitude": 0.02, "phase": 0.5},
+    ]
+    cfg = flat_config(n=8, ny=8, e0=0.05, analysis={"max_mode": 2})
+    cfg["geometry"].update(dim=3, profile={"kind": "fourier", "modes": modes})
+    path = write_config(tmp_path, cfg)
+    shifts = []
+    shifted_cho = elasticity._shifted_stiffness_cho
+
+    def recording(field, sigma):
+        shifts.append(sigma)
+        return shifted_cho(field, sigma)
+
+    monkeypatch.setattr(elasticity, "_shifted_stiffness_cho", recording)
+    outs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 0
+        outs.append(out)
+    assert len(shifts) == 2 and shifts[0] == shifts[1]
+    assert (outs[0] / "stability.json").read_bytes() == (outs[1] / "stability.json").read_bytes()
+    assert (outs[0] / "dispersion.csv").read_bytes() == (outs[1] / "dispersion.csv").read_bytes()
+
+
 def test_dispersion_csv_matches_direct_evaluation(tmp_path):
     code, out = run(tmp_path, "stability", flat_config(n=16, ny=12, e0=0.05, analysis={"max_mode": 3}))
     assert code == 0

@@ -469,6 +469,154 @@ def test_c0_lanczos_non_convergence_is_named(monkeypatch):
     assert "tolerance 1e-10" in str(err.value)
 
 
+# a curved 3D film whose lowest c0 eigenvalues cluster (the bottom five
+# within 0.6%), so the unshifted Lanczos outruns its budget
+CLUSTERED_3D_MODES = [
+    {"mode": [0, 0], "amplitude": 1.0},
+    {"mode": [1, 0], "amplitude": 0.03},
+    {"mode": [0, 1], "amplitude": 0.02, "phase": 0.5},
+]
+
+
+def _clustered_field(samples=None) -> ElasticField:
+    prof = Profile.from_fourier_modes(3, 8, CLUSTERED_3D_MODES)
+    if samples is not None:
+        prof = Profile(samples(prof.samples), width=prof.width)
+    datum = MismatchDatum.from_misfit(E0, 3, "linear")
+    return solve_critical_point(prof, datum, LinearDensity.isotropic(3, LAM, MU), ny=8)[0]
+
+
+@pytest.fixture(scope="module")
+def clustered():
+    """The clustered film, factored, with its dense ``c0``."""
+    from scipy.linalg import eigh
+
+    field = _clustered_field()
+    assert field.stiffness_cho is not False
+    dense = eigh(field.stiffness, h1_gram(field.grid), eigvals_only=True, subset_by_index=[0, 0])
+    return field, float(dense[0])
+
+
+def _record_c0_passes(monkeypatch):
+    """Matvecs per ``c0`` Lanczos pass, and whether each shifted factorisation succeeded."""
+    import filmstab.elasticity as elasticity
+    from scipy.sparse.linalg import LinearOperator
+
+    passes, factored = [], []
+    eigsh, cho_factor = elasticity.eigsh, elasticity.cho_factor
+
+    def counted_eigsh(A, **kwargs):
+        passes.append(0)
+
+        def matvec(x):
+            passes[-1] += 1
+            return A.matvec(x)
+
+        return eigsh(LinearOperator(A.shape, matvec=matvec, dtype=float), **kwargs)
+
+    def recorded_cho_factor(A, **kwargs):
+        factored.append(False)
+        result = cho_factor(A, **kwargs)
+        factored[-1] = True
+        return result
+
+    monkeypatch.setattr(elasticity, "eigsh", counted_eigsh)
+    monkeypatch.setattr(elasticity, "cho_factor", recorded_cho_factor)
+    return passes, factored
+
+
+@pytest.mark.parametrize(
+    "constants, n_passes, factored",
+    [
+        ({"_C0_BUDGET": 1000}, 2, []),
+        ({"_C0_BUDGET": 1}, 3, [True]),
+        # a shift above the rough upper bound is above c0, so K - sigma G has no factor
+        ({"_C0_BUDGET": 1, "_C0_SHIFT": 2.0}, 3, [False]),
+    ],
+    ids=["within-budget", "shifted", "shift-rejected"],
+)
+def test_every_c0_route_matches_the_dense_eigensolve(monkeypatch, clustered, constants, n_passes, factored):
+    import filmstab.elasticity as elasticity
+
+    field, dense = clustered
+    for name, value in constants.items():
+        monkeypatch.setattr(elasticity, name, value)
+    passes, shifted = _record_c0_passes(monkeypatch)
+    c0 = coercivity_constant(field)
+    assert len(passes) == n_passes and shifted == factored
+    assert c0 == pytest.approx(dense, rel=1e-10)
+
+
+def test_stalled_shifted_c0_pass_reports_every_matvec(monkeypatch, clustered):
+    import filmstab.elasticity as elasticity
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    field, _ = clustered
+    monkeypatch.setattr(elasticity, "_C0_BUDGET", 1)
+    passes, _ = _record_c0_passes(monkeypatch)
+    counted_eigsh = elasticity.eigsh
+
+    def stalled_when_shifted(A, **kwargs):
+        if len(passes) < 2:
+            return counted_eigsh(A, **kwargs)
+        for _ in range(3):
+            A.matvec(kwargs["v0"])
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(elasticity, "eigsh", stalled_when_shifted)
+    with pytest.raises(CoercivityError, match="c0 did not converge after") as err:
+        coercivity_constant(field)
+    assert len(passes) == 2 and passes[1] > 0
+    assert err.value.matvecs == sum(passes) + 3
+
+
+def test_stiffness_read_before_the_factor_is_left_intact(monkeypatch):
+    import filmstab.elasticity as elasticity
+
+    solved = _clustered_field()
+
+    def unfactored() -> ElasticField:
+        # the solve cached its factor on the fields it made; a new one has none
+        return ElasticField(solved.grid, solved.datum, solved.density, solved.p)
+
+    field = unfactored()
+    K = field.stiffness
+    before = K.copy()
+    c, lower = field.stiffness_cho
+    assert lower and field.stiffness is K and np.array_equal(K, before)
+    # a field that never read its stiffness factors its own matrix in place,
+    # to the same bits, and keeps no dense stiffness
+    assembled = []
+    assemble = elasticity.assemble_hessian
+
+    def recording(*args):
+        assembled.append(assemble(*args))
+        return assembled[-1]
+
+    monkeypatch.setattr(elasticity, "assemble_hessian", recording)
+    fresh = unfactored()
+    c_fresh, _ = fresh.stiffness_cho
+    assert "matrix" not in fresh._stiffness
+    assert len(assembled) == 1 and np.shares_memory(c_fresh, assembled[0])
+    assert np.array_equal(np.tril(c_fresh), np.tril(c))
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [lambda h: np.roll(h, 1, axis=0), lambda h: np.roll(h, 1, axis=1), lambda h: h.T],
+    ids=["roll-x", "roll-y", "swap-axes"],
+)
+def test_shifted_c0_is_invariant_under_lateral_symmetries(monkeypatch, clustered, samples):
+    field, _ = clustered
+    moved_field = _clustered_field(samples)
+    passes, shifted = _record_c0_passes(monkeypatch)
+    c0 = coercivity_constant(field)
+    moved = coercivity_constant(moved_field)
+    # both films take the shifted route
+    assert len(passes) == 6 and shifted == [True, True]
+    assert moved == pytest.approx(c0, rel=1e-10)
+
+
 @pytest.mark.parametrize("dim, n, ny", [(2, 16, 8), (3, 8, 5)])
 def test_matrix_free_h1_gram_matches_assembled(dim, n, ny):
     grid, _ = _curved_case(dim, "linear", n, ny)
