@@ -298,13 +298,13 @@ class ElasticField:
     """An elastic state ``base + p`` on a mapped grid.
 
     ``p`` is the nodal unknown, shape ``xshape + (ny, dim)``, zero on the
-    substrate row; the base carries the mismatch datum exactly.  The
-    stiffness's Cholesky factor (or its per-wavenumber blocks and their
-    factors) is cached on the field, so the Newton steps, the stability
-    problem and the warm-started re-solves share it; the dense stiffness
-    itself is kept only once :attr:`stiffness` is read.  The linear tangent
-    does not depend on ``p``, so for the linear kind :meth:`with_p` shares
-    that cache too.
+    substrate row; the base carries the mismatch datum exactly.  The field
+    keeps its stiffness only as a factor: the Cholesky factor (or the
+    per-wavenumber blocks and their factors) is cached, so the Newton
+    steps, the stability problem and the warm-started re-solves share it,
+    and a dense stiffness exists only while it is assembled and factored.
+    The linear tangent does not depend on ``p``, so for the linear kind
+    :meth:`with_p` shares that cache too.
     """
 
     def __init__(self, grid: MappedGrid, datum: MismatchDatum, density: ElasticDensity, p=None):
@@ -322,7 +322,7 @@ class ElasticField:
             if np.abs(p[..., 0, :]).max() > 1e-13:
                 raise ValueError("p must vanish on the substrate row")
         self.p = p
-        self._stiffness = {}  # "matrix", "blocks" and "cho", once built
+        self._stiffness = {}  # "blocks" and "cho", once built
 
     def with_p(self, p: np.ndarray) -> "ElasticField":
         new = object.__new__(ElasticField)
@@ -363,17 +363,14 @@ class ElasticField:
 
     @property
     def stiffness(self) -> np.ndarray:
-        """Interior-dof matrix of the tangent form at this field, assembled on first read.
+        """Interior-dof matrix of the tangent form at this field, assembled on every read.
 
-        The solves never read it: :attr:`stiffness_cho` assembles a matrix of
-        its own and factors it in place, so the dense stiffness is kept only
-        once this property has been read (by the tests, or by the
-        eigensolve and Newton step of a stiffness without a Cholesky factor).
+        Nothing that has a factor reads it: the solves and ``c0`` go through
+        :attr:`stiffness_cho`.  It is read once by the dense eigensolve of
+        :func:`coercivity_constant` and by a direct Newton step, both only
+        for a stiffness without a Cholesky factor, and by the tests.
         """
-        cache = self._stiffness
-        if "matrix" not in cache:
-            cache["matrix"] = assemble_hessian(self.grid, self._weighted_tangent())
-        return cache["matrix"]
+        return assemble_hessian(self.grid, self._weighted_tangent())
 
     @property
     def stiffness_blocks(self):
@@ -404,27 +401,23 @@ class ElasticField:
 
         A laterally uniform field gets a :class:`LateralCholesky` of its
         :attr:`stiffness_blocks` and never assembles the stiffness; any other
-        field gets ``cho_factor(K, lower=True)`` of a freshly assembled ``K``,
-        factored in place and not kept, so the factor is the only dense
-        matrix the field holds.  A :attr:`stiffness` already read is factored
-        in a copy and left as it was.  A block without a Cholesky factor
-        gives ``False`` with no dense retry: the blocks are a unitary
-        block-diagonalisation of the stiffness, so it is positive definite
-        exactly when they all are.
+        field gets the ``cho_factor(K, lower=True)`` of a freshly assembled
+        ``K``, factored in place by :func:`_shifted_stiffness_cho` at shift
+        zero, so the factor is the only dense matrix the field holds.  A
+        block without a Cholesky factor gives ``False`` with no dense retry:
+        the blocks are a unitary block-diagonalisation of the stiffness, so
+        it is positive definite exactly when they all are.
         """
         cache = self._stiffness
         if "cho" not in cache:
             blocks = self.stiffness_blocks
-            try:
-                if blocks is not None:
+            if blocks is None:
+                cache["cho"] = _shifted_stiffness_cho(self, 0.0)
+            else:
+                try:
                     cache["cho"] = LateralCholesky(self.grid.xshape, blocks)
-                elif "matrix" in cache:
-                    cache["cho"] = cho_factor(cache["matrix"], lower=True)
-                else:
-                    K = assemble_hessian(self.grid, self._weighted_tangent())
-                    cache["cho"] = _factor_in_place(K)
-            except LinAlgError:
-                cache["cho"] = False
+                except LinAlgError:
+                    cache["cho"] = False
         return cache["cho"]
 
 
@@ -546,6 +539,26 @@ def h1_gram(grid: MappedGrid) -> np.ndarray:
     return G
 
 
+def _shifted_stiffness_cho(field: ElasticField, sigma: float):
+    """Cholesky factor of ``K - sigma G``, or ``False`` when it has none.
+
+    ``K`` is the field's stiffness and ``G`` the :func:`h1_gram`.  The
+    matrix is assembled in one pass from the weighted tangent minus
+    ``sigma`` times the Sobolev coefficients, and ``cho_factor(K.T,
+    lower=True)`` factors it in place: ``K.T`` is the same symmetric matrix
+    in Fortran order, which LAPACK factors without a copy.  Subtracting
+    ``sigma = 0`` is exact, so at shift zero this is the stiffness's own
+    factor.
+    """
+    grid = field.grid
+    K = assemble_hessian(grid, field._weighted_tangent() - sigma * _h1_coefficients(grid))
+    K[np.diag_indices(K.shape[0])] -= sigma * interior_weight_vector(grid)
+    try:
+        return cho_factor(K.T, lower=True, overwrite_a=True)
+    except LinAlgError:
+        return False
+
+
 def _h1_gram_matvec(grid: MappedGrid, v: np.ndarray) -> np.ndarray:
     """``h1_gram(grid) @ v`` without assembling the Gram matrix."""
     wq = grid.wq.reshape(-1, 1, 1)
@@ -634,32 +647,17 @@ def _tangent_flux(grid: MappedGrid, tangent_w: np.ndarray):
     return lambda g: np.einsum("kiamb,kmb->kia", Cw, g)
 
 
-def _factor_in_place(K: np.ndarray):
-    """``cho_factor(K, lower=True)`` of a symmetric C-ordered ``K``, overwriting ``K``.
-
-    ``K.T`` is the same symmetric matrix in Fortran order, which LAPACK
-    factors without a copy.  ``K`` holds the factor afterwards, or garbage
-    when the factorisation raises ``LinAlgError``.
-    """
-    return cho_factor(K.T, lower=True, overwrite_a=True)
-
-
-def factor_solve(cho, b: np.ndarray, trans: str | None = None) -> np.ndarray:
-    """Solve against a stiffness factor, reading the factor once.
+def factor_solve(cho, b: np.ndarray) -> np.ndarray:
+    """``K^-1 b`` against a stiffness factor, reading the factor once.
 
     ``cho`` is a dense ``cho_factor(K, lower=True)`` or a
     :class:`LateralCholesky`, and ``b`` a vector or a matrix of right-hand
-    sides.  Without ``trans`` the result is ``K^-1 b``; ``trans="N"`` or
-    ``"T"`` solves with the stored triangle ``F`` of a dense factor alone,
-    giving ``F^-1 b`` or ``F^-T b``.  The factor is not scanned for
-    non-finite entries, which would cost as much as the solve:
-    ``cho_factor`` checked ``K`` when it built it, and the factor of a
-    finite matrix is finite.  A non-finite ``b`` raises ``ValueError``.
+    sides.  The factor is not scanned for non-finite entries, which would
+    cost as much as the solve: ``cho_factor`` checked ``K`` when it built
+    it, and the factor of a finite matrix is finite.  A non-finite ``b``
+    raises ``ValueError``.
     """
     b = np.asarray_chkfinite(b)
-    if trans is not None:
-        c, lower = cho
-        return solve_triangular(c, b, lower=lower, trans=trans, check_finite=False)
     if isinstance(cho, LateralCholesky):
         return cho.solve(b)
     return cho_solve(cho, b, check_finite=False)
@@ -706,11 +704,11 @@ def _pcg_step(grid: MappedGrid, tangent_w: np.ndarray, r: np.ndarray, cho, targe
 def _factored_step(work: ElasticField, r: np.ndarray, residuals):
     """Newton step ``dp`` with ``K dp = -r`` by the iterate's own stiffness ``K``.
 
-    ``K`` and its Cholesky factor are the ones cached on ``work``: a linear
-    field shares them with every field of its solve, a nonlinear iterate
-    builds its own.  When ``K`` has no Cholesky factor the step is solved
-    directly, and one that is not a descent direction raises
-    :class:`NewtonError`.
+    ``K``'s Cholesky factor is the one cached on ``work``: a linear field
+    shares it with every field of its solve, a nonlinear iterate builds its
+    own.  When ``K`` has no Cholesky factor the step is solved directly
+    against the assembled ``K``, and one that is not a descent direction
+    raises :class:`NewtonError`.
     """
     cho = work.stiffness_cho
     if cho is not False:
@@ -754,10 +752,24 @@ def solve_critical_point(
     solve, not which fields it accepts.  A step that is not a descent
     direction, possible only when ``K`` has no Cholesky factor, raises
     :class:`NewtonError`.
+
+    A flat profile under a datum without modes has a laterally uniform
+    solution, so the start and every candidate are replaced by their lateral
+    mean: rounding would leave columns apart in the last bits, and their
+    stiffness would miss the exact test of :attr:`~ElasticField.stiffness_blocks`.
     """
     grid = build_grid(profile, ny)
     field = ElasticField(grid, datum, density, p=p0)
-    p = field.p.copy()
+    h = profile.samples
+    uniform = not datum.modes and np.all(h == h.flat[0])
+    lateral = tuple(range(grid.dim - 1))
+
+    def level(u):
+        if not uniform:
+            return u
+        return np.broadcast_to(u.mean(axis=lateral, keepdims=True), u.shape).copy()
+
+    p = level(field.p.copy())
     cho = precond
     residuals = []
     scale = None
@@ -790,7 +802,7 @@ def solve_critical_point(
         at_roundoff = abs(slope) <= 64.0 * np.finfo(float).eps * abs(energy)
         t = 1.0
         while True:
-            cand = p + t * dp
+            cand = level(p + t * dp)
             cand_grad = field.with_p(cand).gradient()
             if density.admissible(cand_grad):
                 cand_energy = grid.volume_integral(density.value(cand_grad))
@@ -859,22 +871,6 @@ _C0_BUDGET = 8
 _C0_SHIFT = 0.99
 
 
-def _shifted_stiffness_cho(field: ElasticField, sigma: float):
-    """Cholesky factor of ``K - sigma G``, or ``None`` when it has none (``sigma >= c0``).
-
-    ``K - sigma G`` is assembled in one pass from the field's weighted tangent
-    minus ``sigma`` times the Sobolev coefficients of :func:`h1_gram`, and
-    factored in place.
-    """
-    grid = field.grid
-    K = assemble_hessian(grid, field._weighted_tangent() - sigma * _h1_coefficients(grid))
-    K[np.diag_indices(K.shape[0])] -= sigma * interior_weight_vector(grid)
-    try:
-        return _factor_in_place(K)
-    except LinAlgError:
-        return None
-
-
 def coercivity_constant(field: ElasticField) -> float:
     """Sharp constant relating the field's tangent form to the Sobolev norm.
 
@@ -888,7 +884,8 @@ def coercivity_constant(field: ElasticField) -> float:
     minimum over wavenumbers of its :attr:`~ElasticField.stiffness_blocks`
     against the Gram's blocks, taken the same way from its matrix-free
     product, and assembles neither matrix.  A ``K`` without a Cholesky
-    factor takes the dense generalized eigensolve against :func:`h1_gram`.
+    factor takes the dense generalized eigensolve against :func:`h1_gram`,
+    the one read of :attr:`~ElasticField.stiffness` on this route.
 
     Any other ``K`` takes Lanczos solves for the top eigenvalue of
     ``L^-1 G L^-T``, which is ``1/c0``, against its factor ``L``
@@ -899,7 +896,8 @@ def coercivity_constant(field: ElasticField) -> float:
     2. the same solve continued from the rough Ritz vector at ``_C0_TOL``,
        within ``_C0_BUDGET`` ARPACK restarts, which ends most films;
     3. past the budget, on a clustered bottom spectrum, the shift
-       ``sigma = _C0_SHIFT * c~``: ``K - sigma G`` has a Cholesky factor
+       ``sigma = _C0_SHIFT * c~``: ``K - sigma G``, factored in place like
+       ``K`` by :func:`_shifted_stiffness_cho`, has a Cholesky factor
        ``L_s`` exactly when ``sigma < c0``, and then the top eigenvalue
        ``theta`` of ``L_s^-1 G L_s^-T`` is well separated and
        ``c0 = sigma + 1/theta``; a ``K - sigma G`` without a factor sends
@@ -925,13 +923,14 @@ def coercivity_constant(field: ElasticField) -> float:
     matvecs = 0
 
     def top_pair(factor, v0, tol, maxiter=None):
-        """Top eigenpair of ``F^-1 G F^-T`` for the factor ``F`` of ``factor``."""
+        """Top eigenpair of ``F^-1 G F^-T`` for the stored triangle ``F`` of a dense factor."""
+        F, lower = factor
 
         def mv(w):
             nonlocal matvecs
             matvecs += 1
-            t = factor_solve(factor, w, trans="T")
-            return factor_solve(factor, _h1_gram_matvec(grid, t), trans="N")
+            t = solve_triangular(F, w, lower=lower, trans="T", check_finite=False)
+            return solve_triangular(F, _h1_gram_matvec(grid, t), lower=lower, check_finite=False)
 
         # with the dtype given, LinearOperator does not spend a matvec to find it
         op = LinearOperator((nd, nd), matvec=mv, dtype=float)
@@ -947,7 +946,7 @@ def coercivity_constant(field: ElasticField) -> float:
             pass
         sigma = _C0_SHIFT / theta
         shifted = _shifted_stiffness_cho(field, sigma)
-        if shifted is None:
+        if shifted is False:
             return 1.0 / top_pair(cho, y, _C0_TOL)[0]
         return sigma + 1.0 / top_pair(shifted, v0, _C0_TOL)[0]
     except ArpackNoConvergence as err:

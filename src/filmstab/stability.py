@@ -195,8 +195,8 @@ class StabilityProblem:
         """Interior-dof matrix of the bulk tangent form at the equilibrium.
 
         The field's :attr:`~filmstab.elasticity.ElasticField.stiffness`,
-        assembled on its first read; the report reads only the field's
-        factor, and the dense matrix only when there is no factor.
+        which the field assembles on every read and the problem keeps; the
+        report reads only the field's factor.
         """
         return self.field.stiffness
 

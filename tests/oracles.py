@@ -7,7 +7,9 @@ Lanczos iteration on the nd-dimensional bulk space, so tests that compare
 the two check the identity instead of assuming it.  Both routes here
 factor the dense assembled stiffness (and the minimization the surface
 Gram) themselves, so they stay independent of the factors the package
-chooses (dense, or per lateral wavenumber on flat films).
+chooses (dense, or per lateral wavenumber on flat films).  They read the
+dense stiffness through ``StabilityProblem.stiffness``, which keeps it, so
+it is assembled once per problem: the field itself keeps only its factor.
 
 ``StabilityProblem.second_variation`` reads the quadratic form off one
 matrix on nodal speeds: the surface Gram ``sim_matrix`` minus the
@@ -46,7 +48,7 @@ def lanczos_mu1(problem) -> float:
     if np.abs(stress).max() <= 1e-12 * (1.0 + bulk_scale):
         return float("inf")
     Rz = problem.coupling @ problem.zero_mean_basis
-    L = cho_factor(problem.field.stiffness, lower=True)[0]
+    L = cho_factor(problem.stiffness, lower=True)[0]
     nd = Rz.shape[0]
 
     def matvec(x):
@@ -77,7 +79,7 @@ def solve_vphi(problem, phi) -> np.ndarray:
     rhs = problem.coupling @ arr.ravel()
     if not np.any(rhs):
         return np.zeros(problem.profile.xshape + (problem.grid.ny, problem.grid.dim))
-    cho = cho_factor(problem.field.stiffness, lower=True)
+    cho = cho_factor(problem.stiffness, lower=True)
     return _from_interior(problem.grid, cho_solve(cho, rhs))
 
 

@@ -343,11 +343,11 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert (outs[0] / "dispersion.csv").read_bytes() == (outs[1] / "dispersion.csv").read_bytes()
 
 
-def test_repeat_runs_through_the_shifted_c0_are_byte_identical(tmp_path, monkeypatch):
-    import filmstab.elasticity as elasticity
+def clustered_3d_config():
+    """A curved 3D film with a clustered bottom c0 spectrum.
 
-    # a curved 3D film with a clustered bottom c0 spectrum, which outruns the
-    # unshifted Lanczos budget and takes the shifted factor
+    It outruns the unshifted Lanczos budget, so ``c0`` takes the shifted factor.
+    """
     modes = [
         {"mode": [0, 0], "amplitude": 1.0},
         {"mode": [1, 0], "amplitude": 0.03},
@@ -355,15 +355,69 @@ def test_repeat_runs_through_the_shifted_c0_are_byte_identical(tmp_path, monkeyp
     ]
     cfg = flat_config(n=8, ny=8, e0=0.05, analysis={"max_mode": 2})
     cfg["geometry"].update(dim=3, profile={"kind": "fourier", "modes": modes})
-    path = write_config(tmp_path, cfg)
+    return cfg
+
+
+def curved_nonlinear_config(**kwargs):
+    cfg = flat_config(n=16, ny=8, e0=0.05, **kwargs)
+    modes = [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.05}]
+    cfg["geometry"]["profile"] = {"kind": "fourier", "modes": modes}
+    cfg["material"]["kind"] = "nonlinear"
+    return cfg
+
+
+def record_shifts(monkeypatch) -> list:
+    """The shifts ``sigma > 0`` of the factorisations from here on (``sigma = 0`` is the stiffness)."""
+    import filmstab.elasticity as elasticity
+
     shifts = []
     shifted_cho = elasticity._shifted_stiffness_cho
 
     def recording(field, sigma):
-        shifts.append(sigma)
+        if sigma > 0.0:
+            shifts.append(sigma)
         return shifted_cho(field, sigma)
 
     monkeypatch.setattr(elasticity, "_shifted_stiffness_cho", recording)
+    return shifts
+
+
+FLAT_THRESHOLD = {"bracket": [100.0, 1600.0], "rel_tol": 0.1, "thicknesses": [200.0, 400.0]}
+CRYSTALLINE = {"a": 1.0, "b": 1.0, "max_steps": 2}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, shifted",
+    [
+        ("stability", curved_nonlinear_config(analysis={"max_mode": 2}), False),
+        ("stability", clustered_3d_config(), True),
+        ("flat-threshold", flat_config(n=8, ny=4, e0=0.05, analysis=FLAT_THRESHOLD), False),
+        ("oracle-check", flat_config(n=16, ny=8, e0=0.05, analysis={"modes": [1]}), False),
+        ("critical-point", curved_nonlinear_config(), False),
+        ("crystalline", flat_config(n=8, ny=4, e0=0.05, analysis=CRYSTALLINE, anisotropy=None), False),
+    ],
+    ids=["stability-curved-2d", "stability-clustered-3d", "flat-threshold", "oracle-check",
+         "critical-point", "crystalline"],
+)
+def test_positive_definite_runs_never_read_the_dense_stiffness(
+    tmp_path, monkeypatch, command, cfg, shifted
+):
+    """Every solve and ``c0`` goes through the factor; the dense stiffness is for the rest."""
+    import filmstab.elasticity as elasticity
+
+    def refuse(field):
+        raise AssertionError("a run with a positive definite stiffness read the dense matrix")
+
+    monkeypatch.setattr(elasticity.ElasticField, "stiffness", property(refuse))
+    shifts = record_shifts(monkeypatch)
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 0
+    assert bool(shifts) == shifted
+
+
+def test_repeat_runs_through_the_shifted_c0_are_byte_identical(tmp_path, monkeypatch):
+    path = write_config(tmp_path, clustered_3d_config())
+    shifts = record_shifts(monkeypatch)
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub

@@ -22,16 +22,28 @@ from filmstab.elasticity import (
     factor_solve,
     solve_critical_point,
 )
-from filmstab.flat import critical_thickness, cube_unit_problem, flat_field
+from filmstab.flat import critical_thickness, cube_unit_problem, flat_field, stability_of_thickness
 from filmstab.geometry import Profile
 from filmstab.stability import StabilityProblem, cosine_mode, fd_oracle_second_variation
 
 
 def dense_twin(field: ElasticField) -> ElasticField:
-    """The same field with its lateral blocks withheld, so it takes the dense path."""
-    twin = ElasticField(field.grid, field.datum, field.density, field.p)
+    """The same field on its own grid, with its lateral blocks withheld: it takes the dense path."""
+    grid = build_grid(field.grid.profile, field.grid.ny)
+    twin = ElasticField(grid, field.datum, field.density, field.p)
     twin._stiffness["blocks"] = None
     return twin
+
+
+def refuse_assembly(monkeypatch, grid) -> None:
+    """Make ``assemble_hessian`` fail on ``grid``, before it allocates the matrix."""
+    assemble = elasticity.assemble_hessian
+
+    def guarded(on, coefficients):
+        assert on is not grid, "the block path assembled a stiffness"
+        return assemble(on, coefficients)
+
+    monkeypatch.setattr(elasticity, "assemble_hessian", guarded)
 
 
 def density_of(kind: str, dim: int):
@@ -52,11 +64,13 @@ GRIDS = [(2, 16, 8), (2, 48, 32), (3, 8, 6), (2, 10, 6), (2, 20, 8), (3, 10, 6)]
 @pytest.mark.parametrize("width", [1.0, 3.0], ids=["width-1", "cube-cell"])
 @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
 @pytest.mark.parametrize("dim, n, ny", GRIDS, ids=[f"{d}D-{n}x{ny}" for d, n, ny in GRIDS])
-def test_block_factor_matches_the_dense_path(dim, n, ny, kind, width):
+def test_block_factor_matches_the_dense_path(monkeypatch, dim, n, ny, kind, width):
     density = density_of(kind, dim)
     datum = MismatchDatum.from_misfit(0.05, dim, kind)
     field = flat_field(density, datum, 3.0, n, ny, width=width)
     dense = dense_twin(field)
+    # the flat film never assembles its stiffness
+    refuse_assembly(monkeypatch, field.grid)
     assert isinstance(field.stiffness_cho, LateralCholesky)
     assert isinstance(dense.stiffness_cho, tuple)
 
@@ -76,8 +90,6 @@ def test_block_factor_matches_the_dense_path(dim, n, ny, kind, width):
         assert blocks.full_second_variation(phi) == pytest.approx(
             ref.full_second_variation(phi), rel=1e-10
         )
-    # the flat film never assembles its stiffness
-    assert "matrix" not in field._stiffness
 
 
 def test_dispatch_rejects_a_curved_profile():
@@ -128,7 +140,7 @@ def test_fd_oracle_takes_the_same_pcg_iterations_with_either_factor(monkeypatch)
     assert values[0] == pytest.approx(values[1], rel=1e-6)
 
 
-def test_3d_flat_critical_thickness_at_n32():
+def test_3d_flat_critical_thickness_at_n32(monkeypatch):
     """The 3D flat threshold at n = 32, where a dense stiffness would not fit.
 
     At ny = 6 the stiffness has 15,360 dofs, ≈1.9 GB per dense copy.  The
@@ -139,6 +151,7 @@ def test_3d_flat_critical_thickness_at_n32():
     datum = MismatchDatum.from_misfit(0.05, 3, "linear")
     psi = IsotropicDensity(3)
     unit = cube_unit_problem(density, psi, datum, n=32, ny=6)
+    refuse_assembly(monkeypatch, unit.grid)
     assert isinstance(unit.field.stiffness_cho, LateralCholesky)
     coarse = cube_unit_problem(density, psi, datum, n=8, ny=6)
     coarse = StabilityProblem(dense_twin(coarse.field), psi)
@@ -150,4 +163,20 @@ def test_3d_flat_critical_thickness_at_n32():
     expected = critical_thickness(density, psi, datum, bracket, n=8, ny=6, unit=coarse)
     assert found.d_crit == pytest.approx(expected.d_crit, rel=1e-12)
     assert found.lambda_low < 1.0 < found.lambda_high
-    assert "matrix" not in unit.field._stiffness
+
+
+@pytest.mark.parametrize("dim, n, ny", [(2, 16, 8), (3, 8, 6)], ids=["2D-16x8", "3D-8x6"])
+def test_nonlinear_flat_newton_solution_keeps_the_block_factor(monkeypatch, dim, n, ny):
+    # Newton keeps the iterates laterally uniform to the last bit, so the
+    # solution's stiffness passes the exact uniformity test
+    density = density_of("nonlinear", dim)
+    datum = MismatchDatum.from_misfit(0.05, dim, "nonlinear")
+    field, info = solve_critical_point(Profile.flat(dim, n, 1.0), datum, density, ny=ny)
+    assert info["iterations"] > 1
+    refuse_assembly(monkeypatch, field.grid)
+    assert isinstance(field.stiffness_cho, LateralCholesky)
+    psi = IsotropicDensity(dim)
+    report = StabilityProblem(field, psi).report()
+    affine = stability_of_thickness(1.0, density, psi, datum, n=n, ny=ny)
+    assert report.c0 == pytest.approx(affine.c0, rel=1e-12)
+    assert report.lambda1 == pytest.approx(affine.lambda1, rel=1e-12)

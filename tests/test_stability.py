@@ -552,10 +552,18 @@ def test_cold_solve_and_report_factor_once(monkeypatch, kind):
         assert sorted(calls) == ["assemble_hessian"] * 2 + ["cho_factor"] * 2
 
 
-def test_problem_shares_the_field_stiffness():
-    field = flat_pair(n=16, ny=8)
-    prob = StabilityProblem(field, IsotropicDensity(2))
-    assert prob.stiffness is field.stiffness
+def test_problem_shares_the_field_stiffness(monkeypatch):
+    """The problem solves against the field's factor; the field keeps no dense stiffness."""
+    import filmstab.elasticity as elasticity
+
+    fields = [flat_pair(n=16, ny=8), curved_pair(n=16, ny=8)]
+    chos = [field.stiffness_cho for field in fields]
+    factored = _record_calls(monkeypatch, elasticity, "cho_factor")
+    for field, cho in zip(fields, chos):
+        StabilityProblem(field, IsotropicDensity(2)).report()
+        assert field.stiffness_cho is cho
+        assert set(field._stiffness) == {"blocks", "cho"}
+    assert factored == []
 
 
 @pytest.mark.parametrize("pair", [flat_pair, curved_pair], ids=["flat", "curved"])
