@@ -442,17 +442,20 @@ def assemble_residual(grid: MappedGrid, weighted_stress: np.ndarray) -> np.ndarr
     ``weighted_stress`` has shape ``xshape + (ny, N, N)`` and already carries
     the quadrature weights.  Returns the flattened residual over interior
     dofs (all rows above the substrate).
+
+    It is the transpose of the gradient applied to the stress: the
+    vertical parts ``s_a F_a`` of all directions are summed first and
+    meet ``Ds[:, 1:]^T`` in one product, and each lateral part is one
+    ``Lx_a^T F_a`` product, all on BLAS.  Every matrix-free form product
+    (:func:`_form_apply`) and every Newton residual ends here.
     """
-    nx, ny, N, nd = _flat_shapes(grid)
+    nx, ny, N, _ = _flat_shapes(grid)
     Lx, Ds, scoef = grid.assembly_operators()
     F = weighted_stress.reshape(nx, ny, N, N)
-    out = np.zeros((nx, ny - 1, N))
-    Ds_cols = Ds[:, 1:]
-    for a in range(N):
-        Fa = F[..., a]
-        if a < N - 1:
-            out += np.einsum("rj,rti->jti", Lx[a], Fa)[:, 1:]
-        out += np.einsum("tk,rti->rki", Ds_cols, scoef[a][..., None] * Fa)
+    vertical = sum(scoef[a][..., None] * F[..., a] for a in range(N))
+    out = np.matmul(Ds[:, 1:].T, vertical)
+    for a in range(N - 1):
+        out += (Lx[a].T @ F[..., a].reshape(nx, ny * N)).reshape(nx, ny, N)[:, 1:]
     return out.ravel()
 
 
@@ -741,17 +744,25 @@ def solve_critical_point(
     the field and an info dict with iteration count, final residual norm and
     energy.
 
-    Every Newton step is first a conjugate-gradient solve of ``K dp = -r``
-    on the matrix-free tangent ``K``, preconditioned by the newest Cholesky
+    Every Newton step is first a conjugate-gradient solve of ``K dp = -r`` on
+    the matrix-free tangent ``K``, preconditioned by the newest Cholesky
     factor at hand (inexact Newton, see :func:`_pcg_step`).  With no factor
     yet, or when that solve fails, the step is solved by the iterate's own
     :attr:`~ElasticField.stiffness_cho`, which becomes the newest factor.
     ``precond`` is the first factor: the ``cho_factor(K0, lower=True)`` of a
-    nearby stiffness, or ``None`` or ``False`` for none.  The true residual
-    test is the same for every step, so the factors change the cost of a
-    solve, not which fields it accepts.  A step that is not a descent
-    direction, possible only when ``K`` has no Cholesky factor, raises
-    :class:`NewtonError`.
+    nearby stiffness, or ``False`` for none.  ``None``, a cold start, is none
+    for a linear film, whose first factor is the solution's own (the tangent
+    does not depend on ``p``), and for a laterally uniform one, whose factors
+    are per wavenumber.  Any other cold nonlinear film starts from its flat
+    companion instead: the same density and the datum's ``A`` without modes,
+    at ``p = 0`` on a flat profile of the mean thickness with the same
+    ``n``, ``ny`` and width.  That stiffness is laterally uniform, so its
+    factor is a :class:`LateralCholesky` built without assembling anything,
+    and the only dense factor of the solve is the one a failed inner solve
+    falls back to.  The true residual test is the same for every step, so the
+    factors change the cost of a solve, not which fields it accepts.  A step
+    that is not a descent direction, possible only when ``K`` has no Cholesky
+    factor, raises :class:`NewtonError`.
 
     A flat profile under a datum without modes has a laterally uniform
     solution, so the start and every candidate are replaced by their lateral
@@ -771,6 +782,10 @@ def solve_critical_point(
 
     p = level(field.p.copy())
     cho = precond
+    if cho is None and density.kind == "nonlinear" and not uniform:
+        flat = Profile.flat(grid.dim, profile.n, float(h.mean()), profile.width)
+        companion = ElasticField(build_grid(flat, ny), MismatchDatum(datum.A, grid.dim), density)
+        cho = companion.stiffness_cho
     residuals = []
     scale = None
     for it in range(max_iter):

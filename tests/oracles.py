@@ -11,6 +11,10 @@ chooses (dense, or per lateral wavenumber on flat films).  They read the
 dense stiffness through ``StabilityProblem.stiffness``, which keeps it, so
 it is assembled once per problem: the field itself keeps only its factor.
 
+``filmstab.elasticity.assemble_residual`` applies the transposed gradient
+to a weighted stress as BLAS products; ``einsum_residual`` writes the same
+sums index by index, one contraction per direction.
+
 ``StabilityProblem.second_variation`` reads the quadratic form off one
 matrix on nodal speeds: the surface Gram ``sim_matrix`` minus the
 elastic-correction Gram ``t_matrix``.  The direct route here solves the
@@ -25,10 +29,30 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from filmstab.anisotropy import IsotropicDensity
-from filmstab.elasticity import _from_interior
+from filmstab.elasticity import _flat_shapes, _from_interior
 from filmstab.geometry import surface_integral
 from filmstab.stability import StabilityProblem
 from diagnostics import tangential_gradient
+
+
+def einsum_residual(grid, weighted_stress) -> np.ndarray:
+    """Interior-dof residual of ``w * stress`` samples, contracted with ``np.einsum``.
+
+    For each direction ``a`` the lateral part ``Lx_a^T F_a`` and the
+    vertical part ``Ds^T (s_a F_a)`` of the stress column ``F_a`` are added
+    to the interior rows.
+    """
+    nx, ny, N, _ = _flat_shapes(grid)
+    Lx, Ds, scoef = grid.assembly_operators()
+    F = weighted_stress.reshape(nx, ny, N, N)
+    out = np.zeros((nx, ny - 1, N))
+    Ds_cols = Ds[:, 1:]
+    for a in range(N):
+        Fa = F[..., a]
+        if a < N - 1:
+            out += np.einsum("rj,rti->jti", Lx[a], Fa)[:, 1:]
+        out += np.einsum("tk,rti->rki", Ds_cols, scoef[a][..., None] * Fa)
+    return out.ravel()
 
 
 def lanczos_mu1(problem) -> float:

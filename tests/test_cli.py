@@ -415,6 +415,45 @@ def test_positive_definite_runs_never_read_the_dense_stiffness(
     assert bool(shifts) == shifted
 
 
+def curved_nonlinear_3d_config():
+    cfg = clustered_3d_config()
+    cfg["material"]["kind"] = "nonlinear"
+    del cfg["analysis"]
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg", [curved_nonlinear_config(), curved_nonlinear_3d_config()], ids=["2d", "3d"]
+)
+def test_cold_curved_nonlinear_critical_point_assembles_nothing(tmp_path, monkeypatch, cfg):
+    """Newton on a curved nonlinear film is preconditioned by the flat film's block factor."""
+    import filmstab.elasticity as elasticity
+
+    def refuse(*args):
+        raise AssertionError("a cold nonlinear Newton solve assembled a stiffness")
+
+    monkeypatch.setattr(elasticity, "assemble_hessian", refuse)
+    code, _ = run(tmp_path, "critical-point", cfg)
+    assert code == 0
+
+
+def test_curved_nonlinear_stability_assembles_once(tmp_path, monkeypatch):
+    """Only the solution's stiffness is assembled, for its factor."""
+    import filmstab.elasticity as elasticity
+
+    calls = []
+    original = elasticity.assemble_hessian
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(elasticity, "assemble_hessian", counting)
+    code, _ = run(tmp_path, "stability", curved_nonlinear_config(analysis={"max_mode": 2}))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_repeat_runs_through_the_shifted_c0_are_byte_identical(tmp_path, monkeypatch):
     path = write_config(tmp_path, clustered_3d_config())
     shifts = record_shifts(monkeypatch)

@@ -11,9 +11,13 @@ from filmstab.elasticity import (
     MismatchDatum,
     NewtonError,
     NonlinearDensity,
+    _PCG_MAX_ITER,
     _flat_shapes,
+    _form_apply,
     _from_interior,
+    _h1_coefficients,
     _h1_gram_matvec,
+    _tangent_flux,
     assemble_hessian,
     assemble_residual,
     coercivity_constant,
@@ -27,6 +31,7 @@ from filmstab.elasticity import (
 )
 from filmstab.geometry import Profile, build_grid
 from diagnostics import legendre_hadamard_check, local_min_probe
+from oracles import einsum_residual
 
 LAM, MU, E0 = 2.0, 1.0, 0.05
 CURVED_3D_MODES = [
@@ -369,6 +374,67 @@ def test_cold_nonlinear_solve_matches_always_factored_newton(monkeypatch, dim, n
     lam, _ = StabilityProblem(field, IsotropicDensity(dim)).lambda1()
     ref_lam, _ = StabilityProblem(ref_field, IsotropicDensity(dim)).lambda1()
     assert lam == pytest.approx(ref_lam, rel=1e-10)
+
+
+def _record_pcg(monkeypatch) -> list:
+    """Patch ``_pcg_step``; returns ``(found a step, form products)`` per inner solve."""
+    import filmstab.elasticity as elasticity
+
+    solves, products = [], []
+    pcg, form = elasticity._pcg_step, elasticity._form_apply
+
+    def counting(*args):
+        products.append(1)
+        return form(*args)
+
+    def recording(*args):
+        products.clear()
+        step = pcg(*args)
+        solves.append((step is not None, len(products)))
+        return step
+
+    monkeypatch.setattr(elasticity, "_form_apply", counting)
+    monkeypatch.setattr(elasticity, "_pcg_step", recording)
+    return solves
+
+
+def test_cold_solve_past_the_flat_companion_matches_the_start_factor(monkeypatch):
+    # at ptp/mean 0.66 the flat film at the mean thickness is too far from
+    # the start for its factor: the first inner solve hits the cap and the
+    # step falls back to the iterate's own factor
+    prof = Profile(1.0 + 0.33 * np.cos(2.0 * np.pi * np.arange(16) / 16))
+    datum = MismatchDatum.from_misfit(E0, 2, "nonlinear")
+    dens = NonlinearDensity(2, LAM, MU)
+    start = ElasticField(build_grid(prof, 8), datum, dens).stiffness_cho
+    _, ref = solve_critical_point(prof, datum, dens, ny=8, precond=start)
+    solves = _record_pcg(monkeypatch)
+    _, info = solve_critical_point(prof, datum, dens, ny=8)
+    assert solves[0] == (False, _PCG_MAX_ITER)
+    assert info["iterations"] == ref["iterations"]
+    assert info["energy"] == pytest.approx(ref["energy"], rel=1e-12)
+
+
+@pytest.mark.parametrize("film", ["curved-3d", "flat-2d-datum-modes"])
+def test_cold_nonlinear_solve_off_the_block_path_assembles_nothing(monkeypatch, film):
+    # neither film is laterally uniform; the companion drops the datum's modes
+    if film == "curved-3d":
+        modes = [
+            {"mode": [0, 0], "amplitude": 1.0},
+            {"mode": [1, 0], "amplitude": 0.03},
+            {"mode": [0, 1], "amplitude": 0.03, "phase": 0.5},
+        ]
+        prof, ny = Profile.from_fourier_modes(3, 8, modes), 6
+        datum = MismatchDatum.from_misfit(E0, 3, "nonlinear")
+    else:
+        prof, ny = Profile.flat(2, 16, 1.0), 8
+        wiggle = {"mode": 1, "amplitude": 0.01}
+        datum = MismatchDatum.from_misfit(E0, 2, "nonlinear", modes=[wiggle])
+    calls = _count_hessians(monkeypatch)
+    solves = _record_pcg(monkeypatch)
+    _, info = solve_critical_point(prof, datum, NonlinearDensity(prof.dim, LAM, MU), ny=ny)
+    assert calls == []
+    assert [found for found, _ in solves] == [True] * info["iterations"]
+    assert info["residual_norm"] <= 1e-11
 
 
 def test_poor_preconditioner_falls_back_to_the_factored_step(monkeypatch):
@@ -737,6 +803,22 @@ def test_assemble_hessian_matches_dense_reference(dim, kind, n, ny):
     G_ref[np.diag_indices(G.shape[0])] += interior_weight_vector(grid)
     assert _max_rel(G, G_ref) <= 1e-13
     assert np.array_equal(G, G.T)
+
+
+@pytest.mark.parametrize("dim, n, ny", [(2, 24, 12), (3, 8, 6)])
+def test_residual_kernel_and_form_products_match_their_references(dim, n, ny):
+    grid, Cw = _curved_case(dim, "nonlinear", n, ny)
+    rng = np.random.default_rng(6)
+    stress = rng.standard_normal(grid.wq.shape + (dim, dim))
+    assert np.abs(stress - np.swapaxes(stress, -1, -2)).max() > 0.1
+    F = grid.wq[..., None, None] * stress
+    assert _max_rel(assemble_residual(grid, F), einsum_residual(grid, F)) <= 1e-13
+    v = rng.standard_normal(_flat_shapes(grid)[3])
+    Kv = assemble_hessian(grid, Cw) @ v
+    assert _max_rel(_form_apply(grid, v, _tangent_flux(grid, Cw)), Kv) <= 1e-12
+    wq = grid.wq.reshape(-1, 1, 1)
+    Gv = assemble_hessian(grid, _h1_coefficients(grid)) @ v
+    assert _max_rel(_form_apply(grid, v, lambda g: wq * g), Gv) <= 1e-12
 
 
 @pytest.mark.parametrize("dim, n, ny", [(2, 16, 8), (3, 8, 5)])
