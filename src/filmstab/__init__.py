@@ -52,6 +52,7 @@ _EXPORTS = {
     # flat configurations
     "solve_affine": "flat",
     "flat_field": "flat",
+    "FlatFilm": "flat",
     "lambda1_of_thickness": "flat",
     "critical_thickness": "flat",
     "CriticalThickness": "flat",

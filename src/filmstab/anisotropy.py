@@ -208,17 +208,15 @@ def aniso_mean_curvature(profile: Profile, psi: AnisotropyDensity) -> np.ndarray
     return out
 
 
-def aniso_shape_operator(geom: SurfaceGeometry, psi: AnisotropyDensity):
-    """Anisotropic shape operator and the trace entering the stability form.
+def aniso_shape_operator(geom: SurfaceGeometry, psi: AnisotropyDensity) -> np.ndarray:
+    """The trace entering the stability form, per surface node.
 
-    Returns ``(B_psi, trace)`` with ``B_psi = (hess psi o normal) . B`` and
-    ``trace = trace((hess psi o normal) . B^2)``, both per surface node.
+    Returns ``trace((hess psi o normal) . B^2)``: the trace of the
+    anisotropic shape operator ``(hess psi o normal) . B`` times ``B``.
     """
     hess = psi.hessian(geom.normal)
     B = geom.shape_operator
-    B_psi = hess @ B
-    tr = np.einsum("...ij,...jk,...ki->...", hess, B, B)
-    return B_psi, tr
+    return np.einsum("...ij,...jk,...ki->...", hess, B, B)
 
 
 def anisotropy_from_config(cfg: dict, dim: int) -> AnisotropyDensity:

@@ -122,13 +122,13 @@ def _write_report(out: Path, name: str, report: dict) -> Path:
 def _cmd_critical_point(cfg: dict, args) -> int:
     import numpy as np
 
-    from .elasticity import solve_critical_point
+    from .elasticity import NEWTON_MAX_ITER, NEWTON_TOL, solve_critical_point
     from .stability import total_energy
 
     profile, datum, density, psi, _, ny = build_problem_inputs(cfg)
     analysis = cfg.get("analysis", {})
-    tol = float(analysis.get("tol", 1e-11))
-    max_iter = int(analysis.get("max_iter", 50))
+    tol = float(analysis.get("tol", NEWTON_TOL))
+    max_iter = int(analysis.get("max_iter", NEWTON_MAX_ITER))
 
     field, info = solve_critical_point(profile, datum, density, ny, tol=tol, max_iter=max_iter)
     total = total_energy(field, psi)
@@ -162,7 +162,7 @@ def _cmd_critical_point(cfg: dict, args) -> int:
 
 
 def _cmd_stability(cfg: dict, args) -> int:
-    from .elasticity import solve_critical_point
+    from .elasticity import NEWTON_TOL, solve_critical_point
     from .stability import StabilityProblem
 
     profile, datum, density, psi, n, ny = build_problem_inputs(cfg)
@@ -181,7 +181,7 @@ def _cmd_stability(cfg: dict, args) -> int:
         for k, value in curve:
             fh.write(f"{int(k)},{float(value)!r}\n")
 
-    report = _skeleton("stability", cfg, args, {"solver_tol": 1e-11, "max_mode": max_mode})
+    report = _skeleton("stability", cfg, args, {"solver_tol": NEWTON_TOL, "max_mode": max_mode})
     report["results"] = dict(
         verdict.to_dict(),
         solver_iterations=info["iterations"],
@@ -197,25 +197,26 @@ def _cmd_stability(cfg: dict, args) -> int:
 
 
 def _cmd_flat_threshold(cfg: dict, args) -> int:
-    from .flat import critical_thickness, cube_unit_problem, threshold_rows, write_threshold_csv
+    from .flat import (
+        BISECTION_REL_TOL,
+        FlatFilm,
+        critical_thickness,
+        threshold_rows,
+        write_threshold_csv,
+    )
 
     _, datum, density, psi, n, ny = build_problem_inputs(cfg)
     analysis = cfg["analysis"]
     bracket = tuple(float(v) for v in analysis["bracket"])
     cell = analysis.get("cell", "cube")
-    rel_tol = float(analysis.get("rel_tol", 1e-3))
+    rel_tol = float(analysis.get("rel_tol", BISECTION_REL_TOL))
 
-    # the cube cell's threshold and sweep both scale one d = 1 problem
-    unit = cube_unit_problem(density, psi, datum, n=n, ny=ny) if cell == "cube" else None
-    result = critical_thickness(
-        density, psi, datum, bracket, cell=cell, n=n, ny=ny, rel_tol=rel_tol, unit=unit
-    )
+    film = FlatFilm(density, psi, datum, cell=cell, n=n, ny=ny)
+    result = critical_thickness(film.lambda1, bracket, rel_tol=rel_tol)
     out = _out_dir(args)
     results = dict(result.to_dict(), cell=cell)
     if "thicknesses" in analysis:
-        rows = threshold_rows(
-            density, psi, datum, analysis["thicknesses"], cell=cell, n=n, ny=ny, unit=unit
-        )
+        rows = threshold_rows(film, analysis["thicknesses"])
         csv_name = cfg.get("output", {}).get("csv", "threshold.csv")
         write_threshold_csv(out / csv_name, rows)
         results["sweep"] = [list(row) for row in rows]
@@ -233,11 +234,12 @@ def _cmd_flat_threshold(cfg: dict, args) -> int:
 def _cmd_crystalline(cfg: dict, args) -> int:
     from .anisotropy import ShiftedFacetDensity
     from .flat import (
+        SWEEP_MAX_STEPS,
         BracketError,
+        FlatFilm,
         critical_thickness,
         crystalline_epsilon0,
         crystalline_sweep,
-        stability_of_thickness,
         write_crystalline_csv,
     )
 
@@ -246,7 +248,7 @@ def _cmd_crystalline(cfg: dict, args) -> int:
     a_facet = float(analysis["a"])
     b_facet = float(analysis["b"])
     d = float(analysis.get("d", profile.max()))
-    max_steps = int(analysis.get("max_steps", 8))
+    max_steps = int(analysis.get("max_steps", SWEEP_MAX_STEPS))
     max_thickness = float(analysis.get("max_thickness", 1000.0))
     if not d < max_thickness:
         raise ConfigError(
@@ -263,18 +265,17 @@ def _cmd_crystalline(cfg: dict, args) -> int:
 
     eps_star = 0.5 * eps0
     psi_star = ShiftedFacetDensity(a_facet, b_facet, eps_star, datum.dim)
+    film = FlatFilm(density, psi_star, datum, cell="unit", n=n, ny=ny)
     suppression = []
     for d_s in suppression_ds:
-        rep = stability_of_thickness(d_s, density, psi_star, datum, cell="unit", n=n, ny=ny)
-        suppression.append({"d": d_s, "lambda1": rep.lambda1, "verdict": rep.verdict})
+        lam, _, verdict = film.row(d_s)
+        suppression.append({"d": d_s, "lambda1": lam, "verdict": verdict})
     all_stable = all(row["verdict"] == "strictly_stable" for row in suppression)
 
     found = None
     bracket_lambdas = None
     try:
-        found = critical_thickness(
-            density, psi_star, datum, (d, max_thickness), cell="unit", n=n, ny=ny
-        )
+        found = critical_thickness(film.lambda1, (d, max_thickness))
         suppressed = False
     except BracketError as err:
         bracket_lambdas = (err.lambda_low, err.lambda_high)

@@ -666,6 +666,10 @@ def factor_solve(cho, b: np.ndarray) -> np.ndarray:
     return cho_solve(cho, b, check_finite=False)
 
 
+# the default Newton target, relative to the residual scale, and iteration cap
+NEWTON_TOL = 1e-11
+NEWTON_MAX_ITER = 50
+
 # inner solves of a preconditioned Newton step stop at this fraction of the
 # outer residual target, and give way to a factored tangent past the cap
 _PCG_RTOL = 0.1
@@ -728,8 +732,8 @@ def solve_critical_point(
     density: ElasticDensity,
     ny: int,
     p0: np.ndarray | None = None,
-    tol: float = 1e-11,
-    max_iter: int = 50,
+    tol: float = NEWTON_TOL,
+    max_iter: int = NEWTON_MAX_ITER,
     precond=None,
 ) -> tuple[ElasticField, dict]:
     """Equilibrium elastic field over a profile by a guarded Newton iteration.

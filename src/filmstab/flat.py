@@ -5,17 +5,17 @@ equilibrium whose gradient is constant, so the whole stability question
 reduces to spectral data as functions of the thickness.  This module
 
 * solves the algebraic traction-free condition for the affine slope,
-* evaluates the stability eigenvalues as functions of thickness under the
-  two cell conventions (fixed unit cell, or a cube cell whose width grows
-  with the thickness),
-* locates the critical thickness where the largest correction eigenvalue
-  crosses one, and reports the verdict along a thickness sweep.  The unit
-  cell solves one problem per thickness.  The cube cell of thickness ``d``
-  is the ``d``-dilate of the one at ``d = 1`` and the affine slope does not
-  depend on ``d``, so the stiffness is ``d^(N-2)`` times the ``d = 1`` one
-  and ``lambda1(d) = d * lambda1(1)`` exactly on the grid: the cube-cell
-  threshold and sweep solve the ``d = 1`` problem only, and can share it
-  (:func:`cube_unit_problem`),
+* holds one flat film per cell and grid (:class:`FlatFilm`), which answers
+  the stability eigenvalues as functions of thickness under the two cell
+  conventions: a fixed unit cell, which solves one problem per thickness,
+  or a cube cell whose width grows with the thickness.  The cube cell of
+  thickness ``d`` is the ``d``-dilate of the one at ``d = 1`` and the affine
+  slope does not depend on ``d``, so the stiffness is ``d^(N-2)`` times the
+  ``d = 1`` one and ``lambda1(d) = d * lambda1(1)`` exactly on the grid:
+  the cube-cell film solves the ``d = 1`` problem once and scales it,
+* bisects a thickness law for the critical thickness where the largest
+  correction eigenvalue crosses one, and reports the verdict along a
+  thickness sweep,
 * runs the facet-regularization sweep showing that a sufficiently stiff
   crystalline surface density suppresses the instability at every
   thickness,
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,7 @@ __all__ = [
     "CriticalThickness",
     "solve_affine",
     "flat_field",
-    "cube_unit_problem",
+    "FlatFilm",
     "lambda1_of_thickness",
     "stability_of_thickness",
     "critical_thickness",
@@ -59,6 +60,10 @@ __all__ = [
 _AFFINE_TOL = 1e-11
 _AFFINE_MAX_ITER = 40
 _BISECTION_MAX_ITER = 80
+# the default bisection width, relative to the thickness, and the default
+# length of the facet-regularization halving sweep
+BISECTION_REL_TOL = 1e-3
+SWEEP_MAX_STEPS = 8
 
 
 def _affine_gradient(datum: MismatchDatum, b: np.ndarray) -> np.ndarray:
@@ -139,14 +144,10 @@ def _flat_problem(
     density: ElasticDensity,
     psi: AnisotropyDensity,
     datum: MismatchDatum,
-    *,
-    cell: str,
     n: int,
     ny: int,
+    width: float,
 ) -> StabilityProblem:
-    if cell not in ("unit", "cube"):
-        raise ValueError(f"cell must be 'unit' or 'cube', got {cell!r}")
-    width = d if cell == "cube" else 1.0
     field = flat_field(density, datum, d, n, ny, width=width)
     prob = StabilityProblem(field, psi)
     _assert_flat_coefficient(prob)
@@ -164,34 +165,17 @@ def _assert_flat_coefficient(prob: StabilityProblem) -> None:
         )
 
 
-def cube_unit_problem(
-    density: ElasticDensity,
-    psi: AnisotropyDensity,
-    datum: MismatchDatum,
-    *,
-    n: int = 32,
-    ny: int = 20,
-) -> StabilityProblem:
-    """The cube cell's ``d = 1`` problem, which every cube-cell thickness scales.
-
-    Pass it as ``unit`` to :func:`critical_thickness` and
-    :func:`threshold_rows` so that both read one problem.
-    """
-    return _flat_problem(1.0, density, psi, datum, cell="cube", n=n, ny=ny)
-
-
 def lambda1_of_thickness(
     d: float,
     density: ElasticDensity,
     psi: AnisotropyDensity,
     datum: MismatchDatum,
     *,
-    cell: str = "unit",
-    n: int = 32,
-    ny: int = 20,
+    n: int,
+    ny: int,
 ) -> float:
-    """Largest correction eigenvalue of the flat film of thickness ``d``."""
-    lam, _ = _flat_problem(d, density, psi, datum, cell=cell, n=n, ny=ny).lambda1()
+    """Largest correction eigenvalue of the flat film of thickness ``d`` on the unit cell."""
+    lam, _ = _flat_problem(d, density, psi, datum, n, ny, 1.0).lambda1()
     return lam
 
 
@@ -201,12 +185,76 @@ def stability_of_thickness(
     psi: AnisotropyDensity,
     datum: MismatchDatum,
     *,
-    cell: str = "unit",
-    n: int = 32,
-    ny: int = 20,
+    n: int,
+    ny: int,
 ) -> StabilityReport:
-    """Full stability report of the flat film of thickness ``d``."""
-    return _flat_problem(d, density, psi, datum, cell=cell, n=n, ny=ny).report()
+    """Full stability report of the flat film of thickness ``d`` on the unit cell."""
+    return _flat_problem(d, density, psi, datum, n, ny, 1.0).report()
+
+
+class FlatFilm:
+    """A flat film of every thickness on one cell and one ``n x ny`` grid.
+
+    ``cell`` is ``"unit"`` (lateral width 1 at every thickness) or
+    ``"cube"`` (lateral width equal to the thickness).  The unit cell
+    answers every thickness from its own problem, through
+    :func:`lambda1_of_thickness` and :func:`stability_of_thickness`.  The
+    cube cell answers every thickness from the ``d = 1`` problem
+    :attr:`base`, solved once: ``lambda1`` scales by ``d`` and ``mu1`` by
+    ``1/d``.  The stiffness and the surface Gram of the flat film are
+    positive multiples of the ``d = 1`` ones, so the signs of ``c0`` and
+    ``sim_gram_min`` do not depend on ``d``, and
+    :func:`~filmstab.stability.verdict_of` gives every row the ``d = 1``
+    verdict when its eigenvalues are NaN (an indefinite surface product, or
+    a stiffness that is not positive definite).
+    """
+
+    def __init__(
+        self,
+        density: ElasticDensity,
+        psi: AnisotropyDensity,
+        datum: MismatchDatum,
+        *,
+        cell: str,
+        n: int,
+        ny: int,
+    ):
+        if cell not in ("unit", "cube"):
+            raise ValueError(f"cell must be 'unit' or 'cube', got {cell!r}")
+        self.density, self.psi, self.datum = density, psi, datum
+        self.cell, self.n, self.ny = cell, n, ny
+
+    def problem(self, d: float) -> StabilityProblem:
+        """A fresh stability problem of the film of thickness ``d`` on this cell."""
+        width = d if self.cell == "cube" else 1.0
+        return _flat_problem(d, self.density, self.psi, self.datum, self.n, self.ny, width)
+
+    @cached_property
+    def base(self) -> StabilityProblem:
+        """The ``d = 1`` problem, which every cube-cell thickness scales."""
+        return self.problem(1.0)
+
+    @cached_property
+    def _rate(self) -> float:
+        return self.base.lambda1()[0]
+
+    @cached_property
+    def _base_report(self) -> StabilityReport:
+        return self.base.report()
+
+    def lambda1(self, d: float) -> float:
+        """Largest correction eigenvalue at thickness ``d``."""
+        if self.cell == "unit":
+            return lambda1_of_thickness(d, self.density, self.psi, self.datum, n=self.n, ny=self.ny)
+        return d * self._rate
+
+    def row(self, d: float) -> tuple:
+        """``(lambda1, mu1, verdict)`` at thickness ``d``."""
+        if self.cell == "unit":
+            r = stability_of_thickness(d, self.density, self.psi, self.datum, n=self.n, ny=self.ny)
+            return r.lambda1, r.mu1, r.verdict
+        r = self._base_report
+        return d * r.lambda1, r.mu1 / d, verdict_of(r.c0, r.sim_gram_min, d * r.lambda1)
 
 
 class BracketError(RuntimeError):
@@ -236,52 +284,28 @@ class CriticalThickness:
         return asdict(self)
 
 
-def critical_thickness(
-    density: ElasticDensity,
-    psi: AnisotropyDensity,
-    datum: MismatchDatum,
-    bracket,
-    *,
-    cell: str = "cube",
-    n: int = 32,
-    ny: int = 20,
-    rel_tol: float = 1e-3,
-    unit: StabilityProblem | None = None,
-) -> CriticalThickness:
-    """Bisect the thickness at which the largest correction eigenvalue reaches one.
+def critical_thickness(lambda1, bracket, *, rel_tol: float = BISECTION_REL_TOL) -> CriticalThickness:
+    """Bisect the thickness at which the thickness law ``lambda1`` reaches one.
 
-    Requires the eigenvalue below one at the low end of the bracket and above
-    one at the high end; otherwise raises :class:`BracketError` carrying both
-    endpoint values (the facet-regularized densities never bracket, since they
-    are stable at every thickness).  The unit cell solves a problem at every
-    step.  The cube cell bisects ``lambda1(d) = d * lambda1(1)``, which is
-    exact on the grid, off the ``d = 1`` problem ``unit`` (see
-    :func:`cube_unit_problem`), built here when not given.
+    ``lambda1`` maps a thickness to the largest correction eigenvalue, for
+    example :meth:`FlatFilm.lambda1`.  Requires the eigenvalue below one at
+    the low end of the bracket and above one at the high end; otherwise
+    raises :class:`BracketError` carrying both endpoint values (the
+    facet-regularized densities never bracket, since they are stable at
+    every thickness).  Stops once the bracket is narrower than ``rel_tol``
+    times its midpoint.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi < np.inf:
         raise ValueError(f"bracket must satisfy 0 < low < high < inf, got {bracket}")
-    if cell == "cube":
-        if unit is None:
-            unit = cube_unit_problem(density, psi, datum, n=n, ny=ny)
-        rate, _ = unit.lambda1()
-
-        def lam(d: float) -> float:
-            return d * rate
-
-    else:
-
-        def lam(d: float) -> float:
-            return lambda1_of_thickness(d, density, psi, datum, cell=cell, n=n, ny=ny)
-
-    lam_lo, lam_hi = lam(lo), lam(hi)
+    lam_lo, lam_hi = lambda1(lo), lambda1(hi)
     if not lam_lo < 1.0 < lam_hi:
         raise BracketError((lo, hi), lam_lo, lam_hi)
     for _ in range(_BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo < rel_tol * mid:
             return CriticalThickness(mid, lo, hi, lam_lo, lam_hi)
-        lam_mid = lam(mid)
+        lam_mid = lambda1(mid)
         if lam_mid < 1.0:
             lo, lam_lo = mid, lam_mid
         else:
@@ -300,22 +324,23 @@ def crystalline_sweep(
     a_facet: float,
     b_facet: float,
     *,
-    n: int = 32,
-    ny: int = 20,
-    max_steps: int = 20,
+    n: int,
+    ny: int,
+    max_steps: int = SWEEP_MAX_STEPS,
 ) -> list:
     """Largest eigenvalue along the facet-regularization halving sweep.
 
     Returns ``[(eps, lambda1), ...]`` for ``eps = (b/a) / 2, (b/a) / 4, ...``
-    of ``ShiftedFacetDensity(a, b, eps)``.  On the flat film the normal is
-    ``e_N``, where that density's Hessian is ``a/eps`` times the isotropic
-    one and the surface coefficient vanishes for both, so every row is
-    ``(eps/a) lambda1_iso`` of the one isotropic problem.
+    of ``ShiftedFacetDensity(a, b, eps)``, on the unit cell at thickness
+    ``d``.  On the flat film the normal is ``e_N``, where that density's
+    Hessian is ``a/eps`` times the isotropic one and the surface coefficient
+    vanishes for both, so every row is ``(eps/a) lambda1_iso`` of the one
+    isotropic problem.
     """
     if not (a_facet > 0.0 and b_facet > 0.0):
         raise ValueError(f"facet coefficients must be positive, got a={a_facet}, b={b_facet}")
-    prob = _flat_problem(d, density, IsotropicDensity(datum.dim), datum, cell="unit", n=n, ny=ny)
-    lam_iso, _ = prob.lambda1()
+    iso = FlatFilm(density, IsotropicDensity(datum.dim), datum, cell="unit", n=n, ny=ny)
+    lam_iso = iso.lambda1(d)
     eps = [(b_facet / a_facet) * 0.5**k for k in range(1, max_steps + 1)]
     return [(e, e / a_facet * lam_iso) for e in eps]
 
@@ -338,41 +363,12 @@ def crystalline_epsilon0(rows) -> float:
 # -- CSV emission -----------------------------------------------------------------------
 
 
-def threshold_rows(
-    density: ElasticDensity,
-    psi: AnisotropyDensity,
-    datum: MismatchDatum,
-    thicknesses,
-    *,
-    cell: str = "cube",
-    n: int = 32,
-    ny: int = 20,
-    unit: StabilityProblem | None = None,
-) -> list:
-    """Rows ``(d, lambda1, mu1, verdict)`` along a thickness sweep.
-
-    The unit cell reports every thickness from its own problem.  The cube
-    cell reports the ``d = 1`` problem ``unit`` once (see
-    :func:`cube_unit_problem`; built here when not given) and scales it:
-    ``lambda1`` by ``d`` and ``mu1`` by ``1/d``.  The stiffness and the
-    surface Gram of the flat film are positive multiples of the ``d = 1``
-    ones, so the signs of ``c0`` and ``sim_gram_min`` do not depend on
-    ``d``, and :func:`~filmstab.stability.verdict_of` gives every row the
-    ``d = 1`` verdict when its eigenvalues are NaN (an indefinite surface
-    product, or a stiffness that is not positive definite).
-    """
+def threshold_rows(film: FlatFilm, thicknesses) -> list:
+    """Rows ``(d, lambda1, mu1, verdict)`` of ``film`` along a thickness sweep."""
     ds = [float(d) for d in thicknesses]
     if not all(0.0 < d < np.inf for d in ds):
         raise ValueError(f"thicknesses must be finite and strictly positive, got {ds}")
-    if cell != "cube":
-        reports = [stability_of_thickness(d, density, psi, datum, cell=cell, n=n, ny=ny) for d in ds]
-        return [(d, r.lambda1, r.mu1, r.verdict) for d, r in zip(ds, reports)]
-    if unit is None:
-        unit = cube_unit_problem(density, psi, datum, n=n, ny=ny)
-    r = unit.report()
-    return [
-        (d, d * r.lambda1, r.mu1 / d, verdict_of(r.c0, r.sim_gram_min, d * r.lambda1)) for d in ds
-    ]
+    return [(d, *film.row(d)) for d in ds]
 
 
 def write_threshold_csv(path, rows) -> None:

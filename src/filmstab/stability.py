@@ -244,7 +244,7 @@ class StabilityProblem:
         dgrad = self.grid.surface_trace(self.field.gradient_derivative())
         normal_rate = np.einsum("...iab,...b->...ia", dgrad, self.geom.normal)
         elastic_part = np.einsum("...ia,...ia->...", self.field.surface_stress(), normal_rate)
-        _, trace_part = aniso_shape_operator(self.geom, self.psi)
+        trace_part = aniso_shape_operator(self.geom, self.psi)
         return elastic_part - trace_part
 
     @cached_property

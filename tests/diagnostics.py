@@ -24,7 +24,7 @@ from filmstab.anisotropy import (
     aniso_shape_operator,
 )
 from filmstab.elasticity import ElasticDensity, ElasticField, MismatchDatum
-from filmstab.flat import lambda1_of_thickness
+from filmstab.flat import FlatFilm
 from filmstab.geometry import (
     Profile,
     SurfaceGeometry,
@@ -221,8 +221,9 @@ def scaling_law_check(
     the grid, up to round-off; the cube-cell threshold and sweep of
     ``filmstab.flat`` rely on it.  Both sides are solved here per thickness.
     """
-    lhs = lambda1_of_thickness(d, density, psi, datum, cell="cube", n=n, ny=ny)
-    rhs = d * lambda1_of_thickness(1.0, density, psi, datum, cell="cube", n=n, ny=ny)
+    film = FlatFilm(density, psi, datum, cell="cube", n=n, ny=ny)
+    lhs, _ = film.problem(d).lambda1()
+    rhs = d * film.problem(1.0).lambda1()[0]
     return lhs, rhs
 
 
@@ -330,7 +331,7 @@ def curvature_velocity_defect(profile: Profile, psi: AnisotropyDensity, phi, t: 
     curv_base = aniso_mean_curvature(profile, psi)
     hess = psi.hessian(geom.normal)
     flux = np.einsum("...ij,...j->...i", hess, tangential_gradient(geom, arr))
-    _, trace_part = aniso_shape_operator(geom, psi)
+    trace_part = aniso_shape_operator(geom, psi)
     rate = (curv_at - curv_base) / t
     defect = rate + arr * trace_part + tangential_divergence(geom, flux)
     return float(np.abs(defect).max())

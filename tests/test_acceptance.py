@@ -23,6 +23,7 @@ from filmstab.elasticity import (
     solve_critical_point,
 )
 from filmstab.flat import (
+    FlatFilm,
     critical_thickness,
     crystalline_epsilon0,
     crystalline_sweep,
@@ -150,16 +151,17 @@ def test_criterion_4_eigenvalue_and_minimum_criteria_agree():
 def test_criterion_5_flat_film_regime_structure():
     """Eigenvalue crosses one exactly at the bisected thickness; small films are rigid."""
     dens, dat = density(), datum()
-    found = critical_thickness(dens, ISO, dat, (100.0, 1600.0), cell="cube", n=16, ny=12)
+    cube = FlatFilm(dens, ISO, dat, cell="cube", n=16, ny=12)
+    found = critical_thickness(cube.lambda1, (100.0, 1600.0))
     sweep = np.geomspace(found.d_crit / 8.0, 8.0 * found.d_crit, 10)
     mislabeled = 0
     for d in sweep:
-        lam = lambda1_of_thickness(float(d), dens, ISO, dat, cell="cube", n=16, ny=12)
+        lam, _ = cube.problem(float(d)).lambda1()
         if (lam < 1.0) != (d < found.d_crit):
             mislabeled += 1
 
     mus = [
-        1.0 / lambda1_of_thickness(d, dens, ISO, dat, cell="unit", n=16, ny=12)
+        1.0 / lambda1_of_thickness(d, dens, ISO, dat, n=16, ny=12)
         for d in (1.0, 0.5, 0.25, 0.125)
     ]
     increasing = all(a < b for a, b in zip(mus, mus[1:]))
@@ -188,11 +190,13 @@ def test_criterion_5_flat_film_regime_structure():
 def test_criterion_6_facet_regularization_suppresses_instability():
     """Half the found stable regularization keeps thick films strictly stable."""
     dens, dat = density(), datum(1.2)
-    eps0 = crystalline_epsilon0(crystalline_sweep(dens, dat, 1.0, 1.0, 1.0, n=32, ny=20))
+    eps0 = crystalline_epsilon0(
+        crystalline_sweep(dens, dat, 1.0, 1.0, 1.0, n=32, ny=20, max_steps=20)
+    )
     psi_star = ShiftedFacetDensity(1.0, 1.0, 0.5 * eps0, 2)
     verdicts = []
     for d, ny in ((1.0, 32), (10.0, 32), (100.0, 48)):
-        rep = stability_of_thickness(d, dens, psi_star, dat, cell="unit", n=32, ny=ny)
+        rep = stability_of_thickness(d, dens, psi_star, dat, n=32, ny=ny)
         verdicts.append((d, rep.lambda1, rep.verdict))
     all_stable = all(v == "strictly_stable" for _, _, v in verdicts)
 

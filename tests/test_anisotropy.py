@@ -192,8 +192,11 @@ def test_mean_curvature_is_first_variation_of_surface_energy(dim):
 def test_shape_operator_trace_frozen_value():
     prof = _bump_profile()
     geom = SurfaceGeometry(prof)
-    B_psi, tr = aniso_shape_operator(geom, IsotropicDensity(2))
-    # isotropic Hessian is the tangential projector, so B_psi is B itself
+    psi = IsotropicDensity(2)
+    tr = aniso_shape_operator(geom, psi)
+    # isotropic Hessian is the tangential projector, so the anisotropic shape
+    # operator (hess psi o normal) . B is B itself
+    B_psi = psi.hessian(geom.normal) @ geom.shape_operator
     assert np.abs(B_psi - geom.shape_operator).max() < 1e-11
     # and the trace reduces to H^2 for a one-dimensional surface
     assert np.allclose(tr, geom.mean_curvature**2, rtol=1e-9, atol=1e-11)
@@ -207,7 +210,7 @@ def test_shape_operator_trace_with_anisotropy():
     a, eps = 1.3, 0.2
     geom = SurfaceGeometry(_bump_profile())
     core = RegularizedFacetDensity(a, eps, 2)
-    _, tr = aniso_shape_operator(geom, core)
+    tr = aniso_shape_operator(geom, core)
     kappa = 0.1 * (2 * np.pi) ** 2
     assert tr[0] == pytest.approx((a / eps) * kappa**2, rel=1e-9)
 

@@ -97,6 +97,30 @@ def test_tracer_wraps_every_name_and_runs_the_cli(tmp_path):
             "linalg.cholesky_gflop",
         ),
         (
+            # the unit cell solves one problem per thickness: 9 bisection
+            # lambda1 evaluations and 2 sweep reports, one StabilityProblem and
+            # 5 blocks each
+            "flat-threshold",
+            {
+                "mismatch": {"e0": 1.2},
+                "analysis": {
+                    "bracket": [0.1, 1.0],
+                    "rel_tol": 0.1,
+                    "cell": "unit",
+                    "thicknesses": [0.2, 1.0],
+                },
+            },
+            {"flat.lambda1_of_thickness", "flat.stability_of_thickness", "flat.flat_field"},
+            {
+                "flat.lambda1_of_thickness": (9, 9),
+                "flat.stability_of_thickness": (2, 2),
+                "stability.StabilityProblem": (11, 11),
+                "elasticity.assemble_hessian": (0, 0),
+                "elasticity.cholesky": (55, 55),
+            },
+            "linalg.cholesky_gflop",
+        ),
+        (
             # one mode with Richardson is four re-solves, each preconditioned
             # by the base film's block factor (9 blocks at n = 16): no
             # stiffness is assembled
@@ -137,7 +161,14 @@ def test_tracer_wraps_every_name_and_runs_the_cli(tmp_path):
             "elasticity.c0_matvecs",
         ),
     ],
-    ids=["stability", "stability-nonlinear", "flat-threshold", "oracle-check", "stability-clustered-3d"],
+    ids=[
+        "stability",
+        "stability-nonlinear",
+        "flat-threshold",
+        "flat-threshold-unit",
+        "oracle-check",
+        "stability-clustered-3d",
+    ],
 )
 def test_tracer_counts_the_numerical_layers(tmp_path, command, overrides, expected, limits, counter):
     config = tmp_path / "config.json"

@@ -314,7 +314,8 @@ def test_flat_benchmark_matches_affine_solution(tmp_path):
 
 
 def test_stability_without_mismatch_reports_zero_lambda1(tmp_path):
-    code, out = run(tmp_path, "stability", flat_config(A=[[0.0]]))
+    with pytest.warns(UserWarning, match="elastic correction vanishes"):
+        code, out = run(tmp_path, "stability", flat_config(A=[[0.0]]))
     assert code == 0
     report = load_report(out, "stability.json")
     assert report["results"]["verdict"] == "strictly_stable"

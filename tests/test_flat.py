@@ -10,6 +10,7 @@ from filmstab.anisotropy import IsotropicDensity, ShiftedFacetDensity
 from filmstab.elasticity import MismatchDatum, NewtonError, elastic_density_from_config, solve_critical_point
 from filmstab.flat import (
     BracketError,
+    FlatFilm,
     _affine_gradient,
     critical_thickness,
     crystalline_epsilon0,
@@ -28,6 +29,8 @@ from diagnostics import scaling_law_check
 from oracles import two_term_second_variation
 
 LAM, MU = 2.0, 1.0
+# the grid of the golden values
+N, NY = 32, 20
 
 
 @functools.lru_cache(maxsize=None)
@@ -42,6 +45,10 @@ def nonlinear_density():
 
 def benchmark_datum(e0=0.05):
     return MismatchDatum(np.array([[e0]]), 2)
+
+
+def benchmark_film(e0=0.05, *, cell="cube", n=N, ny=NY):
+    return FlatFilm(linear_density(), PSI, benchmark_datum(e0), cell=cell, n=n, ny=ny)
 
 
 PSI = IsotropicDensity(2)
@@ -118,7 +125,7 @@ def test_lambda1_zero_without_mismatch():
 
 def test_lambda1_monotone_in_thickness():
     values = [
-        lambda1_of_thickness(d, linear_density(), PSI, benchmark_datum(), cell="unit")
+        lambda1_of_thickness(d, linear_density(), PSI, benchmark_datum(), n=N, ny=NY)
         for d in (0.25, 0.5, 1.0, 2.0)
     ]
     assert values[0] > 0.0
@@ -134,22 +141,22 @@ def test_lambda1_refinement_agreement():
 
 def test_mu1_increases_under_thickness_halving():
     mus = [
-        1.0 / lambda1_of_thickness(d, linear_density(), PSI, benchmark_datum(), cell="unit")
+        1.0 / lambda1_of_thickness(d, linear_density(), PSI, benchmark_datum(), n=N, ny=NY)
         for d in (1.0, 0.5, 0.25)
     ]
     assert mus[0] < mus[1] < mus[2]
 
 
 def test_cell_conventions_agree_at_unit_thickness():
-    unit = lambda1_of_thickness(1.0, linear_density(), PSI, benchmark_datum(), cell="unit")
-    cube = lambda1_of_thickness(1.0, linear_density(), PSI, benchmark_datum(), cell="cube")
-    assert unit == cube
+    unit = lambda1_of_thickness(1.0, linear_density(), PSI, benchmark_datum(), n=N, ny=NY)
+    assert benchmark_film(cell="unit").lambda1(1.0) == unit
+    assert benchmark_film(cell="cube").lambda1(1.0) == unit
     with pytest.raises(ValueError, match="cell"):
-        lambda1_of_thickness(1.0, linear_density(), PSI, benchmark_datum(), cell="torus")
+        benchmark_film(cell="torus")
 
 
 def test_scaling_law():
-    lam_unit = lambda1_of_thickness(1.0, linear_density(), PSI, benchmark_datum(), cell="cube")
+    lam_unit, _ = benchmark_film().problem(1.0).lambda1()
     for d in (0.5, 2.0):
         lhs, rhs = scaling_law_check(linear_density(), PSI, benchmark_datum(), d)
         assert lhs >= rhs - 1e-3 * lam_unit
@@ -168,23 +175,23 @@ GRIDS = [(2, 16, 12), (3, 8, 6)]
 @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
 @pytest.mark.parametrize("dim, n, ny", GRIDS)
 def test_scaling_law_is_exact_on_the_grid(dim, n, ny, kind, surface):
-    # the cube-cell threshold and sweep read d * lambda1(1); the per-thickness
-    # problems are the oracle
+    # the cube-cell film reads d * lambda1(1); the per-thickness problems are
+    # the oracle
     density = elastic_density_from_config({"kind": kind, "lam": LAM, "mu": MU}, dim)
     datum = MismatchDatum.from_misfit(0.06, dim, kind)
     psi = surface_density(surface, dim)
-    rate = lambda1_of_thickness(1.0, density, psi, datum, cell="cube", n=n, ny=ny)
-    assert rate > 0.0
+    film = FlatFilm(density, psi, datum, cell="cube", n=n, ny=ny)
+    assert film.lambda1(1.0) > 0.0
     for d in (3.0, 100.0, 1600.0):
-        lam = lambda1_of_thickness(d, density, psi, datum, cell="cube", n=n, ny=ny)
-        assert d * rate == pytest.approx(lam, rel=1e-12)
+        lam, _ = film.problem(d).lambda1()
+        assert film.lambda1(d) == pytest.approx(lam, rel=1e-12)
 
 
 # -- critical thickness ---------------------------------------------------------------
 
 
 def test_critical_thickness_benchmark():
-    res = critical_thickness(linear_density(), PSI, benchmark_datum(), (100.0, 1600.0))
+    res = critical_thickness(benchmark_film().lambda1, (100.0, 1600.0))
     assert res.d_crit == pytest.approx(GOLDEN_D_CRIT, rel=1e-12)
     assert res.lambda_low < 1.0 < res.lambda_high
     assert res.d_high - res.d_low < 1e-3 * res.d_crit
@@ -193,7 +200,7 @@ def test_critical_thickness_benchmark():
 
 
 def test_critical_thickness_decreases_with_mismatch():
-    strong = critical_thickness(linear_density(), PSI, benchmark_datum(0.1), (25.0, 400.0))
+    strong = critical_thickness(benchmark_film(0.1).lambda1, (25.0, 400.0))
     assert strong.d_crit < GOLDEN_D_CRIT
     # the eigenvalue is quadratic in the mismatch, so doubling it quarters the root
     assert strong.d_crit == pytest.approx(GOLDEN_D_CRIT / 4.0, rel=5e-3)
@@ -201,17 +208,39 @@ def test_critical_thickness_decreases_with_mismatch():
 
 def test_critical_thickness_bracket_error():
     with pytest.raises(BracketError) as err:
-        critical_thickness(linear_density(), PSI, benchmark_datum(), (1.0, 2.0))
+        critical_thickness(benchmark_film().lambda1, (1.0, 2.0))
     assert err.value.lambda_low == pytest.approx(GOLDEN_LAMBDA_UNIT, rel=1e-12)
     assert err.value.lambda_high == pytest.approx(2.0 * GOLDEN_LAMBDA_UNIT, rel=1e-10)
     assert "0.00238" in str(err.value) and "0.00477" in str(err.value)
+
+
+def test_critical_thickness_bisects_a_closed_form_law():
+    # no film: the bisection sees only the thickness law
+    root = 419.15
+
+    def law(d):
+        return d / root
+
+    res = critical_thickness(law, (100.0, 1600.0), rel_tol=1e-6)
+    assert res.d_low < res.d_crit < res.d_high
+    assert res.d_low < root < res.d_high
+    assert res.d_high - res.d_low < 1e-6 * res.d_crit
+    assert res.d_crit == pytest.approx(root, rel=1e-6)
+    assert (res.lambda_low, res.lambda_high) == (law(res.d_low), law(res.d_high))
+    for bracket in ((500.0, 1600.0), (1.0, 2.0)):
+        with pytest.raises(BracketError) as err:
+            critical_thickness(law, bracket)
+        assert err.value.bracket == bracket
+        assert (err.value.lambda_low, err.value.lambda_high) == (law(bracket[0]), law(bracket[1]))
 
 
 # -- crystalline regularization ---------------------------------------------------------
 
 
 def test_crystalline_sweep_linear_in_eps():
-    rows = crystalline_sweep(linear_density(), benchmark_datum(1.2), 1.0, 1.0, 1.0, max_steps=6)
+    rows = crystalline_sweep(
+        linear_density(), benchmark_datum(1.2), 1.0, 1.0, 1.0, n=N, ny=NY, max_steps=6
+    )
     eps = np.array([r[0] for r in rows])
     lam = np.array([r[1] for r in rows])
     assert np.all(np.diff(eps) < 0.0)
@@ -222,13 +251,15 @@ def test_crystalline_sweep_linear_in_eps():
 def test_crystalline_epsilon0_and_suppression():
     density, datum = linear_density(), benchmark_datum(1.2)
     # the isotropic density cannot hold this mismatch even at unit thickness
-    assert lambda1_of_thickness(1.0, density, PSI, datum) > 1.0
+    assert lambda1_of_thickness(1.0, density, PSI, datum, n=N, ny=NY) > 1.0
 
-    eps0 = crystalline_epsilon0(crystalline_sweep(density, datum, 1.0, 1.0, 1.0))
+    eps0 = crystalline_epsilon0(
+        crystalline_sweep(density, datum, 1.0, 1.0, 1.0, n=N, ny=NY, max_steps=20)
+    )
     assert eps0 == 0.5  # first halving step is already stable
     psi_reg = ShiftedFacetDensity(1.0, 1.0, eps0 / 2.0, 2)
     for d in (1.0, 10.0):
-        report = stability_of_thickness(d, density, psi_reg, datum, cell="unit", ny=32)
+        report = stability_of_thickness(d, density, psi_reg, datum, n=N, ny=32)
         assert report.verdict == "strictly_stable"
         assert report.lambda1 < 1.0
 
@@ -238,7 +269,9 @@ def test_crystalline_sweep_exhaustion():
     # a scaling bug; emulate it with a tiny facet coefficient and few steps
     with pytest.raises(RuntimeError, match="no stable regularization"):
         crystalline_epsilon0(
-            crystalline_sweep(linear_density(), benchmark_datum(1.2), 1.0, 1e-4, 1e-4, max_steps=2)
+            crystalline_sweep(
+                linear_density(), benchmark_datum(1.2), 1.0, 1e-4, 1e-4, n=N, ny=NY, max_steps=2
+            )
         )
 
 
@@ -271,9 +304,7 @@ def test_two_term_form_matches_generic_assembly():
 
 
 def test_threshold_csv_round_trip(tmp_path):
-    rows = threshold_rows(
-        linear_density(), PSI, benchmark_datum(), [200.0, 800.0], cell="cube", n=16, ny=12
-    )
+    rows = threshold_rows(benchmark_film(n=16, ny=12), [200.0, 800.0])
     assert rows[0][1] < 1.0 < rows[1][1]
     assert rows[0][3] == "strictly_stable" and rows[1][3] == "not_strictly_stable"
 
@@ -291,13 +322,13 @@ def test_threshold_csv_round_trip(tmp_path):
 def test_cube_threshold_rows_match_per_thickness_reports(dim, n, ny, kind):
     density = elastic_density_from_config({"kind": kind, "lam": LAM, "mu": MU}, dim)
     datum = MismatchDatum.from_misfit(0.06, dim, kind)
-    psi = IsotropicDensity(dim)
-    d_crit = 1.0 / lambda1_of_thickness(1.0, density, psi, datum, cell="cube", n=n, ny=ny)
+    film = FlatFilm(density, IsotropicDensity(dim), datum, cell="cube", n=n, ny=ny)
+    d_crit = 1.0 / film.problem(1.0).lambda1()[0]
     ds = [f * d_crit for f in (0.25, 0.9, 1.1, 4.0)]
-    rows = threshold_rows(density, psi, datum, ds, cell="cube", n=n, ny=ny)
+    rows = threshold_rows(film, ds)
     assert [row[3] for row in rows] == ["strictly_stable"] * 2 + ["not_strictly_stable"] * 2
     for (d, lam, mu, verdict), want in zip(rows, ds):
-        report = stability_of_thickness(want, density, psi, datum, cell="cube", n=n, ny=ny)
+        report = film.problem(want).report()
         assert d == want
         assert lam == pytest.approx(report.lambda1, rel=1e-12)
         assert mu == pytest.approx(report.mu1, rel=1e-12)
@@ -306,28 +337,31 @@ def test_cube_threshold_rows_match_per_thickness_reports(dim, n, ny, kind):
 
 def test_cube_threshold_rows_without_mismatch():
     # no correction at any thickness: mu1 is the +inf sentinel, with its warning
-    datum = benchmark_datum(0.0)
+    film = benchmark_film(0.0, n=16, ny=12)
     ds = [1.0, 500.0]
     with pytest.warns(UserWarning, match="elastic correction vanishes"):
-        rows = threshold_rows(linear_density(), PSI, datum, ds, cell="cube", n=16, ny=12)
+        rows = threshold_rows(film, ds)
     assert rows == [(d, 0.0, float("inf"), "strictly_stable") for d in ds]
     for row, d in zip(rows, ds):
         with pytest.warns(UserWarning, match="elastic correction vanishes"):
-            report = stability_of_thickness(d, linear_density(), PSI, datum, cell="cube", n=16, ny=12)
+            report = film.problem(d).report()
         assert row == (d, report.lambda1, report.mu1, report.verdict)
 
 
 @pytest.mark.parametrize("bad", [0.0, -5.0, float("inf"), float("nan")])
 def test_cube_threshold_rejects_bad_thicknesses(bad):
+    film = benchmark_film(n=16, ny=12)
     with pytest.raises(ValueError):
-        threshold_rows(linear_density(), PSI, benchmark_datum(), [200.0, bad], cell="cube", n=16, ny=12)
+        threshold_rows(film, [200.0, bad])
     if bad > 0.0:
         with pytest.raises(ValueError):
-            critical_thickness(linear_density(), PSI, benchmark_datum(), (100.0, bad), n=16, ny=12)
+            critical_thickness(film.lambda1, (100.0, bad))
 
 
 def test_crystalline_csv_round_trip(tmp_path):
-    rows = crystalline_sweep(linear_density(), benchmark_datum(1.2), 1.0, 1.0, 1.0, max_steps=3)
+    rows = crystalline_sweep(
+        linear_density(), benchmark_datum(1.2), 1.0, 1.0, 1.0, n=N, ny=NY, max_steps=3
+    )
     path = tmp_path / "crystalline.csv"
     write_crystalline_csv(path, rows)
     with open(path, newline="") as fh:

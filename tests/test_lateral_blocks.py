@@ -22,7 +22,7 @@ from filmstab.elasticity import (
     factor_solve,
     solve_critical_point,
 )
-from filmstab.flat import critical_thickness, cube_unit_problem, flat_field, stability_of_thickness
+from filmstab.flat import FlatFilm, critical_thickness, flat_field, stability_of_thickness
 from filmstab.geometry import Profile
 from filmstab.stability import StabilityProblem, cosine_mode, fd_oracle_second_variation
 
@@ -150,17 +150,18 @@ def test_3d_flat_critical_thickness_at_n32(monkeypatch):
     density = density_of("linear", 3)
     datum = MismatchDatum.from_misfit(0.05, 3, "linear")
     psi = IsotropicDensity(3)
-    unit = cube_unit_problem(density, psi, datum, n=32, ny=6)
-    refuse_assembly(monkeypatch, unit.grid)
-    assert isinstance(unit.field.stiffness_cho, LateralCholesky)
-    coarse = cube_unit_problem(density, psi, datum, n=8, ny=6)
+    film = FlatFilm(density, psi, datum, cell="cube", n=32, ny=6)
+    refuse_assembly(monkeypatch, film.base.grid)
+    assert isinstance(film.base.field.stiffness_cho, LateralCholesky)
+    coarse = FlatFilm(density, psi, datum, cell="cube", n=8, ny=6).base
     coarse = StabilityProblem(dense_twin(coarse.field), psi)
 
-    rate, ref = unit.lambda1()[0], coarse.lambda1()[0]
+    rate, ref = film.lambda1(1.0), coarse.lambda1()[0]
     assert rate == pytest.approx(ref, rel=1e-10)
     bracket = (0.5 / ref, 2.0 / ref)
-    found = critical_thickness(density, psi, datum, bracket, n=32, ny=6, unit=unit)
-    expected = critical_thickness(density, psi, datum, bracket, n=8, ny=6, unit=coarse)
+    found = critical_thickness(film.lambda1, bracket)
+    # the dense twin's rate, injected as the cube-cell law
+    expected = critical_thickness(lambda d: d * ref, bracket)
     assert found.d_crit == pytest.approx(expected.d_crit, rel=1e-12)
     assert found.lambda_low < 1.0 < found.lambda_high
 
