@@ -39,6 +39,7 @@ _EXPORTS = {
     "ElasticField": "elasticity",
     "NewtonError": "elasticity",
     "CoercivityError": "elasticity",
+    "solve_affine": "elasticity",
     "solve_critical_point": "elasticity",
     "continue_critical_point": "elasticity",
     "coercivity_constant": "elasticity",
@@ -46,11 +47,11 @@ _EXPORTS = {
     "StabilityProblem": "stability",
     "StabilityReport": "stability",
     "SimGramError": "stability",
+    "FilmstabWarning": "stability",
     "CriticalityWarning": "stability",
     "fd_oracle_second_variation": "stability",
     "dispersion_curve": "stability",
     # flat configurations
-    "solve_affine": "flat",
     "flat_field": "flat",
     "FlatFilm": "flat",
     "lambda1_of_thickness": "flat",

@@ -105,8 +105,7 @@ def _skeleton(command: str, cfg: dict, args, tolerances: dict) -> dict:
         "tolerances": tolerances,
     }
     if "geometry" in cfg:
-        geo = cfg["geometry"]
-        report["resolution"] = {"dim": geo["dim"], "n": geo["n"], "ny": geo["ny"]}
+        report["resolution"] = {key: int(cfg["geometry"][key]) for key in ("dim", "n", "ny")}
     return report
 
 
@@ -328,7 +327,7 @@ def _cmd_verify_identity(cfg: dict, args) -> int:
         raise ConfigError("analysis.dim", "missing required key (or pass --dim)")
     trials = args.trials if args.trials is not None else int(analysis.get("trials", 40))
     if trials < 1:
-        raise ConfigError("analysis.trials", f"must be at least 1, got {trials}")
+        raise ConfigError("--trials", f"must be at least 1, got {trials}")
     seed = args.seed if args.seed is not None else 0
 
     result = verify_identity(int(dim), trials, seed=seed)

@@ -20,9 +20,14 @@ Energy, residual and tangent are assembled from the same discrete gradient
 operators, so the residual is the exact derivative of the discrete energy
 and the tangent its exact second derivative -- the identities the stability
 module and the finite-difference oracles both rely on.
+
+A flat film under a datum without modes has one equilibrium, the affine state
+of :func:`solve_affine`'s slope, which cold solves start from.
 """
 
 from __future__ import annotations
+
+from contextlib import suppress
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, solve_triangular
@@ -46,6 +51,7 @@ __all__ = [
     "h1_gram",
     "interior_weight_vector",
     "factor_solve",
+    "solve_affine",
     "solve_critical_point",
     "continue_critical_point",
     "coercivity_constant",
@@ -666,6 +672,68 @@ def factor_solve(cho, b: np.ndarray) -> np.ndarray:
     return cho_solve(cho, b, check_finite=False)
 
 
+_AFFINE_TOL = 1e-11
+_AFFINE_MAX_ITER = 40
+
+
+def _affine_gradient(datum: MismatchDatum, b: np.ndarray) -> np.ndarray:
+    N = datum.dim
+    M = np.zeros((N, N))
+    M[: N - 1, : N - 1] = datum.A
+    M[:, N - 1] = b
+    return M
+
+
+def solve_affine(density: ElasticDensity, datum: MismatchDatum) -> np.ndarray:
+    """The thickness-independent slope ``b`` of the affine state ``(A x, 0) + y * b``.
+
+    The state is the deformation for the nonlinear kind and the displacement
+    for the linear kind; its gradient is constant with last column ``b``,
+    and the traction-free condition is ``stress(gradient)[:, -1] = 0``.  One
+    Newton step settles the linear kind; the nonlinear kind starts from the
+    vertical unit vector and needs the mismatch close enough to the identity
+    for Newton to contract.  A datum with substrate modes, or a linear slope
+    whose deformation ``I + gradient`` reverses orientation, raises
+    ``ValueError``.
+    """
+    if datum.modes:
+        raise ValueError("flat configurations need a laterally uniform datum (no substrate modes)")
+    N = datum.dim
+    kappa = 1.0 if density.kind == "nonlinear" else 0.0
+    b = kappa * np.eye(N)[N - 1]
+    residuals = []
+    for _ in range(_AFFINE_MAX_ITER):
+        M = _affine_gradient(datum, b)
+        if not density.admissible(M):
+            raise NewtonError("affine Newton left the admissible set (mismatch too large?)", residuals)
+        traction = density.stress(M)[:, N - 1]
+        residuals.append(float(np.abs(traction).max()))
+        if residuals[-1] < _AFFINE_TOL:
+            if density.kind == "linear" and np.linalg.det(M + np.eye(N)) <= 0.0:
+                raise ValueError("the affine deformation is not orientation preserving")
+            return b
+        jac = density.tangent(M)[:, N - 1, :, N - 1]
+        try:
+            step = np.linalg.solve(jac, traction)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(
+                "singular vertical acoustic block: the affine problem lost its positivity"
+            ) from exc
+        b = b - step
+    raise NewtonError(
+        f"affine Newton did not reach {_AFFINE_TOL:.1e} in {_AFFINE_MAX_ITER} steps "
+        "(mismatch too large?)",
+        residuals,
+    )
+
+
+def _affine_p(grid: MappedGrid, datum: MismatchDatum, density: ElasticDensity) -> np.ndarray:
+    """The unknown ``p`` of the affine equilibrium on a flat grid."""
+    # the nonlinear base field already carries the vertical identity y
+    kappa = 1.0 if density.kind == "nonlinear" else 0.0
+    return grid.y[..., None] * (solve_affine(density, datum) - kappa * np.eye(grid.dim)[-1])
+
+
 # the default Newton target, relative to the residual scale, and iteration cap
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
@@ -768,30 +836,30 @@ def solve_critical_point(
     that is not a descent direction, possible only when ``K`` has no Cholesky
     factor, raises :class:`NewtonError`.
 
-    A flat profile under a datum without modes has a laterally uniform
-    solution, so the start and every candidate are replaced by their lateral
-    mean: rounding would leave columns apart in the last bits, and their
-    stiffness would miss the exact test of :attr:`~ElasticField.stiffness_blocks`.
+    A flat profile under a datum without modes is laterally uniform, and its
+    equilibrium is the affine state.  A cold solve starts there, so the
+    residual test, still relative to the residual at ``p = 0``, accepts it at
+    iteration 0 and its stiffness passes the exact test of
+    :attr:`~ElasticField.stiffness_blocks`.  Where :func:`solve_affine`
+    refuses the input, Newton starts from ``p = 0`` as for any other film.
     """
     grid = build_grid(profile, ny)
-    field = ElasticField(grid, datum, density, p=p0)
     h = profile.samples
     uniform = not datum.modes and np.all(h == h.flat[0])
-    lateral = tuple(range(grid.dim - 1))
-
-    def level(u):
-        if not uniform:
-            return u
-        return np.broadcast_to(u.mean(axis=lateral, keepdims=True), u.shape).copy()
-
-    p = level(field.p.copy())
+    field = ElasticField(grid, datum, density, p=p0)
+    scale = None
+    if p0 is None and uniform:
+        stress_w = grid.wq[..., None, None] * density.stress(field.gradient())
+        scale = 1.0 + float(np.linalg.norm(assemble_residual(grid, stress_w)))
+        with suppress(RuntimeError, ValueError):
+            field = field.with_p(_affine_p(grid, datum, density))
+    p = field.p
     cho = precond
     if cho is None and density.kind == "nonlinear" and not uniform:
         flat = Profile.flat(grid.dim, profile.n, float(h.mean()), profile.width)
         companion = ElasticField(build_grid(flat, ny), MismatchDatum(datum.A, grid.dim), density)
         cho = companion.stiffness_cho
     residuals = []
-    scale = None
     for it in range(max_iter):
         work = field.with_p(p)
         gradu = work.gradient()
@@ -805,9 +873,7 @@ def solve_critical_point(
         if scale is None:
             scale = 1.0 + rnorm
         if rnorm <= tol * scale:
-            result = field.with_p(p)
-            info = {"iterations": it, "residual_norm": rnorm, "energy": energy}
-            return result, info
+            return work, {"iterations": it, "residual_norm": rnorm, "energy": energy}
         dp_vec = None
         if cho:
             tangent_w = grid.wq[..., None, None, None, None] * density.tangent(gradu)
@@ -821,7 +887,7 @@ def solve_critical_point(
         at_roundoff = abs(slope) <= 64.0 * np.finfo(float).eps * abs(energy)
         t = 1.0
         while True:
-            cand = level(p + t * dp)
+            cand = p + t * dp
             cand_grad = field.with_p(cand).gradient()
             if density.admissible(cand_grad):
                 cand_energy = grid.volume_integral(density.value(cand_grad))

@@ -1,10 +1,10 @@
 """Flat film configurations: affine equilibria and the thickness threshold.
 
-A flat film of thickness ``d`` over a mismatched substrate admits an affine
-equilibrium whose gradient is constant, so the whole stability question
-reduces to spectral data as functions of the thickness.  This module
+A flat film of thickness ``d`` over a mismatched substrate has one
+equilibrium, the affine state of :func:`~filmstab.elasticity.solve_affine`,
+so the whole stability question reduces to spectral data as functions of
+the thickness.  This module
 
-* solves the algebraic traction-free condition for the affine slope,
 * holds one flat film per cell and grid (:class:`FlatFilm`), which answers
   the stability eigenvalues as functions of thickness under the two cell
   conventions: a fixed unit cell, which solves one problem per thickness,
@@ -31,19 +31,13 @@ from functools import cached_property
 import numpy as np
 
 from .anisotropy import AnisotropyDensity, IsotropicDensity
-from .elasticity import (
-    ElasticDensity,
-    ElasticField,
-    MismatchDatum,
-    NewtonError,
-)
+from .elasticity import ElasticDensity, ElasticField, MismatchDatum, _affine_p
 from .geometry import Profile, build_grid
 from .stability import StabilityProblem, StabilityReport, verdict_of
 
 __all__ = [
     "BracketError",
     "CriticalThickness",
-    "solve_affine",
     "flat_field",
     "FlatFilm",
     "lambda1_of_thickness",
@@ -57,65 +51,11 @@ __all__ = [
 ]
 
 
-_AFFINE_TOL = 1e-11
-_AFFINE_MAX_ITER = 40
 _BISECTION_MAX_ITER = 80
 # the default bisection width, relative to the thickness, and the default
 # length of the facet-regularization halving sweep
 BISECTION_REL_TOL = 1e-3
 SWEEP_MAX_STEPS = 8
-
-
-def _affine_gradient(datum: MismatchDatum, b: np.ndarray) -> np.ndarray:
-    N = datum.dim
-    M = np.zeros((N, N))
-    M[: N - 1, : N - 1] = datum.A
-    M[:, N - 1] = b
-    return M
-
-
-def solve_affine(density: ElasticDensity, datum: MismatchDatum) -> np.ndarray:
-    """Solve the traction-free condition for the affine slope.
-
-    The affine state is ``(A x, 0) + y * b`` (for the nonlinear kind the
-    deformation itself, for the linear kind the displacement), so its
-    gradient is the constant matrix with last column ``b``, and ``b`` does
-    not depend on the thickness.  It satisfies the last column of the stress
-    vanishing, ``stress(gradient(b))[:, -1] = 0``: one Newton step settles
-    the linear kind, while the nonlinear kind starts from the vertical unit
-    vector and needs the mismatch close enough to the identity for Newton to
-    contract.  A linear slope whose deformation ``I + gradient`` reverses
-    orientation raises ``ValueError``.
-    """
-    if datum.modes:
-        raise ValueError("flat configurations need a laterally uniform datum (no substrate modes)")
-    N = datum.dim
-    kappa = 1.0 if density.kind == "nonlinear" else 0.0
-    b = kappa * np.eye(N)[N - 1]
-    residuals = []
-    for _ in range(_AFFINE_MAX_ITER):
-        M = _affine_gradient(datum, b)
-        if not density.admissible(M):
-            raise NewtonError("affine Newton left the admissible set (mismatch too large?)", residuals)
-        traction = density.stress(M)[:, N - 1]
-        residuals.append(float(np.abs(traction).max()))
-        if residuals[-1] < _AFFINE_TOL:
-            if density.kind == "linear" and np.linalg.det(M + np.eye(N)) <= 0.0:
-                raise ValueError("the affine deformation is not orientation preserving")
-            return b
-        jac = density.tangent(M)[:, N - 1, :, N - 1]
-        try:
-            step = np.linalg.solve(jac, traction)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "singular vertical acoustic block: the affine problem lost its positivity"
-            ) from exc
-        b = b - step
-    raise NewtonError(
-        f"affine Newton did not reach {_AFFINE_TOL:.1e} in {_AFFINE_MAX_ITER} steps "
-        "(mismatch too large?)",
-        residuals,
-    )
 
 
 def flat_field(
@@ -128,12 +68,8 @@ def flat_field(
     width: float = 1.0,
 ) -> ElasticField:
     """The affine equilibrium on an ``n x ny`` grid of a flat film of lateral width ``width``."""
-    rate = solve_affine(density, datum)
-    if density.kind == "nonlinear":
-        # the base field already carries the vertical identity y
-        rate[-1] -= 1.0
     grid = build_grid(Profile.flat(datum.dim, n, thickness, width=width), ny)
-    return ElasticField(grid, datum, density, grid.y[..., None] * rate)
+    return ElasticField(grid, datum, density, _affine_p(grid, datum, density))
 
 
 # -- spectral data as functions of thickness -----------------------------------------
@@ -148,14 +84,7 @@ def _flat_problem(
     ny: int,
     width: float,
 ) -> StabilityProblem:
-    field = flat_field(density, datum, d, n, ny, width=width)
-    prob = StabilityProblem(field, psi)
-    _assert_flat_coefficient(prob)
-    return prob
-
-
-def _assert_flat_coefficient(prob: StabilityProblem) -> None:
-    """The zeroth-order surface coefficient must vanish at an affine state."""
+    prob = StabilityProblem(flat_field(density, datum, d, n, ny, width=width), psi)
     scale = 1.0 + float(np.abs(prob.field.surface_energy_density()).max())
     worst = float(np.abs(prob.coefficient_a).max())
     if worst > 1e-6 * scale:
@@ -163,6 +92,7 @@ def _assert_flat_coefficient(prob: StabilityProblem) -> None:
             f"flat configuration has a nonzero surface coefficient ({worst:.3e}); "
             "the affine state is not an equilibrium on this grid"
         )
+    return prob
 
 
 def lambda1_of_thickness(

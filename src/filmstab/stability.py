@@ -49,6 +49,7 @@ __all__ = [
     "StabilityReport",
     "StabilityProblem",
     "SimGramError",
+    "FilmstabWarning",
     "CriticalityWarning",
     "VERDICT_STABLE",
     "VERDICT_UNSTABLE",
@@ -119,7 +120,11 @@ class SimGramError(RuntimeError):
         self.sim_gram_min = float(sim_gram_min)
 
 
-class CriticalityWarning(UserWarning):
+class FilmstabWarning(UserWarning):
+    """The category of every warning filmstab issues."""
+
+
+class CriticalityWarning(FilmstabWarning):
     """Three-term quadratic form evaluated away from a surface equilibrium."""
 
 
@@ -468,6 +473,7 @@ class StabilityProblem:
             warnings.warn(
                 "the elastic correction vanishes: the unit-norm constraint is "
                 "infeasible and the constrained minimum is +inf",
+                FilmstabWarning,
                 stacklevel=2,
             )
             return float("inf")

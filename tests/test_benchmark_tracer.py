@@ -72,14 +72,14 @@ def test_tracer_wraps_every_name_and_runs_the_cli(tmp_path):
             "linalg.cholesky_gflop",
         ),
         (
-            # Newton keeps the nonlinear flat film's iterates laterally
-            # uniform: it factors the start's 5 blocks for its first step, and
-            # the problem the solution's 5; nothing is assembled
+            # the nonlinear flat film's cold solve starts at its affine
+            # equilibrium and takes no Newton step; the problem factors the
+            # solution's 5 blocks, and nothing is assembled
             "stability",
             {"material": dict(TINY["material"], kind="nonlinear"), "analysis": {"max_mode": 2}},
             {"elasticity.coercivity_constant", "stability.pencil"},
-            {"elasticity.assemble_hessian": (0, 0), "elasticity.cholesky": (10, 10)},
-            "elasticity.newton_iters",
+            {"elasticity.assemble_hessian": (0, 0), "elasticity.cholesky": (5, 5)},
+            "linalg.cholesky_gflop",
         ),
         (
             # the cube cell's bisection and sweep share one d = 1 problem,

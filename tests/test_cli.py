@@ -310,6 +310,39 @@ def test_flat_benchmark_matches_affine_solution(tmp_path):
     assert np.abs(dumped["p"] - affine.p).max() < 1e-9
 
 
+def test_flat_critical_point_starts_at_its_equilibrium(tmp_path):
+    for kind in ("linear", "nonlinear"):
+        cfg = flat_config(n=8, ny=6, e0=0.05)
+        cfg["material"]["kind"] = kind
+        (tmp_path / kind).mkdir()
+        code, out = run(tmp_path / kind, "critical-point", cfg)
+        assert code == 0
+        assert load_report(out, "critical_point.json")["results"]["iterations"] == 0
+
+
+def test_flat_critical_point_past_the_affine_newton_iterates_from_zero(tmp_path):
+    # at stretch A = 3 the affine slope solve leaves the admissible set, so
+    # the grid Newton starts from p = 0 and reaches the equilibrium itself
+    cfg = flat_config(n=8, ny=6, e0=2.0)
+    cfg["material"]["kind"] = "nonlinear"
+    code, out = run(tmp_path, "critical-point", cfg)
+    assert code == 0
+    results = load_report(out, "critical_point.json")["results"]
+    assert results["iterations"] == 6
+    assert results["residual_norm"] < 1e-11
+
+
+def test_report_echoes_the_grid_the_run_used(tmp_path):
+    # validation accepts a whole float as an integer; the report names the ints
+    cfg = flat_config(n=16.0, ny=10.0, e0=0.05)
+    cfg["geometry"]["dim"] = 2.0
+    code, out = run(tmp_path, "critical-point", cfg)
+    assert code == 0
+    resolution = load_report(out, "critical_point.json")["resolution"]
+    assert resolution == {"dim": 2, "n": 16, "ny": 10}
+    assert all(type(v) is int for v in resolution.values())
+
+
 # -- stability ------------------------------------------------------------------------
 
 
@@ -599,6 +632,14 @@ def test_verify_identity_requires_dimension(tmp_path, capsys):
     code = main(["verify-identity", "--out", str(tmp_path)])
     assert code == 1
     assert "analysis.dim" in capsys.readouterr().err
+
+
+def test_verify_identity_names_the_trials_flag(tmp_path, capsys):
+    code = main(["verify-identity", "--dim", "2", "--trials", "0", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--trials: must be at least 1, got 0" in err
+    assert "analysis.trials" not in err
 
 
 def test_c0_non_convergence_exits_two(tmp_path, capsys, monkeypatch):

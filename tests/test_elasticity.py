@@ -454,12 +454,13 @@ def test_poor_preconditioner_falls_back_to_the_factored_step(monkeypatch):
 
 def test_non_descent_newton_step_is_named():
     # an indefinite tensor (bypassing the positivity check) gives a tangent
-    # without a Cholesky factor whose solved step climbs the energy
+    # without a Cholesky factor whose solved step climbs the energy; the
+    # profile is curved, since a flat film starts at its affine equilibrium
     dens = object.__new__(LinearDensity)
     dens.dim, dens.C = 2, isotropic_tensor(2, -3.0, 1.0)
     datum = MismatchDatum.from_misfit(E0, 2, "linear")
     with pytest.raises(NewtonError, match="non-descent Newton step") as err:
-        solve_critical_point(Profile.flat(2, 16, 1.0), datum, dens, ny=8)
+        solve_critical_point(_bumpy(16, amp=0.01), datum, dens, ny=8)
     assert len(err.value.residuals) == 1
 
 

@@ -7,17 +7,22 @@ import numpy as np
 import pytest
 
 from filmstab.anisotropy import IsotropicDensity, ShiftedFacetDensity
-from filmstab.elasticity import MismatchDatum, NewtonError, elastic_density_from_config, solve_critical_point
+from filmstab.elasticity import (
+    MismatchDatum,
+    NewtonError,
+    _affine_gradient,
+    elastic_density_from_config,
+    solve_affine,
+    solve_critical_point,
+)
 from filmstab.flat import (
     BracketError,
     FlatFilm,
-    _affine_gradient,
     critical_thickness,
     crystalline_epsilon0,
     crystalline_sweep,
     flat_field,
     lambda1_of_thickness,
-    solve_affine,
     stability_of_thickness,
     threshold_rows,
     write_crystalline_csv,
@@ -101,6 +106,15 @@ def test_flat_field_rejects_orientation_reversing_linear_slope():
     # e0 = -1.5 folds the film: I + gradient = diag(-0.5, 1.75)
     with pytest.raises(ValueError, match="not orientation preserving"):
         flat_field(linear_density(), benchmark_datum(-1.5), 1.0, 16, 12)
+
+
+def test_cold_solve_of_a_folded_linear_film_starts_from_zero():
+    # solve_affine refuses the folded slope, so Newton starts from p = 0 and
+    # its one linear step reaches the equilibrium
+    datum = benchmark_datum(-1.5)
+    field, info = solve_critical_point(Profile.flat(2, 16, 1.0), datum, linear_density(), ny=12)
+    assert info["iterations"] == 1
+    assert np.linalg.det(np.eye(2) + field.gradient()).min() < 0.0
 
 
 def test_affine_field_matches_grid_solve():

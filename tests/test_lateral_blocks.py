@@ -166,18 +166,24 @@ def test_3d_flat_critical_thickness_at_n32(monkeypatch):
     assert found.lambda_low < 1.0 < found.lambda_high
 
 
+@pytest.mark.parametrize("d", [1.0, 100.0], ids=["d1", "d100"])
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
 @pytest.mark.parametrize("dim, n, ny", [(2, 16, 8), (3, 8, 6)], ids=["2D-16x8", "3D-8x6"])
-def test_nonlinear_flat_newton_solution_keeps_the_block_factor(monkeypatch, dim, n, ny):
-    # Newton keeps the iterates laterally uniform to the last bit, so the
+def test_cold_flat_solve_accepts_the_affine_state_and_keeps_the_block_factor(
+    monkeypatch, dim, n, ny, kind, d
+):
+    # the cold solve starts at the affine equilibrium and accepts it, so the
     # solution's stiffness passes the exact uniformity test
-    density = density_of("nonlinear", dim)
-    datum = MismatchDatum.from_misfit(0.05, dim, "nonlinear")
-    field, info = solve_critical_point(Profile.flat(dim, n, 1.0), datum, density, ny=ny)
-    assert info["iterations"] > 1
+    density = density_of(kind, dim)
+    datum = MismatchDatum.from_misfit(0.05, dim, kind)
+    field, info = solve_critical_point(Profile.flat(dim, n, d), datum, density, ny=ny)
+    assert info["iterations"] == 0
+    assert info["residual_norm"] <= elasticity.NEWTON_TOL
+    assert np.array_equal(field.p, flat_field(density, datum, d, n, ny).p)
     refuse_assembly(monkeypatch, field.grid)
     assert isinstance(field.stiffness_cho, LateralCholesky)
     psi = IsotropicDensity(dim)
     report = StabilityProblem(field, psi).report()
-    affine = stability_of_thickness(1.0, density, psi, datum, n=n, ny=ny)
+    affine = stability_of_thickness(d, density, psi, datum, n=n, ny=ny)
     assert report.c0 == pytest.approx(affine.c0, rel=1e-12)
     assert report.lambda1 == pytest.approx(affine.lambda1, rel=1e-12)

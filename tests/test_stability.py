@@ -207,6 +207,50 @@ def test_second_variation_warns_off_equilibrium():
         prob.second_variation(cos_mode(32, 1))
 
 
+LEAKING_TESTS = """
+import numpy as np
+import pytest
+
+from filmstab.anisotropy import IsotropicDensity
+from filmstab.elasticity import LinearDensity, MismatchDatum
+from filmstab.flat import flat_field
+from filmstab.stability import StabilityProblem
+
+
+def problem():
+    datum = MismatchDatum(np.array([[0.0]]), 2)
+    field = flat_field(LinearDensity.isotropic(2, 2.0, 1.0), datum, 1.0, 8, 4)
+    return StabilityProblem(field, IsotropicDensity(2))
+
+
+def test_leaks():
+    assert problem().mu1() == np.inf
+
+
+def test_expects():
+    with pytest.warns(UserWarning, match="elastic correction vanishes"):
+        assert problem().mu1() == np.inf
+"""
+
+
+def test_a_leaked_filmstab_warning_fails_the_suite(tmp_path):
+    # mu1 warns with stacklevel=2, so the leak is attributed to the test module
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "test_leak.py").write_text(LEAKING_TESTS)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-c", str(root / "pyproject.toml"), "--rootdir", str(tmp_path), str(tmp_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
+    assert "FilmstabWarning: the elastic correction vanishes" in done.stdout
+
+
 def test_full_second_variation_flat_equals_three_term():
     field = flat_pair()
     psi = IsotropicDensity(2)
