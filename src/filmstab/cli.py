@@ -26,6 +26,7 @@ from .config import (
     build_problem_inputs,
     config_sha256,
     jsonable,
+    max_resolved_mode,
     validate_config,
 )
 
@@ -166,7 +167,7 @@ def _cmd_stability(cfg: dict, args) -> int:
 
     profile, datum, density, psi, n, ny = build_problem_inputs(cfg)
     analysis = cfg.get("analysis", {})
-    max_mode = int(analysis.get("max_mode", min(8, max(1, n // 2 - 1))))
+    max_mode = int(analysis.get("max_mode", min(8, max_resolved_mode(n))))
 
     field, info = solve_critical_point(profile, datum, density, ny)
     problem = StabilityProblem(field, psi)

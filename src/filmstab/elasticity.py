@@ -22,12 +22,10 @@ and the tangent its exact second derivative -- the identities the stability
 module and the finite-difference oracles both rely on.
 
 A flat film under a datum without modes has one equilibrium, the affine state
-of :func:`solve_affine`'s slope, which cold solves start from.
+of :func:`solve_affine`'s slope; a cold solve starts there, or fails.
 """
 
 from __future__ import annotations
-
-from contextlib import suppress
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, solve_triangular
@@ -691,10 +689,10 @@ def solve_affine(density: ElasticDensity, datum: MismatchDatum) -> np.ndarray:
     for the linear kind; its gradient is constant with last column ``b``,
     and the traction-free condition is ``stress(gradient)[:, -1] = 0``.  One
     Newton step settles the linear kind; the nonlinear kind starts from the
-    vertical unit vector and needs the mismatch close enough to the identity
-    for Newton to contract.  A datum with substrate modes, or a linear slope
-    whose deformation ``I + gradient`` reverses orientation, raises
-    ``ValueError``.
+    vertical unit vector and halves each step until the slope is admissible.
+    A slope Newton does not reach raises :class:`NewtonError`, and a datum
+    with substrate modes ``ValueError``.  A linear slope may fold the film:
+    :func:`~filmstab.flat.flat_field` refuses it, the grid solve does not.
     """
     if datum.modes:
         raise ValueError("flat configurations need a laterally uniform datum (no substrate modes)")
@@ -709,8 +707,6 @@ def solve_affine(density: ElasticDensity, datum: MismatchDatum) -> np.ndarray:
         traction = density.stress(M)[:, N - 1]
         residuals.append(float(np.abs(traction).max()))
         if residuals[-1] < _AFFINE_TOL:
-            if density.kind == "linear" and np.linalg.det(M + np.eye(N)) <= 0.0:
-                raise ValueError("the affine deformation is not orientation preserving")
             return b
         jac = density.tangent(M)[:, N - 1, :, N - 1]
         try:
@@ -719,7 +715,10 @@ def solve_affine(density: ElasticDensity, datum: MismatchDatum) -> np.ndarray:
             raise RuntimeError(
                 "singular vertical acoustic block: the affine problem lost its positivity"
             ) from exc
-        b = b - step
+        t = 1.0
+        while t > 1e-8 and not density.admissible(_affine_gradient(datum, b - t * step)):
+            t *= 0.5
+        b = b - t * step
     raise NewtonError(
         f"affine Newton did not reach {_AFFINE_TOL:.1e} in {_AFFINE_MAX_ITER} steps "
         "(mismatch too large?)",
@@ -727,11 +726,10 @@ def solve_affine(density: ElasticDensity, datum: MismatchDatum) -> np.ndarray:
     )
 
 
-def _affine_p(grid: MappedGrid, datum: MismatchDatum, density: ElasticDensity) -> np.ndarray:
-    """The unknown ``p`` of the affine equilibrium on a flat grid."""
-    # the nonlinear base field already carries the vertical identity y
+def _affine_p(grid: MappedGrid, density: ElasticDensity, b: np.ndarray) -> np.ndarray:
+    """The unknown ``p`` of the affine state of slope ``b`` (the nonlinear base carries ``y``)."""
     kappa = 1.0 if density.kind == "nonlinear" else 0.0
-    return grid.y[..., None] * (solve_affine(density, datum) - kappa * np.eye(grid.dim)[-1])
+    return grid.y[..., None] * (b - kappa * np.eye(grid.dim)[-1])
 
 
 # the default Newton target, relative to the residual scale, and iteration cap
@@ -840,8 +838,8 @@ def solve_critical_point(
     equilibrium is the affine state.  A cold solve starts there, so the
     residual test, still relative to the residual at ``p = 0``, accepts it at
     iteration 0 and its stiffness passes the exact test of
-    :attr:`~ElasticField.stiffness_blocks`.  Where :func:`solve_affine`
-    refuses the input, Newton starts from ``p = 0`` as for any other film.
+    :attr:`~ElasticField.stiffness_blocks`.  A slope :func:`solve_affine`
+    cannot reach fails the solve with its :class:`NewtonError`.
     """
     grid = build_grid(profile, ny)
     h = profile.samples
@@ -851,8 +849,7 @@ def solve_critical_point(
     if p0 is None and uniform:
         stress_w = grid.wq[..., None, None] * density.stress(field.gradient())
         scale = 1.0 + float(np.linalg.norm(assemble_residual(grid, stress_w)))
-        with suppress(RuntimeError, ValueError):
-            field = field.with_p(_affine_p(grid, datum, density))
+        field = field.with_p(_affine_p(grid, density, solve_affine(density, datum)))
     p = field.p
     cho = precond
     if cho is None and density.kind == "nonlinear" and not uniform:

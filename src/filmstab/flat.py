@@ -31,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .anisotropy import AnisotropyDensity, IsotropicDensity
-from .elasticity import ElasticDensity, ElasticField, MismatchDatum, _affine_p
+from .elasticity import ElasticDensity, ElasticField, MismatchDatum, solve_affine
+from .elasticity import _affine_gradient, _affine_p
 from .geometry import Profile, build_grid
 from .stability import StabilityProblem, StabilityReport, verdict_of
 
@@ -67,9 +68,15 @@ def flat_field(
     *,
     width: float = 1.0,
 ) -> ElasticField:
-    """The affine equilibrium on an ``n x ny`` grid of a flat film of lateral width ``width``."""
+    """The affine equilibrium on an ``n x ny`` grid of a flat film of lateral width ``width``.
+
+    A linear slope that folds the film, ``det(I + gradient) <= 0``, raises ``ValueError``.
+    """
+    b = solve_affine(density, datum)
+    if density.kind == "linear" and np.linalg.det(np.eye(datum.dim) + _affine_gradient(datum, b)) <= 0.0:
+        raise ValueError("the affine deformation is not orientation preserving")
     grid = build_grid(Profile.flat(datum.dim, n, thickness, width=width), ny)
-    return ElasticField(grid, datum, density, _affine_p(grid, datum, density))
+    return ElasticField(grid, datum, density, _affine_p(grid, density, b))
 
 
 # -- spectral data as functions of thickness -----------------------------------------

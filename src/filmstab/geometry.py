@@ -84,9 +84,6 @@ class Profile:
     def xshape(self) -> tuple:
         return self.samples.shape
 
-    def min(self) -> float:
-        return float(self.samples.min())
-
     def max(self) -> float:
         return float(self.samples.max())
 
@@ -176,10 +173,6 @@ class SurfaceGeometry:
 
         xw = (profile.width / profile.n) ** (N - 1)
         self.surface_weights = _readonly(xw * jac)
-
-    @property
-    def dim(self) -> int:
-        return self.profile.dim
 
 
 # -- tangential calculus on the free surface --------------------------------

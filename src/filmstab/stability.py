@@ -398,11 +398,13 @@ class StabilityProblem:
 
         Uses the four-term form, so the curve stays meaningful slightly away
         from surface equilibrium; in three dimensions the mode runs along the
-        first horizontal coordinate.
+        first horizontal coordinate.  Without a stiffness factor the form is
+        not posed and the values are NaN, as ``lambda1`` is in :meth:`report`.
         """
-        rows = np.empty((max_mode, 2))
-        for k in range(1, max_mode + 1):
-            rows[k - 1] = (k, self.full_second_variation(cosine_mode(self.profile, k)))
+        rows = np.column_stack([np.arange(1, max_mode + 1), np.full(max_mode, np.nan)])
+        if self.field.stiffness_cho is not False:
+            for k in range(1, max_mode + 1):
+                rows[k - 1, 1] = self.full_second_variation(cosine_mode(self.profile, k))
         return rows
 
     # -- spectral decomposition -------------------------------------------------------

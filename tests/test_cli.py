@@ -105,6 +105,15 @@ def test_unresolved_lateral_mode_rejected(tmp_path, capsys, n, command, analysis
     validate_config(flat_config(n=n, ny=4, e0=0.05, analysis=lower), command)
 
 
+def test_default_max_mode_is_the_highest_resolved_mode(tmp_path):
+    # on odd n the highest resolved mode is (n - 1) // 2, as validation reads it
+    code, out = run(tmp_path, "stability", flat_config(n=9, ny=4, e0=0.05))
+    assert code == 0
+    assert load_report(out, "stability.json")["tolerances"]["max_mode"] == 4
+    rows = (out / "dispersion.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["1", "2", "3", "4"]
+
+
 def test_both_mismatch_forms_rejected(tmp_path, capsys):
     cfg = flat_config(e0=0.05)
     cfg["mismatch"]["A"] = [[0.05]]
@@ -311,25 +320,16 @@ def test_flat_benchmark_matches_affine_solution(tmp_path):
 
 
 def test_flat_critical_point_starts_at_its_equilibrium(tmp_path):
-    for kind in ("linear", "nonlinear"):
-        cfg = flat_config(n=8, ny=6, e0=0.05)
+    # e0 = 2 is the nonlinear stretch A = 3, whose full affine Newton step is inadmissible
+    for kind, e0 in (("linear", 0.05), ("nonlinear", 0.05), ("nonlinear", 2.0)):
+        cfg = flat_config(n=8, ny=6, e0=e0)
         cfg["material"]["kind"] = kind
-        (tmp_path / kind).mkdir()
-        code, out = run(tmp_path / kind, "critical-point", cfg)
+        (tmp_path / f"{kind}-{e0}").mkdir()
+        code, out = run(tmp_path / f"{kind}-{e0}", "critical-point", cfg)
         assert code == 0
-        assert load_report(out, "critical_point.json")["results"]["iterations"] == 0
-
-
-def test_flat_critical_point_past_the_affine_newton_iterates_from_zero(tmp_path):
-    # at stretch A = 3 the affine slope solve leaves the admissible set, so
-    # the grid Newton starts from p = 0 and reaches the equilibrium itself
-    cfg = flat_config(n=8, ny=6, e0=2.0)
-    cfg["material"]["kind"] = "nonlinear"
-    code, out = run(tmp_path, "critical-point", cfg)
-    assert code == 0
-    results = load_report(out, "critical_point.json")["results"]
-    assert results["iterations"] == 6
-    assert results["residual_norm"] < 1e-11
+        results = load_report(out, "critical_point.json")["results"]
+        assert results["iterations"] == 0
+        assert results["residual_norm"] < 1e-11
 
 
 def test_report_echoes_the_grid_the_run_used(tmp_path):
@@ -414,6 +414,33 @@ def record_shifts(monkeypatch) -> list:
 
     monkeypatch.setattr(elasticity, "_shifted_stiffness_cho", recording)
     return shifts
+
+
+def indefinite_config(**kwargs):
+    """A compressed curved nonlinear film whose equilibrium stiffness has no Cholesky factor."""
+    cfg = flat_config(n=8, ny=6, e0=-0.2, **kwargs)
+    modes = [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.2}]
+    cfg["geometry"]["profile"] = {"kind": "fourier", "modes": modes}
+    cfg["material"]["kind"] = "nonlinear"
+    return cfg
+
+
+def test_stability_of_an_equilibrium_with_an_indefinite_stiffness(tmp_path):
+    # c0 < 0 decides the verdict; lambda1 and the dispersion form are not posed
+    code, out = run(tmp_path, "stability", indefinite_config())
+    assert code == 0
+    results = load_report(out, "stability.json")["results"]
+    assert results["c0"] < 0.0
+    assert results["verdict"] == "not_strictly_stable"
+    assert results["lambda1"] == "nan"
+    rows = (out / "dispersion.csv").read_text().splitlines()
+    assert rows == ["k,second_variation", "1,nan", "2,nan", "3,nan"]
+
+
+def test_critical_point_without_convergence_exits_2(tmp_path, capsys):
+    code, _ = run(tmp_path, "critical-point", indefinite_config(analysis={"max_iter": 1}))
+    assert code == 2
+    assert "no convergence in 1 iterations" in capsys.readouterr().err
 
 
 FLAT_THRESHOLD = {"bracket": [100.0, 1600.0], "rel_tol": 0.1, "thicknesses": [200.0, 400.0]}

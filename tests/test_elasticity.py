@@ -464,6 +464,32 @@ def test_non_descent_newton_step_is_named():
     assert len(err.value.residuals) == 1
 
 
+def test_newton_steps_by_an_indefinite_stiffness_that_still_descends(monkeypatch):
+    # compressed by e0 = -0.2, this curved nonlinear film keeps a stiffness
+    # without a Cholesky factor at every iterate; each step is solved against
+    # the dense stiffness, read once per step, and is a descent direction
+    import filmstab.elasticity as elasticity
+
+    reads = []
+    stiffness = elasticity.ElasticField.stiffness
+    monkeypatch.setattr(
+        elasticity.ElasticField, "stiffness", property(lambda f: reads.append(f) or stiffness.fget(f))
+    )
+    datum = MismatchDatum.from_misfit(-0.2, 2, "nonlinear")
+    field, info = solve_critical_point(_bumpy(8, amp=0.2), datum, NonlinearDensity(2, LAM, MU), ny=6)
+    assert info["residual_norm"] <= 1e-11
+    assert len(reads) == info["iterations"] == 6
+    assert field.stiffness_cho is False
+
+
+def test_warm_start_onto_another_lateral_grid_is_refused():
+    datum = MismatchDatum.from_misfit(E0, 2, "linear")
+    field, _ = solve_critical_point(_bumpy(16), datum, LinearDensity.isotropic(2, LAM, MU), ny=8)
+    for other in (_bumpy(8), Profile(_bumpy(16).samples, width=2.0)):
+        with pytest.raises(ValueError, match="matching horizontal grids"):
+            continue_critical_point(field, other)
+
+
 @pytest.mark.parametrize("n, ny", [(8, 5), (10, 6)])
 def test_nonlinear_3d_cold_solve_converges_past_roundoff(n, ny):
     # these films reach a residual a few times the target after three steps,

@@ -6,6 +6,7 @@ import functools
 import numpy as np
 import pytest
 
+from filmstab import elasticity
 from filmstab.anisotropy import IsotropicDensity, ShiftedFacetDensity
 from filmstab.elasticity import (
     MismatchDatum,
@@ -87,11 +88,14 @@ def test_solve_affine_nonlinear_identity():
     assert nonlinear_density().value(M) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_solve_affine_nonlinear_stretch_and_divergence():
-    datum = MismatchDatum(np.array([[1.1]]), 2)
-    b = solve_affine(nonlinear_density(), datum)
-    assert np.abs(nonlinear_density().stress(_affine_gradient(datum, b))[:, 1]).max() < 1e-11
-    assert 0.0 < b[1] < 1.0  # lateral stretch contracts the film vertically
+def test_solve_affine_nonlinear_stretch_and_divergence(monkeypatch):
+    # at A = 3 the first full step makes det <= 0; the halved step stays admissible
+    for A in (1.1, 3.0):
+        datum = MismatchDatum(np.array([[A]]), 2)
+        b = solve_affine(nonlinear_density(), datum)
+        assert np.abs(nonlinear_density().stress(_affine_gradient(datum, b))[:, 1]).max() < 1e-11
+        assert 0.0 < b[1] < 1.0  # lateral stretch contracts the film vertically
+    monkeypatch.setattr(elasticity, "_AFFINE_MAX_ITER", 2)
     with pytest.raises(NewtonError, match="mismatch too large"):
         solve_affine(nonlinear_density(), MismatchDatum(np.array([[3.0]]), 2))
 
@@ -108,12 +112,11 @@ def test_flat_field_rejects_orientation_reversing_linear_slope():
         flat_field(linear_density(), benchmark_datum(-1.5), 1.0, 16, 12)
 
 
-def test_cold_solve_of_a_folded_linear_film_starts_from_zero():
-    # solve_affine refuses the folded slope, so Newton starts from p = 0 and
-    # its one linear step reaches the equilibrium
+def test_cold_solve_of_a_folded_linear_film_starts_at_its_equilibrium():
+    # only flat_field refuses the folded slope: the grid solve accepts it at iteration 0
     datum = benchmark_datum(-1.5)
     field, info = solve_critical_point(Profile.flat(2, 16, 1.0), datum, linear_density(), ny=12)
-    assert info["iterations"] == 1
+    assert info["iterations"] == 0
     assert np.linalg.det(np.eye(2) + field.gradient()).min() < 0.0
 
 

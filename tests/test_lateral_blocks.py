@@ -167,15 +167,19 @@ def test_3d_flat_critical_thickness_at_n32(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [1.0, 100.0], ids=["d1", "d100"])
-@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+# e0 = 2 is the nonlinear stretch A = 3, whose full affine Newton step is inadmissible
+@pytest.mark.parametrize(
+    "kind, e0", [("linear", 0.05), ("nonlinear", 0.05), ("nonlinear", 2.0)],
+    ids=["linear", "nonlinear", "nonlinear-A3"],
+)
 @pytest.mark.parametrize("dim, n, ny", [(2, 16, 8), (3, 8, 6)], ids=["2D-16x8", "3D-8x6"])
 def test_cold_flat_solve_accepts_the_affine_state_and_keeps_the_block_factor(
-    monkeypatch, dim, n, ny, kind, d
+    monkeypatch, dim, n, ny, kind, e0, d
 ):
     # the cold solve starts at the affine equilibrium and accepts it, so the
     # solution's stiffness passes the exact uniformity test
     density = density_of(kind, dim)
-    datum = MismatchDatum.from_misfit(0.05, dim, kind)
+    datum = MismatchDatum.from_misfit(e0, dim, kind)
     field, info = solve_critical_point(Profile.flat(dim, n, d), datum, density, ny=ny)
     assert info["iterations"] == 0
     assert info["residual_norm"] <= elasticity.NEWTON_TOL
