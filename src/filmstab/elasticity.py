@@ -22,7 +22,7 @@ and the tangent its exact second derivative -- the identities the stability
 module and the finite-difference oracles both rely on.
 
 A flat film under a datum without modes has one equilibrium, the affine state
-of :func:`solve_affine`'s slope; a cold solve starts there, or fails.
+of :func:`solve_affine`'s slope, and a cold solve starts there.
 """
 
 from __future__ import annotations
@@ -670,10 +670,6 @@ def factor_solve(cho, b: np.ndarray) -> np.ndarray:
     return cho_solve(cho, b, check_finite=False)
 
 
-_AFFINE_TOL = 1e-11
-_AFFINE_MAX_ITER = 40
-
-
 def _affine_gradient(datum: MismatchDatum, b: np.ndarray) -> np.ndarray:
     N = datum.dim
     M = np.zeros((N, N))
@@ -687,43 +683,40 @@ def solve_affine(density: ElasticDensity, datum: MismatchDatum) -> np.ndarray:
 
     The state is the deformation for the nonlinear kind and the displacement
     for the linear kind; its gradient is constant with last column ``b``,
-    and the traction-free condition is ``stress(gradient)[:, -1] = 0``.  One
-    Newton step settles the linear kind; the nonlinear kind starts from the
-    vertical unit vector and halves each step until the slope is admissible.
-    A slope Newton does not reach raises :class:`NewtonError`, and a datum
-    with substrate modes ``ValueError``.  A linear slope may fold the film:
-    :func:`~filmstab.flat.flat_field` refuses it, the grid solve does not.
+    and the traction-free condition is ``stress(gradient)[:, -1] = 0``.  The
+    linear traction is affine in ``b``, so one Newton step from ``b = 0``
+    solves it.  The log-determinant traction vanishes on ``b = (0, beta)``
+    exactly when ``g(s) = mu (e^2s - 1) + lam (s + log det A)`` does at
+    ``s = log beta``; ``g`` is increasing and convex, so every Newton iterate
+    after the first step from ``s = 0`` lies right of the root and the next
+    one is smaller, until rounding stops them decreasing.  The slope is found
+    for every datum with ``det A > 0``, at any moduli; a nonlinear datum with
+    ``det A <= 0`` or with substrate modes raises ``ValueError``.  A linear
+    slope may fold the film: :func:`~filmstab.flat.flat_field` refuses it,
+    the grid solve does not.
     """
     if datum.modes:
         raise ValueError("flat configurations need a laterally uniform datum (no substrate modes)")
     N = datum.dim
-    kappa = 1.0 if density.kind == "nonlinear" else 0.0
-    b = kappa * np.eye(N)[N - 1]
-    residuals = []
-    for _ in range(_AFFINE_MAX_ITER):
+    b = np.zeros(N)
+    if density.kind == "linear":
         M = _affine_gradient(datum, b)
-        if not density.admissible(M):
-            raise NewtonError("affine Newton left the admissible set (mismatch too large?)", residuals)
-        traction = density.stress(M)[:, N - 1]
-        residuals.append(float(np.abs(traction).max()))
-        if residuals[-1] < _AFFINE_TOL:
-            return b
         jac = density.tangent(M)[:, N - 1, :, N - 1]
-        try:
-            step = np.linalg.solve(jac, traction)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "singular vertical acoustic block: the affine problem lost its positivity"
-            ) from exc
-        t = 1.0
-        while t > 1e-8 and not density.admissible(_affine_gradient(datum, b - t * step)):
-            t *= 0.5
-        b = b - t * step
-    raise NewtonError(
-        f"affine Newton did not reach {_AFFINE_TOL:.1e} in {_AFFINE_MAX_ITER} steps "
-        "(mismatch too large?)",
-        residuals,
-    )
+        return b - np.linalg.solve(jac, density.stress(M)[:, N - 1])
+    det_A = float(np.linalg.det(datum.A))
+    if not det_A > 0.0:
+        raise ValueError(f"the nonlinear kind needs a mismatch with det A > 0, got {det_A:.3g}")
+    lam, mu, log_det_A = density.lam, density.mu, np.log(det_A)
+
+    def newton(s):
+        e = np.exp(2.0 * s)
+        return s - (mu * (e - 1.0) + lam * (s + log_det_A)) / (2.0 * mu * e + lam)
+
+    s = newton(0.0)
+    while (s_next := newton(s)) < s:
+        s = s_next
+    b[N - 1] = np.exp(s)
+    return b
 
 
 def _affine_p(grid: MappedGrid, density: ElasticDensity, b: np.ndarray) -> np.ndarray:
@@ -838,8 +831,7 @@ def solve_critical_point(
     equilibrium is the affine state.  A cold solve starts there, so the
     residual test, still relative to the residual at ``p = 0``, accepts it at
     iteration 0 and its stiffness passes the exact test of
-    :attr:`~ElasticField.stiffness_blocks`.  A slope :func:`solve_affine`
-    cannot reach fails the solve with its :class:`NewtonError`.
+    :attr:`~ElasticField.stiffness_blocks`.
     """
     grid = build_grid(profile, ny)
     h = profile.samples

@@ -320,16 +320,19 @@ def test_flat_benchmark_matches_affine_solution(tmp_path):
 
 
 def test_flat_critical_point_starts_at_its_equilibrium(tmp_path):
-    # e0 = 2 is the nonlinear stretch A = 3, whose full affine Newton step is inadmissible
-    for kind, e0 in (("linear", 0.05), ("nonlinear", 0.05), ("nonlinear", 2.0)):
+    # e0 = 2 is the nonlinear stretch A = 3; at moduli 1e9 the traction's
+    # rounding floor is far above an absolute 1e-11
+    cases = [("linear", 0.05, 2.0, 1.0), ("nonlinear", 0.05, 2.0, 1.0), ("nonlinear", 2.0, 2.0, 1.0),
+             ("linear", 0.05, 1e9, 1e9), ("nonlinear", 0.05, 1e9, 1e9)]
+    for kind, e0, lam, mu in cases:
         cfg = flat_config(n=8, ny=6, e0=e0)
-        cfg["material"]["kind"] = kind
-        (tmp_path / f"{kind}-{e0}").mkdir()
-        code, out = run(tmp_path / f"{kind}-{e0}", "critical-point", cfg)
+        cfg["material"] = {"kind": kind, "lam": lam, "mu": mu}
+        (tmp_path / f"{kind}-{e0}-{mu}").mkdir()
+        code, out = run(tmp_path / f"{kind}-{e0}-{mu}", "critical-point", cfg)
         assert code == 0
         results = load_report(out, "critical_point.json")["results"]
         assert results["iterations"] == 0
-        assert results["residual_norm"] < 1e-11
+        assert results["residual_norm"] < 1e-11 * mu
 
 
 def test_report_echoes_the_grid_the_run_used(tmp_path):

@@ -6,11 +6,9 @@ import functools
 import numpy as np
 import pytest
 
-from filmstab import elasticity
 from filmstab.anisotropy import IsotropicDensity, ShiftedFacetDensity
 from filmstab.elasticity import (
     MismatchDatum,
-    NewtonError,
     _affine_gradient,
     elastic_density_from_config,
     solve_affine,
@@ -88,16 +86,20 @@ def test_solve_affine_nonlinear_identity():
     assert nonlinear_density().value(M) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_solve_affine_nonlinear_stretch_and_divergence(monkeypatch):
-    # at A = 3 the first full step makes det <= 0; the halved step stays admissible
-    for A in (1.1, 3.0):
-        datum = MismatchDatum(np.array([[A]]), 2)
-        b = solve_affine(nonlinear_density(), datum)
-        assert np.abs(nonlinear_density().stress(_affine_gradient(datum, b))[:, 1]).max() < 1e-11
-        assert 0.0 < b[1] < 1.0  # lateral stretch contracts the film vertically
-    monkeypatch.setattr(elasticity, "_AFFINE_MAX_ITER", 2)
-    with pytest.raises(NewtonError, match="mismatch too large"):
-        solve_affine(nonlinear_density(), MismatchDatum(np.array([[3.0]]), 2))
+def test_solve_affine_nonlinear_stretch_at_any_moduli():
+    # Newton on the traction steps out of det > 0 at A = 3 and stalls at A = 4
+    # with lam = 10, even halved; at moduli 1e9 its rounding floor is ~1e-7
+    cases = [(2, 2.0, 1.0, 1.1), (2, 2.0, 1.0, 3.0), (2, 10.0, 1.0, 4.0),
+             (3, 10.0, 1.0, 10.0), (3, 1e9, 1e9, 1.05)]
+    for dim, lam, mu, A in cases:
+        density = elastic_density_from_config({"kind": "nonlinear", "lam": lam, "mu": mu}, dim)
+        datum = MismatchDatum(A * np.eye(dim - 1), dim)
+        b = solve_affine(density, datum)
+        assert np.all(b[:-1] == 0.0)
+        assert 0.0 < b[-1] < 1.0  # lateral stretch contracts the film vertically
+        assert np.abs(density.stress(_affine_gradient(datum, b))[:, -1]).max() < 1e-13 * (lam + mu)
+    with pytest.raises(ValueError, match="det A > 0"):
+        solve_affine(nonlinear_density(), MismatchDatum(np.array([[-0.5]]), 2))
 
 
 def test_solve_affine_rejects_substrate_modes():
