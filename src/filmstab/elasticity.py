@@ -22,7 +22,8 @@ and the tangent its exact second derivative -- the identities the stability
 module and the finite-difference oracles both rely on.
 
 A flat film under a datum without modes has one equilibrium, the affine state
-of :func:`solve_affine`'s slope, and a cold solve starts there.
+of :func:`solve_affine`'s slope.  Every cold solve starts there, at the mean
+thickness, and continues in amplitude to its profile and substrate modes.
 """
 
 from __future__ import annotations
@@ -725,6 +726,27 @@ def _affine_p(grid: MappedGrid, density: ElasticDensity, b: np.ndarray) -> np.nd
     return grid.y[..., None] * (b - kappa * np.eye(grid.dim)[-1])
 
 
+def _affine_field(profile: Profile, datum: MismatchDatum, density: ElasticDensity, ny: int):
+    """The affine state of :func:`solve_affine`'s slope on the ``ny``-row grid of a flat profile."""
+    grid = build_grid(profile, ny)
+    return ElasticField(grid, datum, density, _affine_p(grid, density, solve_affine(density, datum)))
+
+
+def _residual_scale(field: ElasticField) -> float:
+    """The unit of the Newton target: the residual of a uniform stress as large as the moduli.
+
+    The stress is ``|T| I``, with ``|T|`` the Frobenius norm of the tangent
+    at the gradient ``diag(A, 1)`` of the datum's unrelaxed flat state (for
+    the linear kind, at any gradient), so the scale grows linearly with the
+    moduli and does not depend on the iterate.  A uniform stress is balanced
+    in the bulk: its residual is its traction on the free surface.
+    """
+    grid, N = field.grid, field.grid.dim
+    modulus = np.linalg.norm(field.density.tangent(_affine_gradient(field.datum, np.eye(N)[-1])))
+    stress_w = modulus * grid.wq[..., None, None] * np.eye(N)
+    return float(np.linalg.norm(assemble_residual(grid, stress_w)))
+
+
 # the default Newton target, relative to the residual scale, and iteration cap
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
@@ -785,69 +807,16 @@ def _factored_step(work: ElasticField, r: np.ndarray, residuals):
     return dp_vec
 
 
-def solve_critical_point(
-    profile: Profile,
-    datum: MismatchDatum,
-    density: ElasticDensity,
-    ny: int,
-    p0: np.ndarray | None = None,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-    precond=None,
-) -> tuple[ElasticField, dict]:
-    """Equilibrium elastic field over a profile by a guarded Newton iteration.
+def _newton(field: ElasticField, cho, tol: float, max_iter: int):
+    """The Newton iteration of :func:`solve_critical_point` from ``field.p``, on the field's grid.
 
-    Minimizes the discrete energy over fields that match the substrate datum
-    and are laterally periodic.  For the linear kind the energy is quadratic
-    and one step converges; the nonlinear kind backtracks on the energy and
-    refuses steps that leave the admissible set.  Once the predicted energy
-    decrease ``|r . dp|`` falls below the rounding of the energy
-    (``64 eps |E|``), a step that lowers the residual norm is accepted
-    instead, since the energy test can no longer tell steps apart.  Returns
-    the field and an info dict with iteration count, final residual norm and
-    energy.
-
-    Every Newton step is first a conjugate-gradient solve of ``K dp = -r`` on
-    the matrix-free tangent ``K``, preconditioned by the newest Cholesky
-    factor at hand (inexact Newton, see :func:`_pcg_step`).  With no factor
-    yet, or when that solve fails, the step is solved by the iterate's own
-    :attr:`~ElasticField.stiffness_cho`, which becomes the newest factor.
-    ``precond`` is the first factor: the ``cho_factor(K0, lower=True)`` of a
-    nearby stiffness, or ``False`` for none.  ``None``, a cold start, is none
-    for a linear film, whose first factor is the solution's own (the tangent
-    does not depend on ``p``), and for a laterally uniform one, whose factors
-    are per wavenumber.  Any other cold nonlinear film starts from its flat
-    companion instead: the same density and the datum's ``A`` without modes,
-    at ``p = 0`` on a flat profile of the mean thickness with the same
-    ``n``, ``ny`` and width.  That stiffness is laterally uniform, so its
-    factor is a :class:`LateralCholesky` built without assembling anything,
-    and the only dense factor of the solve is the one a failed inner solve
-    falls back to.  The true residual test is the same for every step, so the
-    factors change the cost of a solve, not which fields it accepts.  A step
-    that is not a descent direction, possible only when ``K`` has no Cholesky
-    factor, raises :class:`NewtonError`.
-
-    A flat profile under a datum without modes is laterally uniform, and its
-    equilibrium is the affine state.  A cold solve starts there, so the
-    residual test, still relative to the residual at ``p = 0``, accepts it at
-    iteration 0 and its stiffness passes the exact test of
-    :attr:`~ElasticField.stiffness_blocks`.
+    ``cho`` is the first preconditioner.  Returns the solution, its info
+    dict and the newest factor, which preconditions a cold solve's next
+    continuation step.
     """
-    grid = build_grid(profile, ny)
-    h = profile.samples
-    uniform = not datum.modes and np.all(h == h.flat[0])
-    field = ElasticField(grid, datum, density, p=p0)
-    scale = None
-    if p0 is None and uniform:
-        stress_w = grid.wq[..., None, None] * density.stress(field.gradient())
-        scale = 1.0 + float(np.linalg.norm(assemble_residual(grid, stress_w)))
-        field = field.with_p(_affine_p(grid, density, solve_affine(density, datum)))
+    grid, density = field.grid, field.density
+    target = tol * _residual_scale(field)
     p = field.p
-    cho = precond
-    if cho is None and density.kind == "nonlinear" and not uniform:
-        flat = Profile.flat(grid.dim, profile.n, float(h.mean()), profile.width)
-        companion = ElasticField(build_grid(flat, ny), MismatchDatum(datum.A, grid.dim), density)
-        cho = companion.stiffness_cho
     residuals = []
     for it in range(max_iter):
         work = field.with_p(p)
@@ -859,14 +828,12 @@ def solve_critical_point(
         r = assemble_residual(grid, stress_w)
         rnorm = float(np.linalg.norm(r))
         residuals.append(rnorm)
-        if scale is None:
-            scale = 1.0 + rnorm
-        if rnorm <= tol * scale:
-            return work, {"iterations": it, "residual_norm": rnorm, "energy": energy}
+        if rnorm <= target:
+            return work, {"iterations": it, "residual_norm": rnorm, "energy": energy}, cho
         dp_vec = None
         if cho:
             tangent_w = grid.wq[..., None, None, None, None] * density.tangent(gradu)
-            dp_vec = _pcg_step(grid, tangent_w, r, cho, _PCG_RTOL * tol * scale)
+            dp_vec = _pcg_step(grid, tangent_w, r, cho, _PCG_RTOL * target)
         if dp_vec is None:
             dp_vec = _factored_step(work, r, residuals)
             cho = work.stiffness_cho
@@ -891,6 +858,96 @@ def solve_critical_point(
                 raise NewtonError("line search failed", residuals)
         p = cand
     raise NewtonError(f"no convergence in {max_iter} iterations", residuals)
+
+
+# below this amplitude step a cold solve's continuation gives up
+_CONTINUATION_MIN_STEP = 1.0 / 64.0
+
+
+def _at_amplitude(profile: Profile, datum: MismatchDatum, t: float):
+    """The profile ``mean + t (h - mean)`` and the datum with its modes scaled by ``t``."""
+    if t == 1.0:
+        return profile, datum
+    h, mean = profile.samples, profile.samples.mean()
+    modes = [{**m, "amplitude": t * float(m["amplitude"])} for m in datum.modes]
+    return Profile(mean + t * (h - mean), profile.width), MismatchDatum(datum.A, datum.dim, modes)
+
+
+def solve_critical_point(
+    profile: Profile,
+    datum: MismatchDatum,
+    density: ElasticDensity,
+    ny: int,
+    p0: np.ndarray | None = None,
+    tol: float = NEWTON_TOL,
+    max_iter: int = NEWTON_MAX_ITER,
+    precond=None,
+) -> tuple[ElasticField, dict]:
+    """Equilibrium elastic field over a profile by a guarded Newton iteration.
+
+    Minimizes the discrete energy over fields that match the substrate datum
+    and are laterally periodic.  For the linear kind the energy is quadratic
+    and one step converges; the nonlinear kind backtracks on the energy and
+    refuses steps that leave the admissible set.  Once the predicted energy
+    decrease ``|r . dp|`` falls below the rounding of the energy
+    (``64 eps |E|``), a step that lowers the residual norm is accepted
+    instead, since the energy test can no longer tell steps apart.  Newton
+    stops at ``|r| <= tol * S``, with ``S`` from :func:`_residual_scale`.
+    Returns the field and an info dict with iteration count, final residual
+    norm and energy.
+
+    Every Newton step is first a conjugate-gradient solve of ``K dp = -r`` on
+    the matrix-free tangent ``K``, preconditioned by the newest Cholesky
+    factor at hand (inexact Newton, see :func:`_pcg_step`).  With no factor
+    yet, or when that solve fails, the step is solved by the iterate's own
+    :attr:`~ElasticField.stiffness_cho`, which becomes the newest factor.
+    ``precond`` is the first factor: the ``cho_factor(K0, lower=True)`` of a
+    nearby stiffness, ``False`` for none, or ``None`` for the default (none
+    for a warm start).  The true residual test is the same for every step,
+    so the factors change the cost of a solve, not which fields it accepts.
+    A step that is not a descent direction, possible only when ``K`` has no
+    Cholesky factor, raises :class:`NewtonError`.
+
+    A cold solve (``p0`` is ``None``) starts at the flat film's affine
+    equilibrium: the mean thickness, the datum's ``A`` without modes and
+    :func:`solve_affine`'s slope, which the residual test accepts at
+    iteration 0.  A flat profile under a datum without modes ends there.
+    Any other film continues in the amplitude ``t`` of the profile
+    ``mean + t (h - mean)`` and of the substrate modes, from 0 to 1: each
+    step is a Newton solve from the last field node for node, ``t = 1`` is
+    tried first, and the step doubles after a success and halves after a
+    :class:`NewtonError`, raised again once the step is below 1/64.  A step
+    is preconditioned by the last step's newest factor; by default a
+    nonlinear film's first one is the flat equilibrium's
+    :class:`LateralCholesky`, and a linear film's first step is factored,
+    which is the solution's factor.  ``iterations`` sums over the steps.
+    """
+    if p0 is not None:
+        field = ElasticField(build_grid(profile, ny), datum, density, p=p0)
+        return _newton(field, precond, tol, max_iter)[:2]
+    h = profile.samples
+    t = 1.0 if not datum.modes and np.all(h == h.flat[0]) else 0.0
+    flat = profile if t else Profile.flat(profile.dim, profile.n, float(h.mean()), profile.width)
+    start = _affine_field(flat, MismatchDatum(datum.A, datum.dim), density, ny)
+    field, info, newest = _newton(start, None, tol, max_iter)
+    iterations, step = info["iterations"], 1.0
+    cho = precond if precond is not None else newest
+    if cho is None and density.kind == "nonlinear" and t < 1.0:
+        cho = field.stiffness_cho
+    while t < 1.0:
+        t_next = min(1.0, t + step)
+        prof, dat = _at_amplitude(profile, datum, t_next)
+        warm = ElasticField(build_grid(prof, ny), dat, density, p=field.p)
+        try:
+            out = _newton(warm, cho, tol, max_iter)
+        except NewtonError:
+            step *= 0.5
+            if step < _CONTINUATION_MIN_STEP:
+                raise
+            continue
+        (field, info, cho), t, step = out, t_next, 2.0 * step
+        iterations += info["iterations"]
+    return field, {**info, "iterations": iterations}
 
 
 def continue_critical_point(field: ElasticField, new_profile: Profile) -> tuple[ElasticField, dict]:

@@ -31,9 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .anisotropy import AnisotropyDensity, IsotropicDensity
-from .elasticity import ElasticDensity, ElasticField, MismatchDatum, solve_affine
-from .elasticity import _affine_gradient, _affine_p
-from .geometry import Profile, build_grid
+from .elasticity import ElasticDensity, ElasticField, MismatchDatum, _affine_field
+from .geometry import Profile
 from .stability import StabilityProblem, StabilityReport, verdict_of
 
 __all__ = [
@@ -72,11 +71,12 @@ def flat_field(
 
     A linear slope that folds the film, ``det(I + gradient) <= 0``, raises ``ValueError``.
     """
-    b = solve_affine(density, datum)
-    if density.kind == "linear" and np.linalg.det(np.eye(datum.dim) + _affine_gradient(datum, b)) <= 0.0:
+    field = _affine_field(Profile.flat(datum.dim, n, thickness, width=width), datum, density, ny)
+    if density.kind == "linear" and np.any(
+        np.linalg.det(np.eye(datum.dim) + field.gradient()) <= 0.0
+    ):
         raise ValueError("the affine deformation is not orientation preserving")
-    grid = build_grid(Profile.flat(datum.dim, n, thickness, width=width), ny)
-    return ElasticField(grid, datum, density, _affine_p(grid, density, b))
+    return field
 
 
 # -- spectral data as functions of thickness -----------------------------------------

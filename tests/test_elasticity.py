@@ -9,6 +9,7 @@ from filmstab.elasticity import (
     ElasticField,
     LinearDensity,
     MismatchDatum,
+    NEWTON_TOL,
     NewtonError,
     NonlinearDensity,
     _PCG_MAX_ITER,
@@ -17,6 +18,7 @@ from filmstab.elasticity import (
     _from_interior,
     _h1_coefficients,
     _h1_gram_matvec,
+    _residual_scale,
     _tangent_flux,
     assemble_hessian,
     assemble_residual,
@@ -398,15 +400,14 @@ def _record_pcg(monkeypatch) -> list:
     return solves
 
 
-def test_cold_solve_past_the_flat_companion_matches_the_start_factor(monkeypatch):
-    # at ptp/mean 0.66 the flat film at the mean thickness is too far from
-    # the start for its factor: the first inner solve hits the cap and the
-    # step falls back to the iterate's own factor
+def test_cold_solve_past_the_flat_equilibrium_factor_matches_the_factored_solve(monkeypatch):
+    # at ptp/mean 0.66 the flat equilibrium at the mean thickness is too far
+    # from the film for its factor: the first inner solve hits the cap and
+    # the step falls back to the iterate's own factor
     prof = Profile(1.0 + 0.33 * np.cos(2.0 * np.pi * np.arange(16) / 16))
     datum = MismatchDatum.from_misfit(E0, 2, "nonlinear")
     dens = NonlinearDensity(2, LAM, MU)
-    start = ElasticField(build_grid(prof, 8), datum, dens).stiffness_cho
-    _, ref = solve_critical_point(prof, datum, dens, ny=8, precond=start)
+    _, ref = _always_factored(monkeypatch, prof, datum, dens, ny=8)
     solves = _record_pcg(monkeypatch)
     _, info = solve_critical_point(prof, datum, dens, ny=8)
     assert solves[0] == (False, _PCG_MAX_ITER)
@@ -416,7 +417,8 @@ def test_cold_solve_past_the_flat_companion_matches_the_start_factor(monkeypatch
 
 @pytest.mark.parametrize("film", ["curved-3d", "flat-2d-datum-modes"])
 def test_cold_nonlinear_solve_off_the_block_path_assembles_nothing(monkeypatch, film):
-    # neither film is laterally uniform; the companion drops the datum's modes
+    # neither film is laterally uniform; the continuation starts at the flat
+    # equilibrium without the datum's modes, whose factor is per wavenumber
     if film == "curved-3d":
         modes = [
             {"mode": [0, 0], "amplitude": 1.0},
@@ -454,20 +456,23 @@ def test_poor_preconditioner_falls_back_to_the_factored_step(monkeypatch):
 
 def test_non_descent_newton_step_is_named():
     # an indefinite tensor (bypassing the positivity check) gives a tangent
-    # without a Cholesky factor whose solved step climbs the energy; the
-    # profile is curved, since a flat film starts at its affine equilibrium
+    # without a Cholesky factor; from the flat equilibrium, the solved step
+    # against a substrate wiggle climbs the energy at every continuation
+    # step down to 1/64, and the last error is raised
     dens = object.__new__(LinearDensity)
     dens.dim, dens.C = 2, isotropic_tensor(2, -3.0, 1.0)
-    datum = MismatchDatum.from_misfit(E0, 2, "linear")
+    datum = MismatchDatum.from_misfit(E0, 2, "linear", modes=[{"mode": 1, "amplitude": 0.01}])
     with pytest.raises(NewtonError, match="non-descent Newton step") as err:
-        solve_critical_point(_bumpy(16, amp=0.01), datum, dens, ny=8)
+        solve_critical_point(Profile.flat(2, 16, 1.0), datum, dens, ny=8)
     assert len(err.value.residuals) == 1
 
 
 def test_newton_steps_by_an_indefinite_stiffness_that_still_descends(monkeypatch):
     # compressed by e0 = -0.2, this curved nonlinear film keeps a stiffness
-    # without a Cholesky factor at every iterate; each step is solved against
-    # the dense stiffness, read once per step, and is a descent direction
+    # without a Cholesky factor at every iterate; the first step is the inner
+    # solve preconditioned by the flat equilibrium's factor, every later one
+    # is solved against the dense stiffness, read once per step, and each is
+    # a descent direction
     import filmstab.elasticity as elasticity
 
     reads = []
@@ -478,8 +483,38 @@ def test_newton_steps_by_an_indefinite_stiffness_that_still_descends(monkeypatch
     datum = MismatchDatum.from_misfit(-0.2, 2, "nonlinear")
     field, info = solve_critical_point(_bumpy(8, amp=0.2), datum, NonlinearDensity(2, LAM, MU), ny=6)
     assert info["residual_norm"] <= 1e-11
-    assert len(reads) == info["iterations"] == 6
+    assert len(reads) == info["iterations"] - 1 == 4
     assert field.stiffness_cho is False
+
+
+@pytest.mark.parametrize("amp", [0.066, 0.2])
+def test_cold_solve_is_the_continuation_from_the_flat_equilibrium(amp):
+    # from p = 0 these films stop at a non-descent Newton step; the cold
+    # route is the flat equilibrium at the mean thickness, continued to the
+    # profile, so it matches that chain built by hand
+    from filmstab.flat import flat_field
+
+    prof = Profile(1.0 + amp * np.cos(2.0 * np.pi * np.arange(16) / 16))
+    datum = MismatchDatum.from_misfit(1.0, 2, "nonlinear")
+    dens = NonlinearDensity(2, 10.0, 1.0)
+    field, info = solve_critical_point(prof, datum, dens, ny=8)
+    assert info["residual_norm"] <= NEWTON_TOL * _residual_scale(field)
+    flat = flat_field(dens, datum, float(prof.samples.mean()), 16, 8)
+    _, ref = continue_critical_point(flat, prof)
+    assert info["iterations"] == ref["iterations"]
+    assert info["energy"] == pytest.approx(ref["energy"], rel=1e-12)
+
+
+def test_newton_target_scales_with_the_moduli():
+    # the stopping test is relative to the moduli, so moduli scaled by 1e-9
+    # scale the equilibrium energy by 1e-9 and nothing else
+    prof = Profile(1.0 + 0.2 * np.cos(2.0 * np.pi * np.arange(16) / 16))
+    datum = MismatchDatum.from_misfit(0.2, 2, "nonlinear")
+    energies = [
+        solve_critical_point(prof, datum, NonlinearDensity(2, 2.0 * mu, mu), ny=8)[1]["energy"] / mu
+        for mu in (1.0, 1e-9)
+    ]
+    assert energies[1] == pytest.approx(energies[0], rel=1e-10)
 
 
 def test_warm_start_onto_another_lateral_grid_is_refused():
