@@ -807,18 +807,21 @@ def _factored_step(work: ElasticField, r: np.ndarray, residuals):
     return dp_vec
 
 
-def _newton(field: ElasticField, cho, tol: float, max_iter: int):
+def _newton(field: ElasticField, cho, tol: float, max_iter: int, spent: int = 0):
     """The Newton iteration of :func:`solve_critical_point` from ``field.p``, on the field's grid.
 
-    ``cho`` is the first preconditioner.  Returns the solution, its info
-    dict and the newest factor, which preconditions a cold solve's next
-    continuation step.
+    ``cho`` is the first preconditioner.  The iterations are numbered on
+    from ``spent``, the iterations a cold solve has already taken, up to
+    ``max_iter`` for the whole solve.  Returns the solution, its info dict
+    (``iterations`` is the new total) and the newest factor, which
+    preconditions a cold solve's next continuation step.  The residual
+    history of a :class:`NewtonError` holds this call's iterations only.
     """
     grid, density = field.grid, field.density
     target = tol * _residual_scale(field)
     p = field.p
     residuals = []
-    for it in range(max_iter):
+    for it in range(spent, max_iter):
         work = field.with_p(p)
         gradu = work.gradient()
         if not density.admissible(gradu):
@@ -901,9 +904,9 @@ def solve_critical_point(
     factor at hand (inexact Newton, see :func:`_pcg_step`).  With no factor
     yet, or when that solve fails, the step is solved by the iterate's own
     :attr:`~ElasticField.stiffness_cho`, which becomes the newest factor.
-    ``precond`` is the first factor: the ``cho_factor(K0, lower=True)`` of a
-    nearby stiffness, ``False`` for none, or ``None`` for the default (none
-    for a warm start).  The true residual test is the same for every step,
+    ``precond`` is the first factor of a warm solve: the
+    ``cho_factor(K0, lower=True)`` of a nearby stiffness, or ``False`` or
+    ``None`` for none.  The true residual test is the same for every step,
     so the factors change the cost of a solve, not which fields it accepts.
     A step that is not a descent direction, possible only when ``K`` has no
     Cholesky factor, raises :class:`NewtonError`.
@@ -917,10 +920,11 @@ def solve_critical_point(
     step is a Newton solve from the last field node for node, ``t = 1`` is
     tried first, and the step doubles after a success and halves after a
     :class:`NewtonError`, raised again once the step is below 1/64.  A step
-    is preconditioned by the last step's newest factor; by default a
-    nonlinear film's first one is the flat equilibrium's
-    :class:`LateralCholesky`, and a linear film's first step is factored,
-    which is the solution's factor.  ``iterations`` sums over the steps.
+    is preconditioned by the last step's newest factor: a nonlinear film's
+    first one is the flat equilibrium's :class:`LateralCholesky`, and a
+    linear film's first step is factored, which is the solution's factor.
+    ``max_iter`` bounds the Newton iterations of the whole solve, and
+    ``iterations`` counts them all, those of failed steps included.
     """
     if p0 is not None:
         field = ElasticField(build_grid(profile, ny), datum, density, p=p0)
@@ -929,9 +933,8 @@ def solve_critical_point(
     t = 1.0 if not datum.modes and np.all(h == h.flat[0]) else 0.0
     flat = profile if t else Profile.flat(profile.dim, profile.n, float(h.mean()), profile.width)
     start = _affine_field(flat, MismatchDatum(datum.A, datum.dim), density, ny)
-    field, info, newest = _newton(start, None, tol, max_iter)
-    iterations, step = info["iterations"], 1.0
-    cho = precond if precond is not None else newest
+    field, info, cho = _newton(start, None, tol, max_iter)
+    spent, step = info["iterations"], 1.0
     if cho is None and density.kind == "nonlinear" and t < 1.0:
         cho = field.stiffness_cho
     while t < 1.0:
@@ -939,15 +942,15 @@ def solve_critical_point(
         prof, dat = _at_amplitude(profile, datum, t_next)
         warm = ElasticField(build_grid(prof, ny), dat, density, p=field.p)
         try:
-            out = _newton(warm, cho, tol, max_iter)
-        except NewtonError:
+            field, info, cho = _newton(warm, cho, tol, max_iter, spent)
+        except NewtonError as err:
+            spent += len(err.residuals)
             step *= 0.5
-            if step < _CONTINUATION_MIN_STEP:
+            if step < _CONTINUATION_MIN_STEP or spent >= max_iter:
                 raise
             continue
-        (field, info, cho), t, step = out, t_next, 2.0 * step
-        iterations += info["iterations"]
-    return field, {**info, "iterations": iterations}
+        t, step, spent = t_next, 2.0 * step, info["iterations"]
+    return field, info
 
 
 def continue_critical_point(field: ElasticField, new_profile: Profile) -> tuple[ElasticField, dict]:

@@ -446,6 +446,26 @@ def test_critical_point_without_convergence_exits_2(tmp_path, capsys):
     assert "no convergence in 1 iterations" in capsys.readouterr().err
 
 
+def test_critical_point_iterations_stay_within_max_iter(tmp_path, capsys):
+    # stretched to A = 4, this curved film's cold continuation fails its
+    # step to t = 1 and halves; max_iter bounds the whole solve, failed
+    # steps included, so one iteration fewer than it takes is refused
+    cfg = curved_nonlinear_config()
+    cfg["geometry"]["profile"]["modes"][1]["amplitude"] = 0.066
+    cfg["material"] = {"kind": "nonlinear", "lam": 10.0, "mu": 1.0}
+    cfg["mismatch"] = {"e0": 3.0}
+    (tmp_path / "default").mkdir()
+    code, out = run(tmp_path / "default", "critical-point", cfg)
+    assert code == 0
+    report = load_report(out, "critical_point.json")
+    iterations = report["results"]["iterations"]
+    assert 0 < iterations <= report["tolerances"]["max_iter"]
+    cfg["analysis"] = {"max_iter": iterations}
+    code, _ = run(tmp_path, "critical-point", cfg)
+    assert code == 2
+    assert f"no convergence in {iterations} iterations" in capsys.readouterr().err
+
+
 FLAT_THRESHOLD = {"bracket": [100.0, 1600.0], "rel_tol": 0.1, "thicknesses": [200.0, 400.0]}
 CRYSTALLINE = {"a": 1.0, "b": 1.0, "max_steps": 2}
 
