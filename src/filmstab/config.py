@@ -216,6 +216,9 @@ _ANALYSIS_KEYS = {
     "oracle-check": {"modes", "rel_tol", "fd_step", "richardson"},
 }
 
+_OUTPUT_KEYS = {"critical-point": {"report", "field"}, "verify-identity": {"report"}, "oracle-check": {"report"}}
+_OUTPUT_KEYS |= dict.fromkeys(("stability", "flat-threshold", "crystalline"), {"report", "csv"})
+
 _NEEDS_PROBLEM = {"critical-point", "stability", "flat-threshold", "crystalline", "oracle-check"}
 
 
@@ -285,10 +288,11 @@ def _validate_analysis(cfg, command, n, path="analysis"):
             raise ConfigError(f"{path}.richardson", "expected true or false")
 
 
-def _validate_output(cfg, path="output"):
+def _validate_output(cfg, command, path="output"):
     block = _require_mapping(cfg, path)
-    _check_keys(block, {"report", "csv", "field"}, path)
     for key in block:
+        if key not in _OUTPUT_KEYS[command]:
+            raise ConfigError(f"{path}.{key}", f"{command} writes no such file; remove the key")
         if not isinstance(block[key], str) or not block[key]:
             raise ConfigError(f"{path}.{key}", "expected a non-empty file name")
 
@@ -317,10 +321,8 @@ def validate_config(cfg: dict, command: str) -> dict:
         if command != "crystalline" or "anisotropy" in cfg:
             _validate_anisotropy(_get(cfg, "anisotropy", "config", required=command != "crystalline", default={"kind": "isotropic"}))
         _validate_mismatch(_get(cfg, "mismatch", "config"), dim)
-    if command == "verify-identity" or "analysis" in cfg:
-        _validate_analysis(_get(cfg, "analysis", "config", required=command == "verify-identity", default={}), command, n)
-    if "output" in cfg:
-        _validate_output(cfg["output"])
+    _validate_analysis(cfg.get("analysis", {}), command, n)
+    _validate_output(cfg.get("output", {}), command)
     return cfg
 
 

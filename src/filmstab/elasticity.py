@@ -911,41 +911,39 @@ def solve_critical_point(
     A step that is not a descent direction, possible only when ``K`` has no
     Cholesky factor, raises :class:`NewtonError`.
 
-    A cold solve (``p0`` is ``None``) starts at the flat film's affine
-    equilibrium: the mean thickness, the datum's ``A`` without modes and
-    :func:`solve_affine`'s slope, which the residual test accepts at
-    iteration 0.  A flat profile under a datum without modes ends there.
-    Any other film continues in the amplitude ``t`` of the profile
-    ``mean + t (h - mean)`` and of the substrate modes, from 0 to 1: each
-    step is a Newton solve from the last field node for node, ``t = 1`` is
-    tried first, and the step doubles after a success and halves after a
-    :class:`NewtonError`, raised again once the step is below 1/64.  A step
-    is preconditioned by the last step's newest factor: a nonlinear film's
-    first one is the flat equilibrium's :class:`LateralCholesky`, and a
-    linear film's first step is factored, which is the solution's factor.
+    A cold solve (``p0`` is ``None``) continues in the amplitude ``t`` of
+    the profile ``mean + t (h - mean)`` and of the substrate modes from 0
+    to 1, trying ``t = 1`` first.  Each attempt starts on its own grid, node
+    for node from the last accepted field or, before any, at the affine
+    state of :func:`solve_affine`'s slope without the modes, which is the
+    flat film's gradient on any profile and ends a flat film under a datum
+    without modes at iteration 0.  The step doubles after a success; a
+    failed step is halved, and its :class:`NewtonError` raised again below
+    1/64.  An attempt is preconditioned by the last one's newest factor: a
+    curved or moded nonlinear film's first is the flat equilibrium's
+    :class:`LateralCholesky`, and a linear film's first step is factored.
     ``max_iter`` bounds the Newton iterations of the whole solve, and
-    ``iterations`` counts them all, those of failed steps included.
+    ``iterations`` counts them all, those of failed attempts included.
     """
     if p0 is not None:
         field = ElasticField(build_grid(profile, ny), datum, density, p=p0)
         return _newton(field, precond, tol, max_iter)[:2]
-    h = profile.samples
-    t = 1.0 if not datum.modes and np.all(h == h.flat[0]) else 0.0
-    flat = profile if t else Profile.flat(profile.dim, profile.n, float(h.mean()), profile.width)
-    start = _affine_field(flat, MismatchDatum(datum.A, datum.dim), density, ny)
-    field, info, cho = _newton(start, None, tol, max_iter)
-    spent, step = info["iterations"], 1.0
-    if cho is None and density.kind == "nonlinear" and t < 1.0:
-        cho = field.stiffness_cho
+    flat_datum, h, cho = MismatchDatum(datum.A, datum.dim), profile.samples, None
+    b = solve_affine(density, flat_datum)
+    if density.kind == "nonlinear" and (datum.modes or np.any(h != h.flat[0])):
+        flat = Profile.flat(profile.dim, profile.n, float(h.mean()), profile.width)
+        cho = _affine_field(flat, flat_datum, density, ny).stiffness_cho
+    t, step, spent, field = 0.0, 1.0, 0, None
     while t < 1.0:
         t_next = min(1.0, t + step)
         prof, dat = _at_amplitude(profile, datum, t_next)
-        warm = ElasticField(build_grid(prof, ny), dat, density, p=field.p)
+        grid = build_grid(prof, ny)
+        p = _affine_p(grid, density, b) if field is None else field.p
         try:
-            field, info, cho = _newton(warm, cho, tol, max_iter, spent)
+            field, info, cho = _newton(ElasticField(grid, dat, density, p=p), cho, tol, max_iter, spent)
         except NewtonError as err:
             spent += len(err.residuals)
-            step *= 0.5
+            step = 0.5 * (t_next - t)
             if step < _CONTINUATION_MIN_STEP or spent >= max_iter:
                 raise
             continue

@@ -447,13 +447,12 @@ def test_critical_point_without_convergence_exits_2(tmp_path, capsys):
 
 
 def test_critical_point_iterations_stay_within_max_iter(tmp_path, capsys):
-    # stretched to A = 4, this curved film's cold continuation fails its
-    # step to t = 1 and halves; max_iter bounds the whole solve, failed
-    # steps included, so one iteration fewer than it takes is refused
-    cfg = curved_nonlinear_config()
-    cfg["geometry"]["profile"]["modes"][1]["amplitude"] = 0.066
-    cfg["material"] = {"kind": "nonlinear", "lam": 10.0, "mu": 1.0}
-    cfg["mismatch"] = {"e0": 3.0}
+    # this flat film's cold continuation fails its attempt at t = 1 against
+    # the full substrate wiggle and halves; max_iter bounds the whole solve,
+    # failed attempts included, so one iteration fewer than it takes is refused
+    cfg = flat_config(n=16, ny=8, e0=-0.2)
+    cfg["material"] = {"kind": "nonlinear", "lam": 2.0, "mu": 1.0}
+    cfg["mismatch"]["modes"] = [{"mode": 1, "amplitude": 0.05}]
     (tmp_path / "default").mkdir()
     code, out = run(tmp_path / "default", "critical-point", cfg)
     assert code == 0
@@ -468,6 +467,39 @@ def test_critical_point_iterations_stay_within_max_iter(tmp_path, capsys):
 
 FLAT_THRESHOLD = {"bracket": [100.0, 1600.0], "rel_tol": 0.1, "thicknesses": [200.0, 400.0]}
 CRYSTALLINE = {"a": 1.0, "b": 1.0, "max_steps": 2}
+
+
+@pytest.mark.parametrize("command, key", [("flat-threshold", "analysis.bracket"), ("crystalline", "analysis.a")])
+def test_missing_analysis_block_names_its_required_key(tmp_path, capsys, command, key):
+    code, out = run(tmp_path, command, flat_config(n=8, ny=4, e0=0.05))
+    assert code == 1
+    assert f"config error: {key}: missing required key" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+WRITES = {
+    "critical-point": ("report", "field"),
+    "stability": ("report", "csv"),
+    "flat-threshold": ("report", "csv"),
+    "crystalline": ("report", "csv"),
+    "verify-identity": ("report",),
+    "oracle-check": ("report",),
+}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(c, k) for c, keys in WRITES.items() for k in ("report", "csv", "field") if k not in keys],
+)
+def test_output_key_the_command_never_writes_is_refused(tmp_path, capsys, command, key):
+    analysis = {"flat-threshold": FLAT_THRESHOLD, "crystalline": CRYSTALLINE}.get(command)
+    cfg = flat_config(n=8, ny=4, e0=0.05, analysis=analysis, output={key: "unwritten"})
+    if command == "verify-identity":
+        cfg = {"analysis": {"dim": 2}, "output": cfg["output"]}
+    code, out = run(tmp_path, command, cfg)
+    assert code == 1
+    assert f"config error: output.{key}: {command} writes no such file" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize(
