@@ -268,9 +268,11 @@ def _validate_analysis(cfg, command, n, path="analysis"):
                 block["suppression_thicknesses"], f"{path}.suppression_thicknesses"
             )
     elif command == "verify-identity":
-        dim = _as_number(_get(block, "dim", path), f"{path}.dim", integer=True)
-        if dim not in (2, 3):
-            raise ConfigError(f"{path}.dim", f"must be 2 or 3, got {dim}")
+        # --dim may stand in for the key, so the handler names a missing one
+        if "dim" in block:
+            dim = _as_number(block["dim"], f"{path}.dim", integer=True)
+            if dim not in (2, 3):
+                raise ConfigError(f"{path}.dim", f"must be 2 or 3, got {dim}")
         if "trials" in block:
             _as_number(block["trials"], f"{path}.trials", integer=True, minimum=1)
     elif command == "oracle-check":

@@ -29,7 +29,7 @@ thickness, and continues in amplitude to its profile and substrate modes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, eigh, get_blas_funcs, get_lapack_funcs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .geometry import MappedGrid, Profile, build_grid
@@ -43,6 +43,8 @@ __all__ = [
     "MismatchDatum",
     "ElasticField",
     "LateralCholesky",
+    "BlockColumns",
+    "BlockCholesky",
     "NewtonError",
     "CoercivityError",
     "assemble_residual",
@@ -307,7 +309,7 @@ class ElasticField:
     keeps its stiffness only as a factor: the Cholesky factor (or the
     per-wavenumber blocks and their factors) is cached, so the Newton
     steps, the stability problem and the warm-started re-solves share it,
-    and a dense stiffness exists only while it is assembled and factored.
+    and the field holds no ``nd x nd`` array.
     The linear tangent does not depend on ``p``, so for the linear kind
     :meth:`with_p` shares that cache too.
     """
@@ -406,9 +408,10 @@ class ElasticField:
 
         A laterally uniform field gets a :class:`LateralCholesky` of its
         :attr:`stiffness_blocks` and never assembles the stiffness; any other
-        field gets the ``cho_factor(K, lower=True)`` of a freshly assembled
-        ``K``, factored in place by :func:`_shifted_stiffness_cho` at shift
-        zero, so the factor is the only dense matrix the field holds.  A
+        field gets the :class:`BlockCholesky` of the lower triangle of a
+        freshly assembled ``K``, factored in place by
+        :func:`_shifted_stiffness_cho` at shift zero, about half the memory
+        of a full ``nd x nd`` matrix.  A
         block without a Cholesky factor gives ``False`` with no dense retry:
         the blocks are a unitary block-diagonalisation of the stiffness, so
         it is positive definite exactly when they all are.
@@ -464,8 +467,8 @@ def assemble_residual(grid: MappedGrid, weighted_stress: np.ndarray) -> np.ndarr
     return out.ravel()
 
 
-def assemble_hessian(grid: MappedGrid, weighted_tangent: np.ndarray) -> np.ndarray:
-    """Dense interior-dof matrix of the quadratic form with given coefficients.
+def assemble_hessian(grid: MappedGrid, weighted_tangent: np.ndarray, packed: bool = False):
+    """Interior-dof matrix of the quadratic form with given coefficients, full or by block columns.
 
     ``weighted_tangent`` has shape ``xshape + (ny, N, N, N, N)`` laid out
     ``(i, a, m, b)`` and carries the quadrature weights; the result is the
@@ -486,13 +489,19 @@ def assemble_hessian(grid: MappedGrid, weighted_tangent: np.ndarray) -> np.ndarr
       ``X^T``.
 
     ``K`` is written one lateral row block at a time from small per-direction
-    factors, so besides the one ``nd x nd`` result only arrays of size
+    factors, so besides the result only arrays of size
     ``O(nd^2 / nx + nd^2 / (ny - 1))`` are alive.  The two block-diagonal
     terms are symmetrized before they are added, which makes ``K`` exactly
     symmetric.
+
+    With ``packed`` the result is the lower triangle of ``K`` as
+    :class:`BlockColumns`, and no ``nd x nd`` array is made: each row block
+    is computed only from its block column's first column on, which is the
+    transpose of its part of that block column.  Every row block is checked
+    for non-finite entries as it is written, and one raises ``ValueError``.
     """
     nx, ny, N, nd = _flat_shapes(grid)
-    nyc, nh = ny - 1, N - 1
+    nyc, nh, m = ny - 1, N - 1, nd // nx
     Lx, Ds, scoef = grid.assembly_operators()
     Cw = weighted_tangent.reshape(nx, ny, N, N, N, N)
     Cw = 0.5 * (Cw + Cw.transpose(0, 1, 4, 5, 2, 3))
@@ -515,23 +524,40 @@ def assemble_hessian(grid: MappedGrid, weighted_tangent: np.ndarray) -> np.ndarr
     Y = np.einsum("artim,tq->atirqm", M, Ds_int, optimize=True)
     Yt = Y.transpose(0, 3, 4, 5, 1, 2)  # Yt[a, j, k, i, q, m] = Y[a, q, m, j, k, i]
 
-    K = np.empty((nx, nyc, N, nx, nyc, N))
-    X = np.empty(K.shape[1:])
-    Xt = np.empty(K.shape[1:])
+    if packed:
+        K = BlockColumns(grid)
+        widths = np.diff(K.starts) // m
+        # the block column of each lateral row, and that block's first lateral column
+        block = np.repeat(np.arange(len(widths)), widths)
+        first = K.starts[block] // m
+        Kbuf = np.empty(m * nd)
+    else:
+        K = np.empty((nx, nyc, N, nx, nyc, N))
+        first = np.zeros(nx, dtype=int)
+    Xbuf, Xtbuf = np.empty(m * nd), np.empty(m * nd)
     rows = np.arange(nyc)
     for j in range(nx):
-        # row block j of X (into K) and of X^T, each summed over a in the same
-        # order, so K[A, B] and K[B, A] add the same two rounded numbers
-        Kj = K[j]
-        np.multiply(Lxs[0, :, j, None, None], Y[0], out=Kj)
-        np.multiply(Lxs[0, j, :, None, None], Yt[0, j][:, :, None], out=Xt)
+        # row block j of X (into K) and of X^T from lateral column q on, each
+        # summed over a in the same order, so K[A, B] and K[B, A] add the same
+        # two rounded numbers
+        q = first[j]
+        shape = (nyc, N, nx - q, nyc, N)
+        size = m * m * (nx - q)
+        Kj = Kbuf[:size].reshape(shape) if packed else K[j]
+        X, Xt = Xbuf[:size].reshape(shape), Xtbuf[:size].reshape(shape)
+        np.multiply(Lxs[0, q:, j, None, None], Y[0][:, :, q:], out=Kj)
+        np.multiply(Lxs[0, j, q:, None, None], Yt[0, j][:, :, None], out=Xt)
         for a in range(1, nh):
-            Kj += np.multiply(Lxs[a, :, j, None, None], Y[a], out=X)
-            Xt += np.multiply(Lxs[a, j, :, None, None], Yt[a, j][:, :, None], out=X)
+            Kj += np.multiply(Lxs[a, q:, j, None, None], Y[a][:, :, q:], out=X)
+            Xt += np.multiply(Lxs[a, j, q:, None, None], Yt[a, j][:, :, None], out=X)
         Kj += Xt
-        Kj[rows, :, :, rows, :] += T1[j]
-        Kj[:, :, j] += T4[j]
-    return K.reshape(nd, nd)
+        Kj[rows, :, :, rows, :] += T1[j][:, :, q:]
+        Kj[:, :, j - q] += T4[j]
+        if packed:
+            if not np.isfinite(Kj).all():
+                raise ValueError("array must not contain infs or NaNs")
+            K.columns[block[j]][:, (j - q) * m : (j - q + 1) * m] = Kj.reshape(m, -1).T
+    return K if packed else K.reshape(nd, nd)
 
 
 def _h1_coefficients(grid: MappedGrid) -> np.ndarray:
@@ -548,21 +574,19 @@ def h1_gram(grid: MappedGrid) -> np.ndarray:
 
 
 def _shifted_stiffness_cho(field: ElasticField, sigma: float):
-    """Cholesky factor of ``K - sigma G``, or ``False`` when it has none.
+    """:class:`BlockCholesky` factor of ``K - sigma G``, or ``False`` when it has none.
 
-    ``K`` is the field's stiffness and ``G`` the :func:`h1_gram`.  The
-    matrix is assembled in one pass from the weighted tangent minus
-    ``sigma`` times the Sobolev coefficients, and ``cho_factor(K.T,
-    lower=True)`` factors it in place: ``K.T`` is the same symmetric matrix
-    in Fortran order, which LAPACK factors without a copy.  Subtracting
-    ``sigma = 0`` is exact, so at shift zero this is the stiffness's own
-    factor.
+    ``K`` is the field's stiffness and ``G`` the :func:`h1_gram`.  The lower
+    triangle of the matrix is assembled in one pass by block columns, from
+    the weighted tangent minus ``sigma`` times the Sobolev coefficients,
+    and factored in place.  Subtracting ``sigma = 0`` is exact, so at shift
+    zero this is the stiffness's own factor.
     """
     grid = field.grid
-    K = assemble_hessian(grid, field._weighted_tangent() - sigma * _h1_coefficients(grid))
-    K[np.diag_indices(K.shape[0])] -= sigma * interior_weight_vector(grid)
+    K = assemble_hessian(grid, field._weighted_tangent() - sigma * _h1_coefficients(grid), packed=True)
+    K.add_diagonal(-sigma * interior_weight_vector(grid))
     try:
-        return cho_factor(K.T, lower=True, overwrite_a=True)
+        return BlockCholesky(K)
     except LinAlgError:
         return False
 
@@ -598,13 +622,15 @@ class LateralCholesky:
     ``blocks`` come from :func:`_lateral_blocks`; a block without a
     Cholesky factor raises ``LinAlgError``.  :meth:`solve` takes the real
     FFT of the right-hand side over the lateral axes, solves each
-    wavenumber against its block and transforms back, so a solve costs
-    ``O(nd log nx + nd (ny N))`` instead of the dense ``O(nd^2)``.
+    wavenumber against its block with LAPACK ``potrs`` and transforms back,
+    so a solve costs ``O(nd log nx + nd (ny N))`` instead of the dense
+    ``O(nd^2)``.
     """
 
     def __init__(self, xshape: tuple, blocks: np.ndarray):
         self.xshape = tuple(xshape)
-        self.factors = [cho_factor(block, lower=True) for block in blocks]
+        self.factors = [cho_factor(block, lower=True)[0] for block in blocks]
+        (self._potrs,) = get_lapack_funcs(("potrs",), (blocks,))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``K^-1 b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``."""
@@ -612,8 +638,129 @@ class LateralCholesky:
         bk = np.fft.rfftn(b.reshape(self.xshape + (-1,) + b.shape[1:]), axes=axes)
         per_mode = bk.reshape((len(self.factors),) + bk.shape[len(axes):])
         for k, c in enumerate(self.factors):
-            per_mode[k] = cho_solve(c, per_mode[k], check_finite=False)
+            per_mode[k] = self._potrs(c, per_mode[k], lower=True)[0]
         return np.fft.irfftn(per_mode.reshape(bk.shape), s=self.xshape, axes=axes).reshape(b.shape)
+
+
+# a dense matrix's block columns are whole lateral columns, about this many dofs wide
+_BLOCK_DOFS = 256
+
+
+class BlockColumns:
+    """The lower triangle of a symmetric interior-dof matrix, stored by lateral block columns.
+
+    Block ``c`` spans the dofs ``starts[c]:starts[c + 1]``: whole lateral
+    columns of ``(ny - 1) * N`` dofs each, about ``_BLOCK_DOFS`` in all.
+    ``columns[c]`` holds its column of the lower triangle, rows
+    ``starts[c]:nd``, as one C-contiguous array: the diagonal block on top
+    and the panel below it, each of which is, transposed, a contiguous
+    Fortran array for BLAS and LAPACK.  The whole holds about
+    ``nd^2 / 2 + nd * _BLOCK_DOFS / 2`` numbers, where a full matrix holds
+    ``nd^2``.  ``shape`` is the full matrix's.  :func:`assemble_hessian`
+    fills it, :class:`BlockCholesky` factors it in place, and the upper
+    triangles of the diagonal blocks are never read.
+    """
+
+    def __init__(self, grid: MappedGrid):
+        nx, _, _, nd = _flat_shapes(grid)
+        m = nd // nx
+        self.shape = (nd, nd)
+        self.starts = np.append(np.arange(0, nx, max(1, round(_BLOCK_DOFS / m))), nx) * m
+        shapes = [(nd - s, e - s) for s, e in zip(self.starts, self.starts[1:])]
+        # one allocation, which numpy backs by huge pages where the system has them
+        ends = np.cumsum([r * w for r, w in shapes])
+        buffer = np.empty(ends[-1])
+        self.columns = [buffer[e - r * w : e].reshape(r, w) for e, (r, w) in zip(ends, shapes)]
+
+    def add_diagonal(self, d: np.ndarray) -> None:
+        """Add ``d`` to the diagonal of the matrix."""
+        for s, M in zip(self.starts, self.columns):
+            w = M.shape[1]
+            M[np.arange(w), np.arange(w)] += d[s : s + w]
+
+
+class BlockCholesky:
+    """Cholesky factor ``K = L L^T`` of a dense stiffness, by lateral block columns.
+
+    ``K`` is the :class:`BlockColumns` of the matrix, factored in place: its
+    buffer becomes ``L``.  The factorisation is the right-looking blocked
+    Cholesky: LAPACK ``potrf`` on each diagonal block, ``trsm`` on the
+    panel below it, and ``syrk`` and ``gemm`` take the panel's products off
+    the later block columns.  A matrix without a Cholesky factor raises
+    ``LinAlgError``.  ``blocks`` holds, per block column, its dofs ``s:e``,
+    the upper triangle ``U`` of ``L[s:e, s:e]^T`` and the panel
+    ``P = L[e:, s:e]``, both Fortran arrays.  Once a panel's trailing
+    updates are done it is rewritten in place by long columns, the layout
+    the triangular solves stream fastest.  :meth:`forward` and
+    :meth:`backward` are the two triangular half-solves, and :meth:`solve`
+    is both.
+    """
+
+    def __init__(self, K: BlockColumns):
+        self.shape = K.shape
+        first = K.columns[0]
+        (potrf,) = get_lapack_funcs(("potrf",), (first,))
+        self._trsv, self._trsm, self._gemv, self._gemm, syrk = get_blas_funcs(
+            ("trsv", "trsm", "gemv", "gemm", "syrk"), (first,)
+        )
+        # transposed, each stored lower triangle is the upper one LAPACK reads,
+        # and each panel is a Fortran array whose column slices are contiguous
+        rows = [(s, e, M[: e - s].T, M[e - s :].T) for s, e, M in zip(K.starts, K.starts[1:], K.columns)]
+        self.blocks = []
+        for c, (s, e, U, Pt) in enumerate(rows):
+            if potrf(U, lower=False, clean=False, overwrite_a=True)[1] > 0:
+                raise LinAlgError(f"the matrix is not positive definite in block column {c}")
+            self._trsm(1.0, U, Pt, trans_a=True, overwrite_b=True)
+            at = 0
+            for _, _, later_U, later_Pt in rows[c + 1 :]:
+                v = later_U.shape[0]
+                A = Pt[:, at : at + v]
+                syrk(-1.0, A, beta=1.0, c=later_U, trans=True, overwrite_c=True)
+                if later_Pt.size:
+                    self._gemm(-1.0, A, Pt[:, at + v :], beta=1.0, c=later_Pt, trans_a=True, overwrite_c=True)
+                at += v
+            # the panel takes no more updates: P[r, k] moves to k * rows + r
+            P = Pt.T.reshape(-1).reshape(Pt.shape).T
+            P[...] = Pt.T.copy()
+            self.blocks.append((s, e, U, P))
+
+    def _diagonal_solve(self, U: np.ndarray, y: np.ndarray, transposed: bool) -> None:
+        """``y := U^-T y``, or ``U^-1 y``, in place."""
+        if y.ndim == 1:
+            self._trsv(U, y, trans=transposed, overwrite_x=True)
+        else:
+            # on the Fortran array y^T: y^T := y^T U^-1, or y^T U^-T
+            self._trsm(1.0, U, y.T, side=True, trans_a=not transposed, overwrite_b=True)
+
+    def _panel_update(self, P: np.ndarray, x: np.ndarray, y: np.ndarray, transposed: bool) -> None:
+        """``y -= P^T x``, or ``P x``, in place."""
+        if y.ndim == 1:
+            self._gemv(-1.0, P, x, beta=1.0, y=y, trans=transposed, overwrite_y=True)
+        else:
+            # on the Fortran array y^T: y^T -= x^T P, or x^T P^T
+            self._gemm(-1.0, x.T, P, beta=1.0, c=y.T, trans_b=not transposed, overwrite_c=True)
+
+    def forward(self, b: np.ndarray) -> np.ndarray:
+        """``L^-1 b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``."""
+        y = np.array(b, dtype=float, order="C")
+        for s, e, U, P in self.blocks:
+            self._diagonal_solve(U, y[s:e], transposed=True)
+            if P.size:
+                self._panel_update(P, y[s:e], y[e:], transposed=False)
+        return y
+
+    def backward(self, b: np.ndarray) -> np.ndarray:
+        """``L^-T b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``."""
+        x = np.array(b, dtype=float, order="C")
+        for s, e, U, P in self.blocks[::-1]:
+            if P.size:
+                self._panel_update(P, x[e:], x[s:e], transposed=True)
+            self._diagonal_solve(U, x[s:e], transposed=False)
+        return x
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``K^-1 b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``."""
+        return self.backward(self.forward(b))
 
 
 # -- solves -----------------------------------------------------------------------
@@ -658,17 +805,13 @@ def _tangent_flux(grid: MappedGrid, tangent_w: np.ndarray):
 def factor_solve(cho, b: np.ndarray) -> np.ndarray:
     """``K^-1 b`` against a stiffness factor, reading the factor once.
 
-    ``cho`` is a dense ``cho_factor(K, lower=True)`` or a
-    :class:`LateralCholesky`, and ``b`` a vector or a matrix of right-hand
-    sides.  The factor is not scanned for non-finite entries, which would
-    cost as much as the solve: ``cho_factor`` checked ``K`` when it built
-    it, and the factor of a finite matrix is finite.  A non-finite ``b``
-    raises ``ValueError``.
+    ``cho`` is a :class:`BlockCholesky` or a :class:`LateralCholesky`, and
+    ``b`` a vector or a matrix of right-hand sides.  The factor is not
+    scanned for non-finite entries, which would cost as much as the solve:
+    the assembly checked each block of ``K`` as it wrote it, and the factor
+    of a finite matrix is finite.  A non-finite ``b`` raises ``ValueError``.
     """
-    b = np.asarray_chkfinite(b)
-    if isinstance(cho, LateralCholesky):
-        return cho.solve(b)
-    return cho_solve(cho, b, check_finite=False)
+    return cho.solve(np.asarray_chkfinite(b))
 
 
 def _affine_gradient(datum: MismatchDatum, b: np.ndarray) -> np.ndarray:
@@ -905,7 +1048,7 @@ def solve_critical_point(
     yet, or when that solve fails, the step is solved by the iterate's own
     :attr:`~ElasticField.stiffness_cho`, which becomes the newest factor.
     ``precond`` is the first factor of a warm solve: the
-    ``cho_factor(K0, lower=True)`` of a nearby stiffness, or ``False`` or
+    :attr:`~ElasticField.stiffness_cho` of a nearby field, or ``False`` or
     ``None`` for none.  The true residual test is the same for every step,
     so the factors change the cost of a solve, not which fields it accepts.
     A step that is not a descent direction, possible only when ``K`` has no
@@ -1020,8 +1163,9 @@ def coercivity_constant(field: ElasticField) -> float:
     the one read of :attr:`~ElasticField.stiffness` on this route.
 
     Any other ``K`` takes Lanczos solves for the top eigenvalue of
-    ``L^-1 G L^-T``, which is ``1/c0``, against its factor ``L``
-    (:attr:`~ElasticField.stiffness_cho`), with ``G`` applied matrix-free:
+    ``L^-1 G L^-T``, which is ``1/c0``, against its :class:`BlockCholesky`
+    factor ``L L^T`` (:attr:`~ElasticField.stiffness_cho`), with ``G``
+    applied matrix-free:
 
     1. a rough pass at ``_C0_ROUGH_TOL``; a Ritz value never exceeds the top
        eigenvalue, so its reciprocal ``c~`` bounds ``c0`` above;
@@ -1055,14 +1199,12 @@ def coercivity_constant(field: ElasticField) -> float:
     matvecs = 0
 
     def top_pair(factor, v0, tol, maxiter=None):
-        """Top eigenpair of ``F^-1 G F^-T`` for the stored triangle ``F`` of a dense factor."""
-        F, lower = factor
+        """Top eigenpair of ``L^-1 G L^-T`` for the :class:`BlockCholesky` factor ``L L^T``."""
 
         def mv(w):
             nonlocal matvecs
             matvecs += 1
-            t = solve_triangular(F, w, lower=lower, trans="T", check_finite=False)
-            return solve_triangular(F, _h1_gram_matvec(grid, t), lower=lower, check_finite=False)
+            return factor.forward(_h1_gram_matvec(grid, factor.backward(w)))
 
         # with the dtype given, LinearOperator does not spend a matvec to find it
         op = LinearOperator((nd, nd), matvec=mv, dtype=float)

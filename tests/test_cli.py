@@ -560,14 +560,14 @@ def test_curved_nonlinear_stability_assembles_once(tmp_path, monkeypatch):
     calls = []
     original = elasticity.assemble_hessian
 
-    def counting(*args):
-        calls.append(args[0])
-        return original(*args)
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("packed", False))
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(elasticity, "assemble_hessian", counting)
     code, _ = run(tmp_path, "stability", curved_nonlinear_config(analysis={"max_mode": 2}))
     assert code == 0
-    assert len(calls) == 1
+    assert calls == [True]
 
 
 def test_repeat_runs_through_the_shifted_c0_are_byte_identical(tmp_path, monkeypatch):
@@ -714,6 +714,17 @@ def test_verify_identity_requires_dimension(tmp_path, capsys):
     code = main(["verify-identity", "--out", str(tmp_path)])
     assert code == 1
     assert "analysis.dim" in capsys.readouterr().err
+
+
+def test_verify_identity_config_without_analysis_takes_the_dim_flag(tmp_path, capsys):
+    cfg = {"output": {"report": "identity.json"}}
+    code, out = run(tmp_path, "verify-identity", cfg, extra=["--dim", "2"])
+    assert code == 0
+    assert load_report(out, "identity.json")["results"]["verified"] is True
+    # without the flag the handler names the missing key
+    code, _ = run(tmp_path, "verify-identity", cfg)
+    assert code == 1
+    assert "config error: analysis.dim: missing required key (or pass --dim)" in capsys.readouterr().err
 
 
 def test_verify_identity_names_the_trials_flag(tmp_path, capsys):

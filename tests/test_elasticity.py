@@ -1,5 +1,7 @@
 """Elastic densities, discrete assembly, and equilibrium solves."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -447,7 +449,7 @@ def test_poor_preconditioner_falls_back_to_the_factored_step(monkeypatch):
     _, factored = solve_critical_point(prof2, datum, dens, ny=8, p0=field.p)
     # the identity leaves the inner solve unpreconditioned, which misses the
     # target within the iteration cap
-    identity = (np.eye(_flat_shapes(field.grid)[3]), True)
+    identity = SimpleNamespace(solve=np.copy)
     calls = _count_hessians(monkeypatch)
     _, info = solve_critical_point(prof2, datum, dens, ny=8, p0=field.p, precond=identity)
     assert len(calls) == info["iterations"] == 1
@@ -691,12 +693,12 @@ def clustered():
 
 
 def _record_c0_passes(monkeypatch):
-    """Matvecs per ``c0`` Lanczos pass, and whether each shifted factorisation succeeded."""
+    """Matvecs per ``c0`` Lanczos pass, and whether each block-column factorisation succeeded."""
     import filmstab.elasticity as elasticity
     from scipy.sparse.linalg import LinearOperator
 
     passes, factored = [], []
-    eigsh, cho_factor = elasticity.eigsh, elasticity.cho_factor
+    eigsh, block_cholesky = elasticity.eigsh, elasticity.BlockCholesky
 
     def counted_eigsh(A, **kwargs):
         passes.append(0)
@@ -707,14 +709,14 @@ def _record_c0_passes(monkeypatch):
 
         return eigsh(LinearOperator(A.shape, matvec=matvec, dtype=float), **kwargs)
 
-    def recorded_cho_factor(A, **kwargs):
+    def recorded_block_cholesky(K):
         factored.append(False)
-        result = cho_factor(A, **kwargs)
+        result = block_cholesky(K)
         factored[-1] = True
         return result
 
     monkeypatch.setattr(elasticity, "eigsh", counted_eigsh)
-    monkeypatch.setattr(elasticity, "cho_factor", recorded_cho_factor)
+    monkeypatch.setattr(elasticity, "BlockCholesky", recorded_block_cholesky)
     return passes, factored
 
 
@@ -774,20 +776,25 @@ def test_stiffness_read_before_the_factor_is_left_intact(monkeypatch):
     before = K.copy()
     c, lower = cho_factor(K, lower=True)
     assert np.array_equal(K, before)
-    # the factor comes from one assembly of its own, factored in place, to
-    # the same bits, and the field keeps no dense stiffness
+    # the factor comes from one packed assembly of its own, factored in
+    # place, and agrees with LAPACK's factor of the full matrix; the field
+    # keeps no dense stiffness
     assembled = []
     assemble = elasticity.assemble_hessian
 
-    def recording(*args):
-        assembled.append(assemble(*args))
+    def recording(*args, **kwargs):
+        assembled.append(assemble(*args, **kwargs))
         return assembled[-1]
 
     monkeypatch.setattr(elasticity, "assemble_hessian", recording)
-    c_field, lower_field = field.stiffness_cho
-    assert lower and lower_field and np.array_equal(K, before)
-    assert len(assembled) == 1 and np.shares_memory(c_field, assembled[0])
-    assert np.array_equal(np.tril(c_field), np.tril(c))
+    factor = field.stiffness_cho
+    assert lower and np.array_equal(K, before)
+    assert len(assembled) == 1
+    L, scale = np.tril(c), np.abs(c).max()
+    for (s, e, U, P), M in zip(factor.blocks, assembled[0].columns):
+        assert np.shares_memory(U, M) and (P.size == 0 or np.shares_memory(P, M))
+        assert np.abs(np.triu(U).T - L[s:e, s:e]).max() <= 1e-13 * scale
+        assert np.abs(P - L[e:, s:e]).max(initial=0.0) <= 1e-13 * scale
     assert set(field._stiffness) == {"blocks", "cho"}
 
 
@@ -816,13 +823,11 @@ def test_matrix_free_h1_gram_matches_assembled(dim, n, ny):
 
 
 def test_factor_solve_rejects_non_finite_right_hand_side():
-    from scipy.linalg import cho_factor, cho_solve
-
     grid = build_grid(_bumpy(12), 6)
-    G = h1_gram(grid)
-    cho = cho_factor(G, lower=True)
-    b = np.random.default_rng(5).standard_normal(G.shape[0])
-    assert np.array_equal(factor_solve(cho, b), cho_solve(cho, b))
+    field = ElasticField(grid, MismatchDatum.from_misfit(E0, 2, "linear"), LinearDensity.isotropic(2, LAM, MU))
+    cho = field.stiffness_cho
+    b = np.random.default_rng(5).standard_normal(_flat_shapes(grid)[3])
+    assert np.array_equal(factor_solve(cho, b), cho.solve(b))
     b[3] = np.nan
     with pytest.raises(ValueError):
         factor_solve(cho, b)

@@ -13,6 +13,7 @@ import pytest
 import filmstab.elasticity as elasticity
 from filmstab.anisotropy import IsotropicDensity
 from filmstab.elasticity import (
+    BlockCholesky,
     ElasticField,
     LateralCholesky,
     LinearDensity,
@@ -39,9 +40,9 @@ def refuse_assembly(monkeypatch, grid) -> None:
     """Make ``assemble_hessian`` fail on ``grid``, before it allocates the matrix."""
     assemble = elasticity.assemble_hessian
 
-    def guarded(on, coefficients):
+    def guarded(on, coefficients, **kwargs):
         assert on is not grid, "the block path assembled a stiffness"
-        return assemble(on, coefficients)
+        return assemble(on, coefficients, **kwargs)
 
     monkeypatch.setattr(elasticity, "assemble_hessian", guarded)
 
@@ -72,7 +73,7 @@ def test_block_factor_matches_the_dense_path(monkeypatch, dim, n, ny, kind, widt
     # the flat film never assembles its stiffness
     refuse_assembly(monkeypatch, field.grid)
     assert isinstance(field.stiffness_cho, LateralCholesky)
-    assert isinstance(dense.stiffness_cho, tuple)
+    assert isinstance(dense.stiffness_cho, BlockCholesky)
 
     rng = np.random.default_rng(7)
     nd = dense.stiffness.shape[0]
@@ -98,7 +99,7 @@ def test_dispatch_rejects_a_curved_profile():
     modes = [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 1e-3}]
     field = ElasticField(build_grid(Profile.from_fourier_modes(2, 16, modes), 8), datum, density)
     assert field.stiffness_blocks is None
-    assert isinstance(field.stiffness_cho, tuple)
+    assert isinstance(field.stiffness_cho, BlockCholesky)
 
 
 def test_dispatch_rejects_a_tangent_with_one_perturbed_column():
@@ -110,7 +111,7 @@ def test_dispatch_rejects_a_tangent_with_one_perturbed_column():
     p[3, 2, 0] += 1e-12
     perturbed = ElasticField(field.grid, datum, density, p)
     assert perturbed.stiffness_blocks is None
-    assert isinstance(perturbed.stiffness_cho, tuple)
+    assert isinstance(perturbed.stiffness_cho, BlockCholesky)
 
 
 def test_fd_oracle_takes_the_same_pcg_iterations_with_either_factor(monkeypatch):
@@ -119,7 +120,7 @@ def test_fd_oracle_takes_the_same_pcg_iterations_with_either_factor(monkeypatch)
     field, _ = solve_critical_point(Profile.flat(2, 16, 1.0), datum, density, ny=8)
     dense = dense_twin(field)
     assert isinstance(field.stiffness_cho, LateralCholesky)
-    assert isinstance(dense.stiffness_cho, tuple)
+    assert isinstance(dense.stiffness_cho, BlockCholesky)
 
     # each PCG iteration applies the matrix-free tangent once
     applies = []

@@ -405,19 +405,12 @@ def test_indefinite_stiffness_is_factored_once(monkeypatch):
     # a curved film, where the dense path runs
     modes = [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.05}]
     prob = _indefinite_problem(Profile.from_fourier_modes(2, 16, modes))
-    factored = []
-    for module in (elasticity, stability):
-        original = module.cho_factor
-
-        def counting(A, *args, _original=original, **kwargs):
-            factored.append(A)
-            return _original(A, *args, **kwargs)
-
-        monkeypatch.setattr(module, "cho_factor", counting)
+    factored = _record_calls(monkeypatch, elasticity, "BlockCholesky")
+    lapack = [_record_calls(monkeypatch, module, "cho_factor") for module in (elasticity, stability)]
     report = prob.report()
     # the failed attempt factored a matrix of its own in place, so the
     # stiffness the dense eigensolve reads is assembled afresh
-    assert len(factored) == 1
+    assert len(factored) == 1 and lapack == [[], []]
     dense = eigh(prob.stiffness, h1_gram(prob.grid), eigvals_only=True, subset_by_index=[0, 0])
     assert report.c0 == pytest.approx(float(dense[0]), rel=1e-12)
     assert report.c0 < 0.0
@@ -425,7 +418,7 @@ def test_indefinite_stiffness_is_factored_once(monkeypatch):
     assert np.isnan(report.lambda1) and np.isnan(report.mu1)
     with pytest.raises(LinAlgError):
         prob.lambda1()
-    assert len(factored) == 1
+    assert len(factored) == 1 and lapack == [[], []]
 
 
 def test_indefinite_flat_stiffness_fails_its_blocks_once(monkeypatch):
@@ -570,15 +563,21 @@ def test_fd_oracle_neither_assembles_nor_factors(monkeypatch):
 def test_cold_solve_and_report_factor_once(monkeypatch, kind):
     """The problem factors the solution's stiffness once; a linear Newton solve shares that factor.
 
-    A cold nonlinear solve is preconditioned by the flat equilibrium at the
-    mean thickness, whose factor is one block per wavenumber, and assembles
-    nothing.
+    The curved film's factor is one packed assembly and one block-column
+    factor.  A cold nonlinear solve is preconditioned by the flat
+    equilibrium at the mean thickness, whose factor is one block per
+    wavenumber, and assembles nothing.
     """
     import filmstab.elasticity as elasticity
     import filmstab.stability as stability
 
     calls = []
-    for module, name in [(elasticity, "assemble_hessian"), (elasticity, "cho_factor"), (stability, "cho_factor")]:
+    for module, name in [
+        (elasticity, "assemble_hessian"),
+        (elasticity, "BlockCholesky"),
+        (elasticity, "cho_factor"),
+        (stability, "cho_factor"),
+    ]:
         original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -594,11 +593,11 @@ def test_cold_solve_and_report_factor_once(monkeypatch, kind):
     assert report.c0 > 0.0 and np.isfinite(report.lambda1)
     if kind == "linear":
         assert info["iterations"] == 1
-        assert sorted(calls) == ["assemble_hessian", "cho_factor"]
+        assert sorted(calls) == ["BlockCholesky", "assemble_hessian"]
     else:
         assert info["iterations"] == 3
         blocks = 16 // 2 + 1
-        assert sorted(calls) == ["assemble_hessian"] + ["cho_factor"] * (1 + blocks)
+        assert sorted(calls) == ["BlockCholesky", "assemble_hessian"] + ["cho_factor"] * blocks
 
 
 def test_problem_shares_the_field_stiffness(monkeypatch):
@@ -607,12 +606,12 @@ def test_problem_shares_the_field_stiffness(monkeypatch):
 
     fields = [flat_pair(n=16, ny=8), curved_pair(n=16, ny=8)]
     chos = [field.stiffness_cho for field in fields]
-    factored = _record_calls(monkeypatch, elasticity, "cho_factor")
+    factored = [_record_calls(monkeypatch, elasticity, name) for name in ("cho_factor", "BlockCholesky")]
     for field, cho in zip(fields, chos):
         StabilityProblem(field, IsotropicDensity(2)).report()
         assert field.stiffness_cho is cho
         assert set(field._stiffness) == {"blocks", "cho"}
-    assert factored == []
+    assert factored == [[], []]
 
 
 @pytest.mark.parametrize("pair", [flat_pair, curved_pair], ids=["flat", "curved"])
