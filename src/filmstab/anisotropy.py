@@ -74,8 +74,6 @@ def _check_nonzero(z: np.ndarray, name: str) -> None:
 class QuadraticFormDensity(AnisotropyDensity):
     """``psi(z) = sqrt(z' M z)`` for a symmetric positive definite M."""
 
-    kind = "quadratic"
-
     def __init__(self, M):
         M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -111,8 +109,6 @@ class QuadraticFormDensity(AnisotropyDensity):
 class IsotropicDensity(QuadraticFormDensity):
     """``psi(z) = scale * |z|``."""
 
-    kind = "isotropic"
-
     def __init__(self, dim: int, scale: float = 1.0):
         if scale <= 0.0:
             raise ValueError(f"scale must be positive, got {scale}")
@@ -127,8 +123,6 @@ class RegularizedFacetDensity(QuadraticFormDensity):
     grows like ``a / eps``, which is what suppresses the stress-driven
     roughening for small ``eps``.
     """
-
-    kind = "regularized-facet"
 
     def __init__(self, a: float, eps: float, dim: int):
         if a <= 0.0:
@@ -150,7 +144,6 @@ class ShiftedFacetDensity(AnisotropyDensity):
     where ``z_N != 0``; the Hessian coincides with the regularized core's.
     """
 
-    kind = "shifted-facet"
     upward_only = True
 
     def __init__(self, a: float, b: float, eps: float, dim: int):

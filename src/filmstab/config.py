@@ -115,6 +115,20 @@ def _validate_positive_list(values, path):
         _as_number(value, f"{path}[{i}]", positive=True)
 
 
+# the keys besides ``kind`` that each kind of block reads
+_PROFILE_KEYS = {"flat": {"thickness"}, "fourier": {"modes", "thickness"}, "samples": {"samples"}}
+_ANISOTROPY_KEYS = {"isotropic": {"scale"}, "quadratic": {"M"}, "crystalline": {"a", "b", "eps", "variant"}}
+
+
+def _check_kind(block: dict, kinds: dict, path: str, noun: str, default=None) -> str:
+    """The block's ``kind``, once the block's keys are checked against those it reads."""
+    kind = _get(block, "kind", path, required=default is None, default=default)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind", f"unknown {noun} kind {kind!r}")
+    _check_keys(block, kinds[kind] | {"kind"}, path)
+    return kind
+
+
 def _validate_geometry(cfg, path="geometry"):
     block = _require_mapping(cfg, path)
     _check_keys(block, {"dim", "n", "ny", "width", "profile"}, path)
@@ -127,15 +141,14 @@ def _validate_geometry(cfg, path="geometry"):
         _as_number(block["width"], f"{path}.width", positive=True)
     profile = _require_mapping(_get(block, "profile", path), f"{path}.profile")
     ppath = f"{path}.profile"
-    _check_keys(profile, {"kind", "thickness", "modes", "samples"}, ppath)
-    kind = _get(profile, "kind", ppath, required=False, default="flat")
+    kind = _check_kind(profile, _PROFILE_KEYS, ppath, "profile", default="flat")
     if kind == "flat":
         _as_number(_get(profile, "thickness", ppath), f"{ppath}.thickness", positive=True)
     elif kind == "fourier":
         _validate_modes(_get(profile, "modes", ppath), f"{ppath}.modes", dim)
         if "thickness" in profile:
             _as_number(profile["thickness"], f"{ppath}.thickness")
-    elif kind == "samples":
+    else:
         samples = _get(profile, "samples", ppath)
         count = n ** (dim - 1)
         if not isinstance(samples, list) or len(samples) != count:
@@ -144,17 +157,15 @@ def _validate_geometry(cfg, path="geometry"):
             )
         for i, height in enumerate(samples):
             _as_number(height, f"{ppath}.samples[{i}]", positive=True)
-    else:
-        raise ConfigError(f"{ppath}.kind", f"unknown profile kind {kind!r}")
     return dim, n, ny
 
 
 def _validate_material(cfg, path="material"):
     block = _require_mapping(cfg, path)
-    _check_keys(block, {"kind", "lam", "mu", "tensor"}, path)
     kind = _get(block, "kind", path)
     if kind not in ("linear", "nonlinear"):
         raise ConfigError(f"{path}.kind", f"must be 'linear' or 'nonlinear', got {kind!r}")
+    _check_keys(block, {"kind", "tensor"} if "tensor" in block else {"kind", "lam", "mu"}, path)
     if "tensor" in block:
         if kind != "linear":
             raise ConfigError(f"{path}.tensor", "a full tensor needs the linear kind")
@@ -166,8 +177,7 @@ def _validate_material(cfg, path="material"):
 
 def _validate_anisotropy(cfg, path="anisotropy"):
     block = _require_mapping(cfg, path)
-    _check_keys(block, {"kind", "scale", "M", "a", "b", "eps", "variant"}, path)
-    kind = _get(block, "kind", path)
+    kind = _check_kind(block, _ANISOTROPY_KEYS, path, "anisotropy")
     if kind == "isotropic":
         if "scale" in block:
             _as_number(block["scale"], f"{path}.scale", positive=True)
@@ -175,15 +185,13 @@ def _validate_anisotropy(cfg, path="anisotropy"):
         M = _get(block, "M", path)
         if not isinstance(M, list):
             raise ConfigError(f"{path}.M", "expected a matrix as nested lists")
-    elif kind == "crystalline":
+    else:
         _as_number(_get(block, "a", path), f"{path}.a", positive=True)
         _as_number(_get(block, "b", path), f"{path}.b", positive=True)
         _as_number(_get(block, "eps", path), f"{path}.eps", positive=True)
         variant = _get(block, "variant", path, required=False, default="regularized")
         if variant not in ("regularized", "shifted"):
             raise ConfigError(f"{path}.variant", f"unknown variant {variant!r}")
-    else:
-        raise ConfigError(f"{path}.kind", f"unknown anisotropy kind {kind!r}")
 
 
 def _validate_mismatch(cfg, dim, path="mismatch"):

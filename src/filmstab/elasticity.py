@@ -369,8 +369,8 @@ class ElasticField:
         return self.grid.wq[..., None, None, None, None] * self.density.tangent(self.gradient())
 
     @property
-    def stiffness(self) -> np.ndarray:
-        """Interior-dof matrix of the tangent form at this field, assembled on every read.
+    def stiffness(self) -> "BlockColumns":
+        """:class:`BlockColumns` of the tangent form's interior-dof matrix, assembled on every read.
 
         Nothing that has a factor reads it: the solves and ``c0`` go through
         :attr:`stiffness_cho`.  It is read once by the dense eigensolve of
@@ -467,15 +467,15 @@ def assemble_residual(grid: MappedGrid, weighted_stress: np.ndarray) -> np.ndarr
     return out.ravel()
 
 
-def assemble_hessian(grid: MappedGrid, weighted_tangent: np.ndarray, packed: bool = False):
-    """Interior-dof matrix of the quadratic form with given coefficients, full or by block columns.
+def assemble_hessian(grid: MappedGrid, weighted_tangent: np.ndarray) -> "BlockColumns":
+    """Lower triangle, by block columns, of the interior-dof matrix of a quadratic form.
 
     ``weighted_tangent`` has shape ``xshape + (ny, N, N, N, N)`` laid out
     ``(i, a, m, b)`` and carries the quadrature weights; the result is the
-    matrix of ``sum_nodes w * C[grad v, grad w]`` over interior dofs, built
-    from the major-symmetric part of ``C``.  The same routine assembles
-    elastic tangents, unit-coefficient stiffness matrices, and any other
-    gradient-gradient form.
+    :class:`BlockColumns` of the matrix of ``sum_nodes w * C[grad v, grad w]``
+    over interior dofs, built from the major-symmetric part of ``C``.  The
+    same routine assembles elastic tangents, unit-coefficient stiffness
+    matrices, and any other gradient-gradient form.
 
     The gradient splits into a lateral part ``Lx_a`` (Fourier, acting across
     columns) and a vertical part ``s_a * Ds`` (Chebyshev, acting within a
@@ -489,16 +489,13 @@ def assemble_hessian(grid: MappedGrid, weighted_tangent: np.ndarray, packed: boo
       ``X^T``.
 
     ``K`` is written one lateral row block at a time from small per-direction
-    factors, so besides the result only arrays of size
+    factors, each row block only from its block column's first column on,
+    which is the transpose of its part of that block column.  So no
+    ``nd x nd`` array is made: besides the result only arrays of size
     ``O(nd^2 / nx + nd^2 / (ny - 1))`` are alive.  The two block-diagonal
     terms are symmetrized before they are added, which makes ``K`` exactly
-    symmetric.
-
-    With ``packed`` the result is the lower triangle of ``K`` as
-    :class:`BlockColumns`, and no ``nd x nd`` array is made: each row block
-    is computed only from its block column's first column on, which is the
-    transpose of its part of that block column.  Every row block is checked
-    for non-finite entries as it is written, and one raises ``ValueError``.
+    symmetric.  Every row block is checked for non-finite entries as it is
+    written, and one raises ``ValueError``.
     """
     nx, ny, N, nd = _flat_shapes(grid)
     nyc, nh, m = ny - 1, N - 1, nd // nx
@@ -524,40 +521,29 @@ def assemble_hessian(grid: MappedGrid, weighted_tangent: np.ndarray, packed: boo
     Y = np.einsum("artim,tq->atirqm", M, Ds_int, optimize=True)
     Yt = Y.transpose(0, 3, 4, 5, 1, 2)  # Yt[a, j, k, i, q, m] = Y[a, q, m, j, k, i]
 
-    if packed:
-        K = BlockColumns(grid)
-        widths = np.diff(K.starts) // m
-        # the block column of each lateral row, and that block's first lateral column
-        block = np.repeat(np.arange(len(widths)), widths)
-        first = K.starts[block] // m
-        Kbuf = np.empty(m * nd)
-    else:
-        K = np.empty((nx, nyc, N, nx, nyc, N))
-        first = np.zeros(nx, dtype=int)
-    Xbuf, Xtbuf = np.empty(m * nd), np.empty(m * nd)
+    K = BlockColumns(grid)
+    bufs = [np.empty(m * nd) for _ in range(3)]
     rows = np.arange(nyc)
-    for j in range(nx):
-        # row block j of X (into K) and of X^T from lateral column q on, each
-        # summed over a in the same order, so K[A, B] and K[B, A] add the same
-        # two rounded numbers
-        q = first[j]
+    for start, column in zip(K.starts, K.columns):
+        # row block j of X (into K) and of X^T from the block column's first
+        # lateral column q on, each summed over a in the same order, so
+        # K[A, B] and K[B, A] add the same two rounded numbers
+        q = start // m
         shape = (nyc, N, nx - q, nyc, N)
-        size = m * m * (nx - q)
-        Kj = Kbuf[:size].reshape(shape) if packed else K[j]
-        X, Xt = Xbuf[:size].reshape(shape), Xtbuf[:size].reshape(shape)
-        np.multiply(Lxs[0, q:, j, None, None], Y[0][:, :, q:], out=Kj)
-        np.multiply(Lxs[0, j, q:, None, None], Yt[0, j][:, :, None], out=Xt)
-        for a in range(1, nh):
-            Kj += np.multiply(Lxs[a, q:, j, None, None], Y[a][:, :, q:], out=X)
-            Xt += np.multiply(Lxs[a, j, q:, None, None], Yt[a, j][:, :, None], out=X)
-        Kj += Xt
-        Kj[rows, :, :, rows, :] += T1[j][:, :, q:]
-        Kj[:, :, j - q] += T4[j]
-        if packed:
+        Kj, X, Xt = (buf[: m * (nd - start)].reshape(shape) for buf in bufs)
+        for j in range(q, q + column.shape[1] // m):
+            np.multiply(Lxs[0, q:, j, None, None], Y[0][:, :, q:], out=Kj)
+            np.multiply(Lxs[0, j, q:, None, None], Yt[0, j][:, :, None], out=Xt)
+            for a in range(1, nh):
+                Kj += np.multiply(Lxs[a, q:, j, None, None], Y[a][:, :, q:], out=X)
+                Xt += np.multiply(Lxs[a, j, q:, None, None], Yt[a, j][:, :, None], out=X)
+            Kj += Xt
+            Kj[rows, :, :, rows, :] += T1[j][:, :, q:]
+            Kj[:, :, j - q] += T4[j]
             if not np.isfinite(Kj).all():
                 raise ValueError("array must not contain infs or NaNs")
-            K.columns[block[j]][:, (j - q) * m : (j - q + 1) * m] = Kj.reshape(m, -1).T
-    return K if packed else K.reshape(nd, nd)
+            column[:, (j - q) * m : (j - q + 1) * m] = Kj.reshape(m, -1).T
+    return K
 
 
 def _h1_coefficients(grid: MappedGrid) -> np.ndarray:
@@ -566,10 +552,10 @@ def _h1_coefficients(grid: MappedGrid) -> np.ndarray:
     return grid.wq[..., None, None, None, None] * np.einsum("im,ab->iamb", I, I)
 
 
-def h1_gram(grid: MappedGrid) -> np.ndarray:
-    """Gram matrix of the first-order Sobolev inner product on interior dofs."""
+def h1_gram(grid: MappedGrid) -> "BlockColumns":
+    """Gram matrix of the first-order Sobolev inner product on interior dofs, by block columns."""
     G = assemble_hessian(grid, _h1_coefficients(grid))
-    G[np.diag_indices(G.shape[0])] += interior_weight_vector(grid)
+    G.add_diagonal(interior_weight_vector(grid))
     return G
 
 
@@ -583,7 +569,7 @@ def _shifted_stiffness_cho(field: ElasticField, sigma: float):
     zero this is the stiffness's own factor.
     """
     grid = field.grid
-    K = assemble_hessian(grid, field._weighted_tangent() - sigma * _h1_coefficients(grid), packed=True)
+    K = assemble_hessian(grid, field._weighted_tangent() - sigma * _h1_coefficients(grid))
     K.add_diagonal(-sigma * interior_weight_vector(grid))
     try:
         return BlockCholesky(K)
@@ -658,7 +644,8 @@ class BlockColumns:
     ``nd^2 / 2 + nd * _BLOCK_DOFS / 2`` numbers, where a full matrix holds
     ``nd^2``.  ``shape`` is the full matrix's.  :func:`assemble_hessian`
     fills it, :class:`BlockCholesky` factors it in place, and the upper
-    triangles of the diagonal blocks are never read.
+    triangles of the diagonal blocks are never read.  :meth:`full` mirrors
+    it into the whole matrix for the dense LAPACK calls that need one.
     """
 
     def __init__(self, grid: MappedGrid):
@@ -677,6 +664,20 @@ class BlockColumns:
         for s, M in zip(self.starts, self.columns):
             w = M.shape[1]
             M[np.arange(w), np.arange(w)] += d[s : s + w]
+
+    def full(self) -> np.ndarray:
+        """The whole symmetric matrix, its upper triangle mirrored from the lower, as a Fortran array.
+
+        It is the one ``nd x nd`` array filmstab makes, for a stiffness
+        without a Cholesky factor, and its entries are those of the assembly.
+        """
+        A = np.empty(self.shape, order="F")
+        for s, e, M in zip(self.starts, self.starts[1:], self.columns):
+            A[s:, s:e] = M
+            A[s:e, e:] = M[e - s :].T
+            D, upper = A[s:e, s:e], np.triu_indices(e - s, 1)
+            D[upper] = D.T[upper]
+        return A
 
 
 class BlockCholesky:
@@ -944,7 +945,7 @@ def _factored_step(work: ElasticField, r: np.ndarray, residuals):
     cho = work.stiffness_cho
     if cho is not False:
         return factor_solve(cho, -r)
-    dp_vec = np.linalg.solve(work.stiffness, -r)
+    dp_vec = np.linalg.solve(work.stiffness.full(), -r)
     if r @ dp_vec >= 0.0:
         raise NewtonError(f"non-descent Newton step (r·dp = {r @ dp_vec:.3e})", residuals)
     return dp_vec
@@ -1160,7 +1161,8 @@ def coercivity_constant(field: ElasticField) -> float:
     against the Gram's blocks, taken the same way from its matrix-free
     product, and assembles neither matrix.  A ``K`` without a Cholesky
     factor takes the dense generalized eigensolve against :func:`h1_gram`,
-    the one read of :attr:`~ElasticField.stiffness` on this route.
+    the one read of :attr:`~ElasticField.stiffness` on this route, which
+    works in place on the two whole matrices.
 
     Any other ``K`` takes Lanczos solves for the top eigenvalue of
     ``L^-1 G L^-T``, which is ``1/c0``, against its :class:`BlockCholesky`
@@ -1194,7 +1196,8 @@ def coercivity_constant(field: ElasticField) -> float:
         )
     cho = field.stiffness_cho
     if cho is False:
-        return float(eigh(field.stiffness, h1_gram(grid), subset_by_index=[0, 0], eigvals_only=True)[0])
+        K, G = field.stiffness.full(), h1_gram(grid).full()
+        return float(eigh(K, G, subset_by_index=[0, 0], eigvals_only=True, overwrite_a=True, overwrite_b=True)[0])
     nd = _flat_shapes(grid)[3]
     matvecs = 0
 

@@ -35,6 +35,7 @@ from scipy.sparse.linalg import eigsh  # noqa: F401
 
 from .anisotropy import AnisotropyDensity, aniso_mean_curvature, aniso_shape_operator
 from .elasticity import (
+    BlockColumns,
     ElasticField,
     NewtonError,
     coercivity_constant,
@@ -196,8 +197,8 @@ class StabilityProblem:
     # -- bulk side -------------------------------------------------------------
 
     @cached_property
-    def stiffness(self) -> np.ndarray:
-        """Interior-dof matrix of the bulk tangent form at the equilibrium.
+    def stiffness(self) -> BlockColumns:
+        """Block columns of the bulk tangent form's interior-dof matrix at the equilibrium.
 
         The field's :attr:`~filmstab.elasticity.ElasticField.stiffness`,
         which the field assembles on every read and the problem keeps; the

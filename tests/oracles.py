@@ -7,13 +7,18 @@ Lanczos iteration on the nd-dimensional bulk space, so tests that compare
 the two check the identity instead of assuming it.  Both routes here
 factor the dense assembled stiffness (and the minimization the surface
 Gram) themselves, so they stay independent of the factors the package
-chooses (dense, or per lateral wavenumber on flat films).  They read the
-dense stiffness through ``StabilityProblem.stiffness``, which keeps it, so
-it is assembled once per problem: the field itself keeps only its factor.
+chooses (by block columns, or per lateral wavenumber on flat films).  They
+read the stiffness's block columns through ``StabilityProblem.stiffness``,
+which keeps them, so it is assembled once per problem, and factor the whole
+matrix that ``BlockColumns.full`` mirrors from them: the field itself keeps
+only its factor.
 
 ``filmstab.elasticity.assemble_residual`` applies the transposed gradient
 to a weighted stress as BLAS products; ``einsum_residual`` writes the same
-sums index by index, one contraction per direction.
+sums index by index, one contraction per direction.  Likewise
+``filmstab.elasticity.assemble_hessian`` writes a form's matrix by lateral
+block columns from per-direction factors, and ``reference_assemble_hessian``
+sums the whole matrix term by term.
 
 ``StabilityProblem.second_variation`` reads the quadratic form off one
 matrix on nodal speeds: the surface Gram ``sim_matrix`` minus the
@@ -72,7 +77,7 @@ def lanczos_mu1(problem) -> float:
     if np.abs(stress).max() <= 1e-12 * (1.0 + bulk_scale):
         return float("inf")
     Rz = problem.coupling @ problem.zero_mean_basis
-    L = cho_factor(problem.stiffness, lower=True)[0]
+    L = cho_factor(problem.stiffness.full(), lower=True)[0]
     nd = Rz.shape[0]
 
     def matvec(x):
@@ -103,7 +108,7 @@ def solve_vphi(problem, phi) -> np.ndarray:
     rhs = problem.coupling @ arr.ravel()
     if not np.any(rhs):
         return np.zeros(problem.profile.xshape + (problem.grid.ny, problem.grid.dim))
-    cho = cho_factor(problem.stiffness, lower=True)
+    cho = cho_factor(problem.stiffness.full(), lower=True)
     return _from_interior(problem.grid, cho_solve(cho, rhs))
 
 
@@ -152,3 +157,41 @@ def two_term_second_variation(field, a_facet: float, eps: float, phi) -> float:
     grad = tangential_gradient(geom, phi)
     surface = surface_integral(geom, np.einsum("...i,...i->...", grad, grad))
     return -elastic_pairing(prob, v, v) + (a_facet / eps) * surface
+
+
+def reference_assemble_hessian(grid, weighted_tangent):
+    """Dense interior-dof matrix of the quadratic form with given coefficients.
+
+    ``weighted_tangent`` has shape ``xshape + (ny, N, N, N, N)`` laid out
+    ``(i, a, m, b)`` and carries the quadrature weights; the result is the
+    matrix of ``sum_nodes w * C[grad v, grad w]`` over interior dofs.  The
+    same routine assembles elastic tangents, unit-coefficient stiffness
+    matrices, and any other gradient-gradient form.
+    """
+    nx, ny, N, nd = _flat_shapes(grid)
+    nyc = ny - 1
+    Lx, Ds, scoef = grid.assembly_operators()
+    Cw = weighted_tangent.reshape(nx, ny, N, N, N, N)
+    K = np.zeros((nx, nyc, N, nx, nyc, N))
+    Ds_cols = Ds[:, 1:]          # samples t, trial/test dofs k >= 1
+    Ds_int = Ds[1:, 1:]          # samples pinned to interior rows
+    rows = np.arange(nyc)
+    cols = np.arange(nx)
+    for a in range(N):
+        for b in range(N):
+            C_ab = Cw[:, :, :, a, :, b]  # (nx, ny, N, N)
+            sa, sb = scoef[a], scoef[b]
+            if a < N - 1 and b < N - 1:
+                T1 = np.einsum("rj,rtim,rp->jtipm", Lx[a], C_ab[:, 1:], Lx[b], optimize=True)
+                K[:, rows, :, :, rows, :] += T1.transpose(1, 0, 2, 3, 4)
+            if a < N - 1:
+                coef = sb[..., None, None] * C_ab
+                K += np.einsum("rj,rtim,tq->jtirqm", Lx[a], coef[:, 1:], Ds_int, optimize=True)
+            if b < N - 1:
+                coef = sa[..., None, None] * C_ab
+                K += np.einsum("tk,rtim,rp->rkiptm", Ds_int, coef[:, 1:], Lx[b], optimize=True)
+            coef = (sa * sb)[..., None, None] * C_ab
+            T4 = np.einsum("tk,rtim,tq->rkiqm", Ds_cols, coef, Ds_cols, optimize=True)
+            K[cols, :, :, cols, :, :] += T4
+    K = K.reshape(nd, nd)
+    return 0.5 * (K + K.T)

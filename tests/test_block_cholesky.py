@@ -1,11 +1,12 @@
 """The block-column Cholesky factor of a dense stiffness against LAPACK on the full matrix.
 
-A field that is not laterally uniform assembles the lower triangle of its
-stiffness by lateral block columns (``assemble_hessian(..., packed=True)``)
-and factors it in place (``BlockCholesky``).  The full matrix of
-``ElasticField.stiffness`` and ``scipy.linalg.cho_factor`` stay the
-reference: the packed entries must be the full matrix's to the bit, and
-every solve against the factor must agree with LAPACK's.
+``assemble_hessian`` writes the lower triangle of a stiffness by lateral
+block columns (``BlockColumns``), and a field that is not laterally uniform
+factors it in place (``BlockCholesky``).  The dense reference assembly and
+``scipy.linalg.cho_factor`` stay the reference: the whole matrix that
+``BlockColumns.full`` mirrors from the block columns must match the
+reference assembly, and every solve against the factor must agree with
+LAPACK's on it.
 """
 
 import tracemalloc
@@ -23,6 +24,7 @@ from filmstab.elasticity import (
     assemble_hessian,
 )
 from filmstab.geometry import Profile, build_grid
+from oracles import reference_assemble_hessian
 
 # 48 x 32 fills 12 blocks of 248 dofs; 20 x 12 and the 3D grids end on a
 # partial block; the 2D 8 x 6 is smaller than one block
@@ -56,25 +58,31 @@ def rel_err(a, b) -> float:
 
 
 @pytest.mark.parametrize("dim, kind, n, ny", CASES, ids=IDS)
-def test_packed_assembly_is_the_lower_triangle_of_the_full_one(dim, kind, n, ny):
+def test_full_matrix_mirrors_the_block_columns(dim, kind, n, ny):
     field = curved_field(dim, kind, n, ny)
-    K = field.stiffness
-    packed = assemble_hessian(field.grid, field._weighted_tangent(), packed=True)
+    Cw = field._weighted_tangent()
+    lower = assemble_hessian(field.grid, Cw)
+    K = lower.full()
     nd, m = K.shape[0], K.shape[0] // field.grid.nx
-    widths = np.diff(packed.starts)
-    assert packed.shape == K.shape and packed.starts[-1] == nd
+    widths = np.diff(lower.starts)
+    assert lower.shape == K.shape and lower.starts[-1] == nd
     assert np.all(widths % m == 0) and np.all(widths[:-1] == widths[0])
     if nd <= 256:
         assert len(widths) == 1
-    for s, e, M in zip(packed.starts, packed.starts[1:], packed.columns):
+    assert K.flags.f_contiguous and np.array_equal(K, K.T)
+    for s, e, M in zip(lower.starts, lower.starts[1:], lower.columns):
         assert M.shape == (nd - s, e - s) and M.flags.c_contiguous
         assert np.array_equal(np.tril(M[: e - s]), np.tril(K[s:e, s:e]))
         assert np.array_equal(M[e - s :], K[e:, s:e])
+        # full() reads only the lower triangle, as the factor does
+        M[: e - s][np.triu_indices(e - s, 1)] = np.nan
+    assert np.array_equal(lower.full(), K)
+    assert rel_err(K, reference_assemble_hessian(field.grid, Cw)) <= 1e-13
 
 
 def test_the_test_grids_cover_partial_and_single_blocks():
     widths = {
-        (dim, n, ny): np.diff(assemble_hessian(f.grid, f._weighted_tangent(), packed=True).starts)
+        (dim, n, ny): np.diff(assemble_hessian(f.grid, f._weighted_tangent()).starts)
         for dim, kind, n, ny in CASES
         for f in [curved_field(dim, kind, n, ny)]
     }
@@ -88,7 +96,7 @@ def test_the_test_grids_cover_partial_and_single_blocks():
 @pytest.mark.parametrize("dim, kind, n, ny", CASES, ids=IDS)
 def test_block_factor_solves_agree_with_lapack_on_the_full_matrix(dim, kind, n, ny):
     field = curved_field(dim, kind, n, ny)
-    c, lower = cho_factor(field.stiffness, lower=True)
+    c, lower = cho_factor(field.stiffness.full(), lower=True)
     factor = field.stiffness_cho
     assert isinstance(factor, BlockCholesky)
     rng = np.random.default_rng(11)

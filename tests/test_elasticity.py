@@ -35,7 +35,7 @@ from filmstab.elasticity import (
 )
 from filmstab.geometry import Profile, build_grid
 from diagnostics import legendre_hadamard_check, local_min_probe
-from oracles import einsum_residual
+from oracles import einsum_residual, reference_assemble_hessian
 
 LAM, MU, E0 = 2.0, 1.0, 0.05
 CURVED_3D_MODES = [
@@ -209,7 +209,7 @@ def test_energy_residual_hessian_consistency(kind):
     f = field.with_p(p)
     g = f.gradient()
     r = assemble_residual(grid, grid.wq[..., None, None] * dens.stress(g))
-    K = assemble_hessian(grid, grid.wq[..., None, None, None, None] * dens.tangent(g))
+    K = assemble_hessian(grid, grid.wq[..., None, None, None, None] * dens.tangent(g)).full()
     assert np.abs(K - K.T).max() == 0.0
     dvec = rng.normal(size=r.shape)
     dp = _from_interior(grid, dvec)
@@ -626,10 +626,10 @@ def test_coercivity_constant_matches_dense_eigensolve():
         field, _ = solve_critical_point(prof, datum, dens, ny=ny)
         K = assemble_hessian(
             grid, grid.wq[..., None, None, None, None] * dens.tangent(field.gradient())
-        )
+        ).full()
         c0 = coercivity_constant(field)
 
-        dense = eigh(K, h1_gram(grid), eigvals_only=True)[0]
+        dense = eigh(K, h1_gram(grid).full(), eigvals_only=True)[0]
         assert c0 == pytest.approx(float(dense), rel=1e-8)
         assert c0 > 0.0
         # an indefinite tensor (bypassing the positivity check) gives a
@@ -639,9 +639,31 @@ def test_coercivity_constant_matches_dense_eigensolve():
         field_neg = ElasticField(grid, datum, indefinite)
         assert field_neg.stiffness_cho is False
         c0_neg = coercivity_constant(field_neg)
-        dense_neg = eigh(field_neg.stiffness, h1_gram(grid), eigvals_only=True)[0]
+        dense_neg = eigh(field_neg.stiffness.full(), h1_gram(grid).full(), eigvals_only=True)[0]
         assert c0_neg == pytest.approx(float(dense_neg), rel=1e-8)
         assert c0_neg < 0.0
+
+
+def test_c0_without_a_factor_holds_two_whole_matrices():
+    # compressed by e0 = -0.2, this curved nonlinear film's equilibrium has
+    # a stiffness without a Cholesky factor, so c0 is the dense generalized
+    # eigensolve; it works in place on the whole K and G, where copies of
+    # each would make four nd x nd arrays
+    import tracemalloc
+
+    prof = Profile.from_fourier_modes(2, 24, [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.2}])
+    datum = MismatchDatum.from_misfit(-0.2, 2, "nonlinear")
+    solved, _ = solve_critical_point(prof, datum, NonlinearDensity(2, LAM, MU), ny=16)
+    field = ElasticField(solved.grid, datum, solved.density, solved.p)
+    nd = _flat_shapes(field.grid)[3]
+    tracemalloc.start()
+    try:
+        c0 = coercivity_constant(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.stiffness_cho is False and c0 < 0.0
+    assert peak <= 3.5 * nd * nd * 8
 
 
 def test_c0_lanczos_non_convergence_is_named(monkeypatch):
@@ -688,7 +710,8 @@ def clustered():
 
     field = _clustered_field()
     assert field.stiffness_cho is not False
-    dense = eigh(field.stiffness, h1_gram(field.grid), eigvals_only=True, subset_by_index=[0, 0])
+    K, G = field.stiffness.full(), h1_gram(field.grid).full()
+    dense = eigh(K, G, eigvals_only=True, subset_by_index=[0, 0])
     return field, float(dense[0])
 
 
@@ -772,11 +795,11 @@ def test_stiffness_read_before_the_factor_is_left_intact(monkeypatch):
     solved = _clustered_field()
     # the solve cached its factor on the fields it made; a new one has none
     field = ElasticField(solved.grid, solved.datum, solved.density, solved.p)
-    K = field.stiffness
+    K = field.stiffness.full()
     before = K.copy()
     c, lower = cho_factor(K, lower=True)
     assert np.array_equal(K, before)
-    # the factor comes from one packed assembly of its own, factored in
+    # the factor comes from one assembly of its own, factored in
     # place, and agrees with LAPACK's factor of the full matrix; the field
     # keeps no dense stiffness
     assembled = []
@@ -818,7 +841,7 @@ def test_shifted_c0_is_invariant_under_lateral_symmetries(monkeypatch, clustered
 def test_matrix_free_h1_gram_matches_assembled(dim, n, ny):
     grid, _ = _curved_case(dim, "linear", n, ny)
     v = np.random.default_rng(4).standard_normal(_flat_shapes(grid)[3])
-    Gv = h1_gram(grid) @ v
+    Gv = h1_gram(grid).full() @ v
     assert np.abs(_h1_gram_matvec(grid, v) - Gv).max() <= 1e-13 * np.abs(Gv).max()
 
 
@@ -854,45 +877,7 @@ def test_density_from_config():
         elastic_density_from_config({"kind": "hyper"}, dim=2)
 
 
-# -- dense reference assembly ---------------------------------------------------------
-
-
-def reference_assemble_hessian(grid, weighted_tangent):
-    """Dense interior-dof matrix of the quadratic form with given coefficients.
-
-    ``weighted_tangent`` has shape ``xshape + (ny, N, N, N, N)`` laid out
-    ``(i, a, m, b)`` and carries the quadrature weights; the result is the
-    matrix of ``sum_nodes w * C[grad v, grad w]`` over interior dofs.  The
-    same routine assembles elastic tangents, unit-coefficient stiffness
-    matrices, and any other gradient-gradient form.
-    """
-    nx, ny, N, nd = _flat_shapes(grid)
-    nyc = ny - 1
-    Lx, Ds, scoef = grid.assembly_operators()
-    Cw = weighted_tangent.reshape(nx, ny, N, N, N, N)
-    K = np.zeros((nx, nyc, N, nx, nyc, N))
-    Ds_cols = Ds[:, 1:]          # samples t, trial/test dofs k >= 1
-    Ds_int = Ds[1:, 1:]          # samples pinned to interior rows
-    rows = np.arange(nyc)
-    cols = np.arange(nx)
-    for a in range(N):
-        for b in range(N):
-            C_ab = Cw[:, :, :, a, :, b]  # (nx, ny, N, N)
-            sa, sb = scoef[a], scoef[b]
-            if a < N - 1 and b < N - 1:
-                T1 = np.einsum("rj,rtim,rp->jtipm", Lx[a], C_ab[:, 1:], Lx[b], optimize=True)
-                K[:, rows, :, :, rows, :] += T1.transpose(1, 0, 2, 3, 4)
-            if a < N - 1:
-                coef = sb[..., None, None] * C_ab
-                K += np.einsum("rj,rtim,tq->jtirqm", Lx[a], coef[:, 1:], Ds_int, optimize=True)
-            if b < N - 1:
-                coef = sa[..., None, None] * C_ab
-                K += np.einsum("tk,rtim,rp->rkiptm", Ds_int, coef[:, 1:], Lx[b], optimize=True)
-            coef = (sa * sb)[..., None, None] * C_ab
-            T4 = np.einsum("tk,rtim,tq->rkiqm", Ds_cols, coef, Ds_cols, optimize=True)
-            K[cols, :, :, cols, :, :] += T4
-    K = K.reshape(nd, nd)
-    return 0.5 * (K + K.T)
+# -- assembly against the dense reference ---------------------------------------------
 
 
 def _curved_case(dim, kind, n, ny):
@@ -927,10 +912,10 @@ def _max_rel(A, B):
 )
 def test_assemble_hessian_matches_dense_reference(dim, kind, n, ny):
     grid, Cw = _curved_case(dim, kind, n, ny)
-    K = assemble_hessian(grid, Cw)
+    K = assemble_hessian(grid, Cw).full()
     assert _max_rel(K, reference_assemble_hessian(grid, Cw)) <= 1e-13
     assert np.array_equal(K, K.T)
-    G = h1_gram(grid)
+    G = h1_gram(grid).full()
     N = grid.dim
     eye4 = np.einsum("im,ab->iamb", np.eye(N), np.eye(N))
     G_ref = reference_assemble_hessian(grid, grid.wq[..., None, None, None, None] * eye4)
@@ -948,10 +933,10 @@ def test_residual_kernel_and_form_products_match_their_references(dim, n, ny):
     F = grid.wq[..., None, None] * stress
     assert _max_rel(assemble_residual(grid, F), einsum_residual(grid, F)) <= 1e-13
     v = rng.standard_normal(_flat_shapes(grid)[3])
-    Kv = assemble_hessian(grid, Cw) @ v
+    Kv = assemble_hessian(grid, Cw).full() @ v
     assert _max_rel(_form_apply(grid, v, _tangent_flux(grid, Cw)), Kv) <= 1e-12
     wq = grid.wq.reshape(-1, 1, 1)
-    Gv = assemble_hessian(grid, _h1_coefficients(grid)) @ v
+    Gv = assemble_hessian(grid, _h1_coefficients(grid)).full() @ v
     assert _max_rel(_form_apply(grid, v, lambda g: wq * g), Gv) <= 1e-12
 
 
@@ -962,7 +947,7 @@ def test_assemble_hessian_uses_major_symmetric_part(dim, n, ny):
     C = Cw * (1.0 + rng.uniform(-0.5, 0.5, size=Cw.shape))
     major = np.swapaxes(np.swapaxes(C, -4, -2), -3, -1)  # C[..., m, b, i, a]
     assert np.abs(C - major).max() > 0.1 * np.abs(C).max()
-    K = assemble_hessian(grid, C)
+    K = assemble_hessian(grid, C).full()
     assert _max_rel(K, reference_assemble_hessian(grid, C)) <= 1e-13
     assert np.array_equal(K, K.T)
 
@@ -982,5 +967,8 @@ def test_assemble_hessian_memory_stays_near_one_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert K.shape == (nd, nd)
-    assert peak <= 1.5 * K.nbytes
+    packed = sum(M.nbytes for M in K.columns)
+    assert K.shape == (nd, nd) and packed <= 0.6 * nd * nd * 8
+    # the temporaries are small next to the block columns, and no nd x nd
+    # array is made
+    assert peak <= 1.5 * packed < nd * nd * 8

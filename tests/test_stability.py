@@ -318,7 +318,7 @@ def test_lambda1_rayleigh_and_weak_equations():
     grid = prob.grid
     vvec = v.reshape(grid.nx, grid.ny, grid.dim)[:, 1:].ravel()
     rhs = prob.coupling @ efn.ravel()
-    r_state = np.linalg.norm(prob.stiffness @ vvec - rhs) / np.linalg.norm(rhs)
+    r_state = np.linalg.norm(prob.stiffness.full() @ vvec - rhs) / np.linalg.norm(rhs)
     z = prob.zero_mean_basis.T @ efn.ravel()
     lhs = prob.t_matrix_z @ z
     r_eigen = np.linalg.norm(lhs - lam * (prob.sim_matrix_z @ z)) / np.linalg.norm(lhs)
@@ -411,7 +411,7 @@ def test_indefinite_stiffness_is_factored_once(monkeypatch):
     # the failed attempt factored a matrix of its own in place, so the
     # stiffness the dense eigensolve reads is assembled afresh
     assert len(factored) == 1 and lapack == [[], []]
-    dense = eigh(prob.stiffness, h1_gram(prob.grid), eigvals_only=True, subset_by_index=[0, 0])
+    dense = eigh(prob.stiffness.full(), h1_gram(prob.grid).full(), eigvals_only=True, subset_by_index=[0, 0])
     assert report.c0 == pytest.approx(float(dense[0]), rel=1e-12)
     assert report.c0 < 0.0
     assert report.verdict == "not_strictly_stable"
@@ -440,7 +440,7 @@ def test_indefinite_flat_stiffness_fails_its_blocks_once(monkeypatch):
         prob.lambda1()
     attempts = len(factored)
     assert prob.field.stiffness_cho is False and len(factored) == attempts
-    dense = eigh(prob.stiffness, h1_gram(prob.grid), eigvals_only=True, subset_by_index=[0, 0])
+    dense = eigh(prob.stiffness.full(), h1_gram(prob.grid).full(), eigvals_only=True, subset_by_index=[0, 0])
     assert report.c0 == pytest.approx(float(dense[0]), rel=1e-12)
 
 
