@@ -29,8 +29,9 @@ thickness, and continues in amplitude to its profile and substrate modes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, eigh, get_blas_funcs, get_lapack_funcs
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.linalg import LinAlgError, cho_factor, eigh, eigh_tridiagonal, get_blas_funcs, get_lapack_funcs
+# nothing here calls eigsh; the benchmark tracer rebinds it at install
+from scipy.sparse.linalg import eigsh  # noqa: F401
 
 from .geometry import MappedGrid, Profile, build_grid
 from .spectral import cosine_series, fourier_derivative, lateral_grids
@@ -410,9 +411,10 @@ class ElasticField:
         :attr:`stiffness_blocks` and never assembles the stiffness; any other
         field gets the :class:`BlockCholesky` of the lower triangle of a
         freshly assembled ``K``, factored in place by
-        :func:`_shifted_stiffness_cho` at shift zero, about half the memory
-        of a full ``nd x nd`` matrix.  A
-        block without a Cholesky factor gives ``False`` with no dense retry:
+        :func:`_stiffness_factor`, about half the memory of a full
+        ``nd x nd`` matrix.  It is the only factor of the field: the solves
+        and the ``c0`` Lanczos recurrence both read it.  A block without a
+        Cholesky factor gives ``False`` with no dense retry:
         the blocks are a unitary block-diagonalisation of the stiffness, so
         it is positive definite exactly when they all are.
         """
@@ -420,7 +422,7 @@ class ElasticField:
         if "cho" not in cache:
             blocks = self.stiffness_blocks
             if blocks is None:
-                cache["cho"] = _shifted_stiffness_cho(self, 0.0)
+                cache["cho"] = _stiffness_factor(self)
             else:
                 try:
                     cache["cho"] = LateralCholesky(self.grid.xshape, blocks)
@@ -559,20 +561,14 @@ def h1_gram(grid: MappedGrid) -> "BlockColumns":
     return G
 
 
-def _shifted_stiffness_cho(field: ElasticField, sigma: float):
-    """:class:`BlockCholesky` factor of ``K - sigma G``, or ``False`` when it has none.
+def _stiffness_factor(field: ElasticField):
+    """:class:`BlockCholesky` factor of the field's stiffness, or ``False`` when it has none.
 
-    ``K`` is the field's stiffness and ``G`` the :func:`h1_gram`.  The lower
-    triangle of the matrix is assembled in one pass by block columns, from
-    the weighted tangent minus ``sigma`` times the Sobolev coefficients,
-    and factored in place.  Subtracting ``sigma = 0`` is exact, so at shift
-    zero this is the stiffness's own factor.
+    The lower triangle of the stiffness is assembled in one pass by block
+    columns and factored in place.
     """
-    grid = field.grid
-    K = assemble_hessian(grid, field._weighted_tangent() - sigma * _h1_coefficients(grid))
-    K.add_diagonal(-sigma * interior_weight_vector(grid))
     try:
-        return BlockCholesky(K)
+        return BlockCholesky(assemble_hessian(field.grid, field._weighted_tangent()))
     except LinAlgError:
         return False
 
@@ -789,10 +785,22 @@ def _form_apply(grid: MappedGrid, v: np.ndarray, flux) -> np.ndarray:
     weighted stress samples the form pairs with ``grad w``; the result is the
     ``assemble_residual`` of that stress, the product with ``v`` of the
     matrix ``assemble_hessian`` builds from the same coefficients.
+
+    The gradient is taken on the dense ``Lx_a``, ``Ds`` and ``scoef`` of
+    :meth:`~filmstab.geometry.MappedGrid.assembly_operators`, which the
+    residual and the assembly use too, in BLAS products on the interior rows
+    instead of the FFTs of :meth:`~filmstab.geometry.MappedGrid.gradient`.
     """
-    N = grid.dim
-    gv = grid.gradient(_from_interior(grid, v)).reshape(-1, N, N)
-    return assemble_residual(grid, flux(gv))
+    nx, ny, N, _ = _flat_shapes(grid)
+    Lx, Ds, scoef = grid.assembly_operators()
+    u = v.reshape(nx, ny - 1, N)
+    us = np.matmul(Ds[:, 1:], u)
+    gv = np.empty((nx, ny, N, N))
+    for a in range(N):
+        gv[..., a] = scoef[a][..., None] * us
+    for a in range(N - 1):
+        gv[:, 1:, :, a] += (Lx[a] @ u.reshape(nx, -1)).reshape(nx, ny - 1, N)
+    return assemble_residual(grid, flux(gv.reshape(-1, N, N)))
 
 
 def _tangent_flux(grid: MappedGrid, tangent_w: np.ndarray):
@@ -1122,10 +1130,10 @@ def continue_critical_point(field: ElasticField, new_profile: Profile) -> tuple[
 
 
 class CoercivityError(RuntimeError):
-    """The Lanczos solve for ``c0`` did not converge.
+    """The Lanczos recurrence for ``c0`` did not converge.
 
-    Carries the number of operator applications as ``matvecs`` and the
-    requested relative accuracy as ``tol``.
+    Carries its number of steps, one operator application each, as
+    ``matvecs`` and the requested relative accuracy as ``tol``.
     """
 
     def __init__(self, matvecs: int, tol: float):
@@ -1139,12 +1147,6 @@ class CoercivityError(RuntimeError):
 
 # relative accuracy of the c0 eigenvalue
 _C0_TOL = 1e-10
-# accuracy of the first, rough Lanczos pass, whose Ritz value bounds c0 above
-_C0_ROUGH_TOL = 1e-2
-# ARPACK restarts the unshifted pass may take before c0 pays for a shifted factor
-_C0_BUDGET = 8
-# the shift, as a fraction of the rough upper bound on c0
-_C0_SHIFT = 0.99
 
 
 def coercivity_constant(field: ElasticField) -> float:
@@ -1164,27 +1166,19 @@ def coercivity_constant(field: ElasticField) -> float:
     the one read of :attr:`~ElasticField.stiffness` on this route, which
     works in place on the two whole matrices.
 
-    Any other ``K`` takes Lanczos solves for the top eigenvalue of
-    ``L^-1 G L^-T``, which is ``1/c0``, against its :class:`BlockCholesky`
-    factor ``L L^T`` (:attr:`~ElasticField.stiffness_cho`), with ``G``
-    applied matrix-free:
-
-    1. a rough pass at ``_C0_ROUGH_TOL``; a Ritz value never exceeds the top
-       eigenvalue, so its reciprocal ``c~`` bounds ``c0`` above;
-    2. the same solve continued from the rough Ritz vector at ``_C0_TOL``,
-       within ``_C0_BUDGET`` ARPACK restarts, which ends most films;
-    3. past the budget, on a clustered bottom spectrum, the shift
-       ``sigma = _C0_SHIFT * c~``: ``K - sigma G``, factored in place like
-       ``K`` by :func:`_shifted_stiffness_cho`, has a Cholesky factor
-       ``L_s`` exactly when ``sigma < c0``, and then the top eigenvalue
-       ``theta`` of ``L_s^-1 G L_s^-T`` is well separated and
-       ``c0 = sigma + 1/theta``; a ``K - sigma G`` without a factor sends
-       the solve back to step 2 with no budget.
-
-    Every pass starts from a fixed vector or from the previous one's, and
-    the route depends on counts only, so repeated runs are bit-identical.
-    A pass that does not converge raises :class:`CoercivityError` with the
-    matvecs of all passes.
+    Any other ``K`` takes one plain three-term Lanczos recurrence for the top
+    eigenvalue ``theta = 1/c0`` of ``L^-1 G L^-T``, against the stiffness's
+    own :class:`BlockCholesky` factor ``L L^T``
+    (:attr:`~ElasticField.stiffness_cho`) with ``G`` applied matrix-free,
+    so it holds three vectors and no second matrix.  It starts from a fixed
+    seeded vector, with no restarts and no reorthogonalisation, and stops at
+    the first step ``j`` where the top Ritz pair ``(theta, s)`` of the
+    tridiagonal has the residual ``beta_j |s_j| <= _C0_TOL * theta``.  In
+    floating point the Lanczos vectors lose orthogonality only as Ritz
+    values converge (Paige, 1980), so that first convergence is reached
+    with the residual estimate intact.  Repeated runs are bit-identical.  A
+    recurrence that has not converged after ``nd`` steps raises
+    :class:`CoercivityError` with its step count, one matvec each.
     """
     grid = field.grid
     blocks = field.stiffness_blocks
@@ -1199,32 +1193,18 @@ def coercivity_constant(field: ElasticField) -> float:
         K, G = field.stiffness.full(), h1_gram(grid).full()
         return float(eigh(K, G, subset_by_index=[0, 0], eigvals_only=True, overwrite_a=True, overwrite_b=True)[0])
     nd = _flat_shapes(grid)[3]
-    matvecs = 0
-
-    def top_pair(factor, v0, tol, maxiter=None):
-        """Top eigenpair of ``L^-1 G L^-T`` for the :class:`BlockCholesky` factor ``L L^T``."""
-
-        def mv(w):
-            nonlocal matvecs
-            matvecs += 1
-            return factor.forward(_h1_gram_matvec(grid, factor.backward(w)))
-
-        # with the dtype given, LinearOperator does not spend a matvec to find it
-        op = LinearOperator((nd, nd), matvec=mv, dtype=float)
-        theta, y = eigsh(op, k=1, which="LA", tol=tol, v0=v0, maxiter=maxiter)
-        return float(theta[0]), y[:, 0]
-
-    v0 = np.random.default_rng(0).standard_normal(nd)
-    try:
-        theta, y = top_pair(cho, v0, _C0_ROUGH_TOL)
-        try:
-            return 1.0 / top_pair(cho, y, _C0_TOL, _C0_BUDGET)[0]
-        except ArpackNoConvergence:
-            pass
-        sigma = _C0_SHIFT / theta
-        shifted = _shifted_stiffness_cho(field, sigma)
-        if shifted is False:
-            return 1.0 / top_pair(cho, y, _C0_TOL)[0]
-        return sigma + 1.0 / top_pair(shifted, v0, _C0_TOL)[0]
-    except ArpackNoConvergence as err:
-        raise CoercivityError(matvecs, _C0_TOL) from err
+    q = np.random.default_rng(0).standard_normal(nd)
+    q /= np.linalg.norm(q)
+    q_prev, beta_prev = np.zeros(nd), 0.0
+    alphas, betas = [], []
+    for j in range(1, nd + 1):
+        w = cho.forward(_h1_gram_matvec(grid, cho.backward(q)))
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q + beta_prev * q_prev
+        beta = float(np.linalg.norm(w))
+        theta, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(j - 1, j - 1))
+        if beta * abs(s[-1, 0]) <= _C0_TOL * theta[0]:
+            return 1.0 / float(theta[0])
+        betas.append(beta)
+        q_prev, q, beta_prev = q, w / beta, beta
+    raise CoercivityError(nd, _C0_TOL)

@@ -409,7 +409,7 @@ def test_repeat_runs_are_byte_identical(tmp_path):
 def clustered_3d_config():
     """A curved 3D film with a clustered bottom c0 spectrum.
 
-    It outruns the unshifted Lanczos budget, so ``c0`` takes the shifted factor.
+    Its ``c0`` Lanczos recurrence on the stiffness's factor takes over a hundred steps.
     """
     modes = [
         {"mode": [0, 0], "amplitude": 1.0},
@@ -429,20 +429,30 @@ def curved_nonlinear_config(**kwargs):
     return cfg
 
 
-def record_shifts(monkeypatch) -> list:
-    """The shifts ``sigma > 0`` of the factorisations from here on (``sigma = 0`` is the stiffness)."""
+def record_c0_assemblies(monkeypatch) -> list:
+    """The matrices ``c0`` assembles from here on, besides the stiffness's own factor."""
     import filmstab.elasticity as elasticity
+    import filmstab.stability as stability
 
-    shifts = []
-    shifted_cho = elasticity._shifted_stiffness_cho
+    assembled, inside = [], []
+    assemble, c0 = elasticity.assemble_hessian, stability.coercivity_constant
 
-    def recording(field, sigma):
-        if sigma > 0.0:
-            shifts.append(sigma)
-        return shifted_cho(field, sigma)
+    def recording(*args):
+        if inside:
+            assembled.append(args[0])
+        return assemble(*args)
 
-    monkeypatch.setattr(elasticity, "_shifted_stiffness_cho", recording)
-    return shifts
+    def within(field):
+        field.stiffness_cho  # the factor's own assembly, not counted
+        inside.append(True)
+        try:
+            return c0(field)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(elasticity, "assemble_hessian", recording)
+    monkeypatch.setattr(stability, "coercivity_constant", within)
+    return assembled
 
 
 def indefinite_config(**kwargs):
@@ -529,21 +539,19 @@ def test_output_key_the_command_never_writes_is_refused(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize(
-    "command, cfg, shifted",
+    "command, cfg",
     [
-        ("stability", curved_nonlinear_config(analysis={"max_mode": 2}), False),
-        ("stability", clustered_3d_config(), True),
-        ("flat-threshold", flat_config(n=8, ny=4, e0=0.05, analysis=FLAT_THRESHOLD), False),
-        ("oracle-check", flat_config(n=16, ny=8, e0=0.05, analysis={"modes": [1]}), False),
-        ("critical-point", curved_nonlinear_config(), False),
-        ("crystalline", flat_config(n=8, ny=4, e0=0.05, analysis=CRYSTALLINE, anisotropy=None), False),
+        ("stability", curved_nonlinear_config(analysis={"max_mode": 2})),
+        ("stability", clustered_3d_config()),
+        ("flat-threshold", flat_config(n=8, ny=4, e0=0.05, analysis=FLAT_THRESHOLD)),
+        ("oracle-check", flat_config(n=16, ny=8, e0=0.05, analysis={"modes": [1]})),
+        ("critical-point", curved_nonlinear_config()),
+        ("crystalline", flat_config(n=8, ny=4, e0=0.05, analysis=CRYSTALLINE, anisotropy=None)),
     ],
     ids=["stability-curved-2d", "stability-clustered-3d", "flat-threshold", "oracle-check",
          "critical-point", "crystalline"],
 )
-def test_positive_definite_runs_never_read_the_dense_stiffness(
-    tmp_path, monkeypatch, command, cfg, shifted
-):
+def test_positive_definite_runs_never_read_the_dense_stiffness(tmp_path, monkeypatch, command, cfg):
     """Every solve and ``c0`` goes through the factor; the dense stiffness is for the rest."""
     import filmstab.elasticity as elasticity
 
@@ -552,10 +560,10 @@ def test_positive_definite_runs_never_read_the_dense_stiffness(
 
     monkeypatch.setattr(elasticity.ElasticField, "stiffness", property(refuse))
     monkeypatch.setattr(elasticity.BlockColumns, "full", refuse)
-    shifts = record_shifts(monkeypatch)
+    c0_assemblies = record_c0_assemblies(monkeypatch)
     code, _ = run(tmp_path, command, cfg)
     assert code == 0
-    assert bool(shifts) == shifted
+    assert c0_assemblies == []
 
 
 def curved_nonlinear_3d_config():
@@ -597,15 +605,13 @@ def test_curved_nonlinear_stability_assembles_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_repeat_runs_through_the_shifted_c0_are_byte_identical(tmp_path, monkeypatch):
+def test_repeat_runs_through_the_c0_lanczos_are_byte_identical(tmp_path):
     path = write_config(tmp_path, clustered_3d_config())
-    shifts = record_shifts(monkeypatch)
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
         assert main(["stability", "--config", str(path), "--out", str(out)]) == 0
         outs.append(out)
-    assert len(shifts) == 2 and shifts[0] == shifts[1]
     assert (outs[0] / "stability.json").read_bytes() == (outs[1] / "stability.json").read_bytes()
     assert (outs[0] / "dispersion.csv").read_bytes() == (outs[1] / "dispersion.csv").read_bytes()
 
@@ -764,21 +770,24 @@ def test_verify_identity_names_the_trials_flag(tmp_path, capsys):
 
 def test_c0_non_convergence_exits_two(tmp_path, capsys, monkeypatch):
     import filmstab.elasticity as elasticity
-    from scipy.sparse.linalg import ArpackNoConvergence
 
-    def stalled(A, **kwargs):
-        A.matvec(kwargs["v0"])
-        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+    ritz = elasticity.eigh_tridiagonal
 
-    monkeypatch.setattr(elasticity, "eigsh", stalled)
-    # a curved film: c0 of a flat one is read off its lateral blocks, with no Lanczos
+    def stalled(alphas, betas, **kwargs):
+        # the true top Ritz value, with a Ritz vector that never converges
+        theta, _ = ritz(alphas, betas, **kwargs)
+        return theta, np.ones((len(alphas), 1))
+
+    monkeypatch.setattr(elasticity, "eigh_tridiagonal", stalled)
+    # a curved film: c0 of a flat one is read off its lateral blocks, with no
+    # Lanczos; its 48 dofs bound the recurrence at 48 steps
     cfg = flat_config(n=8, ny=4, e0=0.05)
     modes = [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.05}]
     cfg["geometry"]["profile"] = {"kind": "fourier", "modes": modes}
     rc, _ = run(tmp_path, "stability", cfg)
     assert rc == 2
     err = capsys.readouterr().err
-    assert "numerical failure: the Lanczos solve for c0 did not converge after 1 matvecs" in err
+    assert "numerical failure: the Lanczos solve for c0 did not converge after 48 matvecs" in err
     assert "tolerance 1e-10" in err
 
 
