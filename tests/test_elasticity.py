@@ -751,6 +751,46 @@ def test_c0_lanczos_holds_vectors_and_assembles_nothing(monkeypatch, clustered):
     assert peak <= 32 * nd * 8
 
 
+def test_c0_lanczos_stops_at_the_first_converged_step(monkeypatch, clustered):
+    import filmstab.elasticity as elasticity
+
+    steps = []
+    ritz = elasticity.eigh_tridiagonal
+
+    def recording(alphas, betas, **kwargs):
+        theta, s = ritz(alphas, betas, **kwargs)
+        steps.append((list(betas), float(theta[0]), abs(float(s[-1, 0]))))
+        return theta, s
+
+    monkeypatch.setattr(elasticity, "eigh_tridiagonal", recording)
+    field, dense = clustered
+    c0 = coercivity_constant(field)
+    nd = _flat_shapes(field.grid)[3]
+    # one Ritz solve per step, on a tridiagonal one row longer each time
+    assert 1 < len(steps) < nd
+    assert [len(betas) for betas, _, _ in steps] == list(range(len(steps)))
+    # c0 is the reciprocal of the last top Ritz value
+    assert c0 == 1.0 / steps[-1][1]
+    assert c0 == pytest.approx(dense, rel=1e-10)
+    # no earlier step met the residual test: the next step's tridiagonal
+    # carries the beta that step computed
+    for (_, theta, s), (betas, _, _) in zip(steps, steps[1:]):
+        assert betas[-1] * s > elasticity._C0_TOL * theta
+    # the top Ritz value grows towards 1 / c0 (interlacing)
+    thetas = [theta for _, theta, _ in steps]
+    assert all(b >= a * (1 - 1e-13) for a, b in zip(thetas, thetas[1:]))
+
+
+def test_c0_lanczos_repeat_runs_are_bit_identical(clustered):
+    # the fixed seeded start: the same field, and a new field that factors
+    # its own stiffness again, give the same bits
+    field, _ = clustered
+    c0 = coercivity_constant(field)
+    assert coercivity_constant(field) == c0
+    fresh = ElasticField(field.grid, field.datum, field.density, field.p)
+    assert coercivity_constant(fresh) == c0
+
+
 def test_stiffness_read_before_the_factor_is_left_intact(monkeypatch):
     import filmstab.elasticity as elasticity
     from scipy.linalg import cho_factor
