@@ -39,6 +39,7 @@ _EXPORTS = {
     "ElasticField": "elasticity",
     "NewtonError": "elasticity",
     "CoercivityError": "elasticity",
+    "ShiftedFactorError": "elasticity",
     "solve_affine": "elasticity",
     "solve_critical_point": "elasticity",
     "continue_critical_point": "elasticity",

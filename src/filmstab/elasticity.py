@@ -29,7 +29,7 @@ thickness, and continues in amplitude to its profile and substrate modes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, eigh, eigh_tridiagonal, get_blas_funcs, get_lapack_funcs
+from scipy.linalg import LinAlgError, cho_factor, eigh, eigh_tridiagonal, get_blas_funcs, get_lapack_funcs, solve
 # nothing here calls eigsh; the benchmark tracer rebinds it at install
 from scipy.sparse.linalg import eigsh  # noqa: F401
 
@@ -48,6 +48,7 @@ __all__ = [
     "BlockCholesky",
     "NewtonError",
     "CoercivityError",
+    "ShiftedFactorError",
     "assemble_residual",
     "assemble_hessian",
     "h1_gram",
@@ -374,9 +375,10 @@ class ElasticField:
         """:class:`BlockColumns` of the tangent form's interior-dof matrix, assembled on every read.
 
         Nothing that has a factor reads it: the solves and ``c0`` go through
-        :attr:`stiffness_cho`.  It is read once by the dense eigensolve of
-        :func:`coercivity_constant` and by a direct Newton step, both only
-        for a stiffness without a Cholesky factor, and by the tests.
+        :attr:`stiffness_cho`, or for a stiffness without one, ``c0`` through
+        the factor of a shifted ``K - sigma G`` (see
+        :func:`coercivity_constant`).  It is read by a direct Newton step on
+        a stiffness without a Cholesky factor, and by the tests.
         """
         return assemble_hessian(self.grid, self._weighted_tangent())
 
@@ -561,14 +563,23 @@ def h1_gram(grid: MappedGrid) -> "BlockColumns":
     return G
 
 
-def _stiffness_factor(field: ElasticField):
-    """:class:`BlockCholesky` factor of the field's stiffness, or ``False`` when it has none.
+def _stiffness_factor(field: ElasticField, sigma: float = 0.0):
+    """:class:`BlockCholesky` factor of ``K - sigma G``, or ``False`` when it has none.
 
-    The lower triangle of the stiffness is assembled in one pass by block
-    columns and factored in place.
+    ``K`` is the field's stiffness and ``G`` the :func:`h1_gram`.  The two
+    forms share their operators and weights, so the lower triangle of
+    ``K - sigma G`` is assembled in one pass by block columns from the
+    coefficients ``Cw - sigma w I``, its diagonal takes ``-sigma`` times the
+    interior weights, and it is factored in place.  At ``sigma = 0`` this
+    is the stiffness's own factor, bit for bit.
     """
+    grid, Cw = field.grid, field._weighted_tangent()
+    if sigma:
+        Cw -= sigma * _h1_coefficients(grid)
     try:
-        return BlockCholesky(assemble_hessian(field.grid, field._weighted_tangent()))
+        K = assemble_hessian(grid, Cw)
+        K.add_diagonal(-sigma * interior_weight_vector(grid))
+        return BlockCholesky(K)
     except LinAlgError:
         return False
 
@@ -641,7 +652,7 @@ class BlockColumns:
     ``nd^2``.  ``shape`` is the full matrix's.  :func:`assemble_hessian`
     fills it, :class:`BlockCholesky` factors it in place, and the upper
     triangles of the diagonal blocks are never read.  :meth:`full` mirrors
-    it into the whole matrix for the dense LAPACK calls that need one.
+    it into the whole matrix for the one dense LAPACK call that needs it.
     """
 
     def __init__(self, grid: MappedGrid):
@@ -664,8 +675,9 @@ class BlockColumns:
     def full(self) -> np.ndarray:
         """The whole symmetric matrix, its upper triangle mirrored from the lower, as a Fortran array.
 
-        It is the one ``nd x nd`` array filmstab makes, for a stiffness
-        without a Cholesky factor, and its entries are those of the assembly.
+        It is the one ``nd x nd`` array filmstab makes, for the direct
+        Newton step on a stiffness without a Cholesky factor, and its entries
+        are those of the assembly.
         """
         A = np.empty(self.shape, order="F")
         for s, e, M in zip(self.starts, self.starts[1:], self.columns):
@@ -947,13 +959,14 @@ def _factored_step(work: ElasticField, r: np.ndarray, residuals):
     ``K``'s Cholesky factor is the one cached on ``work``: a linear field
     shares it with every field of its solve, a nonlinear iterate builds its
     own.  When ``K`` has no Cholesky factor the step is solved directly
-    against the assembled ``K``, and one that is not a descent direction
-    raises :class:`NewtonError`.
+    against the assembled ``K`` by LAPACK's symmetric indefinite solver,
+    in place on the one whole matrix, and a step that is not a descent
+    direction raises :class:`NewtonError`.
     """
     cho = work.stiffness_cho
     if cho is not False:
         return factor_solve(cho, -r)
-    dp_vec = np.linalg.solve(work.stiffness.full(), -r)
+    dp_vec = solve(work.stiffness.full(), -r, assume_a="sym", overwrite_a=True)
     if r @ dp_vec >= 0.0:
         raise NewtonError(f"non-descent Newton step (r·dp = {r @ dp_vec:.3e})", residuals)
     return dp_vec
@@ -1145,6 +1158,29 @@ class CoercivityError(RuntimeError):
         self.tol = tol
 
 
+class ShiftedFactorError(RuntimeError):
+    """``K - sigma G`` has no Cholesky factor at the tangent's pointwise bound ``sigma``.
+
+    The bound makes ``K - sigma G`` positive definite whenever ``sigma < 0``,
+    so in exact arithmetic this happens only at ``sigma = 0``, for a
+    stiffness that is positive semidefinite and singular.  Carries ``sigma``.
+    """
+
+    def __init__(self, sigma: float):
+        super().__init__(
+            f"c0 has no certified shift: K - sigma G has no Cholesky factor at the "
+            f"tangent's pointwise bound sigma = {sigma:g}"
+        )
+        self.sigma = sigma
+
+
+def _tangent_bound(field: ElasticField) -> float:
+    """The least eigenvalue, over all nodes, of the major-symmetrised tangent read as an ``N^2 x N^2`` matrix."""
+    N = field.grid.dim
+    C = field.density.tangent(field.gradient()).reshape(-1, N * N, N * N)
+    return float(np.linalg.eigvalsh(0.5 * (C + C.transpose(0, 2, 1)))[:, 0].min())
+
+
 # relative accuracy of the c0 eigenvalue
 _C0_TOL = 1e-10
 
@@ -1161,24 +1197,33 @@ def coercivity_constant(field: ElasticField) -> float:
     The route follows the field.  A laterally uniform one takes the exact
     minimum over wavenumbers of its :attr:`~ElasticField.stiffness_blocks`
     against the Gram's blocks, taken the same way from its matrix-free
-    product, and assembles neither matrix.  A ``K`` without a Cholesky
-    factor takes the dense generalized eigensolve against :func:`h1_gram`,
-    the one read of :attr:`~ElasticField.stiffness` on this route, which
-    works in place on the two whole matrices.
+    product, and assembles neither matrix.
 
     Any other ``K`` takes one plain three-term Lanczos recurrence for the top
-    eigenvalue ``theta = 1/c0`` of ``L^-1 G L^-T``, against the stiffness's
-    own :class:`BlockCholesky` factor ``L L^T``
-    (:attr:`~ElasticField.stiffness_cho`) with ``G`` applied matrix-free,
-    so it holds three vectors and no second matrix.  It starts from a fixed
-    seeded vector, with no restarts and no reorthogonalisation, and stops at
-    the first step ``j`` where the top Ritz pair ``(theta, s)`` of the
-    tridiagonal has the residual ``beta_j |s_j| <= _C0_TOL * theta``.  In
-    floating point the Lanczos vectors lose orthogonality only as Ritz
-    values converge (Paige, 1980), so that first convergence is reached
-    with the residual estimate intact.  Repeated runs are bit-identical.  A
-    recurrence that has not converged after ``nd`` steps raises
-    :class:`CoercivityError` with its step count, one matvec each.
+    eigenvalue ``theta = 1/(c0 - sigma)`` of ``L^-1 G L^-T``, against a
+    :class:`BlockCholesky` factor ``L L^T`` of ``K - sigma G`` with ``G``
+    applied matrix-free, and returns ``sigma + 1/theta``.  A ``K`` with a
+    Cholesky factor has ``sigma = 0`` and runs on its own factor
+    (:attr:`~ElasticField.stiffness_cho`), so it holds three vectors and no
+    second matrix.  A ``K`` without one has ``sigma = min(0, m)``, where
+    ``m`` is the least eigenvalue over all nodes of the major-symmetrised
+    tangent read as an ``N^2 x N^2`` matrix.  ``K - sigma G`` is the form
+    of the weighted ``C - sigma I``, which is positive semidefinite at every
+    node, plus ``-sigma`` times the L^2 Gram, so it is positive definite
+    for ``sigma < 0``: one more assembly and factor (see
+    :func:`_stiffness_factor`) and no search.  Should that factor still
+    fail, which happens only for a numerically singular ``K`` at
+    ``sigma = 0``, :class:`ShiftedFactorError` is raised.
+
+    The recurrence starts from a fixed seeded vector, with no restarts and
+    no reorthogonalisation, and stops at the first step ``j`` where the top
+    Ritz pair ``(theta, s)`` of the tridiagonal has the residual
+    ``beta_j |s_j| <= _C0_TOL * theta``.  In floating point the Lanczos
+    vectors lose orthogonality only as Ritz values converge (Paige, 1980),
+    so that first convergence is reached with the residual estimate intact.
+    Repeated runs are bit-identical.  A recurrence that has not converged
+    after ``nd`` steps raises :class:`CoercivityError` with its step count,
+    one matvec each.
     """
     grid = field.grid
     blocks = field.stiffness_blocks
@@ -1188,10 +1233,12 @@ def coercivity_constant(field: ElasticField) -> float:
             float(eigh(Kk, Gk, subset_by_index=[0, 0], eigvals_only=True)[0])
             for Kk, Gk in zip(blocks, G)
         )
-    cho = field.stiffness_cho
+    cho, sigma = field.stiffness_cho, 0.0
     if cho is False:
-        K, G = field.stiffness.full(), h1_gram(grid).full()
-        return float(eigh(K, G, subset_by_index=[0, 0], eigvals_only=True, overwrite_a=True, overwrite_b=True)[0])
+        sigma = min(0.0, _tangent_bound(field))
+        cho = _stiffness_factor(field, sigma)
+        if cho is False:
+            raise ShiftedFactorError(sigma)
     nd = _flat_shapes(grid)[3]
     q = np.random.default_rng(0).standard_normal(nd)
     q /= np.linalg.norm(q)
@@ -1204,7 +1251,7 @@ def coercivity_constant(field: ElasticField) -> float:
         beta = float(np.linalg.norm(w))
         theta, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(j - 1, j - 1))
         if beta * abs(s[-1, 0]) <= _C0_TOL * theta[0]:
-            return 1.0 / float(theta[0])
+            return sigma + 1.0 / float(theta[0])
         betas.append(beta)
         q_prev, q, beta_prev = q, w / beta, beta
     raise CoercivityError(nd, _C0_TOL)

@@ -476,6 +476,18 @@ def test_stability_of_an_equilibrium_with_an_indefinite_stiffness(tmp_path):
     assert rows == ["k,second_variation", "1,nan", "2,nan", "3,nan"]
 
 
+def test_stability_without_a_certified_shift_exits_2(tmp_path, capsys, monkeypatch):
+    # no factor at any shift: c0 cannot be certified, which is named, not a crash
+    import filmstab.elasticity as elasticity
+
+    monkeypatch.setattr(elasticity, "_stiffness_factor", lambda field, sigma=0.0: False)
+    code, _ = run(tmp_path, "stability", indefinite_config())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: c0 has no certified shift" in err
+    assert "no Cholesky factor at the tangent's pointwise bound sigma = -" in err
+
+
 def test_critical_point_without_convergence_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, "critical-point", indefinite_config(analysis={"max_iter": 1}))
     assert code == 2

@@ -15,6 +15,7 @@ from filmstab.elasticity import (
     NEWTON_TOL,
     NewtonError,
     NonlinearDensity,
+    ShiftedFactorError,
     _PCG_MAX_ITER,
     _flat_shapes,
     _form_apply,
@@ -22,6 +23,7 @@ from filmstab.elasticity import (
     _h1_coefficients,
     _h1_gram_matvec,
     _residual_scale,
+    _tangent_bound,
     _tangent_flux,
     assemble_hessian,
     assemble_residual,
@@ -643,21 +645,43 @@ def test_coercivity_constant_matches_dense_eigensolve():
         assert field_neg.stiffness_cho is False
         c0_neg = coercivity_constant(field_neg)
         dense_neg = eigh(field_neg.stiffness.full(), h1_gram(grid).full(), eigvals_only=True)[0]
-        assert c0_neg == pytest.approx(float(dense_neg), rel=1e-8)
+        assert c0_neg == pytest.approx(float(dense_neg), rel=1e-10)
         assert c0_neg < 0.0
+        # the recurrence ran on K - sigma G, at a shift below c0
+        assert min(0.0, _tangent_bound(field_neg)) <= dense_neg
 
 
-def test_c0_without_a_factor_holds_two_whole_matrices():
+def _no_factor_2d_field() -> ElasticField:
     # compressed by e0 = -0.2, this curved nonlinear film's equilibrium has
-    # a stiffness without a Cholesky factor, so c0 is the dense generalized
-    # eigensolve; it works in place on the whole K and G, where copies of
-    # each would make four nd x nd arrays
-    import tracemalloc
-
+    # a stiffness without a Cholesky factor
     prof = Profile.from_fourier_modes(2, 24, [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.2}])
     datum = MismatchDatum.from_misfit(-0.2, 2, "nonlinear")
     solved, _ = solve_critical_point(prof, datum, NonlinearDensity(2, LAM, MU), ny=16)
-    field = ElasticField(solved.grid, datum, solved.density, solved.p)
+    return ElasticField(solved.grid, datum, solved.density, solved.p)
+
+
+def test_c0_without_a_factor_holds_one_block_factor(monkeypatch):
+    # c0 runs its recurrence on the block factor of K - sigma G: one
+    # assembly beyond the failed factor of K, about nd^2 / 2 numbers, and
+    # no whole nd x nd matrix
+    import tracemalloc
+
+    import filmstab.elasticity as elasticity
+
+    def refuse(*args):
+        raise AssertionError("c0 read a whole matrix")
+
+    assembled = []
+    assemble = elasticity.assemble_hessian
+
+    def recording(*args):
+        assembled.append(args[0])
+        return assemble(*args)
+
+    field = _no_factor_2d_field()
+    monkeypatch.setattr(elasticity.BlockColumns, "full", refuse)
+    monkeypatch.setattr(elasticity, "h1_gram", refuse)
+    monkeypatch.setattr(elasticity, "assemble_hessian", recording)
     nd = _flat_shapes(field.grid)[3]
     tracemalloc.start()
     try:
@@ -666,7 +690,20 @@ def test_c0_without_a_factor_holds_two_whole_matrices():
     finally:
         tracemalloc.stop()
     assert field.stiffness_cho is False and c0 < 0.0
-    assert peak <= 3.5 * nd * nd * 8
+    assert len(assembled) == 2
+    assert peak <= 1.5 * nd * nd * 8
+
+
+def test_c0_without_a_certified_shift_is_named(monkeypatch):
+    import filmstab.elasticity as elasticity
+
+    monkeypatch.setattr(elasticity, "_stiffness_factor", lambda field, sigma=0.0: False)
+    field = _no_factor_2d_field()
+    sigma = min(0.0, _tangent_bound(field))
+    with pytest.raises(ShiftedFactorError, match="c0 has no certified shift") as err:
+        coercivity_constant(field)
+    assert err.value.sigma == sigma
+    assert f"sigma = {sigma:g}" in str(err.value)
 
 
 def test_c0_lanczos_non_convergence_is_named(monkeypatch):
@@ -700,10 +737,8 @@ CLUSTERED_3D_MODES = [
 ]
 
 
-def _clustered_field(samples=None) -> ElasticField:
+def _clustered_field() -> ElasticField:
     prof = Profile.from_fourier_modes(3, 8, CLUSTERED_3D_MODES)
-    if samples is not None:
-        prof = Profile(samples(prof.samples), width=prof.width)
     datum = MismatchDatum.from_misfit(E0, 3, "linear")
     return solve_critical_point(prof, datum, LinearDensity.isotropic(3, LAM, MU), ny=8)[0]
 
@@ -824,15 +859,47 @@ def test_stiffness_read_before_the_factor_is_left_intact(monkeypatch):
     assert set(field._stiffness) == {"blocks", "cho"}
 
 
+@pytest.fixture(scope="module")
+def no_factor_3d():
+    """A compressed curved nonlinear 3D film whose stiffness has no Cholesky factor, with its dense ``c0``."""
+    from scipy.linalg import eigh
+
+    modes = [
+        {"mode": [0, 0], "amplitude": 1.0},
+        {"mode": [1, 0], "amplitude": 0.2},
+        {"mode": [0, 1], "amplitude": 0.1, "phase": 0.5},
+    ]
+    prof = Profile.from_fourier_modes(3, 8, modes)
+    datum = MismatchDatum.from_misfit(-0.2, 3, "nonlinear")
+    field = solve_critical_point(prof, datum, NonlinearDensity(3, LAM, MU), ny=6)[0]
+    assert field.stiffness_cho is False
+    K, G = field.stiffness.full(), h1_gram(field.grid).full()
+    return field, float(eigh(K, G, eigvals_only=True, subset_by_index=[0, 0])[0])
+
+
+LATERAL_SYMMETRIES = {
+    "roll-x": lambda h: np.roll(h, 1, axis=0),
+    "roll-y": lambda h: np.roll(h, 1, axis=1),
+    "swap-axes": lambda h: h.T,
+}
+
+
 @pytest.mark.parametrize(
-    "samples",
-    [lambda h: np.roll(h, 1, axis=0), lambda h: np.roll(h, 1, axis=1), lambda h: h.T],
-    ids=["roll-x", "roll-y", "swap-axes"],
+    "film, samples",
+    [pytest.param("clustered", move, id=name) for name, move in LATERAL_SYMMETRIES.items()]
+    + [pytest.param("no_factor_3d", move, id=f"no-factor-{name}") for name, move in LATERAL_SYMMETRIES.items()],
 )
-def test_c0_is_invariant_under_lateral_symmetries(clustered, samples):
-    field, _ = clustered
-    moved = coercivity_constant(_clustered_field(samples))
-    assert moved == pytest.approx(coercivity_constant(field), rel=1e-10)
+def test_c0_is_invariant_under_lateral_symmetries(request, film, samples):
+    # the factored film, and a film whose c0 runs on K - sigma G
+    field, dense = request.getfixturevalue(film)
+    c0 = coercivity_constant(field)
+    assert c0 == pytest.approx(dense, rel=1e-10)
+    prof = field.grid.profile
+    moved, _ = solve_critical_point(
+        Profile(samples(prof.samples), width=prof.width), field.datum, field.density, ny=field.grid.ny
+    )
+    assert (moved.stiffness_cho is False) == (field.stiffness_cho is False)
+    assert coercivity_constant(moved) == pytest.approx(c0, rel=1e-10)
 
 
 @pytest.mark.parametrize("dim, n, ny", [(2, 16, 8), (3, 8, 5)])

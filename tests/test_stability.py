@@ -402,15 +402,15 @@ def test_indefinite_stiffness_is_factored_once(monkeypatch):
     import filmstab.elasticity as elasticity
     import filmstab.stability as stability
 
-    # a curved film, where the dense path runs
+    # a curved film, where the block-column path runs
     modes = [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.05}]
     prob = _indefinite_problem(Profile.from_fourier_modes(2, 16, modes))
     factored = _record_calls(monkeypatch, elasticity, "BlockCholesky")
     lapack = [_record_calls(monkeypatch, module, "cho_factor") for module in (elasticity, stability)]
     report = prob.report()
-    # the failed attempt factored a matrix of its own in place, so the
-    # stiffness the dense eigensolve reads is assembled afresh
-    assert len(factored) == 1 and lapack == [[], []]
+    # the failed factor of K, then the factor of K - sigma G at the
+    # tangent's pointwise bound, which c0's recurrence runs on
+    assert len(factored) == 2 and lapack == [[], []]
     dense = eigh(prob.stiffness.full(), h1_gram(prob.grid).full(), eigvals_only=True, subset_by_index=[0, 0])
     assert report.c0 == pytest.approx(float(dense[0]), rel=1e-12)
     assert report.c0 < 0.0
@@ -418,7 +418,7 @@ def test_indefinite_stiffness_is_factored_once(monkeypatch):
     assert np.isnan(report.lambda1) and np.isnan(report.mu1)
     with pytest.raises(LinAlgError):
         prob.lambda1()
-    assert len(factored) == 1 and lapack == [[], []]
+    assert len(factored) == 2 and lapack == [[], []]
 
 
 def test_indefinite_flat_stiffness_fails_its_blocks_once(monkeypatch):
