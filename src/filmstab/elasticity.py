@@ -798,21 +798,11 @@ def _form_apply(grid: MappedGrid, v: np.ndarray, flux) -> np.ndarray:
     ``assemble_residual`` of that stress, the product with ``v`` of the
     matrix ``assemble_hessian`` builds from the same coefficients.
 
-    The gradient is taken on the dense ``Lx_a``, ``Ds`` and ``scoef`` of
-    :meth:`~filmstab.geometry.MappedGrid.assembly_operators`, which the
-    residual and the assembly use too, in BLAS products on the interior rows
-    instead of the FFTs of :meth:`~filmstab.geometry.MappedGrid.gradient`.
+    The gradient is :meth:`~filmstab.geometry.MappedGrid.gradient`, on the
+    same operators that the residual applies transposed.
     """
-    nx, ny, N, _ = _flat_shapes(grid)
-    Lx, Ds, scoef = grid.assembly_operators()
-    u = v.reshape(nx, ny - 1, N)
-    us = np.matmul(Ds[:, 1:], u)
-    gv = np.empty((nx, ny, N, N))
-    for a in range(N):
-        gv[..., a] = scoef[a][..., None] * us
-    for a in range(N - 1):
-        gv[:, 1:, :, a] += (Lx[a] @ u.reshape(nx, -1)).reshape(nx, ny - 1, N)
-    return assemble_residual(grid, flux(gv.reshape(-1, N, N)))
+    N = grid.dim
+    return assemble_residual(grid, flux(grid.gradient(_from_interior(grid, v)).reshape(-1, N, N)))
 
 
 def _tangent_flux(grid: MappedGrid, tangent_w: np.ndarray):

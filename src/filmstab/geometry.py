@@ -214,12 +214,13 @@ def surface_integral(geom: SurfaceGeometry, values: np.ndarray) -> float:
 class MappedGrid:
     """Collocation grid ``(x_j, s_k * h(x_j))`` over the film of a profile.
 
-    Horizontal directions are uniform periodic grids differentiated
-    spectrally, the vertical direction is Chebyshev-Lobatto in the scaled
-    coordinate ``s = y / h(x)``.  The grid owns:
+    Horizontal directions are uniform periodic grids differentiated by
+    :func:`~filmstab.spectral.fourier_diff_matrix`, the vertical direction is
+    Chebyshev-Lobatto in the scaled coordinate ``s = y / h(x)``.  The grid
+    owns:
 
-    * the chain-rule first-derivative operators needed for gradients of nodal
-      fields,
+    * the chain-rule first-derivative operators of :meth:`gradient`, the
+      nodal gradient that energy, residual and tangent all use,
     * positive volume quadrature weights (trapezoid in x, Clenshaw-Curtis in
       s, metric factor ``h``),
     * the free-surface row ``s = 1`` with its :class:`SurfaceGeometry`.
@@ -240,12 +241,12 @@ class MappedGrid:
         self.swts = clenshaw_curtis_weights(ny)
 
         n, width, N = profile.n, profile.width, profile.dim
-        self.Dx = fourier_diff_matrix(n, width)
+        Dx = fourier_diff_matrix(n, width)
         if N == 2:
-            self._Lx = (self.Dx,)
+            self._Lx = (Dx,)
         else:
             eye = np.eye(n)
-            self._Lx = (np.kron(self.Dx, eye), np.kron(eye, self.Dx))
+            self._Lx = (np.kron(Dx, eye), np.kron(eye, Dx))
 
         h = profile.samples
         grad_h = self.geom.grad_h  # xshape + (N-1,)
@@ -265,29 +266,27 @@ class MappedGrid:
 
     # -- derivative application ------------------------------------------------
 
-    def s_derivative(self, u: np.ndarray) -> np.ndarray:
-        """Collocation derivative along the scaled vertical axis.
-
-        The s axis is assumed to be axis ``dim - 1`` of the nodal array, i.e.
-        fields are laid out ``xshape + (ny, ...)``.
-        """
-        ax = self.dim - 1
-        return np.moveaxis(np.tensordot(self.Ds, u, axes=(1, ax)), 0, ax)
-
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Gradient of a vector nodal field ``xshape + (ny, m)``.
 
         Returns ``xshape + (ny, m, N)`` with rows indexed by the component.
+        It is the one nodal gradient of the package, taken on the
+        :meth:`assembly_operators`, which the residual applies transposed.
+        Each lateral ``Lx_a`` acts on the field minus its value
+        at the first node of the line along axis ``a``, so a field constant
+        along that axis gets exact zeros.
         """
-        us = self.s_derivative(u)
-        out = np.empty(u.shape + (self.dim,))
-        for a in range(self.dim - 1):
-            out[..., a] = (
-                fourier_derivative(u, width=self.profile.width, axis=a)
-                + self.slope[..., a, None] * us
-            )
-        out[..., self.dim - 1] = self.vertical_scale[..., None] * us
-        return out
+        Lx, Ds, scoef = self.assembly_operators()
+        N, nx = self.dim, self.nx
+        flat = u.reshape(nx, self.ny, -1)
+        us = np.matmul(Ds, flat)
+        out = np.empty(flat.shape + (N,))
+        lines = u.reshape(self.xshape + (-1,))
+        for a in range(N - 1):
+            du = lines - np.take(lines, [0], axis=a)
+            out[..., a] = (Lx[a] @ du.reshape(nx, -1)).reshape(flat.shape) + scoef[a][..., None] * us
+        out[..., N - 1] = scoef[N - 1][..., None] * us
+        return out.reshape(u.shape + (N,))
 
     # -- quadrature --------------------------------------------------------------
 

@@ -5,7 +5,8 @@ Everything in the package that differentiates or integrates numerically goes
 through these helpers, so their conventions are fixed here once:
 
 * periodic directions use n equispaced nodes x_j = j*L/n (no duplicated
-  endpoint) and trigonometric differentiation via the FFT,
+  endpoint) and one trigonometric derivative, the dense matrix of
+  :func:`fourier_diff_matrix`,
 * the wall-normal direction uses ny Chebyshev-Lobatto nodes mapped to [0, 1]
   in ascending order (s_0 = 0 at the substrate, s_{ny-1} = 1 at the free
   surface) with Clenshaw-Curtis quadrature weights.
@@ -17,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "fourier_nodes",
-    "fourier_wavenumbers",
     "fourier_derivative",
     "fourier_diff_matrix",
     "cheb_lobatto_nodes",
@@ -59,43 +59,33 @@ def cosine_series(n: int, width: float, dim: int, terms, start: float = 0.0) -> 
     return out
 
 
-def fourier_wavenumbers(n: int, width: float = 1.0) -> np.ndarray:
-    """Signed integer mode frequencies scaled to the cell, as 2*pi*m/width.
+def fourier_diff_matrix(n: int, width: float = 1.0) -> np.ndarray:
+    """Dense first-derivative matrix acting on periodic nodal samples.
 
-    For even n the Nyquist mode is zeroed, which is the usual convention for
-    odd-order derivatives of real samples.
+    The FFT derivative of the identity: column ``j`` is the derivative of
+    the trigonometric interpolant of the ``j``-th unit sample, with the
+    Nyquist mode dropped for even ``n``, the usual convention for odd-order
+    derivatives of real samples.  It is the package's only lateral
+    derivative operator.
     """
     m = np.fft.fftfreq(n, d=1.0 / n)
     if n % 2 == 0:
-        m = m.copy()
         m[n // 2] = 0.0
-    return 2.0 * np.pi * m / width
+    k = 2.0 * np.pi * m / width
+    return np.real(np.fft.ifft(np.fft.fft(np.eye(n), axis=0) * (1j * k)[:, None], axis=0))
 
 
 def fourier_derivative(values: np.ndarray, width: float = 1.0, axis: int = 0) -> np.ndarray:
     """Spectral derivative of real periodic samples along one axis.
 
-    Lines constant along the axis get exact zeros, which the FFT leaves
-    round-off in when ``n`` has a prime factor above 3.
+    :func:`fourier_diff_matrix` applied to the samples minus each line's
+    value at its first node.  The matrix annihilates constants, so this is
+    the same derivative, and a line constant along the axis gets exact zeros.
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[axis]
-    k = fourier_wavenumbers(n, width)
-    shape = [1] * values.ndim
-    shape[axis] = n
-    coeff = np.fft.fft(values, axis=axis)
-    coeff *= (1j * k).reshape(shape)
-    constant = np.all(values == np.take(values, [0], axis=axis), axis=axis, keepdims=True)
-    return np.where(constant, 0.0, np.real(np.fft.ifft(coeff, axis=axis)))
-
-
-def fourier_diff_matrix(n: int, width: float = 1.0) -> np.ndarray:
-    """Dense first-derivative matrix acting on periodic nodal samples.
-
-    Built by differentiating the identity with the FFT so that the matrix and
-    the transform path are bit-compatible.
-    """
-    return fourier_derivative(np.eye(n), width=width, axis=0)
+    lines = np.moveaxis(values, axis, 0)
+    D = fourier_diff_matrix(lines.shape[0], width)
+    return np.moveaxis(np.tensordot(D, lines - lines[:1], axes=1), 0, axis)
 
 
 def cheb_lobatto_nodes(ny: int) -> np.ndarray:

@@ -20,6 +20,13 @@ sums index by index, one contraction per direction.  Likewise
 block columns from per-direction factors, and ``reference_assemble_hessian``
 sums the whole matrix term by term.
 
+``filmstab.spectral.fourier_derivative`` applies the dense Fourier
+differentiation matrix to each line minus its first sample;
+``fft_derivative`` takes the same trigonometric derivative by a forward and
+an inverse FFT, with the constant-line mask that route needs for exact
+zeros, and ``fft_gradient`` builds the nodal gradient of a mapped grid on
+it.
+
 ``StabilityProblem.second_variation`` reads the quadratic form off one
 matrix on nodal speeds: the surface Gram ``sim_matrix`` minus the
 elastic-correction Gram ``t_matrix``.  The direct route here solves the
@@ -58,6 +65,43 @@ def einsum_residual(grid, weighted_stress) -> np.ndarray:
             out += np.einsum("rj,rti->jti", Lx[a], Fa)[:, 1:]
         out += np.einsum("tk,rti->rki", Ds_cols, scoef[a][..., None] * Fa)
     return out.ravel()
+
+
+def fft_derivative(values, width=1.0, axis=0) -> np.ndarray:
+    """Trigonometric derivative of periodic samples along one axis, by the FFT.
+
+    The Nyquist mode is dropped for even ``n``.  Lines constant along the
+    axis are masked to exact zeros, which the transforms leave round-off in
+    when ``n`` has a prime factor above 3.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.shape[axis]
+    m = np.fft.fftfreq(n, d=1.0 / n)
+    if n % 2 == 0:
+        m[n // 2] = 0.0
+    k = 2.0 * np.pi * m / width
+    shape = [1] * values.ndim
+    shape[axis] = n
+    coeff = np.fft.fft(values, axis=axis)
+    coeff *= (1j * k).reshape(shape)
+    constant = np.all(values == np.take(values, [0], axis=axis), axis=axis, keepdims=True)
+    return np.where(constant, 0.0, np.real(np.fft.ifft(coeff, axis=axis)))
+
+
+def fft_gradient(grid, u) -> np.ndarray:
+    """Gradient of a vector nodal field ``xshape + (ny, m)`` with lateral derivatives by the FFT.
+
+    ``d/dx_a = d_a + slope_a d/ds`` and ``d/dy = (1/h) d/ds``, the chain rule
+    of ``grid``, with ``d_a`` the :func:`fft_derivative` along lateral axis
+    ``a`` and ``d/ds`` the Chebyshev matrix along the vertical axis.
+    """
+    ax = grid.dim - 1
+    us = np.moveaxis(np.tensordot(grid.Ds, u, axes=(1, ax)), 0, ax)
+    out = np.empty(u.shape + (grid.dim,))
+    for a in range(ax):
+        out[..., a] = fft_derivative(u, grid.profile.width, axis=a) + grid.slope[..., a, None] * us
+    out[..., ax] = grid.vertical_scale[..., None] * us
+    return out
 
 
 def lanczos_mu1(problem) -> float:

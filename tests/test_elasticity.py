@@ -1005,6 +1005,18 @@ def test_residual_kernel_and_form_products_match_their_references(dim, n, ny):
     assert _max_rel(_form_apply(grid, v, lambda g: wq * g), Gv) <= 1e-12
 
 
+@pytest.mark.parametrize("dim, n, ny", [(2, 24, 12), (3, 8, 6)])
+def test_residual_is_the_adjoint_of_the_grid_gradient(dim, n, ny):
+    # sum_nodes F : grad v = r(F) . v for every weighted stress F and interior
+    # v, to rounding: the residual applies the gradient's matrices transposed
+    grid, _ = _curved_case(dim, "nonlinear", n, ny)
+    rng = np.random.default_rng(7)
+    F = grid.wq[..., None, None] * rng.standard_normal(grid.wq.shape + (dim, dim))
+    v = rng.standard_normal(_flat_shapes(grid)[3])
+    pairing = np.sum(F * grid.gradient(_from_interior(grid, v)))
+    assert pairing == pytest.approx(assemble_residual(grid, F) @ v, rel=1e-13)
+
+
 @pytest.mark.parametrize("dim, n, ny", [(2, 16, 8), (3, 8, 5)])
 def test_assemble_hessian_uses_major_symmetric_part(dim, n, ny):
     grid, Cw = _curved_case(dim, "linear", n, ny)
