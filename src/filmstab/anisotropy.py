@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Profile, SurfaceGeometry
-from .spectral import fourier_derivative
 
 __all__ = [
     "AnisotropyDensity",
@@ -197,7 +196,7 @@ def aniso_mean_curvature(profile: Profile, psi: AnisotropyDensity) -> np.ndarray
     gpsi = psi.gradient(zvec)
     out = np.zeros(profile.xshape)
     for a in range(profile.dim - 1):
-        out += fourier_derivative(gpsi[..., a], width=profile.width, axis=a)
+        out += profile.lateral_derivative(gpsi[..., a], a)
     return out
 
 

@@ -435,6 +435,9 @@ def main(argv=None) -> int:
     except (RuntimeError, ValueError, ArithmeticError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        print(f"numerical failure: out of memory: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from scipy.linalg import LinAlgError, cho_factor, eigh, eigh_tridiagonal, get_bl
 from scipy.sparse.linalg import eigsh  # noqa: F401
 
 from .geometry import MappedGrid, Profile, build_grid
-from .spectral import cosine_series, fourier_derivative, lateral_grids
+from .spectral import cosine_series, lateral_grids
 
 __all__ = [
     "ElasticDensity",
@@ -297,7 +297,7 @@ def _base_parts(grid: MappedGrid, datum: MismatchDatum, density: ElasticDensity)
     base_grad = np.zeros(prof.xshape + (grid.ny, N, N))
     for c in range(N - 1):
         for a in range(N - 1):
-            dq = fourier_derivative(q[..., c], width=prof.width, axis=a)
+            dq = prof.lateral_derivative(q[..., c], a)
             base_grad[..., c, a] = (datum.A[c, a] + dq)[..., None]
     base_grad[..., N - 1, N - 1] = kappa
     return base, base_grad

@@ -82,26 +82,6 @@ def flat_field(
 # -- spectral data as functions of thickness -----------------------------------------
 
 
-def _flat_problem(
-    d: float,
-    density: ElasticDensity,
-    psi: AnisotropyDensity,
-    datum: MismatchDatum,
-    n: int,
-    ny: int,
-    width: float,
-) -> StabilityProblem:
-    prob = StabilityProblem(flat_field(density, datum, d, n, ny, width=width), psi)
-    scale = 1.0 + float(np.abs(prob.field.surface_energy_density()).max())
-    worst = float(np.abs(prob.coefficient_a).max())
-    if worst > 1e-6 * scale:
-        raise RuntimeError(
-            f"flat configuration has a nonzero surface coefficient ({worst:.3e}); "
-            "the affine state is not an equilibrium on this grid"
-        )
-    return prob
-
-
 def lambda1_of_thickness(
     d: float,
     density: ElasticDensity,
@@ -112,7 +92,7 @@ def lambda1_of_thickness(
     ny: int,
 ) -> float:
     """Largest correction eigenvalue of the flat film of thickness ``d`` on the unit cell."""
-    lam, _ = _flat_problem(d, density, psi, datum, n, ny, 1.0).lambda1()
+    lam, _ = FlatFilm(density, psi, datum, cell="unit", n=n, ny=ny).problem(d).lambda1()
     return lam
 
 
@@ -126,7 +106,7 @@ def stability_of_thickness(
     ny: int,
 ) -> StabilityReport:
     """Full stability report of the flat film of thickness ``d`` on the unit cell."""
-    return _flat_problem(d, density, psi, datum, n, ny, 1.0).report()
+    return FlatFilm(density, psi, datum, cell="unit", n=n, ny=ny).problem(d).report()
 
 
 class FlatFilm:
@@ -162,9 +142,22 @@ class FlatFilm:
         self.cell, self.n, self.ny = cell, n, ny
 
     def problem(self, d: float) -> StabilityProblem:
-        """A fresh stability problem of the film of thickness ``d`` on this cell."""
+        """A fresh stability problem of the film of thickness ``d`` on this cell.
+
+        Raises ``RuntimeError`` when the affine state leaves a surface
+        coefficient above round-off, so it is not an equilibrium on the grid.
+        """
         width = d if self.cell == "cube" else 1.0
-        return _flat_problem(d, self.density, self.psi, self.datum, self.n, self.ny, width)
+        field = flat_field(self.density, self.datum, d, self.n, self.ny, width=width)
+        prob = StabilityProblem(field, self.psi)
+        scale = 1.0 + float(np.abs(field.surface_energy_density()).max())
+        worst = float(np.abs(prob.coefficient_a).max())
+        if worst > 1e-6 * scale:
+            raise RuntimeError(
+                f"flat configuration has a nonzero surface coefficient ({worst:.3e}); "
+                "the affine state is not an equilibrium on this grid"
+            )
+        return prob
 
     @cached_property
     def base(self) -> StabilityProblem:

@@ -4,8 +4,8 @@ A film occupies ``{(x, y) : x in the periodic cell, 0 < y < h(x)}`` for a
 positive profile ``h`` on the cell ``(0, width)^(dim-1)`` with ``dim`` equal
 to 2 or 3.  This module provides:
 
-* :class:`Profile` -- positive periodic height samples with spectral
-  derivatives and construction from configuration entries,
+* :class:`Profile` -- positive periodic height samples with the one
+  lateral derivative matrix and construction from configuration entries,
 * :class:`SurfaceGeometry` -- unit normal, tangent projector, shape
   operator, mean curvature and area element of the free surface, plus
   tangential calculus helpers,
@@ -16,6 +16,8 @@ to 2 or 3.  This module provides:
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .config import RESOLUTION_MIN_N, RESOLUTION_MIN_NY
@@ -24,7 +26,6 @@ from .spectral import (
     cheb_lobatto_nodes,
     clenshaw_curtis_weights,
     cosine_series,
-    fourier_derivative,
     fourier_diff_matrix,
 )
 
@@ -54,7 +55,7 @@ class Profile:
         Shape ``(n,)`` for a two-dimensional film or ``(n, n)`` for a
         three-dimensional one.  All values must be strictly positive.
     width : float
-        Side length of the periodic cell, 1 by default.
+        Side length of the periodic cell, finite and positive, 1 by default.
     """
 
     def __init__(self, samples, width: float = 1.0):
@@ -71,8 +72,8 @@ class Profile:
             raise ValueError("profile samples must be finite")
         if samples.min() <= 0.0:
             raise ValueError(f"profile must be strictly positive, min sample = {samples.min()}")
-        if width <= 0.0:
-            raise ValueError(f"cell width must be positive, got {width}")
+        if not 0.0 < width < np.inf:
+            raise ValueError(f"cell width must be finite and positive, got {width}")
         self.samples = _readonly(samples)
         self.dim = dim
         self.n = samples.shape[0]
@@ -87,11 +88,25 @@ class Profile:
     def max(self) -> float:
         return float(self.samples.max())
 
+    @cached_property
+    def diff_matrix(self) -> np.ndarray:
+        """The read-only :func:`~filmstab.spectral.fourier_diff_matrix` of the cell, built once."""
+        return _readonly(fourier_diff_matrix(self.n, self.width))
+
+    def lateral_derivative(self, values, axis: int = 0) -> np.ndarray:
+        """Spectral derivative of nodal samples along one lateral axis.
+
+        :attr:`diff_matrix` applied to each line along ``axis`` minus its
+        value at the first node.  The matrix annihilates constants, so this
+        is the same derivative, and a line constant along the axis gets
+        exact zeros.
+        """
+        lines = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+        return np.moveaxis(np.tensordot(self.diff_matrix, lines - lines[:1], axes=1), 0, axis)
+
     def grad(self) -> np.ndarray:
         """Spectral gradient at the sample nodes, shape ``(dim-1,) + xshape``."""
-        return np.stack(
-            [fourier_derivative(self.samples, self.width, axis=a) for a in range(self.dim - 1)]
-        )
+        return np.stack([self.lateral_derivative(self.samples, a) for a in range(self.dim - 1)])
 
     # -- constructors ------------------------------------------------------
 
@@ -193,7 +208,7 @@ def tangential_jacobian(geom: SurfaceGeometry, vec: np.ndarray) -> np.ndarray:
     m = vec.shape[-1]
     full = np.zeros(prof.xshape + (m, N))
     for a in range(N - 1):
-        full[..., a] = fourier_derivative(vec, width=prof.width, axis=a)
+        full[..., a] = prof.lateral_derivative(vec, a)
     return full @ geom.tangent_projector
 
 
@@ -214,8 +229,8 @@ def surface_integral(geom: SurfaceGeometry, values: np.ndarray) -> float:
 class MappedGrid:
     """Collocation grid ``(x_j, s_k * h(x_j))`` over the film of a profile.
 
-    Horizontal directions are uniform periodic grids differentiated by
-    :func:`~filmstab.spectral.fourier_diff_matrix`, the vertical direction is
+    Horizontal directions are uniform periodic grids differentiated by the
+    profile's :attr:`Profile.diff_matrix`, the vertical direction is
     Chebyshev-Lobatto in the scaled coordinate ``s = y / h(x)``.  The grid
     owns:
 
@@ -241,7 +256,7 @@ class MappedGrid:
         self.swts = clenshaw_curtis_weights(ny)
 
         n, width, N = profile.n, profile.width, profile.dim
-        Dx = fourier_diff_matrix(n, width)
+        Dx = profile.diff_matrix
         if N == 2:
             self._Lx = (Dx,)
         else:

@@ -6,7 +6,9 @@ through these helpers, so their conventions are fixed here once:
 
 * periodic directions use n equispaced nodes x_j = j*L/n (no duplicated
   endpoint) and one trigonometric derivative, the dense matrix of
-  :func:`fourier_diff_matrix`,
+  :func:`fourier_diff_matrix`, which each
+  :class:`~filmstab.geometry.Profile` builds once and applies to its
+  nodal samples,
 * the wall-normal direction uses ny Chebyshev-Lobatto nodes mapped to [0, 1]
   in ascending order (s_0 = 0 at the substrate, s_{ny-1} = 1 at the free
   surface) with Clenshaw-Curtis quadrature weights.
@@ -18,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "fourier_nodes",
-    "fourier_derivative",
     "fourier_diff_matrix",
     "cheb_lobatto_nodes",
     "cheb_diff_matrix",
@@ -66,26 +67,14 @@ def fourier_diff_matrix(n: int, width: float = 1.0) -> np.ndarray:
     the trigonometric interpolant of the ``j``-th unit sample, with the
     Nyquist mode dropped for even ``n``, the usual convention for odd-order
     derivatives of real samples.  It is the package's only lateral
-    derivative operator.
+    derivative operator, held by each profile as
+    :attr:`~filmstab.geometry.Profile.diff_matrix`.
     """
     m = np.fft.fftfreq(n, d=1.0 / n)
     if n % 2 == 0:
         m[n // 2] = 0.0
     k = 2.0 * np.pi * m / width
     return np.real(np.fft.ifft(np.fft.fft(np.eye(n), axis=0) * (1j * k)[:, None], axis=0))
-
-
-def fourier_derivative(values: np.ndarray, width: float = 1.0, axis: int = 0) -> np.ndarray:
-    """Spectral derivative of real periodic samples along one axis.
-
-    :func:`fourier_diff_matrix` applied to the samples minus each line's
-    value at its first node.  The matrix annihilates constants, so this is
-    the same derivative, and a line constant along the axis gets exact zeros.
-    """
-    values = np.asarray(values, dtype=float)
-    lines = np.moveaxis(values, axis, 0)
-    D = fourier_diff_matrix(lines.shape[0], width)
-    return np.moveaxis(np.tensordot(D, lines - lines[:1], axes=1), 0, axis)
 
 
 def cheb_lobatto_nodes(ny: int) -> np.ndarray:

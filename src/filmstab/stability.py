@@ -22,6 +22,7 @@ operator stays below one.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -43,8 +44,8 @@ from .elasticity import (
     factor_solve,
 )
 from .config import max_resolved_mode
-from .geometry import Profile, surface_integral, tangential_divergence, tangential_jacobian
-from .spectral import cosine_series, lateral_grids
+from .geometry import Profile, surface_integral, tangential_divergence
+from .spectral import cosine_series
 
 __all__ = [
     "StabilityReport",
@@ -148,27 +149,21 @@ def cosine_mode(profile: Profile, k: int) -> np.ndarray:
 
 
 def _subnyquist_modes(profile: Profile) -> np.ndarray:
-    """Columns of nodal cosine/sine samples for all sub-Nyquist nonzero modes."""
-    n, width = profile.n, profile.width
-    grids = lateral_grids(n, width, profile.dim)
+    """Columns of nodal cosine/sine samples for all sub-Nyquist nonzero modes.
+
+    One mode of each pair ``+-m``: the ``m`` above zero in lexicographic
+    order, which is ``1..kmax`` in 2D and the half plane ``k1 > 0`` or
+    ``k1 = 0 < k2`` in 3D.  The sine is the cosine at phase ``-pi/2``.
+    """
+    n, width, dim = profile.n, profile.width, profile.dim
     kmax = max_resolved_mode(n)
-    cols = []
-    if profile.dim == 2:
-        for k in range(1, kmax + 1):
-            arg = 2.0 * np.pi * k * grids[0] / width
-            cols.append(np.cos(arg))
-            cols.append(np.sin(arg))
-    else:
-        g1, g2 = grids
-        seen = set()
-        for k1 in range(-kmax, kmax + 1):
-            for k2 in range(-kmax, kmax + 1):
-                if (k1, k2) == (0, 0) or (-k1, -k2) in seen:
-                    continue
-                seen.add((k1, k2))
-                arg = 2.0 * np.pi * (k1 * g1 + k2 * g2) / width
-                cols.append(np.cos(arg).ravel())
-                cols.append(np.sin(arg).ravel())
+    ks = range(-kmax, kmax + 1)
+    modes = [m for m in itertools.product(ks, repeat=dim - 1) if m > (0,) * (dim - 1)]
+    cols = [
+        cosine_series(n, width, dim, [{"mode": m, "amplitude": 1.0, "phase": phase}]).ravel()
+        for m in modes
+        for phase in (0.0, -0.5 * np.pi)
+    ]
     return np.column_stack(cols)
 
 
@@ -274,27 +269,25 @@ class StabilityProblem:
         Q, _ = np.linalg.qr(B)
         return Q
 
-    @cached_property
-    def tangential_gradient_matrices(self) -> list:
-        """Per-component matrices of the tangential gradient on nodal speeds."""
-        nx = self.grid.nx
-        jac = tangential_jacobian(self.geom, np.eye(nx).reshape(self.profile.xshape + (nx,)))
-        return [jac[..., c].reshape(nx, nx) for c in range(self.grid.dim)]
-
     def _surface_form(self, hess: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """Matrix of ``int H[grad_T phi, grad_T theta] + coef * phi * theta`` on nodal speeds.
 
         ``hess`` holds one ``N x N`` matrix and ``coef`` one value per surface
-        node; the tangential gradients and the surface integral are the
-        collocation matrices and the surface weights.
+        node.  A speed's tangential gradient is its lateral gradient under the
+        tangent projector ``P``, so the form is ``sum_ab Lx_a^T diag(w (P H
+        P)_ab) Lx_b + diag(w coef)`` over the lateral axes, with the grid's
+        :meth:`~filmstab.geometry.MappedGrid.assembly_operators` ``Lx`` and
+        the surface weights ``w``.
         """
         nx, N = self.grid.nx, self.grid.dim
         w = self.geom.surface_weights.ravel()
-        TG = self.tangential_gradient_matrices
+        P = self.geom.tangent_projector.reshape(nx, N, N)
+        PHP = P @ hess @ P
+        Lx, _, _ = self.grid.assembly_operators()
         S = np.zeros((nx, nx))
-        for c in range(N):
-            for d in range(N):
-                S += TG[c].T @ ((w * hess[:, c, d])[:, None] * TG[d])
+        for a in range(N - 1):
+            for b in range(N - 1):
+                S += Lx[a].T @ ((w * PHP[:, a, b])[:, None] * Lx[b])
         S[np.diag_indices(nx)] += w * coef
         return 0.5 * (S + S.T)
 

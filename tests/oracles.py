@@ -20,12 +20,20 @@ sums index by index, one contraction per direction.  Likewise
 block columns from per-direction factors, and ``reference_assemble_hessian``
 sums the whole matrix term by term.
 
-``filmstab.spectral.fourier_derivative`` applies the dense Fourier
-differentiation matrix to each line minus its first sample;
+``filmstab.geometry.Profile.lateral_derivative`` applies the profile's dense
+Fourier differentiation matrix to each line minus its first sample;
 ``fft_derivative`` takes the same trigonometric derivative by a forward and
 an inverse FFT, with the constant-line mask that route needs for exact
 zeros, and ``fft_gradient`` builds the nodal gradient of a mapped grid on
 it.
+
+``StabilityProblem`` writes its surface forms on the grid's lateral
+derivative matrices under the tangent projector, one product per pair of
+lateral axes.  ``identity_surface_form`` differentiates the identity
+through ``tangential_jacobian`` instead, and sums one product per pair of
+the ``N`` tangential-gradient components.  ``trigonometric_subnyquist_modes``
+samples the zero-mean basis's cosines and sines by their own loops, over
+the other half of the 3D mode plane.
 
 ``StabilityProblem.second_variation`` reads the quadratic form off one
 matrix on nodal speeds: the surface Gram ``sim_matrix`` minus the
@@ -42,7 +50,9 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from filmstab.anisotropy import IsotropicDensity
 from filmstab.elasticity import _flat_shapes, _from_interior
-from filmstab.geometry import surface_integral
+from filmstab.config import max_resolved_mode
+from filmstab.geometry import surface_integral, tangential_jacobian
+from filmstab.spectral import lateral_grids
 from filmstab.stability import StabilityProblem
 from diagnostics import tangential_gradient
 
@@ -239,3 +249,51 @@ def reference_assemble_hessian(grid, weighted_tangent):
             K[cols, :, :, cols, :, :] += T4
     K = K.reshape(nd, nd)
     return 0.5 * (K + K.T)
+
+
+def identity_surface_form(problem, hess, coef) -> np.ndarray:
+    """Matrix of ``int H[grad_T phi, grad_T theta] + coef * phi * theta`` on nodal speeds.
+
+    The tangential gradient of each nodal unit speed comes from
+    ``tangential_jacobian`` of the identity, one ``nx x nx`` matrix per
+    component, and the form sums ``N^2`` weighted products of them.
+    """
+    nx, N = problem.grid.nx, problem.grid.dim
+    w = problem.geom.surface_weights.ravel()
+    jac = tangential_jacobian(problem.geom, np.eye(nx).reshape(problem.profile.xshape + (nx,)))
+    TG = [jac[..., c].reshape(nx, nx) for c in range(N)]
+    S = np.zeros((nx, nx))
+    for c in range(N):
+        for d in range(N):
+            S += TG[c].T @ ((w * hess[:, c, d])[:, None] * TG[d])
+    S[np.diag_indices(nx)] += w * coef
+    return 0.5 * (S + S.T)
+
+
+def trigonometric_subnyquist_modes(profile) -> np.ndarray:
+    """Columns of nodal ``cos`` and ``sin`` samples of every sub-Nyquist nonzero mode.
+
+    One mode of each pair ``+-m``: ``1..kmax`` in 2D, and in 3D the first of
+    each pair met in row-major order from ``(-kmax, -kmax)``.
+    """
+    n, width = profile.n, profile.width
+    grids = lateral_grids(n, width, profile.dim)
+    kmax = max_resolved_mode(n)
+    cols = []
+    if profile.dim == 2:
+        for k in range(1, kmax + 1):
+            arg = 2.0 * np.pi * k * grids[0] / width
+            cols.append(np.cos(arg))
+            cols.append(np.sin(arg))
+    else:
+        g1, g2 = grids
+        seen = set()
+        for k1 in range(-kmax, kmax + 1):
+            for k2 in range(-kmax, kmax + 1):
+                if (k1, k2) == (0, 0) or (-k1, -k2) in seen:
+                    continue
+                seen.add((k1, k2))
+                arg = 2.0 * np.pi * (k1 * g1 + k2 * g2) / width
+                cols.append(np.cos(arg).ravel())
+                cols.append(np.sin(arg).ravel())
+    return np.column_stack(cols)

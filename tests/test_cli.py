@@ -803,6 +803,20 @@ def test_c0_non_convergence_exits_two(tmp_path, capsys, monkeypatch):
     assert "tolerance 1e-10" in err
 
 
+def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    import filmstab.cli as cli
+
+    def exhausted(cfg, args):
+        # raised, not provoked: the test allocates nothing large
+        raise MemoryError("Unable to allocate 27.2 GiB for an array")
+
+    monkeypatch.setitem(cli._HANDLERS, "verify-identity", exhausted)
+    code = main(["verify-identity", "--dim", "2", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: out of memory: Unable to allocate 27.2 GiB for an array" in err
+
+
 def test_verify_identity_counterexample_exits_three(tmp_path, capsys, monkeypatch):
     import filmstab.polyident as polyident
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, eigh
 
-from filmstab.anisotropy import IsotropicDensity, QuadraticFormDensity
+from filmstab.anisotropy import IsotropicDensity, QuadraticFormDensity, ShiftedFacetDensity
 from filmstab.elasticity import (
     ElasticField,
     LinearDensity,
@@ -29,7 +29,15 @@ from filmstab.stability import (
     total_energy,
 )
 from diagnostics import curvature_velocity_defect, first_variation, normal_velocity_defect
-from oracles import elastic_pairing, lanczos_mu1, sim_inner_product, solve_vphi, three_term_form
+from oracles import (
+    elastic_pairing,
+    identity_surface_form,
+    lanczos_mu1,
+    sim_inner_product,
+    solve_vphi,
+    three_term_form,
+    trigonometric_subnyquist_modes,
+)
 
 LIN = {"kind": "linear", "lam": 2.0, "mu": 1.0}
 
@@ -69,6 +77,49 @@ def test_zero_mean_basis_orthonormal_and_weighted():
     assert Z.shape == (n, n - 2)  # constants and the Nyquist mode excluded
     assert np.abs(Z.T @ Z - np.eye(n - 2)).max() < 1e-12
     assert np.abs(prob.geom.surface_weights.ravel() @ Z).max() < 1e-13
+
+
+CURVED_MODES = {
+    2: [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.1}, {"mode": 3, "amplitude": 0.02}],
+    3: [
+        {"mode": [0, 0], "amplitude": 1.0},
+        {"mode": [1, 0], "amplitude": 0.05},
+        {"mode": [1, 1], "amplitude": 0.02, "phase": 0.5},
+    ],
+}
+
+
+def curved_problem(dim, n, ny, psi):
+    """Stability problem of the zero periodic field over a curved profile (not an equilibrium)."""
+    grid = build_grid(Profile.from_fourier_modes(dim, n, CURVED_MODES[dim]), ny)
+    field = ElasticField(grid, MismatchDatum.from_misfit(0.05, dim, "linear"), elastic_density_from_config(LIN, dim))
+    return StabilityProblem(field, psi)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 23), (2, 24), (3, 9), (3, 10)])
+def test_zero_mean_basis_spans_the_trigonometric_basis(dim, n):
+    prob = curved_problem(dim, n, 6, IsotropicDensity(dim))
+    Z = prob.zero_mean_basis
+    B = trigonometric_subnyquist_modes(prob.profile)
+    w = prob.geom.surface_weights.ravel()
+    Z0, _ = np.linalg.qr(B - (w @ B)[None, :] / w.sum())
+    assert Z.shape == Z0.shape
+    assert np.abs(Z @ Z.T - Z0 @ Z0.T).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim, n, ny", [(2, 24, 8), (3, 10, 6)])
+@pytest.mark.parametrize("density", ["isotropic", "shifted-facet"])
+def test_surface_forms_match_the_identity_route(dim, n, ny, density):
+    psi = IsotropicDensity(dim) if density == "isotropic" else ShiftedFacetDensity(1.0, 1.5, 0.3, dim)
+    prob = curved_problem(dim, n, ny, psi)
+    assert np.abs(prob.geom.grad_h).max() > 0.01
+    nx = prob.grid.nx
+    ref = identity_surface_form(prob, prob.surface_hessian.reshape(nx, dim, dim), prob.coefficient_a.ravel())
+    assert np.abs(prob.sim_matrix - ref).max() <= 1e-13 * np.abs(ref).max()
+    Z = prob.zero_mean_basis
+    h1 = Z.T @ identity_surface_form(prob, np.broadcast_to(np.eye(dim), (nx, dim, dim)), np.ones(nx)) @ Z
+    ref_h1 = 0.5 * (h1 + h1.T)
+    assert np.abs(prob.surface_h1_gram_z() - ref_h1).max() <= 1e-13 * np.abs(ref_h1).max()
 
 
 # -- coefficient a ------------------------------------------------------------------
