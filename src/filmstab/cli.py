@@ -9,9 +9,11 @@ numerical failure, 3 property violation (oracle mismatch, identity
 counterexample, failed suppression check).
 
 Reports carry no timestamps and all randomized paths run from a recorded
-seed, so repeat runs of the same configuration produce byte-identical
-output.  Heavy numerical imports happen inside the handlers, after
-``--threads`` has seeded the threading environment variables.
+seed, so repeat runs of the same configuration at the same ``--threads``
+produce byte-identical output.  numpy is imported inside the handlers,
+after ``--threads`` has seeded the threading environment variables; scipy
+is imported later still, only by the dense path of a field that is not
+laterally uniform, so the commands on a flat film never load it.
 """
 
 from __future__ import annotations

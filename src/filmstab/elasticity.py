@@ -24,14 +24,19 @@ module and the finite-difference oracles both rely on.
 A flat film under a datum without modes has one equilibrium, the affine state
 of :func:`solve_affine`'s slope.  Every cold solve starts there, at the mean
 thickness, and continues in amplitude to its profile and substrate modes.
+
+numpy is the module's one numerical import: a laterally uniform field is
+factored and its ``c0`` solved by ``numpy.linalg`` block by block.
+``scipy.linalg`` is imported on first use by the dense path of any other
+field only: :class:`BlockCholesky`, the Ritz solve of the ``c0`` recurrence
+(:func:`eigh_tridiagonal`) and the Newton step on a stiffness without a
+Cholesky factor.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, eigh, eigh_tridiagonal, get_blas_funcs, get_lapack_funcs, solve
-# nothing here calls eigsh; the benchmark tracer rebinds it at install
-from scipy.sparse.linalg import eigsh  # noqa: F401
+from numpy.linalg import LinAlgError
 
 from .geometry import MappedGrid, Profile, build_grid
 from .spectral import cosine_series, lateral_grids
@@ -43,6 +48,8 @@ __all__ = [
     "elastic_density_from_config",
     "MismatchDatum",
     "ElasticField",
+    "cho_factor",
+    "generalized_eigh",
     "LateralCholesky",
     "BlockColumns",
     "BlockCholesky",
@@ -59,6 +66,74 @@ __all__ = [
     "continue_critical_point",
     "coercivity_constant",
 ]
+
+
+# -- dense linear algebra ----------------------------------------------------------
+
+
+def cho_factor(a: np.ndarray) -> tuple:
+    """Lower Cholesky factor ``L`` of a Hermitian positive definite ``a = L L^H``, as ``(L, True)``.
+
+    The return of ``scipy.linalg.cho_factor(a, lower=True)``, with zeros
+    above the diagonal.  A matrix without a Cholesky factor raises
+    ``LinAlgError`` and a non-finite one ``ValueError``.
+    """
+    return np.linalg.cholesky(np.asarray_chkfinite(a)), True
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverses of stacked lower triangular matrices, shape ``(..., n, n)``.
+
+    By halves, ``[[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]``:
+    batched matrix products, about an eighth of the work of inverting by
+    the LU solve of ``numpy.linalg.inv``, which takes only the diagonal
+    blocks of at most 12 rows.
+    """
+    n = L.shape[-1]
+    if n <= 12:
+        return np.linalg.inv(L)
+    h = n // 2
+    A_inv, C_inv = _lower_inverse(L[..., :h, :h]), _lower_inverse(L[..., h:, h:])
+    out = np.zeros_like(L)
+    out[..., :h, :h] = A_inv
+    out[..., h:, h:] = C_inv
+    out[..., h:, :h] = -(C_inv @ (L[..., h:, :h] @ A_inv))
+    return out
+
+
+def generalized_eigh(A: np.ndarray, B: np.ndarray, eigvals_only: bool = False):
+    """Eigenvalues, ascending, and eigenvectors of the Hermitian pencil ``A v = w B v``.
+
+    ``B`` must be positive definite; one without a Cholesky factor raises
+    ``LinAlgError``.  Stacks of pencils, shape ``(..., n, n)``, are solved
+    in one batch.  The factor ``B = L L^H`` reduces the pencil to the
+    Hermitian ``C = L^-1 A L^-H``, of which ``eigh`` reads the lower
+    triangle, and its orthonormal eigenvectors ``y`` give ``v = L^-H y``,
+    normalised to ``v^H B v = 1``.
+    """
+    L_inv = _lower_inverse(np.linalg.cholesky(B))
+    L_inv_h = L_inv.conj().swapaxes(-1, -2)
+    C = L_inv @ A @ L_inv_h
+    if eigvals_only:
+        return np.linalg.eigvalsh(C)
+    w, y = np.linalg.eigh(C)
+    return w, L_inv_h @ y
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """``scipy.linalg.eigh_tridiagonal``, imported on the first Ritz solve of a ``c0`` recurrence."""
+    from scipy.linalg import eigh_tridiagonal as ritz
+
+    return ritz(d, e, **kwargs)
+
+
+def __getattr__(name: str):
+    # nothing here calls eigsh; the benchmark tracer reads it and rebinds it at install
+    if name == "eigsh":
+        from scipy.sparse.linalg import eigsh
+
+        return eigsh
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- densities -----------------------------------------------------------------
@@ -612,27 +687,27 @@ def _lateral_blocks(grid: MappedGrid, apply) -> np.ndarray:
 class LateralCholesky:
     """Cholesky factors of the per-wavenumber blocks of a laterally uniform stiffness.
 
-    ``blocks`` come from :func:`_lateral_blocks`; a block without a
-    Cholesky factor raises ``LinAlgError``.  :meth:`solve` takes the real
-    FFT of the right-hand side over the lateral axes, solves each
-    wavenumber against its block with LAPACK ``potrs`` and transforms back,
-    so a solve costs ``O(nd log nx + nd (ny N))`` instead of the dense
-    ``O(nd^2)``.
+    ``blocks`` come from :func:`_lateral_blocks`; each is factored by
+    :func:`cho_factor`, and a block without a Cholesky factor raises
+    ``LinAlgError``.  The factors are inverted once, all wavenumbers in one
+    batch, and each block's inverse ``L^-H L^-1`` is kept.  :meth:`solve`
+    takes the real FFT of the right-hand side over the lateral axes,
+    applies the inverses to all wavenumbers in one batched product and
+    transforms back, so a solve costs ``O(nd log nx + nd (ny N))`` instead
+    of the dense ``O(nd^2)``.
     """
 
     def __init__(self, xshape: tuple, blocks: np.ndarray):
         self.xshape = tuple(xshape)
-        self.factors = [cho_factor(block, lower=True)[0] for block in blocks]
-        (self._potrs,) = get_lapack_funcs(("potrs",), (blocks,))
+        L_inv = _lower_inverse(np.stack([cho_factor(block)[0] for block in blocks]))
+        self._inverse = L_inv.conj().transpose(0, 2, 1) @ L_inv
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``K^-1 b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``."""
         axes = tuple(range(len(self.xshape)))
         bk = np.fft.rfftn(b.reshape(self.xshape + (-1,) + b.shape[1:]), axes=axes)
-        per_mode = bk.reshape((len(self.factors),) + bk.shape[len(axes):])
-        for k, c in enumerate(self.factors):
-            per_mode[k] = self._potrs(c, per_mode[k], lower=True)[0]
-        return np.fft.irfftn(per_mode.reshape(bk.shape), s=self.xshape, axes=axes).reshape(b.shape)
+        x = self._inverse @ bk.reshape(self._inverse.shape[:2] + (-1,))
+        return np.fft.irfftn(x.reshape(bk.shape), s=self.xshape, axes=axes).reshape(b.shape)
 
 
 # a dense matrix's block columns are whole lateral columns, about this many dofs wide
@@ -706,6 +781,8 @@ class BlockCholesky:
     """
 
     def __init__(self, K: BlockColumns):
+        from scipy.linalg import get_blas_funcs, get_lapack_funcs
+
         self.shape = K.shape
         first = K.columns[0]
         (potrf,) = get_lapack_funcs(("potrf",), (first,))
@@ -844,11 +921,16 @@ def solve_affine(density: ElasticDensity, datum: MismatchDatum) -> np.ndarray:
     exactly when ``g(s) = mu (e^2s - 1) + lam (s + log det A)`` does at
     ``s = log beta``; ``g`` is increasing and convex, so every Newton iterate
     after the first step from ``s = 0`` lies right of the root and the next
-    one is smaller, until rounding stops them decreasing.  The slope is found
-    for every datum with ``det A > 0``, at any moduli; a nonlinear datum with
-    ``det A <= 0`` or with substrate modes raises ``ValueError``.  A linear
-    slope may fold the film: :func:`~filmstab.flat.flat_field` refuses it,
-    the grid solve does not.
+    one is smaller, until rounding stops them decreasing.  ``e^2s - 1`` is
+    taken by ``expm1``: near ``s = 0`` the difference would round to zero
+    and leave only the ``lam`` term, whose equal steps, when ``lam`` is tiny
+    against ``mu``, would keep decreasing for about ``1e-15 mu / lam``
+    iterations.  The slope is found for every
+    datum with ``det A > 0``, at any moduli; a nonlinear datum with
+    ``det A <= 0`` or with substrate modes, or one whose iterates still
+    decrease after ``_AFFINE_MAX_STEPS`` steps, raises ``ValueError``.  A
+    linear slope may fold the film: :func:`~filmstab.flat.flat_field`
+    refuses it, the grid solve does not.
     """
     if datum.modes:
         raise ValueError("flat configurations need a laterally uniform datum (no substrate modes)")
@@ -864,14 +946,20 @@ def solve_affine(density: ElasticDensity, datum: MismatchDatum) -> np.ndarray:
     lam, mu, log_det_A = density.lam, density.mu, np.log(det_A)
 
     def newton(s):
-        e = np.exp(2.0 * s)
-        return s - (mu * (e - 1.0) + lam * (s + log_det_A)) / (2.0 * mu * e + lam)
+        return s - (mu * np.expm1(2.0 * s) + lam * (s + log_det_A)) / (2.0 * mu * np.exp(2.0 * s) + lam)
 
     s = newton(0.0)
-    while (s_next := newton(s)) < s:
+    for _ in range(_AFFINE_MAX_STEPS):
+        if not (s_next := newton(s)) < s:
+            b[N - 1] = np.exp(s)
+            return b
         s = s_next
-    b[N - 1] = np.exp(s)
-    return b
+    raise ValueError(f"the affine slope's Newton iterates still decrease after {_AFFINE_MAX_STEPS} steps")
+
+
+# Newton on the affine slope took at most 20 steps for moduli from 1e-300 to
+# 1e300 and stretches det A from 1e-4 to 1e12
+_AFFINE_MAX_STEPS = 100
 
 
 def _affine_p(grid: MappedGrid, density: ElasticDensity, b: np.ndarray) -> np.ndarray:
@@ -956,6 +1044,8 @@ def _factored_step(work: ElasticField, r: np.ndarray, residuals):
     cho = work.stiffness_cho
     if cho is not False:
         return factor_solve(cho, -r)
+    from scipy.linalg import solve
+
     dp_vec = solve(work.stiffness.full(), -r, assume_a="sym", overwrite_a=True)
     if r @ dp_vec >= 0.0:
         raise NewtonError(f"non-descent Newton step (r·dp = {r @ dp_vec:.3e})", residuals)
@@ -1219,10 +1309,7 @@ def coercivity_constant(field: ElasticField) -> float:
     blocks = field.stiffness_blocks
     if blocks is not None:
         G = _lateral_blocks(grid, lambda v: _h1_gram_matvec(grid, v))
-        return min(
-            float(eigh(Kk, Gk, subset_by_index=[0, 0], eigvals_only=True)[0])
-            for Kk, Gk in zip(blocks, G)
-        )
+        return float(generalized_eigh(blocks, G, eigvals_only=True)[:, 0].min())
     cho, sigma = field.stiffness_cho, 0.0
     if cho is False:
         sigma = min(0.0, _tangent_bound(field))

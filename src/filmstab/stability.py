@@ -28,11 +28,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh, eigvalsh
-# the stiffness factor and the c0 Lanczos solve live in elasticity, and
-# nothing here calls these two; the benchmark tracer rebinds both at install
-from scipy.linalg import cho_factor  # noqa: F401
-from scipy.sparse.linalg import eigsh  # noqa: F401
+from numpy.linalg import LinAlgError
 
 from .anisotropy import AnisotropyDensity, aniso_mean_curvature, aniso_shape_operator
 from .elasticity import (
@@ -42,6 +38,7 @@ from .elasticity import (
     coercivity_constant,
     continue_critical_point,
     factor_solve,
+    generalized_eigh,
 )
 from .config import max_resolved_mode
 from .geometry import Profile, surface_integral, tangential_divergence
@@ -62,6 +59,17 @@ __all__ = [
     "cosine_mode",
     "dispersion_curve",
 ]
+
+
+def __getattr__(name: str):
+    # the stiffness factor and the c0 Lanczos solve live in elasticity, and
+    # nothing here calls these two; the benchmark tracer reads and rebinds both
+    if name in ("cho_factor", "eigsh"):
+        from . import elasticity
+
+        return getattr(elasticity, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 VERDICT_STABLE = "strictly_stable"
 VERDICT_UNSTABLE = "not_strictly_stable"
@@ -309,7 +317,7 @@ class StabilityProblem:
     @cached_property
     def sim_gram_min(self) -> float:
         """Smallest eigenvalue of the surface Gram on the zero-mean basis."""
-        return float(eigvalsh(self.sim_matrix_z)[0])
+        return float(np.linalg.eigvalsh(self.sim_matrix_z)[0])
 
     # -- quadratic forms -----------------------------------------------------------
 
@@ -435,7 +443,7 @@ class StabilityProblem:
         # read before the try: a stiffness without a factor raises its own LinAlgError
         Tz = self.t_matrix_z
         try:
-            return eigh(Tz, self.sim_matrix_z)
+            return generalized_eigh(Tz, self.sim_matrix_z)
         except LinAlgError as err:
             raise SimGramError(self.sim_gram_min) from err
 
@@ -494,10 +502,7 @@ class StabilityProblem:
         if sgm > 0.0 and self.field.stiffness_cho is not False:
             lam, _ = self.lambda1()
             mu = self.mu1()
-            equiv = float(
-                eigh(self.sim_matrix_z, self.surface_h1_gram_z(), eigvals_only=True,
-                     subset_by_index=[0, 0])[0]
-            )
+            equiv = float(generalized_eigh(self.sim_matrix_z, self.surface_h1_gram_z(), eigvals_only=True)[0])
         return StabilityReport(
             c0=c0,
             sim_gram_min=sgm,

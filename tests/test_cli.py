@@ -803,6 +803,29 @@ def test_c0_non_convergence_exits_two(tmp_path, capsys, monkeypatch):
     assert "tolerance 1e-10" in err
 
 
+@pytest.mark.parametrize("lam, mu", [(1e-300, 1.0), (2.0, 1e300)], ids=["lam-1e-300", "mu-1e300"])
+def test_flat_nonlinear_stability_at_extreme_moduli_ends(tmp_path, lam, mu):
+    # both ran forever in the affine slope's Newton loop; a fresh process
+    # bounds the run, which must end with a report or a named numerical failure
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    cfg = flat_config(n=8, ny=6, e0=0.05)
+    cfg["material"] = {"kind": "nonlinear", "lam": lam, "mu": mu}
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [sys.executable, "-m", "filmstab.cli", "stability", "--config", str(write_config(tmp_path, cfg)),
+            "--out", str(tmp_path / "out"), "--threads", "1"]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=5)
+    assert proc.returncode in (0, 2), proc.stderr
+    if proc.returncode == 2:
+        assert "numerical failure: " in proc.stderr
+    else:
+        assert (tmp_path / "out" / "stability.json").is_file()
+
+
 def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
     import filmstab.cli as cli
 

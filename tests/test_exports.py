@@ -4,13 +4,21 @@
 deleted or renamed function leaves a stale entry that fails only when some
 caller asks for it.  The test helpers ``oracles`` and ``diagnostics`` sit on
 the import path while the tests run, so a package module importing them
-would pass here and fail once installed.
+would pass here and fail once installed.  numpy is the package's only
+numerical import at load; scipy is loaded by the dense path of a curved
+film alone, so a flat film's commands run without it.
 """
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import filmstab
 
@@ -49,7 +57,8 @@ def test_only_elasticity_factors_or_runs_a_lanczos_solve():
     The stiffness factor and the ``c0`` Lanczos solve live in
     ``elasticity.py``; every other module reads them from there, so a second
     factorisation route does not creep back in.  Importing the names is
-    allowed: the benchmark tracer rebinds them in ``stability.py``.
+    allowed: ``stability.py`` resolves the two names the benchmark tracer
+    rebinds there on first read.
     """
     guarded = {"cho_factor", "cholesky", "solve_triangular", "eigsh"}
     for path in sorted(Path(filmstab.__file__).parent.glob("*.py")):
@@ -60,3 +69,74 @@ def test_only_elasticity_factors_or_runs_a_lanczos_solve():
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 assert name not in guarded, f"{path.name} line {node.lineno} calls {name}"
+
+
+def _load_time_imports(node):
+    """The import statements a module runs when it loads: all but those in function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _load_time_imports(child)
+
+
+def test_no_module_imports_scipy_when_it_loads():
+    for path in sorted(Path(filmstab.__file__).parent.glob("*.py")):
+        for node in _load_time_imports(ast.parse(path.read_text())):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            assert all(name.split(".")[0] != "scipy" for name in names), f"{path.name} line {node.lineno} imports scipy"
+
+
+# runs one command in a fresh interpreter and prints the scipy modules it loaded
+_RUN_AND_LIST_SCIPY = """
+import json, sys
+from filmstab.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+_FLAT = {
+    "geometry": {"dim": 2, "n": 8, "ny": 4, "profile": {"kind": "flat", "thickness": 1.0}},
+    "material": {"kind": "linear", "lam": 2.0, "mu": 1.0},
+    "anisotropy": {"kind": "isotropic"},
+    "mismatch": {"e0": 0.05},
+}
+_CURVED_PROFILE = {"kind": "fourier", "modes": [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.05}]}
+
+
+def _scipy_modules_of_a_run(tmp_path, command, cfg) -> list:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-c", _RUN_AND_LIST_SCIPY, command, "--config", str(config),
+            "--out", str(tmp_path / "out"), "--threads", "1"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0, proc.stderr
+    return modules
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("flat-threshold", {"analysis": {"bracket": [100.0, 1600.0], "rel_tol": 0.1, "thicknesses": [200.0]}}),
+        ("flat-threshold", {"mismatch": {"e0": 1.2},
+                            "analysis": {"bracket": [0.1, 1.0], "rel_tol": 0.1, "cell": "unit", "thicknesses": [0.2]}}),
+        ("crystalline", {"anisotropy": None, "analysis": {"a": 1.0, "b": 1.0, "max_steps": 2}}),
+        ("oracle-check", {"geometry": dict(_FLAT["geometry"], n=16, ny=8), "analysis": {"modes": [1]}}),
+        ("stability", {}),
+    ],
+    ids=["flat-threshold-cube", "flat-threshold-unit", "crystalline", "oracle-check", "stability"],
+)
+def test_flat_film_commands_load_no_scipy(tmp_path, command, overrides):
+    cfg = {key: value for key, value in dict(_FLAT, **overrides).items() if value is not None}
+    assert _scipy_modules_of_a_run(tmp_path, command, cfg) == []
+
+
+def test_curved_film_stability_loads_scipy(tmp_path):
+    # the dense block factor of a curved film loads scipy.linalg: the guard above is not vacuous
+    cfg = dict(_FLAT, geometry=dict(_FLAT["geometry"], n=16, ny=8, profile=_CURVED_PROFILE))
+    assert "scipy.linalg" in _scipy_modules_of_a_run(tmp_path, "stability", cfg)

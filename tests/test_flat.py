@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from filmstab.anisotropy import IsotropicDensity, ShiftedFacetDensity
 from filmstab.elasticity import (
     MismatchDatum,
+    NonlinearDensity,
     _affine_gradient,
     elastic_density_from_config,
     solve_affine,
@@ -100,6 +102,32 @@ def test_solve_affine_nonlinear_stretch_at_any_moduli():
         assert np.abs(density.stress(_affine_gradient(datum, b))[:, -1]).max() < 1e-13 * (lam + mu)
     with pytest.raises(ValueError, match="det A > 0"):
         solve_affine(nonlinear_density(), MismatchDatum(np.array([[-0.5]]), 2))
+
+
+def test_solve_affine_slope_is_at_rounding_level_at_extreme_moduli():
+    # g(s) = mu (e^2s - 1) + lam (s + log det A) at s = log beta, against its
+    # own terms; e^2s - 1 rounded to zero near s = 0 once kept Newton stepping
+    # forever when lam is tiny against mu
+    eps = np.finfo(float).eps
+    moduli = [10.0**k for k in range(-300, 301, 25)]
+    for dim, e0 in [(2, 0.05), (3, 0.05), (2, -0.5), (3, 9.0)]:
+        datum = MismatchDatum.from_misfit(e0, dim, "nonlinear")
+        log_det_A = np.log(np.linalg.det(datum.A))
+        for lam, mu in itertools.product(moduli, moduli):
+            b = solve_affine(NonlinearDensity(dim, lam, mu), datum)
+            s = np.log(b[-1])
+            g = mu * np.expm1(2.0 * s) + lam * (s + log_det_A)
+            terms = mu * np.exp(2.0 * s) + mu + lam * abs(s) + lam * abs(log_det_A)
+            assert abs(g) <= 4.0 * eps * terms, (dim, e0, lam, mu)
+
+
+def test_solve_affine_newton_that_does_not_end_is_named(monkeypatch):
+    import filmstab.elasticity as elasticity
+
+    monkeypatch.setattr(elasticity, "_AFFINE_MAX_STEPS", 1)
+    datum = MismatchDatum.from_misfit(1.0, 3, "nonlinear")
+    with pytest.raises(ValueError, match="the affine slope's Newton iterates still decrease after 1 steps"):
+        solve_affine(NonlinearDensity(3, 10.0, 1.0), datum)
 
 
 def test_solve_affine_rejects_substrate_modes():
