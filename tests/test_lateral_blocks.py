@@ -93,6 +93,30 @@ def test_block_factor_matches_the_dense_path(monkeypatch, dim, n, ny, kind, widt
         )
 
 
+def gram_blocks(grid, componentwise: bool):
+    gram = lambda v: elasticity._h1_gram_matvec(grid, v)
+    return elasticity._lateral_blocks(grid, gram, componentwise=componentwise)
+
+
+@pytest.mark.parametrize("dim, n, ny", [(2, 32, 20), (2, 9, 7), (3, 8, 6), (3, 9, 6)])
+def test_componentwise_gram_blocks_match_the_blocks_of_every_unit_vector(dim, n, ny):
+    grid = build_grid(Profile.flat(dim, n, 1.3), ny)
+    blocks, every = gram_blocks(grid, True), gram_blocks(grid, False)
+    assert blocks.shape == every.shape
+    assert rel_err(blocks, every) <= 1e-15
+
+
+@pytest.mark.parametrize("n, ny", [(16, 8), (9, 7)])
+def test_componentwise_gram_blocks_are_the_fourier_blocks_of_the_dense_gram(n, ny):
+    grid = build_grid(Profile.flat(2, n, 1.3), ny)
+    blocks, G = gram_blocks(grid, True), elasticity.h1_gram(grid).full()
+    m = G.shape[0] // n
+    column = G[:, :m].reshape(n, m, m)
+    for k in range(n // 2 + 1):
+        dft = np.exp(-2j * np.pi * k * np.arange(n) / n)
+        assert rel_err(np.einsum("j,jpq->pq", dft, column), blocks[k]) <= 1e-13
+
+
 def test_dispatch_rejects_a_curved_profile():
     density = density_of("linear", 2)
     datum = MismatchDatum.from_misfit(0.05, 2, "linear")
