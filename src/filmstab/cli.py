@@ -12,8 +12,9 @@ Reports carry no timestamps and all randomized paths run from a recorded
 seed, so repeat runs of the same configuration at the same ``--threads``
 produce byte-identical output.  numpy is imported inside the handlers,
 after ``--threads`` has seeded the threading environment variables; scipy
-is imported later still, only by the dense path of a field that is not
-laterally uniform, so the commands on a flat film never load it.
+is imported later still, only by the Newton step on a stiffness without a
+Cholesky factor, so the commands on a flat film, and on a curved film whose
+stiffness has a factor, never load it.
 """
 
 from __future__ import annotations

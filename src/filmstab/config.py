@@ -28,6 +28,9 @@ __all__ = [
 # must not import numpy.
 RESOLUTION_MIN_N = 8
 RESOLUTION_MIN_NY = 4
+# a dense matrix's block columns are whole lateral columns, about this many
+# dofs wide; elasticity imports it
+BLOCK_DOFS = 256
 
 
 def max_resolved_mode(n: int) -> int:
@@ -73,12 +76,32 @@ def _as_number(value, path, *, positive=False, integer=False, minimum=None):
             raise ConfigError(path, f"expected an integer, got {value}")
         value = int(value)
     else:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(path, "must be finite") from None
     if positive and value <= 0:
         raise ConfigError(path, f"must be positive, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be at least {minimum}, got {value}")
     return value
+
+
+def _as_modulus(value, path, *, positive=False):
+    """An elastic modulus: a number whose square is a finite float."""
+    value = _as_number(value, path, positive=positive)
+    if math.isinf(value * value):
+        raise ConfigError(path, f"the square of {value:g} overflows a float; scale the moduli down")
+    return value
+
+
+def _check_tensor_entries(value, path):
+    """Refuse each numeric entry of a nested-list tensor whose square overflows; the domain checks the rest."""
+    if isinstance(value, list):
+        for i, entry in enumerate(value):
+            _check_tensor_entries(entry, f"{path}[{i}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        _as_modulus(value, path)
 
 
 def _validate_modes(modes, path, dim, allow_component=False):
@@ -169,9 +192,10 @@ def _validate_material(cfg, path="material"):
     if "tensor" in block:
         if kind != "linear":
             raise ConfigError(f"{path}.tensor", "a full tensor needs the linear kind")
+        _check_tensor_entries(block["tensor"], f"{path}.tensor")
     else:
-        _as_number(_get(block, "lam", path), f"{path}.lam")
-        _as_number(_get(block, "mu", path), f"{path}.mu", positive=True)
+        _as_modulus(_get(block, "lam", path), f"{path}.lam")
+        _as_modulus(_get(block, "mu", path), f"{path}.mu", positive=True)
     return kind
 
 
@@ -228,6 +252,62 @@ _OUTPUT_KEYS = {"critical-point": {"report", "field"}, "verify-identity": {"repo
 _OUTPUT_KEYS |= dict.fromkeys(("stability", "flat-threshold", "crystalline"), {"report", "csv"})
 
 _NEEDS_PROBLEM = {"critical-point", "stability", "flat-threshold", "crystalline", "oracle-check"}
+# the commands that solve on the configured film, densely unless it is laterally uniform
+_SOLVES_THE_FILM = {"critical-point", "stability", "oracle-check"}
+
+
+def _dense_factor_bytes(dim: int, n: int, ny: int) -> int:
+    """Bytes of the block columns that hold a dense stiffness and its factor, ``8 (nd^2 / 2 + nd BLOCK_DOFS / 2)``."""
+    nd = n ** (dim - 1) * (ny - 1) * dim
+    return 8 * (nd * nd // 2 + nd * BLOCK_DOFS // 2)
+
+
+def _memory_limit():
+    """Bytes this process may use: the smaller of physical memory and the ``RLIMIT_AS`` soft limit.
+
+    ``None`` where the platform reports neither.
+    """
+    import os
+
+    try:
+        import resource
+
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    except (ImportError, AttributeError, ValueError, OSError):
+        return None
+    return physical if soft == resource.RLIM_INFINITY else min(physical, soft)
+
+
+def _laterally_uniform(cfg: dict) -> bool:
+    """Whether the film is one thickness over a substrate datum without modes.
+
+    Such a film's stiffness is factored per wavenumber and no dense matrix
+    is made.  Anything this cannot rule out counts as uniform.
+    """
+    profile = cfg["geometry"]["profile"]
+    kind = profile.get("kind", "flat")
+    if kind == "samples":
+        flat = len(set(profile["samples"])) == 1
+    elif kind == "fourier":
+        flat = all(term["amplitude"] == 0 or term["mode"] in (0, [0, 0]) for term in profile["modes"])
+    else:
+        flat = True
+    return flat and all(term["amplitude"] == 0 for term in cfg["mismatch"].get("modes", []))
+
+
+def _check_dense_fits(cfg: dict, dim: int, n: int, ny: int) -> None:
+    """Refuse a film that is not laterally uniform when its dense block factor exceeds :func:`_memory_limit`."""
+    limit = _memory_limit()
+    need = _dense_factor_bytes(dim, n, ny)
+    if limit is not None and need > limit and not _laterally_uniform(cfg):
+        nd = n ** (dim - 1) * (ny - 1) * dim
+        raise ConfigError(
+            "geometry.n",
+            f"with geometry.ny = {ny}, this film that is not laterally uniform has {nd:,} dofs, "
+            f"whose dense block factor needs {need:,} bytes, more than the {limit:,} bytes this "
+            "process may use (the smaller of physical memory and the RLIMIT_AS soft limit)",
+        )
 
 
 def _check_resolved(k, n, path):
@@ -310,7 +390,10 @@ def _validate_output(cfg, command, path="output"):
 def validate_config(cfg: dict, command: str) -> dict:
     """Validate a configuration for one subcommand; returns the config itself.
 
-    Raises :class:`ConfigError` naming the offending field on any defect.
+    Raises :class:`ConfigError` naming the offending field on any defect,
+    and on a film that will not fit: a command that solves on a film that is
+    not laterally uniform needs :func:`_dense_factor_bytes`, which must not
+    exceed :func:`_memory_limit`.
     """
     if command not in _ANALYSIS_KEYS:
         raise ConfigError("command", f"unknown subcommand {command!r}")
@@ -322,7 +405,7 @@ def validate_config(cfg: dict, command: str) -> dict:
 
     n = None
     if command in _NEEDS_PROBLEM:
-        dim, n, _ = _validate_geometry(_get(cfg, "geometry", "config"))
+        dim, n, ny = _validate_geometry(_get(cfg, "geometry", "config"))
         if command in ("flat-threshold", "crystalline") and "width" in cfg["geometry"]:
             raise ConfigError("geometry.width", f"{command} sets its own cell; remove the key")
         _validate_material(_get(cfg, "material", "config"))
@@ -333,6 +416,8 @@ def validate_config(cfg: dict, command: str) -> dict:
         _validate_mismatch(_get(cfg, "mismatch", "config"), dim)
     _validate_analysis(cfg.get("analysis", {}), command, n)
     _validate_output(cfg.get("output", {}), command)
+    if command in _SOLVES_THE_FILM:
+        _check_dense_fits(cfg, dim, n, ny)
     return cfg
 
 

@@ -26,11 +26,11 @@ of :func:`solve_affine`'s slope.  Every cold solve starts there, at the mean
 thickness, and continues in amplitude to its profile and substrate modes.
 
 numpy is the module's one numerical import: a laterally uniform field is
-factored and its ``c0`` solved by ``numpy.linalg`` block by block.
-``scipy.linalg`` is imported on first use by the dense path of any other
-field only: :class:`BlockCholesky`, the Ritz solve of the ``c0`` recurrence
-(:func:`eigh_tridiagonal`) and the Newton step on a stiffness without a
-Cholesky factor.
+factored and its ``c0`` solved by ``numpy.linalg`` block by block, and any
+other field by :class:`BlockCholesky` and the Ritz solve of its ``c0``
+recurrence (:func:`eigh_tridiagonal`), both on numpy alone.
+``scipy.linalg`` is imported on first use by the Newton step on a stiffness
+without a Cholesky factor only.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from .config import BLOCK_DOFS
 from .geometry import MappedGrid, Profile, build_grid
 from .spectral import cosine_series, lateral_grids
 
@@ -122,11 +123,77 @@ def generalized_eigh(A: np.ndarray, B: np.ndarray, eigvals_only: bool = False):
     return w, L_inv_h @ y
 
 
-def eigh_tridiagonal(d, e, **kwargs):
-    """``scipy.linalg.eigh_tridiagonal``, imported on the first Ritz solve of a ``c0`` recurrence."""
-    from scipy.linalg import eigh_tridiagonal as ritz
+def _sturm_count(d, e2, x: float, pivmin: float) -> int:
+    """Number of eigenvalues below ``x`` of the symmetric tridiagonal with diagonal ``d`` and squared off-diagonal ``e2``.
 
-    return ritz(d, e, **kwargs)
+    It is the number of negative pivots of the ``LDL^T`` factor of
+    ``T - x I`` (Sylvester's law of inertia); a pivot in ``[0, pivmin)`` is
+    taken as ``-pivmin``, as LAPACK's ``dlaebz`` does.
+    """
+    q = d[0] - x
+    count = 0
+    if q < 0.0:
+        count = 1
+    elif q < pivmin:
+        q = -pivmin
+    for a, b2 in zip(d[1:], e2):
+        q = a - x - b2 / q
+        if q < 0.0:
+            count += 1
+        elif q < pivmin:
+            q = -pivmin
+    return count
+
+
+def eigh_tridiagonal(d, e):
+    """Top eigenpair of the symmetric tridiagonal with diagonal ``d`` and off-diagonal ``e``.
+
+    Returns ``(theta, s)`` as ``scipy.linalg.eigh_tridiagonal(d, e,
+    select="i", select_range=(j - 1, j - 1))`` does for ``j = len(d)``:
+    the largest eigenvalue as an array of one and its unit eigenvector as
+    a ``(j, 1)`` array, in ``O(j)`` memory.  The eigenvalue is bisected on
+    Sturm counts from the Gershgorin interval until no float lies between
+    the ends.  The shift ``hi`` at the upper end makes ``T - hi I`` negative
+    definite, so its ``LDL^T`` factor needs no pivoting.  Inverse iteration
+    on it takes three solves from the vector of ones, each of which damps
+    every other eigenvector against the top one by
+    ``(hi - theta) / (hi - theta_2)``, ``theta_2`` the next eigenvalue.
+    """
+    d, e = [float(a) for a in d], [float(b) for b in e]
+    j, e2 = len(d), [b * b for b in e]
+    off = [abs(b) for b in e]
+    radius = [r + t for r, t in zip([0.0] + off, off + [0.0])]
+    lo = min(a - r for a, r in zip(d, radius))
+    hi = max(a + r for a, r in zip(d, radius))
+    pivmin = np.finfo(float).tiny * max([1.0] + e2)
+    margin = 2 * np.finfo(float).eps * max(abs(lo), abs(hi)) + pivmin
+    lo, hi = lo - margin, hi + margin
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _sturm_count(d, e2, mid, pivmin) < j:
+            lo = mid
+        else:
+            hi = mid
+    # T - hi I = L D L^T, L unit lower bidiagonal with sub-diagonal l
+    q, pivots, l = d[0] - hi, [], []
+    for a, b, b2 in zip(d[1:], e, e2):
+        q = min(q, -pivmin)
+        pivots.append(q)
+        l.append(b / q)
+        q = a - hi - b2 / q
+    pivots.append(min(q, -pivmin))
+    x = [1.0] * j
+    for _ in range(3):
+        norm = max(abs(v) for v in x)
+        z = [x[0] / norm]
+        for li, v in zip(l, x[1:]):
+            z.append(v / norm - li * z[-1])
+        z = [v / q for v, q in zip(z, pivots)]
+        x = [z[-1]]
+        for li, v in zip(reversed(l), reversed(z[:-1])):
+            x.append(v - li * x[-1])
+        x.reverse()
+    s = np.array(x)
+    return np.array([0.5 * (lo + hi)]), (s / np.linalg.norm(s))[:, None]
 
 
 def __getattr__(name: str):
@@ -722,20 +789,15 @@ class LateralCholesky:
         return np.fft.irfftn(x.reshape(bk.shape), s=self.xshape, axes=axes).reshape(b.shape)
 
 
-# a dense matrix's block columns are whole lateral columns, about this many dofs wide
-_BLOCK_DOFS = 256
-
-
 class BlockColumns:
     """The lower triangle of a symmetric interior-dof matrix, stored by lateral block columns.
 
     Block ``c`` spans the dofs ``starts[c]:starts[c + 1]``: whole lateral
-    columns of ``(ny - 1) * N`` dofs each, about ``_BLOCK_DOFS`` in all.
+    columns of ``(ny - 1) * N`` dofs each, about ``BLOCK_DOFS`` in all.
     ``columns[c]`` holds its column of the lower triangle, rows
     ``starts[c]:nd``, as one C-contiguous array: the diagonal block on top
-    and the panel below it, each of which is, transposed, a contiguous
-    Fortran array for BLAS and LAPACK.  The whole holds about
-    ``nd^2 / 2 + nd * _BLOCK_DOFS / 2`` numbers, where a full matrix holds
+    and the panel below it.  The whole holds about
+    ``nd^2 / 2 + nd * BLOCK_DOFS / 2`` numbers, where a full matrix holds
     ``nd^2``.  ``shape`` is the full matrix's.  :func:`assemble_hessian`
     fills it, :class:`BlockCholesky` factors it in place, and the upper
     triangles of the diagonal blocks are never read.  :meth:`full` mirrors
@@ -746,7 +808,7 @@ class BlockColumns:
         nx, _, _, nd = _flat_shapes(grid)
         m = nd // nx
         self.shape = (nd, nd)
-        self.starts = np.append(np.arange(0, nx, max(1, round(_BLOCK_DOFS / m))), nx) * m
+        self.starts = np.append(np.arange(0, nx, max(1, round(BLOCK_DOFS / m))), nx) * m
         shapes = [(nd - s, e - s) for s, e in zip(self.starts, self.starts[1:])]
         # one allocation, which numpy backs by huge pages where the system has them
         ends = np.cumsum([r * w for r, w in shapes])
@@ -779,81 +841,60 @@ class BlockCholesky:
     """Cholesky factor ``K = L L^T`` of a dense stiffness, by lateral block columns.
 
     ``K`` is the :class:`BlockColumns` of the matrix, factored in place: its
-    buffer becomes ``L``.  The factorisation is the right-looking blocked
-    Cholesky: LAPACK ``potrf`` on each diagonal block, ``trsm`` on the
-    panel below it, and ``syrk`` and ``gemm`` take the panel's products off
-    the later block columns.  A matrix without a Cholesky factor raises
-    ``LinAlgError``.  ``blocks`` holds, per block column, its dofs ``s:e``,
-    the upper triangle ``U`` of ``L[s:e, s:e]^T`` and the panel
-    ``P = L[e:, s:e]``, both Fortran arrays.  Once a panel's trailing
-    updates are done it is rewritten in place by long columns, the layout
-    the triangular solves stream fastest.  :meth:`forward` and
-    :meth:`backward` are the two triangular half-solves, and :meth:`solve`
-    is both.
+    buffer becomes the factor.  The factorisation is the right-looking
+    blocked Cholesky on numpy alone: each diagonal block is factored by
+    ``numpy.linalg.cholesky`` and inverted by :func:`_lower_inverse`, the
+    panel below it becomes ``P L^-T``, and products of the panel with its
+    own rows are subtracted from the later block columns in row chunks, so
+    no temporary is larger than one diagonal block.  A matrix without a
+    Cholesky factor raises ``LinAlgError``.  ``blocks`` holds, per block
+    column, its dofs ``s:e``, the inverse ``L[s:e, s:e]^-1`` in place of
+    the diagonal block, as :class:`LateralCholesky` keeps its blocks'
+    inverses, and the panel ``P = L[e:, s:e]``.  :meth:`forward` and
+    :meth:`backward` are the two triangular half-solves, each one product
+    per diagonal block and one per panel, and :meth:`solve` is both.
     """
 
     def __init__(self, K: BlockColumns):
-        from scipy.linalg import get_blas_funcs, get_lapack_funcs
-
         self.shape = K.shape
-        first = K.columns[0]
-        (potrf,) = get_lapack_funcs(("potrf",), (first,))
-        self._trsv, self._trsm, self._gemv, self._gemm, syrk = get_blas_funcs(
-            ("trsv", "trsm", "gemv", "gemm", "syrk"), (first,)
-        )
-        # transposed, each stored lower triangle is the upper one LAPACK reads,
-        # and each panel is a Fortran array whose column slices are contiguous
-        rows = [(s, e, M[: e - s].T, M[e - s :].T) for s, e, M in zip(K.starts, K.starts[1:], K.columns)]
+        columns = list(zip(K.starts, K.starts[1:], K.columns))
+        chunk = max(e - s for s, e, _ in columns)
+        work = np.empty(chunk * chunk)
         self.blocks = []
-        for c, (s, e, U, Pt) in enumerate(rows):
-            if potrf(U, lower=False, clean=False, overwrite_a=True)[1] > 0:
-                raise LinAlgError(f"the matrix is not positive definite in block column {c}")
-            self._trsm(1.0, U, Pt, trans_a=True, overwrite_b=True)
-            at = 0
-            for _, _, later_U, later_Pt in rows[c + 1 :]:
-                v = later_U.shape[0]
-                A = Pt[:, at : at + v]
-                syrk(-1.0, A, beta=1.0, c=later_U, trans=True, overwrite_c=True)
-                if later_Pt.size:
-                    self._gemm(-1.0, A, Pt[:, at + v :], beta=1.0, c=later_Pt, trans_a=True, overwrite_c=True)
-                at += v
-            # the panel takes no more updates: P[r, k] moves to k * rows + r
-            P = Pt.T.reshape(-1).reshape(Pt.shape).T
-            P[...] = Pt.T.copy()
-            self.blocks.append((s, e, U, P))
-
-    def _diagonal_solve(self, U: np.ndarray, y: np.ndarray, transposed: bool) -> None:
-        """``y := U^-T y``, or ``U^-1 y``, in place."""
-        if y.ndim == 1:
-            self._trsv(U, y, trans=transposed, overwrite_x=True)
-        else:
-            # on the Fortran array y^T: y^T := y^T U^-1, or y^T U^-T
-            self._trsm(1.0, U, y.T, side=True, trans_a=not transposed, overwrite_b=True)
-
-    def _panel_update(self, P: np.ndarray, x: np.ndarray, y: np.ndarray, transposed: bool) -> None:
-        """``y -= P^T x``, or ``P x``, in place."""
-        if y.ndim == 1:
-            self._gemv(-1.0, P, x, beta=1.0, y=y, trans=transposed, overwrite_y=True)
-        else:
-            # on the Fortran array y^T: y^T -= x^T P, or x^T P^T
-            self._gemm(-1.0, x.T, P, beta=1.0, c=y.T, trans_b=not transposed, overwrite_c=True)
+        for c, (s, e, M) in enumerate(columns):
+            w = e - s
+            D, P = M[:w], M[w:]
+            try:
+                D[...] = _lower_inverse(np.linalg.cholesky(D))
+            except LinAlgError:
+                raise LinAlgError(f"the matrix is not positive definite in block column {c}") from None
+            for r in range(0, len(P), chunk):
+                rows = P[r : r + chunk]
+                rows[...] = np.matmul(rows, D.T, out=work[: rows.size].reshape(rows.shape))
+            for s2, e2, M2 in columns[c + 1 :]:
+                # the later column's rows s2:nd are those of P from s2 - e on
+                below, A = P[s2 - e :], P[s2 - e : e2 - e]
+                for r in range(0, len(M2), chunk):
+                    rows = M2[r : r + chunk]
+                    rows -= np.matmul(below[r : r + chunk], A.T, out=work[: rows.size].reshape(rows.shape))
+            self.blocks.append((s, e, D, P))
 
     def forward(self, b: np.ndarray) -> np.ndarray:
         """``L^-1 b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``."""
-        y = np.array(b, dtype=float, order="C")
-        for s, e, U, P in self.blocks:
-            self._diagonal_solve(U, y[s:e], transposed=True)
+        y = np.array(b, dtype=float)
+        for s, e, L_inv, P in self.blocks:
+            y[s:e] = L_inv @ y[s:e]
             if P.size:
-                self._panel_update(P, y[s:e], y[e:], transposed=False)
+                y[e:] -= P @ y[s:e]
         return y
 
     def backward(self, b: np.ndarray) -> np.ndarray:
         """``L^-T b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``."""
-        x = np.array(b, dtype=float, order="C")
-        for s, e, U, P in self.blocks[::-1]:
+        x = np.array(b, dtype=float)
+        for s, e, L_inv, P in self.blocks[::-1]:
             if P.size:
-                self._panel_update(P, x[e:], x[s:e], transposed=True)
-            self._diagonal_solve(U, x[s:e], transposed=False)
+                x[s:e] -= P.T @ x[e:]
+            x[s:e] = L_inv.T @ x[s:e]
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -1273,8 +1314,9 @@ def _tangent_bound(field: ElasticField) -> float:
     return float(np.linalg.eigvalsh(0.5 * (C + C.transpose(0, 2, 1)))[:, 0].min())
 
 
-# relative accuracy of the c0 eigenvalue
+# relative accuracy of the c0 eigenvalue, and the steps between the recurrence's Ritz solves
 _C0_TOL = 1e-10
+_RITZ_EVERY = 8
 
 
 def coercivity_constant(field: ElasticField) -> float:
@@ -1308,11 +1350,14 @@ def coercivity_constant(field: ElasticField) -> float:
     ``sigma = 0``, :class:`ShiftedFactorError` is raised.
 
     The recurrence starts from a fixed seeded vector, with no restarts and
-    no reorthogonalisation, and stops at the first step ``j`` where the top
-    Ritz pair ``(theta, s)`` of the tridiagonal has the residual
+    no reorthogonalisation.  Every ``_RITZ_EVERY`` steps, at step ``nd``
+    and at a breakdown ``beta_j = 0``, the top Ritz pair ``(theta, s)`` of
+    the tridiagonal is solved (:func:`eigh_tridiagonal`), and the
+    recurrence stops at the first checked step ``j`` with the residual
     ``beta_j |s_j| <= _C0_TOL * theta``.  In floating point the Lanczos
     vectors lose orthogonality only as Ritz values converge (Paige, 1980),
-    so that first convergence is reached with the residual estimate intact.
+    so the first checked step that converges, fewer than ``_RITZ_EVERY``
+    steps after the first that would, still reads an intact residual estimate.
     Repeated runs are bit-identical.  A recurrence that has not converged
     after ``nd`` steps raises :class:`CoercivityError` with its step count,
     one matvec each.
@@ -1338,9 +1383,10 @@ def coercivity_constant(field: ElasticField) -> float:
         alphas.append(float(q @ w))
         w -= alphas[-1] * q + beta_prev * q_prev
         beta = float(np.linalg.norm(w))
-        theta, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(j - 1, j - 1))
-        if beta * abs(s[-1, 0]) <= _C0_TOL * theta[0]:
-            return sigma + 1.0 / float(theta[0])
+        if j % _RITZ_EVERY == 0 or j == nd or beta == 0.0:
+            theta, s = eigh_tridiagonal(alphas, betas)
+            if beta * abs(s[-1, 0]) <= _C0_TOL * theta[0]:
+                return sigma + 1.0 / float(theta[0])
         betas.append(beta)
         q_prev, q, beta_prev = q, w / beta, beta
     raise CoercivityError(nd, _C0_TOL)

@@ -123,7 +123,7 @@ def test_factor_of_the_48x32_film_holds_about_half_a_full_matrix():
     finally:
         tracemalloc.stop()
     assert isinstance(factor, BlockCholesky) and factor.shape == (nd, nd)
-    assert sum(U.nbytes + P.nbytes for _, _, U, P in factor.blocks) <= 0.6 * nd * nd * 8
+    assert sum(L_inv.nbytes + P.nbytes for _, _, L_inv, P in factor.blocks) <= 0.6 * nd * nd * 8
     # everything alive while the factor was built, the factor included, is
     # less than one nd x nd array
     assert peak < nd * nd * 8

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from filmstab.cli import main
-from filmstab.config import validate_config
+from filmstab.config import ConfigError, validate_config
 from filmstab.elasticity import isotropic_tensor
 
 LINEAR = {"kind": "linear", "lam": 2.0, "mu": 1.0}
@@ -806,7 +806,8 @@ def test_c0_non_convergence_exits_two(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("lam, mu", [(1e-300, 1.0), (2.0, 1e300)], ids=["lam-1e-300", "mu-1e300"])
 def test_flat_nonlinear_stability_at_extreme_moduli_ends(tmp_path, lam, mu):
     # both ran forever in the affine slope's Newton loop; a fresh process
-    # bounds the run, which must end with a report or a named numerical failure
+    # bounds the run, which must end with a report or a named failure: a
+    # numerical one, or the config error of a modulus whose square overflows
     import os
     import subprocess
     import sys
@@ -819,11 +820,120 @@ def test_flat_nonlinear_stability_at_extreme_moduli_ends(tmp_path, lam, mu):
             "--out", str(tmp_path / "out"), "--threads", "1"]
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=5)
+    if mu == 1e300:
+        assert proc.returncode == 1, proc.stderr
+        assert "config error: material.mu: the square of 1e+300 overflows a float" in proc.stderr
+        return
     assert proc.returncode in (0, 2), proc.stderr
     if proc.returncode == 2:
         assert "numerical failure: " in proc.stderr
     else:
         assert (tmp_path / "out" / "stability.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "material, path",
+    [
+        ({"kind": "nonlinear", "lam": 2.0, "mu": 1e160}, "material.mu"),
+        ({"kind": "nonlinear", "lam": -1e160, "mu": 1.0}, "material.lam"),
+        ({"kind": "linear", "lam": 1e300, "mu": 1.0}, "material.lam"),
+        ({"kind": "linear", "tensor": (isotropic_tensor(2, 2.0, 1.0) * [[[[1.0, 1.0], [1.0, 1e160]]]]).tolist()},
+         "material.tensor[0][0][1][1]"),
+    ],
+    ids=["mu-1e160", "lam-minus-1e160", "linear-lam-1e300", "tensor-entry-1e160"],
+)
+def test_modulus_whose_square_overflows_is_a_config_error(tmp_path, capsys, material, path):
+    cfg = flat_config(n=8, ny=6, e0=0.05)
+    cfg["material"] = material
+    code, _ = run(tmp_path, "stability", cfg)
+    assert code == 1
+    assert f"config error: {path}: the square of " in capsys.readouterr().err
+
+
+def test_integer_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    # JSON reads the digits as an int, which float() refuses
+    cfg = flat_config(n=8, ny=6, e0=0.05)
+    cfg["material"] = {"kind": "nonlinear", "lam": 2.0, "mu": 10**400}
+    code, _ = run(tmp_path, "stability", cfg)
+    assert code == 1
+    assert "config error: material.mu: must be finite" in capsys.readouterr().err
+
+
+def test_modulus_whose_square_is_finite_still_runs(tmp_path):
+    # 1e150 squared is 1e300: the float range holds it, and the run reports
+    cfg = flat_config(n=8, ny=6, e0=0.05)
+    cfg["material"] = {"kind": "nonlinear", "lam": 2.0, "mu": 1e150}
+    code, out = run(tmp_path, "stability", cfg)
+    assert code == 0
+    assert load_report(out, "stability.json")["results"]["c0"] > 0.0
+
+
+_CURVED_3D_32x20 = {
+    "geometry": {"dim": 3, "n": 32, "ny": 20, "profile": {"kind": "fourier", "modes": [
+        {"mode": [0, 0], "amplitude": 1.0}, {"mode": [1, 0], "amplitude": 0.05}]}},
+    "material": dict(LINEAR),
+    "anisotropy": dict(ISO),
+    "mismatch": {"e0": 0.05},
+}
+
+
+def test_curved_film_past_the_memory_limit_exits_one_before_allocating(tmp_path, capsys, monkeypatch):
+    import tracemalloc
+
+    import filmstab.config as config
+
+    # 58,368 dofs, 13.7 GB of block columns, against a limit of 8 GiB
+    monkeypatch.setattr(config, "_memory_limit", lambda: 8 * 2**30)
+    tracemalloc.start()
+    try:
+        code, out = run(tmp_path, "stability", _CURVED_3D_32x20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error: geometry.n: with geometry.ny = 20" in err
+    assert "58,368 dofs" in err and "13,687,062,528 bytes" in err and f"{8 * 2**30:,} bytes" in err
+    assert peak < 2**20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["critical-point", "stability", "oracle-check"])
+def test_memory_preflight_refuses_dense_films_only(monkeypatch, command):
+    import filmstab.config as config
+
+    monkeypatch.setattr(config, "_memory_limit", lambda: config._dense_factor_bytes(2, 16, 10) - 1)
+    curved = flat_config(e0=0.05)
+    curved["geometry"]["profile"] = {"kind": "fourier", "modes": [{"mode": 0, "amplitude": 1.0},
+                                                                  {"mode": 1, "amplitude": 0.05}]}
+    substrate_modes = flat_config(e0=0.05)
+    substrate_modes["mismatch"]["modes"] = [{"mode": 1, "amplitude": 0.01}]
+    for cfg in (curved, substrate_modes):
+        with pytest.raises(ConfigError, match="geometry.n: with geometry.ny = 10") as err:
+            validate_config(cfg, command)
+        assert err.value.path == "geometry.n"
+    # laterally uniform films are factored per wavenumber, whatever their size
+    uniform = [flat_config(e0=0.05), dict(curved, geometry=dict(curved["geometry"], profile={
+        "kind": "fourier", "modes": [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.0}]}))]
+    for cfg in uniform:
+        assert validate_config(cfg, command) is cfg
+    # one vertical row fewer fits
+    curved["geometry"]["ny"] = 9
+    assert validate_config(curved, command) is curved
+
+
+def test_memory_limit_is_the_smaller_of_physical_memory_and_rlimit_as(monkeypatch):
+    import os
+    import resource
+
+    import filmstab.config as config
+
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    assert 0 < config._memory_limit() <= physical
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (2**30, resource.RLIM_INFINITY))
+    assert config._memory_limit() == min(2**30, physical)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+    assert config._memory_limit() == physical
 
 
 def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):

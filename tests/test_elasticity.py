@@ -29,6 +29,7 @@ from filmstab.elasticity import (
     assemble_residual,
     coercivity_constant,
     continue_critical_point,
+    eigh_tridiagonal,
     elastic_density_from_config,
     factor_solve,
     h1_gram,
@@ -706,6 +707,33 @@ def test_c0_without_a_certified_shift_is_named(monkeypatch):
     assert f"sigma = {sigma:g}" in str(err.value)
 
 
+def _tridiagonal_cases(j: int):
+    rng = np.random.default_rng(j)
+    cases = [(rng.standard_normal(j), rng.standard_normal(j - 1)) for _ in range(4)]
+    if j > 2:
+        # a zero off-diagonal splits T in two; the top pair lies in the lower
+        # part, then in the upper part, whose eigenvector is zero at the end
+        for lift in (0.0, 10.0):
+            d, e = rng.standard_normal(j), rng.standard_normal(j - 1)
+            e[j // 2] = 0.0
+            d[: j // 2 + 1] += lift
+            cases.append((d, e))
+    return cases
+
+
+@pytest.mark.parametrize("j", [1, 2, 7, 64, 240])
+def test_ritz_solve_matches_scipy_eigh_tridiagonal(j):
+    from scipy.linalg import eigh_tridiagonal as reference
+
+    for d, e in _tridiagonal_cases(j):
+        theta, s = eigh_tridiagonal(list(d), list(e))
+        want_theta, want_s = reference(d, e, select="i", select_range=(j - 1, j - 1))
+        assert theta.shape == (1,) and s.shape == (j, 1)
+        assert theta[0] == pytest.approx(want_theta[0], rel=1e-12)
+        sign = 1.0 if float(s[:, 0] @ want_s[:, 0]) >= 0.0 else -1.0
+        assert np.abs(sign * s - want_s).max() <= 1e-12
+
+
 def test_c0_lanczos_non_convergence_is_named(monkeypatch):
     import filmstab.elasticity as elasticity
 
@@ -801,14 +829,15 @@ def test_c0_lanczos_stops_at_the_first_converged_step(monkeypatch, clustered):
     field, dense = clustered
     c0 = coercivity_constant(field)
     nd = _flat_shapes(field.grid)[3]
-    # one Ritz solve per step, on a tridiagonal one row longer each time
-    assert 1 < len(steps) < nd
-    assert [len(betas) for betas, _, _ in steps] == list(range(len(steps)))
+    # one Ritz solve every _RITZ_EVERY steps, on a tridiagonal that many rows longer each time
+    every = elasticity._RITZ_EVERY
+    assert 1 < len(steps) < nd / every
+    assert [len(betas) + 1 for betas, _, _ in steps] == [every * (i + 1) for i in range(len(steps))]
     # c0 is the reciprocal of the last top Ritz value
     assert c0 == 1.0 / steps[-1][1]
     assert c0 == pytest.approx(dense, rel=1e-10)
-    # no earlier step met the residual test: the next step's tridiagonal
-    # carries the beta that step computed
+    # no earlier checked step met the residual test: the next checked
+    # step's tridiagonal carries the beta that step computed
     for (_, theta, s), (betas, _, _) in zip(steps, steps[1:]):
         assert betas[-1] * s > elasticity._C0_TOL * theta
     # the top Ritz value grows towards 1 / c0 (interlacing)
@@ -852,9 +881,11 @@ def test_stiffness_read_before_the_factor_is_left_intact(monkeypatch):
     assert lower and np.array_equal(K, before)
     assert len(assembled) == 1
     L, scale = np.tril(c), np.abs(c).max()
-    for (s, e, U, P), M in zip(factor.blocks, assembled[0].columns):
-        assert np.shares_memory(U, M) and (P.size == 0 or np.shares_memory(P, M))
-        assert np.abs(np.triu(U).T - L[s:e, s:e]).max() <= 1e-13 * scale
+    for (s, e, L_inv, P), M in zip(factor.blocks, assembled[0].columns):
+        assert np.shares_memory(L_inv, M) and (P.size == 0 or np.shares_memory(P, M))
+        # each diagonal block holds the lower triangular inverse of LAPACK's block
+        assert not np.triu(L_inv, 1).any()
+        assert np.abs(L_inv @ L[s:e, s:e] - np.eye(e - s)).max() <= 1e-13
         assert np.abs(P - L[e:, s:e]).max(initial=0.0) <= 1e-13 * scale
     assert set(field._stiffness) == {"blocks", "cho"}
 

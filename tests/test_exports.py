@@ -5,8 +5,9 @@ deleted or renamed function leaves a stale entry that fails only when some
 caller asks for it.  The test helpers ``oracles`` and ``diagnostics`` sit on
 the import path while the tests run, so a package module importing them
 would pass here and fail once installed.  numpy is the package's only
-numerical import at load; scipy is loaded by the dense path of a curved
-film alone, so a flat film's commands run without it.
+numerical import at load; scipy is loaded by the Newton step on a stiffness
+without a Cholesky factor alone, so the commands on a flat film, and on a
+curved film whose stiffness has a factor, run without it.
 """
 
 import ast
@@ -136,7 +137,18 @@ def test_flat_film_commands_load_no_scipy(tmp_path, command, overrides):
     assert _scipy_modules_of_a_run(tmp_path, command, cfg) == []
 
 
-def test_curved_film_stability_loads_scipy(tmp_path):
-    # the dense block factor of a curved film loads scipy.linalg: the guard above is not vacuous
+@pytest.mark.parametrize("command", ["stability", "critical-point", "oracle-check"])
+def test_curved_film_commands_load_no_scipy(tmp_path, command):
+    # the dense block factor and the c0 Ritz solve of a curved film run on numpy alone
     cfg = dict(_FLAT, geometry=dict(_FLAT["geometry"], n=16, ny=8, profile=_CURVED_PROFILE))
-    assert "scipy.linalg" in _scipy_modules_of_a_run(tmp_path, "stability", cfg)
+    assert _scipy_modules_of_a_run(tmp_path, command, cfg) == []
+
+
+def test_newton_step_without_a_factor_loads_scipy(tmp_path):
+    # compressed by e0 = -0.2, this curved nonlinear film's Newton iterates
+    # have no Cholesky factor and take the direct step, which loads
+    # scipy.linalg: the guards above are not vacuous
+    profile = {"kind": "fourier", "modes": [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.2}]}
+    cfg = dict(_FLAT, geometry=dict(_FLAT["geometry"], n=16, ny=8, profile=profile),
+               material={"kind": "nonlinear", "lam": 2.0, "mu": 1.0}, mismatch={"e0": -0.2})
+    assert "scipy.linalg" in _scipy_modules_of_a_run(tmp_path, "critical-point", cfg)
