@@ -11,10 +11,8 @@ counterexample, failed suppression check).
 Reports carry no timestamps and all randomized paths run from a recorded
 seed, so repeat runs of the same configuration at the same ``--threads``
 produce byte-identical output.  numpy is imported inside the handlers,
-after ``--threads`` has seeded the threading environment variables; scipy
-is imported later still, only by the Newton step on a stiffness without a
-Cholesky factor, so the commands on a flat film, and on a curved film whose
-stiffness has a factor, never load it.
+after ``--threads`` has seeded the threading environment variables, and it
+is the only numerical module a command loads: no command loads scipy.
 """
 
 from __future__ import annotations

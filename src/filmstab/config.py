@@ -31,6 +31,8 @@ RESOLUTION_MIN_NY = 4
 # a dense matrix's block columns are whole lateral columns, about this many
 # dofs wide; elasticity imports it
 BLOCK_DOFS = 256
+# halvings of 1.0 down to the least subnormal float, 0.5**1074
+_MAX_HALVINGS = round(-math.log2(math.ulp(0.0)))
 
 
 def max_resolved_mode(n: int) -> int:
@@ -254,12 +256,27 @@ _OUTPUT_KEYS |= dict.fromkeys(("stability", "flat-threshold", "crystalline"), {"
 _NEEDS_PROBLEM = {"critical-point", "stability", "flat-threshold", "crystalline", "oracle-check"}
 # the commands that solve on the configured film, densely unless it is laterally uniform
 _SOLVES_THE_FILM = {"critical-point", "stability", "oracle-check"}
+# the commands that build a stability problem, whose surface coupling is a dense nd x nx matrix
+_COUPLES_THE_SURFACE = {"stability", "flat-threshold", "crystalline", "oracle-check"}
+
+
+def _dofs(dim: int, n: int, ny: int) -> int:
+    return n ** (dim - 1) * (ny - 1) * dim
 
 
 def _dense_factor_bytes(dim: int, n: int, ny: int) -> int:
     """Bytes of the block columns that hold a dense stiffness and its factor, ``8 (nd^2 / 2 + nd BLOCK_DOFS / 2)``."""
-    nd = n ** (dim - 1) * (ny - 1) * dim
+    nd = _dofs(dim, n, ny)
     return 8 * (nd * nd // 2 + nd * BLOCK_DOFS // 2)
+
+
+def _coupling_bytes(dim: int, n: int, ny: int) -> int:
+    """Bytes of a stability problem's surface coupling, ``8 nd nx`` with ``nx = n^(dim - 1)`` lateral nodes.
+
+    Every stability problem builds it, on a flat film too, so it is a lower
+    bound on what such a run allocates.
+    """
+    return 8 * _dofs(dim, n, ny) * n ** (dim - 1)
 
 
 def _memory_limit():
@@ -296,17 +313,15 @@ def _laterally_uniform(cfg: dict) -> bool:
     return flat and all(term["amplitude"] == 0 for term in cfg["mismatch"].get("modes", []))
 
 
-def _check_dense_fits(cfg: dict, dim: int, n: int, ny: int) -> None:
-    """Refuse a film that is not laterally uniform when its dense block factor exceeds :func:`_memory_limit`."""
+def _check_fits(need: int, film: str, what: str, dim: int, n: int, ny: int) -> None:
+    """Refuse a film whose ``what`` needs more than :func:`_memory_limit` bytes."""
     limit = _memory_limit()
-    need = _dense_factor_bytes(dim, n, ny)
-    if limit is not None and need > limit and not _laterally_uniform(cfg):
-        nd = n ** (dim - 1) * (ny - 1) * dim
+    if limit is not None and need > limit:
         raise ConfigError(
             "geometry.n",
-            f"with geometry.ny = {ny}, this film that is not laterally uniform has {nd:,} dofs, "
-            f"whose dense block factor needs {need:,} bytes, more than the {limit:,} bytes this "
-            "process may use (the smaller of physical memory and the RLIMIT_AS soft limit)",
+            f"with geometry.ny = {ny}, {film} has {_dofs(dim, n, ny):,} dofs, whose {what} needs "
+            f"{need:,} bytes, more than the {limit:,} bytes this process may use (the smaller of "
+            "physical memory and the RLIMIT_AS soft limit)",
         )
 
 
@@ -348,7 +363,13 @@ def _validate_analysis(cfg, command, n, path="analysis"):
         if "d" in block:
             _as_number(block["d"], f"{path}.d", positive=True)
         if "max_steps" in block:
-            _as_number(block["max_steps"], f"{path}.max_steps", integer=True, minimum=1)
+            steps = _as_number(block["max_steps"], f"{path}.max_steps", integer=True, minimum=1)
+            if steps > _MAX_HALVINGS:
+                raise ConfigError(
+                    f"{path}.max_steps",
+                    f"at most {_MAX_HALVINGS}, got {steps}: the sweep halves the regularization at each "
+                    f"step, and 0.5**k is zero past k = {_MAX_HALVINGS}",
+                )
         if "max_thickness" in block:
             _as_number(block["max_thickness"], f"{path}.max_thickness", positive=True)
         if "suppression_thicknesses" in block:
@@ -391,9 +412,10 @@ def validate_config(cfg: dict, command: str) -> dict:
     """Validate a configuration for one subcommand; returns the config itself.
 
     Raises :class:`ConfigError` naming the offending field on any defect,
-    and on a film that will not fit: a command that solves on a film that is
-    not laterally uniform needs :func:`_dense_factor_bytes`, which must not
-    exceed :func:`_memory_limit`.
+    and on a film that will not fit in :func:`_memory_limit`: a command that
+    solves on a film that is not laterally uniform needs
+    :func:`_dense_factor_bytes`, and one that builds a stability problem
+    needs at least :func:`_coupling_bytes`.
     """
     if command not in _ANALYSIS_KEYS:
         raise ConfigError("command", f"unknown subcommand {command!r}")
@@ -416,8 +438,11 @@ def validate_config(cfg: dict, command: str) -> dict:
         _validate_mismatch(_get(cfg, "mismatch", "config"), dim)
     _validate_analysis(cfg.get("analysis", {}), command, n)
     _validate_output(cfg.get("output", {}), command)
-    if command in _SOLVES_THE_FILM:
-        _check_dense_fits(cfg, dim, n, ny)
+    if command in _SOLVES_THE_FILM and not _laterally_uniform(cfg):
+        film = "this film that is not laterally uniform"
+        _check_fits(_dense_factor_bytes(dim, n, ny), film, "dense block factor", dim, n, ny)
+    if command in _COUPLES_THE_SURFACE:
+        _check_fits(_coupling_bytes(dim, n, ny), "this film", "surface coupling", dim, n, ny)
     return cfg
 
 

@@ -28,9 +28,10 @@ thickness, and continues in amplitude to its profile and substrate modes.
 numpy is the module's one numerical import: a laterally uniform field is
 factored and its ``c0`` solved by ``numpy.linalg`` block by block, and any
 other field by :class:`BlockCholesky` and the Ritz solve of its ``c0``
-recurrence (:func:`eigh_tridiagonal`), both on numpy alone.
-``scipy.linalg`` is imported on first use by the Newton step on a stiffness
-without a Cholesky factor only.
+recurrence (:func:`eigh_tridiagonal`), both on numpy alone.  The block
+factor also solves a Newton step on a stiffness without a Cholesky factor,
+through the Schur complement where its factorisation stopped.  scipy is
+named only in :func:`__getattr__`, for the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -518,11 +519,9 @@ class ElasticField:
     def stiffness(self) -> "BlockColumns":
         """:class:`BlockColumns` of the tangent form's interior-dof matrix, assembled on every read.
 
-        Nothing that has a factor reads it: the solves and ``c0`` go through
-        :attr:`stiffness_cho`, or for a stiffness without one, ``c0`` through
-        the factor of a shifted ``K - sigma G`` (see
-        :func:`coercivity_constant`).  It is read by a direct Newton step on
-        a stiffness without a Cholesky factor, and by the tests.
+        No solve reads it: the solves and ``c0`` go through the factors of
+        :func:`_stiffness_factor`.  The tests read it, and
+        :attr:`~filmstab.stability.StabilityProblem.stiffness` passes it on.
         """
         return assemble_hessian(self.grid, self._weighted_tangent())
 
@@ -559,22 +558,41 @@ class ElasticField:
         freshly assembled ``K``, factored in place by
         :func:`_stiffness_factor`, about half the memory of a full
         ``nd x nd`` matrix.  It is the only factor of the field: the solves
-        and the ``c0`` Lanczos recurrence both read it.  A block without a
-        Cholesky factor gives ``False`` with no dense retry:
-        the blocks are a unitary block-diagonalisation of the stiffness, so
-        it is positive definite exactly when they all are.
+        and the ``c0`` Lanczos recurrence both read it.  A
+        :class:`BlockCholesky` that ends in a Schur complement gives
+        ``False``, and so does a block without a Cholesky factor, with no
+        dense retry: the blocks are a unitary block-diagonalisation of the
+        stiffness, so it is positive definite exactly when they all are.
         """
         cache = self._stiffness
         if "cho" not in cache:
             blocks = self.stiffness_blocks
             if blocks is None:
-                cache["cho"] = _stiffness_factor(self)
+                self._newton_factor()  # caches the factor, or False
             else:
                 try:
                     cache["cho"] = LateralCholesky(self.grid.xshape, blocks)
                 except LinAlgError:
                     cache["cho"] = False
         return cache["cho"]
+
+    def _newton_factor(self):
+        """A factor that solves with the stiffness whether or not it is positive definite.
+
+        It is :attr:`stiffness_cho` unless that is ``False``.  Then it is
+        the :class:`BlockCholesky` of ``K`` that ends in a Schur
+        complement, which is used for the step at hand and not cached: the
+        field keeps ``False``, and ``c0`` does not hold the partial factor
+        beside the factor of its shifted ``K - sigma G``.  The first read
+        of either on a field that is not laterally uniform assembles and
+        factors ``K`` once for both.
+        """
+        cache = self._stiffness
+        if "cho" not in cache and self.stiffness_blocks is None:
+            factor = _stiffness_factor(self)
+            cache["cho"] = factor if factor.schur is None else False
+            return factor
+        return self.stiffness_cho or _stiffness_factor(self)
 
 
 # -- assembly ---------------------------------------------------------------------
@@ -707,8 +725,8 @@ def h1_gram(grid: MappedGrid) -> "BlockColumns":
     return G
 
 
-def _stiffness_factor(field: ElasticField, sigma: float = 0.0):
-    """:class:`BlockCholesky` factor of ``K - sigma G``, or ``False`` when it has none.
+def _stiffness_factor(field: ElasticField, sigma: float = 0.0) -> "BlockCholesky":
+    """:class:`BlockCholesky` factor of ``K - sigma G``, ending in a Schur complement when it is not positive definite.
 
     ``K`` is the field's stiffness and ``G`` the :func:`h1_gram`.  The two
     forms share their operators and weights, so the lower triangle of
@@ -720,12 +738,9 @@ def _stiffness_factor(field: ElasticField, sigma: float = 0.0):
     grid, Cw = field.grid, field._weighted_tangent()
     if sigma:
         Cw -= sigma * _h1_coefficients(grid)
-    try:
-        K = assemble_hessian(grid, Cw)
-        K.add_diagonal(-sigma * interior_weight_vector(grid))
-        return BlockCholesky(K)
-    except LinAlgError:
-        return False
+    K = assemble_hessian(grid, Cw)
+    K.add_diagonal(-sigma * interior_weight_vector(grid))
+    return BlockCholesky(K)
 
 
 def _h1_gram_matvec(grid: MappedGrid, v: np.ndarray) -> np.ndarray:
@@ -801,7 +816,7 @@ class BlockColumns:
     ``nd^2``.  ``shape`` is the full matrix's.  :func:`assemble_hessian`
     fills it, :class:`BlockCholesky` factors it in place, and the upper
     triangles of the diagonal blocks are never read.  :meth:`full` mirrors
-    it into the whole matrix for the one dense LAPACK call that needs it.
+    it into the whole matrix, for the tests.
     """
 
     def __init__(self, grid: MappedGrid):
@@ -824,17 +839,28 @@ class BlockColumns:
     def full(self) -> np.ndarray:
         """The whole symmetric matrix, its upper triangle mirrored from the lower, as a Fortran array.
 
-        It is the one ``nd x nd`` array filmstab makes, for the direct
-        Newton step on a stiffness without a Cholesky factor, and its entries
-        are those of the assembly.
+        Its entries are those of the assembly.
         """
-        A = np.empty(self.shape, order="F")
-        for s, e, M in zip(self.starts, self.starts[1:], self.columns):
-            A[s:, s:e] = M
-            A[s:e, e:] = M[e - s :].T
-            D, upper = A[s:e, s:e], np.triu_indices(e - s, 1)
-            D[upper] = D.T[upper]
-        return A
+        return _mirror(list(zip(self.starts, self.starts[1:], self.columns)))
+
+
+def _mirror(columns) -> np.ndarray:
+    """The whole symmetric matrix of trailing lower block columns ``(s, e, M)``, as a Fortran array.
+
+    The columns are those of :class:`BlockColumns` from some block column
+    on; the matrix spans their dofs ``s:nd``, with the upper triangle of each
+    diagonal block mirrored from the lower.
+    """
+    start = columns[0][0]
+    n = len(columns[0][2])
+    A = np.empty((n, n), order="F")
+    for s, e, M in columns:
+        s, e = s - start, e - start
+        A[s:, s:e] = M
+        A[s:e, e:] = M[e - s :].T
+        D, upper = A[s:e, s:e], np.triu_indices(e - s, 1)
+        D[upper] = D.T[upper]
+    return A
 
 
 class BlockCholesky:
@@ -846,13 +872,26 @@ class BlockCholesky:
     ``numpy.linalg.cholesky`` and inverted by :func:`_lower_inverse`, the
     panel below it becomes ``P L^-T``, and products of the panel with its
     own rows are subtracted from the later block columns in row chunks, so
-    no temporary is larger than one diagonal block.  A matrix without a
-    Cholesky factor raises ``LinAlgError``.  ``blocks`` holds, per block
-    column, its dofs ``s:e``, the inverse ``L[s:e, s:e]^-1`` in place of
-    the diagonal block, as :class:`LateralCholesky` keeps its blocks'
-    inverses, and the panel ``P = L[e:, s:e]``.  :meth:`forward` and
-    :meth:`backward` are the two triangular half-solves, each one product
-    per diagonal block and one per panel, and :meth:`solve` is both.
+    no temporary is larger than one diagonal block.  ``blocks`` holds, per
+    factored block column, its dofs ``s:e``, the inverse ``L[s:e, s:e]^-1``
+    in place of the diagonal block, as :class:`LateralCholesky` keeps its
+    blocks' inverses, and the panel ``P = L[e:, s:e]``.  :meth:`forward`
+    and :meth:`backward` are the two triangular half-solves, each one
+    product per diagonal block and one per panel, and :meth:`solve` is
+    both.
+
+    ``schur`` is ``None`` when every diagonal block has a Cholesky factor.
+    Otherwise the factorisation stops at the first block column
+    ``c = len(blocks)`` whose diagonal block has none and leaves it intact.
+    Every factored column has subtracted its update from the later ones, so
+    columns ``c..`` hold the lower triangle of the Schur complement
+    ``S = K22 - L21 L21^T`` of the factored dofs, and ``schur`` is the list
+    of their ``(s, e, M)`` until the first :meth:`solve` mirrors it into
+    the whole ``S``.  ``K = [[L11, 0], [L21, I]] diag(I, S)
+    [[L11, 0], [L21, I]]^T``, the half-solves are those of the unit-extended
+    outer factor, and :meth:`solve` solves ``S`` between them by
+    ``numpy.linalg.solve`` (LU with partial pivoting), which needs no
+    definiteness.
     """
 
     def __init__(self, K: BlockColumns):
@@ -860,14 +899,15 @@ class BlockCholesky:
         columns = list(zip(K.starts, K.starts[1:], K.columns))
         chunk = max(e - s for s, e, _ in columns)
         work = np.empty(chunk * chunk)
-        self.blocks = []
+        self.blocks, self.schur = [], None
         for c, (s, e, M) in enumerate(columns):
             w = e - s
             D, P = M[:w], M[w:]
             try:
                 D[...] = _lower_inverse(np.linalg.cholesky(D))
             except LinAlgError:
-                raise LinAlgError(f"the matrix is not positive definite in block column {c}") from None
+                self.schur = columns[c:]
+                break
             for r in range(0, len(P), chunk):
                 rows = P[r : r + chunk]
                 rows[...] = np.matmul(rows, D.T, out=work[: rows.size].reshape(rows.shape))
@@ -898,8 +938,20 @@ class BlockCholesky:
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``K^-1 b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``."""
-        return self.backward(self.forward(b))
+        """``K^-1 b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``.
+
+        The first solve through a Schur complement mirrors it whole in
+        place of its block columns, so when no column factored, the buffer
+        of ``K`` is released and the solve holds ``S`` and LAPACK's copy of
+        it, about ``2 nd^2`` numbers.
+        """
+        y = self.forward(b)
+        if self.schur is not None:
+            if isinstance(self.schur, list):
+                self.schur = _mirror(self.schur)
+            s = self.shape[0] - len(self.schur)
+            y[s:] = np.linalg.solve(self.schur, y[s:])
+        return self.backward(y)
 
 
 # -- solves -----------------------------------------------------------------------
@@ -1087,19 +1139,14 @@ def _pcg_step(grid: MappedGrid, tangent_w: np.ndarray, r: np.ndarray, cho, targe
 def _factored_step(work: ElasticField, r: np.ndarray, residuals):
     """Newton step ``dp`` with ``K dp = -r`` by the iterate's own stiffness ``K``.
 
-    ``K``'s Cholesky factor is the one cached on ``work``: a linear field
-    shares it with every field of its solve, a nonlinear iterate builds its
-    own.  When ``K`` has no Cholesky factor the step is solved directly
-    against the assembled ``K`` by LAPACK's symmetric indefinite solver,
-    in place on the one whole matrix, and a step that is not a descent
-    direction raises :class:`NewtonError`.
+    The factor is ``work``'s :meth:`~ElasticField._newton_factor`.  ``K``'s
+    Cholesky factor is the one cached on ``work``: a linear field shares it
+    with every field of its solve, a nonlinear iterate builds its own.  A
+    ``K`` without one is solved by its block factor through the Schur
+    complement where the factorisation stopped, and a step that is not a
+    descent direction, possible only then, raises :class:`NewtonError`.
     """
-    cho = work.stiffness_cho
-    if cho is not False:
-        return factor_solve(cho, -r)
-    from scipy.linalg import solve
-
-    dp_vec = solve(work.stiffness.full(), -r, assume_a="sym", overwrite_a=True)
+    dp_vec = factor_solve(work._newton_factor(), -r)
     if r @ dp_vec >= 0.0:
         raise NewtonError(f"non-descent Newton step (r·dp = {r @ dp_vec:.3e})", residuals)
     return dp_vec
@@ -1200,8 +1247,10 @@ def solve_critical_point(
     Every Newton step is first a conjugate-gradient solve of ``K dp = -r`` on
     the matrix-free tangent ``K``, preconditioned by the newest Cholesky
     factor at hand (inexact Newton, see :func:`_pcg_step`).  With no factor
-    yet, or when that solve fails, the step is solved by the iterate's own
-    :attr:`~ElasticField.stiffness_cho`, which becomes the newest factor.
+    yet, or when that solve fails, the step is solved by the block factor
+    of the iterate's own stiffness (:meth:`~ElasticField._newton_factor`),
+    through a Schur complement when ``K`` has no Cholesky factor, and the
+    iterate's :attr:`~ElasticField.stiffness_cho` becomes the newest factor.
     ``precond`` is the first factor of a warm solve: the
     :attr:`~ElasticField.stiffness_cho` of a nearby field, or ``False`` or
     ``None`` for none.  The true residual test is the same for every step,
@@ -1346,8 +1395,8 @@ def coercivity_constant(field: ElasticField) -> float:
     node, plus ``-sigma`` times the L^2 Gram, so it is positive definite
     for ``sigma < 0``: one more assembly and factor (see
     :func:`_stiffness_factor`) and no search.  Should that factor still
-    fail, which happens only for a numerically singular ``K`` at
-    ``sigma = 0``, :class:`ShiftedFactorError` is raised.
+    end in a Schur complement, which happens only for a numerically
+    singular ``K`` at ``sigma = 0``, :class:`ShiftedFactorError` is raised.
 
     The recurrence starts from a fixed seeded vector, with no restarts and
     no reorthogonalisation.  Every ``_RITZ_EVERY`` steps, at step ``nd``
@@ -1371,7 +1420,7 @@ def coercivity_constant(field: ElasticField) -> float:
     if cho is False:
         sigma = min(0.0, _tangent_bound(field))
         cho = _stiffness_factor(field, sigma)
-        if cho is False:
+        if cho.schur is not None:
             raise ShiftedFactorError(sigma)
     nd = _flat_shapes(grid)[3]
     q = np.random.default_rng(0).standard_normal(nd)

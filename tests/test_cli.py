@@ -477,10 +477,13 @@ def test_stability_of_an_equilibrium_with_an_indefinite_stiffness(tmp_path):
 
 
 def test_stability_without_a_certified_shift_exits_2(tmp_path, capsys, monkeypatch):
-    # no factor at any shift: c0 cannot be certified, which is named, not a crash
+    # no factor at any shift: c0 cannot be certified, which is named, not a
+    # crash.  The factor at the shift is the unshifted one, which ends in a
+    # Schur complement
     import filmstab.elasticity as elasticity
 
-    monkeypatch.setattr(elasticity, "_stiffness_factor", lambda field, sigma=0.0: False)
+    factor = elasticity._stiffness_factor
+    monkeypatch.setattr(elasticity, "_stiffness_factor", lambda field, sigma=0.0: factor(field))
     code, _ = run(tmp_path, "stability", indefinite_config())
     assert code == 2
     err = capsys.readouterr().err
@@ -677,6 +680,20 @@ def test_flat_threshold_without_crossing_is_numerical_failure(tmp_path, capsys):
 
 
 # -- crystalline ----------------------------------------------------------------------
+
+
+def test_crystalline_sweep_past_the_last_halving_is_a_config_error(tmp_path, capsys):
+    # 1e300 steps built a list of 1e300 rows until memory ran out; past 1074
+    # halvings the regularization is zero
+    for steps in (1075, 1e300):
+        cfg = flat_config(n=8, ny=4, e0=0.05, analysis=dict(CRYSTALLINE, max_steps=steps), anisotropy=None)
+        code, _ = run(tmp_path, "crystalline", cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error: analysis.max_steps: at most 1074" in err
+        assert "0.5**k is zero past k = 1074" in err
+    cfg = flat_config(n=8, ny=4, e0=0.05, analysis=dict(CRYSTALLINE, max_steps=1074), anisotropy=None)
+    assert validate_config(cfg, "crystalline") is cfg
 
 
 def test_crystalline_suppression_success(tmp_path, capsys):
@@ -920,6 +937,47 @@ def test_memory_preflight_refuses_dense_films_only(monkeypatch, command):
     # one vertical row fewer fits
     curved["geometry"]["ny"] = 9
     assert validate_config(curved, command) is curved
+
+
+@pytest.mark.parametrize(
+    "command, analysis, anisotropy",
+    [
+        ("stability", None, ISO),
+        ("flat-threshold", FLAT_THRESHOLD, ISO),
+        ("crystalline", CRYSTALLINE, None),
+        ("oracle-check", None, ISO),
+    ],
+    ids=["stability", "flat-threshold", "crystalline", "oracle-check"],
+)
+def test_flat_film_past_the_coupling_bytes_exits_one_before_allocating(tmp_path, capsys, monkeypatch,
+                                                                       command, analysis, anisotropy):
+    import tracemalloc
+
+    import filmstab.config as config
+
+    # a flat film's stability problem builds an nd x nx surface coupling:
+    # 8 * 288 * 16 = 36,864 bytes on the 16 x 10 film
+    need = config._coupling_bytes(2, 16, 10)
+    assert need == 36_864
+    monkeypatch.setattr(config, "_memory_limit", lambda: need - 1)
+    cfg = flat_config(e0=0.05, analysis=analysis, anisotropy=anisotropy)
+    tracemalloc.start()
+    try:
+        code, out = run(tmp_path, command, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error: geometry.n: with geometry.ny = 10, this film has 288 dofs" in err
+    assert f"surface coupling needs 36,864 bytes, more than the {need - 1:,} bytes" in err
+    assert peak < 2**20
+    assert not out.exists()
+    # at the limit it fits, and critical-point builds no stability problem
+    monkeypatch.setattr(config, "_memory_limit", lambda: need)
+    assert validate_config(cfg, command) is cfg
+    monkeypatch.setattr(config, "_memory_limit", lambda: need - 1)
+    assert validate_config(flat_config(e0=0.05), "critical-point")
 
 
 def test_memory_limit_is_the_smaller_of_physical_memory_and_rlimit_as(monkeypatch):

@@ -474,24 +474,33 @@ def test_non_descent_newton_step_is_named():
 
 
 def test_newton_steps_by_an_indefinite_stiffness_that_still_descends(monkeypatch):
-    # compressed by e0 = -0.2, this curved nonlinear film keeps a stiffness
-    # without a Cholesky factor at every iterate; the first step is the inner
-    # solve preconditioned by the flat equilibrium's factor, every later one
-    # is solved against the dense stiffness, read once per step, and each is
-    # a descent direction.  The solve targets the absolute residual bound
+    # compressed by e0 = -0.2, this curved nonlinear film's iterates after
+    # the first have a stiffness without a Cholesky factor; the inner solves
+    # preconditioned by the flat equilibrium's factor and by the first
+    # iterate's fail, so every step is factored, those without a Cholesky
+    # factor through the Schur complement, on one assembly per step, and
+    # each is a descent direction.  The solve targets the absolute residual
+    # bound
     import filmstab.elasticity as elasticity
 
     prof, dens = _bumpy(8, amp=0.2), NonlinearDensity(2, LAM, MU)
     datum = MismatchDatum.from_misfit(-0.2, 2, "nonlinear")
     scale = _residual_scale(ElasticField(build_grid(prof, 6), datum, dens))
-    reads = []
-    stiffness = elasticity.ElasticField.stiffness
-    monkeypatch.setattr(
-        elasticity.ElasticField, "stiffness", property(lambda f: reads.append(f) or stiffness.fget(f))
-    )
+    assembled, steps, indefinite = [], [], []
+    assemble, step = elasticity.assemble_hessian, elasticity._factored_step
+
+    def factored_step(work, r, residuals):
+        steps.append(r)
+        dp = step(work, r, residuals)
+        indefinite.append(work.stiffness_cho is False)
+        return dp
+
+    monkeypatch.setattr(elasticity, "assemble_hessian", lambda *args: assembled.append(args) or assemble(*args))
+    monkeypatch.setattr(elasticity, "_factored_step", factored_step)
     field, info = solve_critical_point(prof, datum, dens, ny=6, tol=1e-11 / scale)
     assert info["residual_norm"] <= 1e-11
-    assert len(reads) == info["iterations"] - 1 == 4
+    assert len(assembled) == len(steps) == info["iterations"] == 5
+    assert indefinite == [False, True, True, True, True]
     assert field.stiffness_cho is False
 
 
@@ -698,13 +707,56 @@ def test_c0_without_a_factor_holds_one_block_factor(monkeypatch):
 def test_c0_without_a_certified_shift_is_named(monkeypatch):
     import filmstab.elasticity as elasticity
 
-    monkeypatch.setattr(elasticity, "_stiffness_factor", lambda field, sigma=0.0: False)
+    # the factor at the shift is the unshifted one, which ends in a Schur complement
+    factor = elasticity._stiffness_factor
+    monkeypatch.setattr(elasticity, "_stiffness_factor", lambda field, sigma=0.0: factor(field))
     field = _no_factor_2d_field()
     sigma = min(0.0, _tangent_bound(field))
     with pytest.raises(ShiftedFactorError, match="c0 has no certified shift") as err:
         coercivity_constant(field)
     assert err.value.sigma == sigma
     assert f"sigma = {sigma:g}" in str(err.value)
+
+
+def test_block_factor_solves_through_the_schur_complement_where_it_stopped():
+    # the factor of this film's stiffness stops at block column 1 of 3 and
+    # solves the Schur complement of the first; it agrees with LAPACK's
+    # symmetric indefinite solve on the whole matrix
+    from scipy.linalg import solve
+
+    field = _no_factor_2d_field()
+    K = field.stiffness.full()
+    factor = BlockCholesky(field.stiffness)
+    assert len(factor.blocks) == 1 and len(factor.schur) == 2
+    rng = np.random.default_rng(5)
+    for b in (rng.standard_normal(len(K)), rng.standard_normal((len(K), 3))):
+        want = solve(K, b, assume_a="sym")
+        got = factor.solve(b)
+        assert got.shape == b.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert field.stiffness_cho is False
+
+
+def test_factor_stopped_at_its_first_block_column_releases_the_block_columns():
+    # an indefinite tensor (bypassing the positivity check) fails the first
+    # diagonal block: the Schur complement is all of K, and its first solve
+    # keeps the mirrored matrix in place of the block columns
+    import weakref
+
+    grid = build_grid(_bumpy(24), 16)
+    indefinite = object.__new__(LinearDensity)
+    indefinite.dim, indefinite.C = 2, isotropic_tensor(2, 1.0, -0.3)
+    K = ElasticField(grid, MismatchDatum.from_misfit(E0, 2, "linear"), indefinite).stiffness
+    full, buffer = K.full(), weakref.ref(K.columns[0].base)
+    factor = BlockCholesky(K)
+    del K
+    assert factor.blocks == [] and len(factor.schur) == 3 and buffer() is not None
+    b = np.random.default_rng(2).standard_normal(len(full))
+    x = factor.solve(b)
+    assert buffer() is None
+    want = np.linalg.solve(full, b)
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+    assert np.array_equal(factor.solve(b), x)
 
 
 def _tridiagonal_cases(j: int):
