@@ -1,12 +1,13 @@
 """Command line front end: subcommand dispatch, reports, and plot data.
 
-Subcommands: critical-point, stability, flat-threshold, crystalline,
-verify-identity, oracle-check.  Each run reads one JSON configuration,
-writes a JSON report embedding the configuration hash, resolution and
-tolerances (plus CSV series where a plot makes sense), and prints a
-one-line summary.  Exit codes: 0 success, 1 configuration error, 2
-numerical failure, 3 property violation (oracle mismatch, identity
-counterexample, failed suppression check).
+The subcommands are the rows of ``config.COMMANDS``, and ``_HANDLERS``
+maps each to its handler.  Each run reads one JSON configuration, writes a
+JSON report embedding the configuration hash, resolution and tolerances
+(plus CSV series where a plot makes sense), and prints a one-line summary;
+a handler holds only its numerical work, its CSV body and its summary.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure, 3
+property violation (oracle mismatch, identity counterexample, failed
+suppression check).
 
 Reports carry no timestamps and all randomized paths run from a recorded
 seed, so repeat runs of the same configuration at the same ``--threads``
@@ -23,6 +24,7 @@ import sys
 from pathlib import Path
 
 from .config import (
+    COMMANDS,
     ConfigError,
     build_problem_inputs,
     config_sha256,
@@ -51,23 +53,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Local-minimality analysis of periodic strained-film equilibria.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, needs_config: bool = True):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", type=Path, required=needs_config, help="JSON run configuration")
+    for name, row in COMMANDS.items():
+        cmd = sub.add_parser(name, help=row["help"])
+        # a command without a film may run without a config
+        cmd.add_argument("--config", type=Path, required="film" in row["uses"], help="JSON run configuration")
         cmd.add_argument("--out", type=Path, default=Path("."), help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="seed for randomized paths")
         cmd.add_argument("--threads", type=int, default=None, help="worker thread cap")
-        return cmd
-
-    add("critical-point", "solve the elastic equilibrium over a fixed profile")
-    add("stability", "strict-stability verdict and dispersion data at an equilibrium")
-    add("flat-threshold", "bisect the critical thickness of the flat configuration")
-    add("crystalline", "facet-regularization sweep and instability-suppression check")
-    ident = add("verify-identity", "check the boundary-system determinant identity", needs_config=False)
-    ident.add_argument("--dim", type=int, choices=(2, 3), default=None, help="spatial dimension")
-    ident.add_argument("--trials", type=int, default=None, help="random evaluation points")
-    add("oracle-check", "compare the assembled second variation with the energy oracle")
+        if name == "verify-identity":
+            cmd.add_argument("--dim", type=int, choices=(2, 3), default=None, help="spatial dimension")
+            cmd.add_argument("--trials", type=int, default=None, help="random evaluation points")
     return parser
 
 
@@ -87,32 +82,30 @@ def _load_config(path: Path) -> dict:
     except OSError as err:
         raise ConfigError(str(path), f"cannot read configuration: {err}") from err
     try:
-        cfg = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(str(path), f"invalid JSON: {err}") from err
-    return cfg
 
 
-def _out_dir(args) -> Path:
+def _output(cfg: dict, args, key: str) -> Path:
+    """The command's ``key`` file in ``--out``, made if missing: ``output.<key>`` or the default name."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out / cfg.get("output", {}).get(key, COMMANDS[args.command]["output"][key])
 
 
-def _skeleton(command: str, cfg: dict, args, tolerances: dict) -> dict:
+def _write_report(cfg: dict, args, tolerances: dict, results: dict, hashed=None, seed=None) -> Path:
+    """Write the JSON report; ``hashed`` and ``seed`` replace the config and ``--seed`` it records."""
     report = {
-        "command": command,
-        "config_sha256": config_sha256(cfg),
-        "seed": args.seed,
+        "command": args.command,
+        "config_sha256": config_sha256(cfg if hashed is None else hashed),
+        "seed": args.seed if seed is None else seed,
         "tolerances": tolerances,
+        "results": results,
     }
     if "geometry" in cfg:
         report["resolution"] = {key: int(cfg["geometry"][key]) for key in ("dim", "n", "ny")}
-    return report
-
-
-def _write_report(out: Path, name: str, report: dict) -> Path:
-    path = out / name
+    path = _output(cfg, args, "report")
     path.write_text(json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n")
     return path
 
@@ -142,14 +135,10 @@ def _cmd_critical_point(cfg: dict, args) -> int:
         "max_correction": float(np.abs(field.p).max()),
     }
 
-    out = _out_dir(args)
-    report = _skeleton("critical-point", cfg, args, {"tol": tol, "max_iter": max_iter})
-    report["results"] = results
-    path = _write_report(out, cfg.get("output", {}).get("report", "critical_point.json"), report)
-
-    if "output" in cfg and "field" in cfg["output"]:
+    path = _write_report(cfg, args, {"tol": tol, "max_iter": max_iter}, results)
+    if "field" in cfg.get("output", {}):
         np.savez(
-            out / cfg["output"]["field"],
+            _output(cfg, args, "field"),
             p=field.p,
             samples=profile.samples,
             width=np.asarray(profile.width),
@@ -174,22 +163,21 @@ def _cmd_stability(cfg: dict, args) -> int:
     problem = StabilityProblem(field, psi)
     verdict = problem.report()
 
-    out = _out_dir(args)
+    csv = _output(cfg, args, "csv")
     curve = problem.dispersion_curve(max_mode)
-    csv_name = cfg.get("output", {}).get("csv", "dispersion.csv")
-    with open(out / csv_name, "w", newline="") as fh:
+    with open(csv, "w", newline="") as fh:
         fh.write("k,second_variation\n")
         for k, value in curve:
             fh.write(f"{int(k)},{float(value)!r}\n")
 
-    report = _skeleton("stability", cfg, args, {"solver_tol": NEWTON_TOL, "max_mode": max_mode})
-    report["results"] = dict(
+    results = dict(
         verdict.to_dict(),
         solver_iterations=info["iterations"],
         solver_residual=info["residual_norm"],
         elastic_energy=info["energy"],
     )
-    path = _write_report(out, cfg.get("output", {}).get("report", "stability.json"), report)
+    tolerances = {"solver_tol": NEWTON_TOL, "max_mode": max_mode}
+    path = _write_report(cfg, args, tolerances, results)
     print(
         f"stability: verdict {verdict.verdict}, lambda1 {verdict.lambda1:.6g}, "
         f"mu1 {verdict.mu1:.6g}, c0 {verdict.c0:.6g} -> {path}"
@@ -214,17 +202,13 @@ def _cmd_flat_threshold(cfg: dict, args) -> int:
 
     film = FlatFilm(density, psi, datum, cell=cell, n=n, ny=ny)
     result = critical_thickness(film.lambda1, bracket, rel_tol=rel_tol)
-    out = _out_dir(args)
     results = dict(result.to_dict(), cell=cell)
     if "thicknesses" in analysis:
         rows = threshold_rows(film, analysis["thicknesses"])
-        csv_name = cfg.get("output", {}).get("csv", "threshold.csv")
-        write_threshold_csv(out / csv_name, rows)
+        write_threshold_csv(_output(cfg, args, "csv"), rows)
         results["sweep"] = [list(row) for row in rows]
 
-    report = _skeleton("flat-threshold", cfg, args, {"rel_tol": rel_tol})
-    report["results"] = results
-    path = _write_report(out, cfg.get("output", {}).get("report", "flat_threshold.json"), report)
+    path = _write_report(cfg, args, {"rel_tol": rel_tol}, results)
     print(
         f"flat threshold: d_crit ~= {result.d_crit:.6g} on the {cell} cell "
         f"(bracket {bracket}) -> {path}"
@@ -261,8 +245,7 @@ def _cmd_crystalline(cfg: dict, args) -> int:
     rows = crystalline_sweep(density, datum, d, a_facet, b_facet, n=n, ny=ny, max_steps=max_steps)
     eps0 = crystalline_epsilon0(rows)
 
-    out = _out_dir(args)
-    write_crystalline_csv(out / cfg.get("output", {}).get("csv", "crystalline.csv"), rows)
+    write_crystalline_csv(_output(cfg, args, "csv"), rows)
 
     eps_star = 0.5 * eps0
     psi_star = ShiftedFacetDensity(a_facet, b_facet, eps_star, datum.dim)
@@ -273,31 +256,21 @@ def _cmd_crystalline(cfg: dict, args) -> int:
         suppression.append({"d": d_s, "lambda1": lam, "verdict": verdict})
     all_stable = all(row["verdict"] == "strictly_stable" for row in suppression)
 
-    found = None
-    bracket_lambdas = None
-    try:
-        found = critical_thickness(film.lambda1, (d, max_thickness))
-        suppressed = False
-    except BracketError as err:
-        bracket_lambdas = (err.lambda_low, err.lambda_high)
-        suppressed = err.lambda_low < 1.0 and err.lambda_high < 1.0
-
     results = {
         "eps0": eps0,
         "eps_checked": eps_star,
         "sweep": [list(row) for row in rows],
         "suppression": suppression,
         "max_thickness": max_thickness,
-        "suppressed": suppressed and all_stable,
     }
-    if found is not None:
-        results["critical_thickness"] = found.to_dict()
-    if bracket_lambdas is not None:
-        results["bracket_lambda1"] = list(bracket_lambdas)
-
-    report = _skeleton("crystalline", cfg, args, {"max_steps": max_steps})
-    report["results"] = results
-    path = _write_report(out, cfg.get("output", {}).get("report", "crystalline.json"), report)
+    try:
+        found = critical_thickness(film.lambda1, (d, max_thickness))
+        results.update(critical_thickness=found.to_dict(), suppressed=False)
+    except BracketError as err:
+        found = None
+        results["bracket_lambda1"] = [err.lambda_low, err.lambda_high]
+        results["suppressed"] = all_stable and err.lambda_low < 1.0 and err.lambda_high < 1.0
+    path = _write_report(cfg, args, {"max_steps": max_steps}, results)
 
     if found is not None:
         raise PropertyViolation(
@@ -310,10 +283,10 @@ def _cmd_crystalline(cfg: dict, args) -> int:
             f"verdict {bad['verdict']} at d = {bad['d']:g} with eps = {eps_star:.6g}; "
             f"suppression fails (report: {path})"
         )
-    if not suppressed:
+    if not results["suppressed"]:
         raise PropertyViolation(
             f"flat film already unstable at d = {d:g} with eps = {eps_star:.6g} "
-            f"(lambda1 = {bracket_lambdas[0]:.6g}); suppression fails (report: {path})"
+            f"(lambda1 = {results['bracket_lambda1'][0]:.6g}); suppression fails (report: {path})"
         )
     print(f"no critical thickness found up to d={max_thickness:g}")
     print(f"crystalline: eps0 = {eps0:.6g}, checked eps0/2 = {eps_star:.6g} -> {path}")
@@ -323,7 +296,7 @@ def _cmd_crystalline(cfg: dict, args) -> int:
 def _cmd_verify_identity(cfg: dict, args) -> int:
     from .polyident import verify_identity
 
-    analysis = cfg.get("analysis", {}) if cfg else {}
+    analysis = cfg.get("analysis", {})
     dim = args.dim if args.dim is not None else analysis.get("dim")
     if dim is None:
         raise ConfigError("analysis.dim", "missing required key (or pass --dim)")
@@ -335,17 +308,7 @@ def _cmd_verify_identity(cfg: dict, args) -> int:
     result = verify_identity(int(dim), trials, seed=seed)
 
     effective = {"analysis": {"dim": int(dim), "trials": trials}}
-    report = {
-        "command": "verify-identity",
-        "config_sha256": config_sha256(effective),
-        "seed": seed,
-        "tolerances": {"trials": trials},
-        "results": result.to_dict(),
-    }
-    out = _out_dir(args)
-    path = _write_report(
-        out, (cfg or {}).get("output", {}).get("report", "verify_identity.json"), report
-    )
+    path = _write_report(cfg, args, {"trials": trials}, result.to_dict(), hashed=effective, seed=seed)
 
     if not result.verified:
         raise PropertyViolation(
@@ -379,7 +342,6 @@ def _cmd_oracle_check(cfg: dict, args) -> int:
     problem = StabilityProblem(field, psi)
 
     checks = []
-    worst = None
     for k in modes:
         phi = cosine_mode(profile, k)
         assembled = problem.full_second_variation(phi)
@@ -389,15 +351,10 @@ def _cmd_oracle_check(cfg: dict, args) -> int:
         rel = abs(assembled - oracle) / max(abs(oracle), 1e-300)
         checks.append({"mode": k, "assembled": assembled, "oracle": oracle, "rel_error": rel})
         print(f"mode {k}: assembled {assembled:.9g}, oracle {oracle:.9g}, relative error {rel:.3e}")
-        if worst is None or rel > worst["rel_error"]:
-            worst = checks[-1]
+    worst = max(checks, key=lambda check: check["rel_error"])
 
-    report = _skeleton(
-        "oracle-check", cfg, args, {"rel_tol": rel_tol, "richardson": richardson}
-    )
-    report["results"] = {"checks": checks, "worst_rel_error": worst["rel_error"]}
-    out = _out_dir(args)
-    path = _write_report(out, cfg.get("output", {}).get("report", "oracle_check.json"), report)
+    results = {"checks": checks, "worst_rel_error": worst["rel_error"]}
+    path = _write_report(cfg, args, {"rel_tol": rel_tol, "richardson": richardson}, results)
 
     if worst["rel_error"] > rel_tol:
         raise PropertyViolation(

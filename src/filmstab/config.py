@@ -4,8 +4,11 @@ A run configuration is a JSON object with a geometry block, a material
 block, an anisotropy block, a mismatch block, a subcommand-specific analysis
 block, and an optional output block.  Validation is strict: unknown keys are
 rejected, every error names the offending field by its dotted path, all
-tolerances must be positive, and resolutions have hard minimums.  The
-builders translate validated blocks into the package's domain objects.
+tolerances must be positive, and resolutions have hard minimums.  Each
+subcommand is declared once, in ``COMMANDS``: its help line, its analysis
+keys and their rules, its output files and what it uses, which validation,
+the memory preflight, the argument parser and the report writer all read.
+The builders translate validated blocks into the package's domain objects.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def _check_tensor_entries(value, path):
         _as_modulus(value, path)
 
 
-def _validate_modes(modes, path, dim, allow_component=False):
+def _validate_modes(modes, path, dim, n, allow_component=False):
     if not isinstance(modes, list):
         raise ConfigError(path, "expected a list of mode objects")
     allowed = {"mode", "amplitude", "phase"} | ({"component"} if allow_component else set())
@@ -121,9 +124,9 @@ def _validate_modes(modes, path, dim, allow_component=False):
             if not (isinstance(mode, list) and len(mode) == 2):
                 raise ConfigError(mpath, "expected a pair of integers for dim=3")
             for j, m in enumerate(mode):
-                _as_number(m, f"{mpath}[{j}]", integer=True)
+                _resolved(m, f"{mpath}[{j}]", n, minimum=None)
         else:
-            _as_number(mode, mpath, integer=True)
+            _resolved(mode, mpath, n, minimum=None)
         _as_number(term["amplitude"], f"{tpath}.amplitude")
         if "phase" in term:
             _as_number(term["phase"], f"{tpath}.phase")
@@ -131,13 +134,6 @@ def _validate_modes(modes, path, dim, allow_component=False):
             comp = _as_number(term["component"], f"{tpath}.component", integer=True)
             if not 0 <= comp < dim - 1:
                 raise ConfigError(f"{tpath}.component", f"out of range for dim={dim}")
-
-
-def _validate_positive_list(values, path):
-    if not isinstance(values, list) or not values:
-        raise ConfigError(path, "expected a non-empty list of positive numbers")
-    for i, value in enumerate(values):
-        _as_number(value, f"{path}[{i}]", positive=True)
 
 
 # the keys besides ``kind`` that each kind of block reads
@@ -157,9 +153,7 @@ def _check_kind(block: dict, kinds: dict, path: str, noun: str, default=None) ->
 def _validate_geometry(cfg, path="geometry"):
     block = _require_mapping(cfg, path)
     _check_keys(block, {"dim", "n", "ny", "width", "profile"}, path)
-    dim = _as_number(_get(block, "dim", path), f"{path}.dim", integer=True)
-    if dim not in (2, 3):
-        raise ConfigError(f"{path}.dim", f"must be 2 or 3, got {dim}")
+    dim = _dim(_get(block, "dim", path), f"{path}.dim")
     n = _as_number(_get(block, "n", path), f"{path}.n", integer=True, minimum=RESOLUTION_MIN_N)
     ny = _as_number(_get(block, "ny", path), f"{path}.ny", integer=True, minimum=RESOLUTION_MIN_NY)
     if "width" in block:
@@ -170,7 +164,7 @@ def _validate_geometry(cfg, path="geometry"):
     if kind == "flat":
         _as_number(_get(profile, "thickness", ppath), f"{ppath}.thickness", positive=True)
     elif kind == "fourier":
-        _validate_modes(_get(profile, "modes", ppath), f"{ppath}.modes", dim)
+        _validate_modes(_get(profile, "modes", ppath), f"{ppath}.modes", dim, n)
         if "thickness" in profile:
             _as_number(profile["thickness"], f"{ppath}.thickness")
     else:
@@ -220,7 +214,7 @@ def _validate_anisotropy(cfg, path="anisotropy"):
             raise ConfigError(f"{path}.variant", f"unknown variant {variant!r}")
 
 
-def _validate_mismatch(cfg, dim, path="mismatch"):
+def _validate_mismatch(cfg, dim, n, path="mismatch"):
     block = _require_mapping(cfg, path)
     _check_keys(block, {"A", "e0", "modes"}, path)
     if ("A" in block) == ("e0" in block):
@@ -238,26 +232,160 @@ def _validate_mismatch(cfg, dim, path="mismatch"):
     else:
         _as_number(block["e0"], f"{path}.e0")
     if "modes" in block:
-        _validate_modes(block["modes"], f"{path}.modes", dim, allow_component=True)
+        _validate_modes(block["modes"], f"{path}.modes", dim, n, allow_component=True)
 
 
-_ANALYSIS_KEYS = {
-    "critical-point": {"tol", "max_iter"},
-    "stability": {"max_mode"},
-    "flat-threshold": {"bracket", "cell", "rel_tol", "thicknesses"},
-    "crystalline": {"d", "a", "b", "max_steps", "max_thickness", "suppression_thicknesses"},
-    "verify-identity": {"dim", "trials"},
-    "oracle-check": {"modes", "rel_tol", "fd_step", "richardson"},
+# Rules an analysis value must pass: each takes the value, its dotted path
+# and the lateral resolution n (None for a command without a film).
+
+
+def _positive(value, path, n=None):
+    _as_number(value, path, positive=True)
+
+
+def _count(value, path, n=None):
+    _as_number(value, path, integer=True, minimum=1)
+
+
+def _dim(value, path, n=None):
+    dim = _as_number(value, path, integer=True)
+    if dim not in (2, 3):
+        raise ConfigError(path, f"must be 2 or 3, got {dim}")
+    return dim
+
+
+def _resolved(value, path, n, minimum=1):
+    """A lateral mode ``k`` with ``|k|`` at most :func:`max_resolved_mode` of ``n``."""
+    k = _as_number(value, path, integer=True, minimum=minimum)
+    kmax = max_resolved_mode(n)
+    if abs(k) > kmax:
+        # an integer past 15 digits shows as d.ddde+N
+        e = len(str(abs(k))) - 1
+        shown = k if e < 15 else f"{k / 10**e:.3f}e+{e}"
+        raise ConfigError(path, f"mode {shown} is not resolved on n = {n} points; at most {kmax}")
+
+
+def _list_of(rule, noun):
+    """The rule for a non-empty list whose every entry passes ``rule``."""
+
+    def check(values, path, n):
+        if not isinstance(values, list) or not values:
+            raise ConfigError(path, f"expected a non-empty list of {noun}")
+        for i, value in enumerate(values):
+            rule(value, f"{path}[{i}]", n)
+
+    return check
+
+
+def _bracket(bracket, path, n):
+    if not (isinstance(bracket, list) and len(bracket) == 2):
+        raise ConfigError(path, "expected [low, high]")
+    lo = _as_number(bracket[0], f"{path}[0]", positive=True)
+    hi = _as_number(bracket[1], f"{path}[1]", positive=True)
+    if not lo < hi:
+        raise ConfigError(path, f"low must be below high, got {bracket}")
+
+
+def _cell(value, path, n):
+    if value not in ("unit", "cube"):
+        raise ConfigError(path, f"must be 'unit' or 'cube', got {value!r}")
+
+
+def _halvings(value, path, n):
+    steps = _as_number(value, path, integer=True, minimum=1)
+    if steps > _MAX_HALVINGS:
+        raise ConfigError(
+            path,
+            f"at most {_MAX_HALVINGS}, got {steps}: the sweep halves the regularization at each "
+            f"step, and 0.5**k is zero past k = {_MAX_HALVINGS}",
+        )
+
+
+def _flag(value, path, n):
+    if not isinstance(value, bool):
+        raise ConfigError(path, "expected true or false")
+
+
+# The subcommands, in the order the command line lists them.  Each row holds
+# the help line; the analysis keys, required then optional, in check order,
+# each with its rule; the output keys with their default file names (None for
+# a file written only on request); and what the command uses:
+#   film        a film from the geometry, material, anisotropy and mismatch blocks
+#   anisotropy  the anisotropy block, which is otherwise optional and advisory
+#   cell        its own lateral cell, so geometry.width is refused
+#   solve       a solve on the film, densely unless it is laterally uniform
+#   coupling    a stability problem, whose surface coupling is a dense nd x nx matrix
+COMMANDS = {
+    "critical-point": {
+        "help": "solve the elastic equilibrium over a fixed profile",
+        "analysis": ({}, {"tol": _positive, "max_iter": _count}),
+        "output": {"report": "critical_point.json", "field": None},
+        "uses": ("film", "anisotropy", "solve"),
+    },
+    "stability": {
+        "help": "strict-stability verdict and dispersion data at an equilibrium",
+        "analysis": ({}, {"max_mode": _resolved}),
+        "output": {"report": "stability.json", "csv": "dispersion.csv"},
+        "uses": ("film", "anisotropy", "solve", "coupling"),
+    },
+    "flat-threshold": {
+        "help": "bisect the critical thickness of the flat configuration",
+        "analysis": (
+            {"bracket": _bracket},
+            {"cell": _cell, "rel_tol": _positive, "thicknesses": _list_of(_positive, "positive numbers")},
+        ),
+        "output": {"report": "flat_threshold.json", "csv": "threshold.csv"},
+        "uses": ("film", "anisotropy", "cell", "coupling"),
+    },
+    "crystalline": {
+        "help": "facet-regularization sweep and instability-suppression check",
+        "analysis": (
+            {"a": _positive, "b": _positive},
+            {"d": _positive, "max_steps": _halvings, "max_thickness": _positive,
+             "suppression_thicknesses": _list_of(_positive, "positive numbers")},
+        ),
+        "output": {"report": "crystalline.json", "csv": "crystalline.csv"},
+        # it sweeps its own facet densities
+        "uses": ("film", "cell", "coupling"),
+    },
+    "verify-identity": {
+        "help": "check the boundary-system determinant identity",
+        # --dim may stand in for the key, so the handler names a missing one
+        "analysis": ({}, {"dim": _dim, "trials": _count}),
+        "output": {"report": "verify_identity.json"},
+        "uses": (),
+    },
+    "oracle-check": {
+        "help": "compare the assembled second variation with the energy oracle",
+        "analysis": (
+            {},
+            {"modes": _list_of(_resolved, "integers"), "rel_tol": _positive, "fd_step": _positive,
+             "richardson": _flag},
+        ),
+        "output": {"report": "oracle_check.json"},
+        "uses": ("film", "anisotropy", "solve", "coupling"),
+    },
 }
 
-_OUTPUT_KEYS = {"critical-point": {"report", "field"}, "verify-identity": {"report"}, "oracle-check": {"report"}}
-_OUTPUT_KEYS |= dict.fromkeys(("stability", "flat-threshold", "crystalline"), {"report", "csv"})
 
-_NEEDS_PROBLEM = {"critical-point", "stability", "flat-threshold", "crystalline", "oracle-check"}
-# the commands that solve on the configured film, densely unless it is laterally uniform
-_SOLVES_THE_FILM = {"critical-point", "stability", "oracle-check"}
-# the commands that build a stability problem, whose surface coupling is a dense nd x nx matrix
-_COUPLES_THE_SURFACE = {"stability", "flat-threshold", "crystalline", "oracle-check"}
+def _validate_analysis(cfg, command, n, path="analysis"):
+    block = _require_mapping(cfg, path)
+    required, optional = COMMANDS[command]["analysis"]
+    _check_keys(block, required.keys() | optional.keys(), path)
+    for key, rule in (required | optional).items():
+        if key in block:
+            rule(block[key], f"{path}.{key}", n)
+        elif key in required:
+            raise ConfigError(f"{path}.{key}", "missing required key")
+
+
+def _validate_output(cfg, command, path="output"):
+    block = _require_mapping(cfg, path)
+    for key in block:
+        if key not in COMMANDS[command]["output"]:
+            raise ConfigError(f"{path}.{key}", f"{command} writes no such file; remove the key")
+        if not isinstance(block[key], str) or not block[key]:
+            raise ConfigError(f"{path}.{key}", "expected a non-empty file name")
 
 
 def _dofs(dim: int, n: int, ny: int) -> int:
@@ -325,89 +453,6 @@ def _check_fits(need: int, film: str, what: str, dim: int, n: int, ny: int) -> N
         )
 
 
-def _check_resolved(k, n, path):
-    kmax = max_resolved_mode(n)
-    if k > kmax:
-        raise ConfigError(path, f"mode {k} is not resolved on n = {n} points; at most {kmax}")
-
-
-def _validate_analysis(cfg, command, n, path="analysis"):
-    block = _require_mapping(cfg, path)
-    _check_keys(block, _ANALYSIS_KEYS[command], path)
-    if command == "critical-point":
-        if "tol" in block:
-            _as_number(block["tol"], f"{path}.tol", positive=True)
-        if "max_iter" in block:
-            _as_number(block["max_iter"], f"{path}.max_iter", integer=True, minimum=1)
-    elif command == "stability":
-        if "max_mode" in block:
-            max_mode = _as_number(block["max_mode"], f"{path}.max_mode", integer=True, minimum=1)
-            _check_resolved(max_mode, n, f"{path}.max_mode")
-    elif command == "flat-threshold":
-        bracket = _get(block, "bracket", path)
-        if not (isinstance(bracket, list) and len(bracket) == 2):
-            raise ConfigError(f"{path}.bracket", "expected [low, high]")
-        lo = _as_number(bracket[0], f"{path}.bracket[0]", positive=True)
-        hi = _as_number(bracket[1], f"{path}.bracket[1]", positive=True)
-        if not lo < hi:
-            raise ConfigError(f"{path}.bracket", f"low must be below high, got {bracket}")
-        if "cell" in block and block["cell"] not in ("unit", "cube"):
-            raise ConfigError(f"{path}.cell", f"must be 'unit' or 'cube', got {block['cell']!r}")
-        if "rel_tol" in block:
-            _as_number(block["rel_tol"], f"{path}.rel_tol", positive=True)
-        if "thicknesses" in block:
-            _validate_positive_list(block["thicknesses"], f"{path}.thicknesses")
-    elif command == "crystalline":
-        _as_number(_get(block, "a", path), f"{path}.a", positive=True)
-        _as_number(_get(block, "b", path), f"{path}.b", positive=True)
-        if "d" in block:
-            _as_number(block["d"], f"{path}.d", positive=True)
-        if "max_steps" in block:
-            steps = _as_number(block["max_steps"], f"{path}.max_steps", integer=True, minimum=1)
-            if steps > _MAX_HALVINGS:
-                raise ConfigError(
-                    f"{path}.max_steps",
-                    f"at most {_MAX_HALVINGS}, got {steps}: the sweep halves the regularization at each "
-                    f"step, and 0.5**k is zero past k = {_MAX_HALVINGS}",
-                )
-        if "max_thickness" in block:
-            _as_number(block["max_thickness"], f"{path}.max_thickness", positive=True)
-        if "suppression_thicknesses" in block:
-            _validate_positive_list(
-                block["suppression_thicknesses"], f"{path}.suppression_thicknesses"
-            )
-    elif command == "verify-identity":
-        # --dim may stand in for the key, so the handler names a missing one
-        if "dim" in block:
-            dim = _as_number(block["dim"], f"{path}.dim", integer=True)
-            if dim not in (2, 3):
-                raise ConfigError(f"{path}.dim", f"must be 2 or 3, got {dim}")
-        if "trials" in block:
-            _as_number(block["trials"], f"{path}.trials", integer=True, minimum=1)
-    elif command == "oracle-check":
-        modes = _get(block, "modes", path, required=False, default=[1])
-        if not isinstance(modes, list) or not modes:
-            raise ConfigError(f"{path}.modes", "expected a non-empty list of integers")
-        for i, k in enumerate(modes):
-            k = _as_number(k, f"{path}.modes[{i}]", integer=True, minimum=1)
-            _check_resolved(k, n, f"{path}.modes[{i}]")
-        if "rel_tol" in block:
-            _as_number(block["rel_tol"], f"{path}.rel_tol", positive=True)
-        if "fd_step" in block:
-            _as_number(block["fd_step"], f"{path}.fd_step", positive=True)
-        if "richardson" in block and not isinstance(block["richardson"], bool):
-            raise ConfigError(f"{path}.richardson", "expected true or false")
-
-
-def _validate_output(cfg, command, path="output"):
-    block = _require_mapping(cfg, path)
-    for key in block:
-        if key not in _OUTPUT_KEYS[command]:
-            raise ConfigError(f"{path}.{key}", f"{command} writes no such file; remove the key")
-        if not isinstance(block[key], str) or not block[key]:
-            raise ConfigError(f"{path}.{key}", "expected a non-empty file name")
-
-
 def validate_config(cfg: dict, command: str) -> dict:
     """Validate a configuration for one subcommand; returns the config itself.
 
@@ -417,31 +462,30 @@ def validate_config(cfg: dict, command: str) -> dict:
     :func:`_dense_factor_bytes`, and one that builds a stability problem
     needs at least :func:`_coupling_bytes`.
     """
-    if command not in _ANALYSIS_KEYS:
+    if command not in COMMANDS:
         raise ConfigError("command", f"unknown subcommand {command!r}")
+    uses = COMMANDS[command]["uses"]
     _require_mapping(cfg, "config")
     top_allowed = {"analysis", "output"}
-    if command in _NEEDS_PROBLEM:
+    if "film" in uses:
         top_allowed |= {"geometry", "material", "anisotropy", "mismatch"}
     _check_keys(cfg, top_allowed, "config")
 
     n = None
-    if command in _NEEDS_PROBLEM:
+    if "film" in uses:
         dim, n, ny = _validate_geometry(_get(cfg, "geometry", "config"))
-        if command in ("flat-threshold", "crystalline") and "width" in cfg["geometry"]:
+        if "cell" in uses and "width" in cfg["geometry"]:
             raise ConfigError("geometry.width", f"{command} sets its own cell; remove the key")
         _validate_material(_get(cfg, "material", "config"))
-        # the crystalline command sweeps its own facet densities, so its
-        # anisotropy block is advisory only
-        if command != "crystalline" or "anisotropy" in cfg:
-            _validate_anisotropy(_get(cfg, "anisotropy", "config", required=command != "crystalline", default={"kind": "isotropic"}))
-        _validate_mismatch(_get(cfg, "mismatch", "config"), dim)
+        if "anisotropy" in uses or "anisotropy" in cfg:
+            _validate_anisotropy(_get(cfg, "anisotropy", "config"))
+        _validate_mismatch(_get(cfg, "mismatch", "config"), dim, n)
     _validate_analysis(cfg.get("analysis", {}), command, n)
     _validate_output(cfg.get("output", {}), command)
-    if command in _SOLVES_THE_FILM and not _laterally_uniform(cfg):
+    if "solve" in uses and not _laterally_uniform(cfg):
         film = "this film that is not laterally uniform"
         _check_fits(_dense_factor_bytes(dim, n, ny), film, "dense block factor", dim, n, ny)
-    if command in _COUPLES_THE_SURFACE:
+    if "coupling" in uses:
         _check_fits(_coupling_bytes(dim, n, ny), "this film", "surface coupling", dim, n, ny)
     return cfg
 
@@ -524,8 +568,7 @@ def jsonable(value):
     if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
         return value
     if hasattr(value, "item") and not hasattr(value, "__len__"):
-        value = value.item()
-        return jsonable(value)
+        return jsonable(value.item())
     if isinstance(value, float):
         if math.isfinite(value):
             return value

@@ -106,6 +106,72 @@ def test_unresolved_lateral_mode_rejected(tmp_path, capsys, n, command, analysis
     validate_config(flat_config(n=n, ny=4, e0=0.05, analysis=lower), command)
 
 
+_CURVED_16 = {"kind": "fourier", "modes": [{"mode": 0, "amplitude": 1.0}, {"mode": 1, "amplitude": 0.05}]}
+
+
+@pytest.mark.parametrize(
+    "mode, shown",
+    [(1e300, "1.000e+300"), (9, "9"), (-8, "-8"), (-(10**400), "-1.000e+400")],
+    ids=["1e300", "9", "-8", "-1e400"],
+)
+def test_profile_mode_the_grid_does_not_resolve_exits_one(tmp_path, capsys, mode, shown):
+    # mode 1e300 sampled the cosine of a meaningless argument and failed the
+    # oracle; mode 9 on 16 points has the samples of mode 7
+    cfg = flat_config(n=16, ny=8, e0=0.05, analysis={"modes": [1]})
+    cfg["geometry"]["profile"] = json.loads(json.dumps(_CURVED_16))
+    cfg["geometry"]["profile"]["modes"][1]["mode"] = mode
+    code, out = run(tmp_path, "oracle-check", cfg)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: geometry.profile.modes[1].mode: mode {shown} is not resolved on n = 16 points; "
+        "at most 7\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block", ["profile", "mismatch"])
+def test_three_dimensional_mode_pair_past_the_bound_exits_one(tmp_path, capsys, block):
+    cfg = flat_config(n=8, ny=4, e0=0.05)
+    cfg["geometry"]["dim"] = 3
+    pair = [{"mode": [1, 4], "amplitude": 0.01}]
+    if block == "profile":
+        cfg["geometry"]["profile"] = {"kind": "fourier", "modes": pair, "thickness": 1.0}
+    else:
+        cfg["mismatch"]["modes"] = pair
+    path = "geometry.profile" if block == "profile" else "mismatch"
+    code, _ = run(tmp_path, "stability", cfg)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: {path}.modes[0].mode[1]: mode 4 is not resolved on n = 8 points; at most 3\n"
+    )
+
+
+def test_substrate_mode_the_grid_does_not_resolve_exits_one(tmp_path, capsys):
+    cfg = flat_config(n=16, ny=8, e0=0.05)
+    cfg["mismatch"]["modes"] = [{"mode": 1, "amplitude": 0.01}, {"mode": 8, "amplitude": 0.01, "component": 0}]
+    code, _ = run(tmp_path, "critical-point", cfg)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: mismatch.modes[1].mode: mode 8 is not resolved on n = 16 points; at most 7\n"
+    )
+
+
+def test_modes_up_to_the_bound_are_accepted():
+    # the highest resolved mode, its negative and mode 0 pass, in 2D and 3D,
+    # in the profile and in the substrate datum
+    terms = [{"mode": k, "amplitude": 0.01} for k in (0, 7, -7)]
+    cfg = flat_config(n=16, ny=8, e0=0.05)
+    cfg["geometry"]["profile"] = {"kind": "fourier", "modes": terms, "thickness": 1.0}
+    cfg["mismatch"]["modes"] = terms
+    validate_config(cfg, "critical-point")
+    pairs = [{"mode": pair, "amplitude": 0.01} for pair in ([0, 0], [3, -3], [-3, 3])]
+    cfg = flat_config(n=8, ny=4, e0=0.05)
+    cfg["geometry"]["dim"] = 3
+    cfg["geometry"]["profile"] = {"kind": "fourier", "modes": pairs, "thickness": 1.0}
+    cfg["mismatch"]["modes"] = pairs
+    validate_config(cfg, "critical-point")
+
+
 def test_default_max_mode_is_the_highest_resolved_mode(tmp_path):
     # on odd n the highest resolved mode is (n - 1) // 2, as validation reads it
     code, out = run(tmp_path, "stability", flat_config(n=9, ny=4, e0=0.05))

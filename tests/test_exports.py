@@ -7,7 +7,8 @@ the import path while the tests run, so a package module importing them
 would pass here and fail once installed.  numpy is the only numerical
 module the package imports: scipy is named only where the benchmark tracer
 reads it, so every command runs without it, on a curved film whose
-stiffness has no Cholesky factor too.
+stiffness has no Cholesky factor too.  Importing the command line loads no
+numerical module, so ``--threads`` takes effect before numpy loads.
 """
 
 import ast
@@ -162,3 +163,66 @@ def test_curved_film_commands_load_no_scipy(tmp_path, command, cfg):
     # the dense block factor, its Schur step and the c0 Ritz solve of a
     # curved film run on numpy alone
     assert _scipy_modules_of_a_run(tmp_path, command, cfg) == []
+
+
+# what importing the command line adds to a fresh interpreter, and what the
+# standard-library modules it may use add on their own
+_ADDED_BY_IMPORT = """
+import json, sys
+before = set(sys.modules)
+for name in sys.argv[1:]:
+    __import__(name)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def _modules_added_by(*names) -> set:
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", _ADDED_BY_IMPORT, *names], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return set(json.loads(proc.stdout))
+
+
+def test_command_line_import_loads_no_numerical_module():
+    # the set-up path: importing filmstab.cli adds only the modules below,
+    # those they pull in, and builtins; no numpy loads before --threads
+    # takes effect, and no dataclasses, inspect or typing on the way
+    added = _modules_added_by("filmstab.cli")
+    allowed = {"filmstab", "filmstab.cli", "filmstab.config"}
+    allowed |= _modules_added_by("argparse", "gettext", "hashlib", "json")
+    extra = {name for name in added - allowed if not name.startswith("_")}
+    assert not extra, f"importing filmstab.cli loads {sorted(extra)}"
+    assert {"numpy", "scipy", "dataclasses", "inspect"}.isdisjoint(added)
+
+
+# records the BLAS thread variable at the moment numpy is first imported
+_THREADS_AT_NUMPY_IMPORT = """
+import json, os, sys
+
+seen = []
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Watch())
+from filmstab.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, seen]))
+"""
+
+
+def test_threads_take_effect_before_numpy_loads(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_FLAT))
+    root = Path(__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    env.update(PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-c", _THREADS_AT_NUMPY_IMPORT, "critical-point", "--config", str(config),
+            "--out", str(tmp_path / "out"), "--threads", "1"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, ["1"]]
