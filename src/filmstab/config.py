@@ -254,15 +254,18 @@ def _dim(value, path, n=None):
     return dim
 
 
+def _shown(k: int):
+    """An integer for a message: itself, or ``d.ddde+N`` past 15 digits."""
+    e = len(str(abs(k))) - 1
+    return k if e < 15 else f"{k / 10**e:.3f}e+{e}"
+
+
 def _resolved(value, path, n, minimum=1):
     """A lateral mode ``k`` with ``|k|`` at most :func:`max_resolved_mode` of ``n``."""
     k = _as_number(value, path, integer=True, minimum=minimum)
     kmax = max_resolved_mode(n)
     if abs(k) > kmax:
-        # an integer past 15 digits shows as d.ddde+N
-        e = len(str(abs(k))) - 1
-        shown = k if e < 15 else f"{k / 10**e:.3f}e+{e}"
-        raise ConfigError(path, f"mode {shown} is not resolved on n = {n} points; at most {kmax}")
+        raise ConfigError(path, f"mode {_shown(k)} is not resolved on n = {n} points; at most {kmax}")
 
 
 def _list_of(rule, noun):
@@ -296,7 +299,7 @@ def _halvings(value, path, n):
     if steps > _MAX_HALVINGS:
         raise ConfigError(
             path,
-            f"at most {_MAX_HALVINGS}, got {steps}: the sweep halves the regularization at each "
+            f"at most {_MAX_HALVINGS}, got {_shown(steps)}: the sweep halves the regularization at each "
             f"step, and 0.5**k is zero past k = {_MAX_HALVINGS}",
         )
 

@@ -28,10 +28,9 @@ thickness, and continues in amplitude to its profile and substrate modes.
 numpy is the module's one numerical import: a laterally uniform field is
 factored and its ``c0`` solved by ``numpy.linalg`` block by block, and any
 other field by :class:`BlockCholesky` and the Ritz solve of its ``c0``
-recurrence (:func:`eigh_tridiagonal`), both on numpy alone.  The block
-factor also solves a Newton step on a stiffness without a Cholesky factor,
-through the Schur complement where its factorisation stopped.  scipy is
-named only in :func:`__getattr__`, for the benchmark tracer.
+recurrence (:func:`eigh_tridiagonal`), both on numpy alone.
+:meth:`ElasticField.factor` is the one place a stiffness is factored.
+scipy is named only in :func:`__getattr__`, for the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ __all__ = [
     "assemble_hessian",
     "h1_gram",
     "interior_weight_vector",
-    "factor_solve",
     "solve_affine",
     "solve_critical_point",
     "continue_critical_point",
@@ -453,10 +451,8 @@ class ElasticField:
 
     ``p`` is the nodal unknown, shape ``xshape + (ny, dim)``, zero on the
     substrate row; the base carries the mismatch datum exactly.  The field
-    keeps its stiffness only as a factor: the Cholesky factor (or the
-    per-wavenumber blocks and their factors) is cached, so the Newton
-    steps, the stability problem and the warm-started re-solves share it,
-    and the field holds no ``nd x nd`` array.
+    keeps its stiffness only as a factor, and holds no ``nd x nd`` array:
+    :meth:`factor` says which factor and which is cached.
     The linear tangent does not depend on ``p``, so for the linear kind
     :meth:`with_p` shares that cache too.
     """
@@ -519,8 +515,8 @@ class ElasticField:
     def stiffness(self) -> "BlockColumns":
         """:class:`BlockColumns` of the tangent form's interior-dof matrix, assembled on every read.
 
-        No solve reads it: the solves and ``c0`` go through the factors of
-        :func:`_stiffness_factor`.  The tests read it, and
+        No solve reads it: the solves and ``c0`` go through :meth:`factor`.
+        The tests read it, and
         :attr:`~filmstab.stability.StabilityProblem.stiffness` passes it on.
         """
         return assemble_hessian(self.grid, self._weighted_tangent())
@@ -550,49 +546,56 @@ class ElasticField:
 
     @property
     def stiffness_cho(self):
-        """Cholesky factor of the stiffness; ``False`` when it is not positive definite.
+        """The stiffness's Cholesky factor, or ``False`` when it has none, read once by :meth:`factor`."""
+        if self._stiffness.get("cho") is None:
+            self._stiffness["cho"] = None  # a read alone: factor() builds no fallback for it
+            self.factor()
+        return self._stiffness["cho"]
 
-        A laterally uniform field gets a :class:`LateralCholesky` of its
-        :attr:`stiffness_blocks` and never assembles the stiffness; any other
-        field gets the :class:`BlockCholesky` of the lower triangle of a
-        freshly assembled ``K``, factored in place by
-        :func:`_stiffness_factor`, about half the memory of a full
-        ``nd x nd`` matrix.  It is the only factor of the field: the solves
-        and the ``c0`` Lanczos recurrence both read it.  A
-        :class:`BlockCholesky` that ends in a Schur complement gives
-        ``False``, and so does a block without a Cholesky factor, with no
-        dense retry: the blocks are a unitary block-diagonalisation of the
-        stiffness, so it is positive definite exactly when they all are.
+    def factor(self, sigma: float = 0.0):
+        """A factor of ``K - sigma G``, ``K`` the stiffness and ``G`` the :func:`h1_gram`, that solves either way.
+
+        The one place a stiffness is factored: the Newton steps, ``c0`` and
+        the stability problem call the factor's own ``solve``.  At
+        ``sigma = 0`` it is, in this order:
+
+        * a laterally uniform field's :class:`LateralCholesky` of its
+          :attr:`stiffness_blocks`, with no assembly of ``K``;
+        * any other field's :class:`BlockCholesky` of ``K``, assembled by
+          block columns and factored in place, about half a full matrix;
+        * when ``K`` has no Cholesky factor, a fresh :class:`BlockCholesky`
+          of ``K`` that ends in a Schur complement.
+
+        The first read caches the Cholesky factor, or ``False``, as
+        :attr:`stiffness_cho`.  The blocks are a unitary
+        block-diagonalisation of ``K``, so it is positive definite exactly
+        when they all are, and a read that fails them assembles nothing.
+        The factor that ends in a Schur complement is never cached, so
+        ``c0`` does not hold it beside its shifted factor.  At
+        ``sigma != 0`` the lower triangle of ``K - sigma G`` is assembled in
+        one pass from the coefficients ``Cw - sigma w I``, its diagonal
+        takes ``-sigma`` times the interior weights, and it is factored in
+        place, uncached.
         """
         cache = self._stiffness
-        if "cho" not in cache:
-            blocks = self.stiffness_blocks
-            if blocks is None:
-                self._newton_factor()  # caches the factor, or False
-            else:
-                try:
-                    cache["cho"] = LateralCholesky(self.grid.xshape, blocks)
-                except LinAlgError:
-                    cache["cho"] = False
-        return cache["cho"]
-
-    def _newton_factor(self):
-        """A factor that solves with the stiffness whether or not it is positive definite.
-
-        It is :attr:`stiffness_cho` unless that is ``False``.  Then it is
-        the :class:`BlockCholesky` of ``K`` that ends in a Schur
-        complement, which is used for the step at hand and not cached: the
-        field keeps ``False``, and ``c0`` does not hold the partial factor
-        beside the factor of its shifted ``K - sigma G``.  The first read
-        of either on a field that is not laterally uniform assembles and
-        factors ``K`` once for both.
-        """
-        cache = self._stiffness
-        if "cho" not in cache and self.stiffness_blocks is None:
-            factor = _stiffness_factor(self)
+        if not sigma and cache.get("cho") is None and self.stiffness_blocks is not None:
+            try:
+                cache["cho"] = LateralCholesky(self.grid.xshape, self.stiffness_blocks)
+            except LinAlgError:
+                read_alone, cache["cho"] = "cho" in cache, False
+                if read_alone:
+                    return False
+        if not sigma and cache.get("cho"):
+            return cache["cho"]
+        grid, Cw = self.grid, self._weighted_tangent()
+        if sigma:
+            Cw -= sigma * _h1_coefficients(grid)
+        K = assemble_hessian(grid, Cw)
+        K.add_diagonal(-sigma * interior_weight_vector(grid))
+        factor = BlockCholesky(K)
+        if not sigma and cache.get("cho") is None:
             cache["cho"] = factor if factor.schur is None else False
-            return factor
-        return self.stiffness_cho or _stiffness_factor(self)
+        return factor
 
 
 # -- assembly ---------------------------------------------------------------------
@@ -725,24 +728,6 @@ def h1_gram(grid: MappedGrid) -> "BlockColumns":
     return G
 
 
-def _stiffness_factor(field: ElasticField, sigma: float = 0.0) -> "BlockCholesky":
-    """:class:`BlockCholesky` factor of ``K - sigma G``, ending in a Schur complement when it is not positive definite.
-
-    ``K`` is the field's stiffness and ``G`` the :func:`h1_gram`.  The two
-    forms share their operators and weights, so the lower triangle of
-    ``K - sigma G`` is assembled in one pass by block columns from the
-    coefficients ``Cw - sigma w I``, its diagonal takes ``-sigma`` times the
-    interior weights, and it is factored in place.  At ``sigma = 0`` this
-    is the stiffness's own factor, bit for bit.
-    """
-    grid, Cw = field.grid, field._weighted_tangent()
-    if sigma:
-        Cw -= sigma * _h1_coefficients(grid)
-    K = assemble_hessian(grid, Cw)
-    K.add_diagonal(-sigma * interior_weight_vector(grid))
-    return BlockCholesky(K)
-
-
 def _h1_gram_matvec(grid: MappedGrid, v: np.ndarray) -> np.ndarray:
     """``h1_gram(grid) @ v`` without assembling the Gram matrix."""
     wq = grid.wq.reshape(-1, 1, 1)
@@ -797,8 +782,8 @@ class LateralCholesky:
         self._inverse = L_inv.conj().transpose(0, 2, 1) @ L_inv
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``K^-1 b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``."""
-        axes = tuple(range(len(self.xshape)))
+        """``K^-1 b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``; a non-finite ``b`` raises ``ValueError``."""
+        axes, b = tuple(range(len(self.xshape))), np.asarray_chkfinite(b)
         bk = np.fft.rfftn(b.reshape(self.xshape + (-1,) + b.shape[1:]), axes=axes)
         x = self._inverse @ bk.reshape(self._inverse.shape[:2] + (-1,))
         return np.fft.irfftn(x.reshape(bk.shape), s=self.xshape, axes=axes).reshape(b.shape)
@@ -938,14 +923,17 @@ class BlockCholesky:
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``K^-1 b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``.
+        """``K^-1 b`` for ``b`` of shape ``(nd,)`` or ``(nd, r)``; a non-finite ``b`` raises ``ValueError``.
 
-        The first solve through a Schur complement mirrors it whole in
-        place of its block columns, so when no column factored, the buffer
-        of ``K`` is released and the solve holds ``S`` and LAPACK's copy of
-        it, about ``2 nd^2`` numbers.
+        The factor is not scanned for non-finite entries, which would cost
+        as much as the solve: the assembly checked each block of ``K`` as it
+        wrote it, and the factor of a finite matrix is finite.  The first
+        solve through a Schur complement mirrors it whole in place of its
+        block columns, so when no column factored, the buffer of ``K`` is
+        released and the solve holds ``S`` and LAPACK's copy of it, about
+        ``2 nd^2`` numbers.
         """
-        y = self.forward(b)
+        y = self.forward(np.asarray_chkfinite(b))
         if self.schur is not None:
             if isinstance(self.schur, list):
                 self.schur = _mirror(self.schur)
@@ -993,18 +981,6 @@ def _tangent_flux(grid: MappedGrid, tangent_w: np.ndarray):
     Cw = tangent_w.reshape(-1, N, N, N, N)
     Cw = 0.5 * (Cw + Cw.transpose(0, 3, 4, 1, 2))
     return lambda g: np.einsum("kiamb,kmb->kia", Cw, g)
-
-
-def factor_solve(cho, b: np.ndarray) -> np.ndarray:
-    """``K^-1 b`` against a stiffness factor, reading the factor once.
-
-    ``cho`` is a :class:`BlockCholesky` or a :class:`LateralCholesky`, and
-    ``b`` a vector or a matrix of right-hand sides.  The factor is not
-    scanned for non-finite entries, which would cost as much as the solve:
-    the assembly checked each block of ``K`` as it wrote it, and the factor
-    of a finite matrix is finite.  A non-finite ``b`` raises ``ValueError``.
-    """
-    return cho.solve(np.asarray_chkfinite(b))
 
 
 def _affine_gradient(datum: MismatchDatum, b: np.ndarray) -> np.ndarray:
@@ -1117,8 +1093,7 @@ def _pcg_step(grid: MappedGrid, tangent_w: np.ndarray, r: np.ndarray, cho, targe
     flux = _tangent_flux(grid, tangent_w)
     x = np.zeros_like(r)
     res = -r
-    z = factor_solve(cho, res)
-    d = z
+    d = z = cho.solve(res)
     rz = res @ z
     for _ in range(_PCG_MAX_ITER):
         q = _form_apply(grid, d, flux)
@@ -1130,26 +1105,10 @@ def _pcg_step(grid: MappedGrid, tangent_w: np.ndarray, r: np.ndarray, cho, targe
         res = res - alpha * q
         if np.linalg.norm(res) <= target:
             return x
-        z = factor_solve(cho, res)
+        z = cho.solve(res)
         rz, rz_old = res @ z, rz
         d = z + (rz / rz_old) * d
     return None
-
-
-def _factored_step(work: ElasticField, r: np.ndarray, residuals):
-    """Newton step ``dp`` with ``K dp = -r`` by the iterate's own stiffness ``K``.
-
-    The factor is ``work``'s :meth:`~ElasticField._newton_factor`.  ``K``'s
-    Cholesky factor is the one cached on ``work``: a linear field shares it
-    with every field of its solve, a nonlinear iterate builds its own.  A
-    ``K`` without one is solved by its block factor through the Schur
-    complement where the factorisation stopped, and a step that is not a
-    descent direction, possible only then, raises :class:`NewtonError`.
-    """
-    dp_vec = factor_solve(work._newton_factor(), -r)
-    if r @ dp_vec >= 0.0:
-        raise NewtonError(f"non-descent Newton step (r·dp = {r @ dp_vec:.3e})", residuals)
-    return dp_vec
 
 
 def _newton(field: ElasticField, cho, tol: float, max_iter: int, spent: int = 0):
@@ -1183,7 +1142,9 @@ def _newton(field: ElasticField, cho, tol: float, max_iter: int, spent: int = 0)
             tangent_w = grid.wq[..., None, None, None, None] * density.tangent(gradu)
             dp_vec = _pcg_step(grid, tangent_w, r, cho, _PCG_RTOL * target)
         if dp_vec is None:
-            dp_vec = _factored_step(work, r, residuals)
+            dp_vec = work.factor().solve(-r)
+            if r @ dp_vec >= 0.0:  # possible only on a factor that ends in a Schur complement
+                raise NewtonError(f"non-descent Newton step (r·dp = {r @ dp_vec:.3e})", residuals)
             cho = work.stiffness_cho
         dp = _from_interior(grid, dp_vec)
         slope = float(r @ dp_vec)
@@ -1247,10 +1208,9 @@ def solve_critical_point(
     Every Newton step is first a conjugate-gradient solve of ``K dp = -r`` on
     the matrix-free tangent ``K``, preconditioned by the newest Cholesky
     factor at hand (inexact Newton, see :func:`_pcg_step`).  With no factor
-    yet, or when that solve fails, the step is solved by the block factor
-    of the iterate's own stiffness (:meth:`~ElasticField._newton_factor`),
-    through a Schur complement when ``K`` has no Cholesky factor, and the
-    iterate's :attr:`~ElasticField.stiffness_cho` becomes the newest factor.
+    yet, or when that solve fails, the step is solved by the iterate's own
+    :meth:`~ElasticField.factor`, and its
+    :attr:`~ElasticField.stiffness_cho` becomes the newest factor.
     ``precond`` is the first factor of a warm solve: the
     :attr:`~ElasticField.stiffness_cho` of a nearby field, or ``False`` or
     ``None`` for none.  The true residual test is the same for every step,
@@ -1385,18 +1345,18 @@ def coercivity_constant(field: ElasticField) -> float:
     Any other ``K`` takes one plain three-term Lanczos recurrence for the top
     eigenvalue ``theta = 1/(c0 - sigma)`` of ``L^-1 G L^-T``, against a
     :class:`BlockCholesky` factor ``L L^T`` of ``K - sigma G`` with ``G``
-    applied matrix-free, and returns ``sigma + 1/theta``.  A ``K`` with a
-    Cholesky factor has ``sigma = 0`` and runs on its own factor
-    (:attr:`~ElasticField.stiffness_cho`), so it holds three vectors and no
-    second matrix.  A ``K`` without one has ``sigma = min(0, m)``, where
+    applied matrix-free (:meth:`~ElasticField.factor`), and returns
+    ``sigma + 1/theta``.  A ``K`` with a Cholesky factor has ``sigma = 0``
+    and runs on its own factor, so it holds three vectors and no second
+    matrix.  A ``K`` without one has ``sigma = min(0, m)``, where
     ``m`` is the least eigenvalue over all nodes of the major-symmetrised
     tangent read as an ``N^2 x N^2`` matrix.  ``K - sigma G`` is the form
     of the weighted ``C - sigma I``, which is positive semidefinite at every
     node, plus ``-sigma`` times the L^2 Gram, so it is positive definite
-    for ``sigma < 0``: one more assembly and factor (see
-    :func:`_stiffness_factor`) and no search.  Should that factor still
-    end in a Schur complement, which happens only for a numerically
-    singular ``K`` at ``sigma = 0``, :class:`ShiftedFactorError` is raised.
+    for ``sigma < 0``: one more assembly and factor, and no search.  Should
+    that factor still end in a Schur complement, which happens only for a
+    numerically singular ``K`` at ``sigma = 0``, :class:`ShiftedFactorError`
+    is raised.
 
     The recurrence starts from a fixed seeded vector, with no restarts and
     no reorthogonalisation.  Every ``_RITZ_EVERY`` steps, at step ``nd``
@@ -1419,7 +1379,7 @@ def coercivity_constant(field: ElasticField) -> float:
     cho, sigma = field.stiffness_cho, 0.0
     if cho is False:
         sigma = min(0.0, _tangent_bound(field))
-        cho = _stiffness_factor(field, sigma)
+        cho = field.factor(sigma)
         if cho.schur is not None:
             raise ShiftedFactorError(sigma)
     nd = _flat_shapes(grid)[3]

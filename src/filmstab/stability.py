@@ -37,7 +37,6 @@ from .elasticity import (
     NewtonError,
     coercivity_constant,
     continue_critical_point,
-    factor_solve,
     generalized_eigh,
 )
 from .config import max_resolved_mode
@@ -424,7 +423,7 @@ class StabilityProblem:
         cho = self.field.stiffness_cho
         if cho is False:
             raise LinAlgError("the bulk tangent form is not positive definite")
-        return self.coupling.T @ factor_solve(cho, self.coupling)
+        return self.coupling.T @ cho.solve(self.coupling)
 
     @cached_property
     def t_matrix_z(self) -> np.ndarray:

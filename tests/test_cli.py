@@ -546,10 +546,10 @@ def test_stability_without_a_certified_shift_exits_2(tmp_path, capsys, monkeypat
     # no factor at any shift: c0 cannot be certified, which is named, not a
     # crash.  The factor at the shift is the unshifted one, which ends in a
     # Schur complement
-    import filmstab.elasticity as elasticity
+    from filmstab.elasticity import ElasticField
 
-    factor = elasticity._stiffness_factor
-    monkeypatch.setattr(elasticity, "_stiffness_factor", lambda field, sigma=0.0: factor(field))
+    factor = ElasticField.factor
+    monkeypatch.setattr(ElasticField, "factor", lambda field, sigma=0.0: factor(field))
     code, _ = run(tmp_path, "stability", indefinite_config())
     assert code == 2
     err = capsys.readouterr().err

@@ -72,6 +72,7 @@ CASES = [
     ("crystalline", {A: {"a": 1.0, "b": 1.0, "d": -1.0}}, "analysis.d: must be positive, got -1.0"),
     ("crystalline", {A: {"a": 1.0, "b": 1.0, "max_steps": 0}}, "analysis.max_steps: must be at least 1, got 0"),
     ("crystalline", {A: {"a": 1.0, "b": 1.0, "max_steps": 1075}}, "analysis.max_steps: at most 1074, got 1075: the sweep halves the regularization at each step, and 0.5**k is zero past k = 1074"),
+    ("crystalline", {A: {"a": 1.0, "b": 1.0, "max_steps": 1e300}}, "analysis.max_steps: at most 1074, got 1.000e+300: the sweep halves the regularization at each step, and 0.5**k is zero past k = 1074"),
     ("crystalline", {A: {"a": 1.0, "b": 1.0, "max_thickness": 0}}, "analysis.max_thickness: must be positive, got 0.0"),
     ("crystalline", {A: {"a": 1.0, "b": 1.0, "suppression_thicknesses": "x"}}, "analysis.suppression_thicknesses: expected a non-empty list of positive numbers"),
     ("crystalline", {A: {"a": 1.0, "b": 1.0, "d": 2.0, "max_thickness": 2.0}}, "analysis.max_thickness: must exceed the sweep thickness d = 2, got 2"),

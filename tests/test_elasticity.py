@@ -10,6 +10,7 @@ from filmstab.elasticity import (
     BlockCholesky,
     CoercivityError,
     ElasticField,
+    LateralCholesky,
     LinearDensity,
     MismatchDatum,
     NEWTON_TOL,
@@ -31,7 +32,6 @@ from filmstab.elasticity import (
     continue_critical_point,
     eigh_tridiagonal,
     elastic_density_from_config,
-    factor_solve,
     h1_gram,
     interior_weight_vector,
     isotropic_tensor,
@@ -487,16 +487,18 @@ def test_newton_steps_by_an_indefinite_stiffness_that_still_descends(monkeypatch
     datum = MismatchDatum.from_misfit(-0.2, 2, "nonlinear")
     scale = _residual_scale(ElasticField(build_grid(prof, 6), datum, dens))
     assembled, steps, indefinite = [], [], []
-    assemble, step = elasticity.assemble_hessian, elasticity._factored_step
+    assemble, factor = elasticity.assemble_hessian, ElasticField.factor
 
-    def factored_step(work, r, residuals):
-        steps.append(r)
-        dp = step(work, r, residuals)
-        indefinite.append(work.stiffness_cho is False)
-        return dp
+    def factored_step(work, sigma=0.0):
+        # the flat equilibrium's factor, read for the first preconditioner, is lateral
+        F = factor(work, sigma)
+        if isinstance(F, BlockCholesky):
+            steps.append(F)
+            indefinite.append(work.stiffness_cho is False)
+        return F
 
     monkeypatch.setattr(elasticity, "assemble_hessian", lambda *args: assembled.append(args) or assemble(*args))
-    monkeypatch.setattr(elasticity, "_factored_step", factored_step)
+    monkeypatch.setattr(ElasticField, "factor", factored_step)
     field, info = solve_critical_point(prof, datum, dens, ny=6, tol=1e-11 / scale)
     assert info["residual_norm"] <= 1e-11
     assert len(assembled) == len(steps) == info["iterations"] == 5
@@ -705,11 +707,9 @@ def test_c0_without_a_factor_holds_one_block_factor(monkeypatch):
 
 
 def test_c0_without_a_certified_shift_is_named(monkeypatch):
-    import filmstab.elasticity as elasticity
-
     # the factor at the shift is the unshifted one, which ends in a Schur complement
-    factor = elasticity._stiffness_factor
-    monkeypatch.setattr(elasticity, "_stiffness_factor", lambda field, sigma=0.0: factor(field))
+    factor = ElasticField.factor
+    monkeypatch.setattr(ElasticField, "factor", lambda field, sigma=0.0: factor(field))
     field = _no_factor_2d_field()
     sigma = min(0.0, _tangent_bound(field))
     with pytest.raises(ShiftedFactorError, match="c0 has no certified shift") as err:
@@ -994,14 +994,18 @@ def test_matrix_free_h1_gram_matches_assembled(dim, n, ny):
 
 
 def test_factor_solve_rejects_non_finite_right_hand_side():
-    grid = build_grid(_bumpy(12), 6)
-    field = ElasticField(grid, MismatchDatum.from_misfit(E0, 2, "linear"), LinearDensity.isotropic(2, LAM, MU))
-    cho = field.stiffness_cho
-    b = np.random.default_rng(5).standard_normal(_flat_shapes(grid)[3])
-    assert np.array_equal(factor_solve(cho, b), cho.solve(b))
-    b[3] = np.nan
-    with pytest.raises(ValueError):
-        factor_solve(cho, b)
+    # both factors' solves: the block factor of a curved film and the
+    # lateral factor of a flat one
+    datum, dens = MismatchDatum.from_misfit(E0, 2, "linear"), LinearDensity.isotropic(2, LAM, MU)
+    for profile, kind in ((_bumpy(12), BlockCholesky), (Profile.flat(2, 12, 1.0), LateralCholesky)):
+        grid = build_grid(profile, 6)
+        cho = ElasticField(grid, datum, dens).stiffness_cho
+        assert isinstance(cho, kind)
+        b = np.random.default_rng(5).standard_normal(_flat_shapes(grid)[3])
+        assert np.all(np.isfinite(cho.solve(b)))
+        b[3] = np.nan
+        with pytest.raises(ValueError):
+            cho.solve(b)
 
 
 def test_legendre_hadamard_isotropic_value():

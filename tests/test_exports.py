@@ -60,17 +60,35 @@ def test_only_elasticity_factors_or_runs_a_lanczos_solve():
     ``elasticity.py``; every other module reads them from there, so a second
     factorisation route does not creep back in.  Importing the names is
     allowed: ``stability.py`` resolves the two names the benchmark tracer
-    rebinds there on first read.
+    rebinds there on first read.  Inside ``elasticity.py``,
+    ``ElasticField.factor`` is the one place a stiffness is factored: no
+    other function builds a ``LateralCholesky`` or a ``BlockCholesky``.
     """
     guarded = {"cho_factor", "cholesky", "solve_triangular", "eigsh"}
     for path in sorted(Path(filmstab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
         if path.name == "elasticity.py":
+            builders = [(scope, call.lineno) for scope, call in _calls_by_scope(tree)
+                        if _called_name(call) in ("LateralCholesky", "BlockCholesky")]
+            assert builders and all(scope == ("ElasticField", "factor") for scope, _ in builders), builders
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                assert name not in guarded, f"{path.name} line {node.lineno} calls {name}"
+                assert _called_name(node) not in guarded, f"{path.name} line {node.lineno} calls {_called_name(node)}"
+
+
+def _called_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _calls_by_scope(node, scope=()):
+    """``(enclosing class and function names, call)`` for every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope + (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+        if isinstance(child, ast.Call):
+            yield inner, child
+        yield from _calls_by_scope(child, inner)
 
 
 def _imports_outside_module_getattr(node):
@@ -194,6 +212,29 @@ def test_command_line_import_loads_no_numerical_module():
     extra = {name for name in added - allowed if not name.startswith("_")}
     assert not extra, f"importing filmstab.cli loads {sorted(extra)}"
     assert {"numpy", "scipy", "dataclasses", "inspect"}.isdisjoint(added)
+
+
+# the set-up half of a run, as the benchmark's set-up probe makes it: the
+# config checked, the problem inputs built and the handlers' module imported
+_SET_UP = """
+import json, sys
+from filmstab.config import build_problem_inputs, validate_config
+build_problem_inputs(validate_config(json.loads(sys.argv[2]), sys.argv[1]))
+import filmstab.flat
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("filmstab", "scipy"))))
+"""
+
+
+@pytest.mark.parametrize("cfg", [_FLAT, _CURVED], ids=["flat", "curved"])
+def test_set_up_path_loads_the_numerical_modules_and_no_scipy(cfg):
+    # every module on the set-up path is compiled on each run, so a module
+    # added to it costs every command's set-up time
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", _SET_UP, "stability", json.dumps(cfg)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    names = ("config", "spectral", "geometry", "anisotropy", "elasticity", "stability", "flat")
+    assert json.loads(proc.stdout) == sorted(["filmstab"] + [f"filmstab.{name}" for name in names])
 
 
 # records the BLAS thread variable at the moment numpy is first imported
