@@ -5,13 +5,15 @@ with one block replaced (or deleted, where the patch gives ``None``) and
 pins the exit code 1 and the whole ``config error: ...`` line on stderr:
 one invalid value per analysis rule, a missing required key, an unknown
 analysis key, an unknown output key and an empty output name.  The help
-texts are pinned at 80 columns.  A refactor of the command-line layer must
+texts are pinned at 80 columns, and so are verify-identity's report bytes
+and summary lines.  A refactor of the command-line layer must
 leave every line here unchanged.  README's reference table lists every
 analysis key and default file name of ``config.COMMANDS``.
 """
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -244,6 +246,34 @@ def test_help_text(monkeypatch, argv):
     assert stop.value.code == 0
     assert printed.getvalue() == HELP[argv]
 
+
+# verify-identity's arguments: the sha256 of its report and its stdout, where
+# {out} stands for the output directory
+IDENTITY_RUNS = {
+    "--dim 2": (
+        "8d4299a0bdfc1c85e8f1ed5465d850c6eac8b13ecb1936893b6e8405ef8fde86",
+        "verified (exact)\nidentity check -> {out}/verify_identity.json\n",
+    ),
+    "--dim 3": (
+        "e9955e9ac3698e0773adc1a19631828fdd48170ae361ea30061f45c313c28efa",
+        "verified (randomized, 40 trials, failure bound < 1e-300 (underflows), sign +1)\n"
+        "identity check -> {out}/verify_identity.json\n",
+    ),
+    "--dim 3 --trials 12 --seed 5": (
+        "d20615a6973d502f069b6059c362ad35d782b86e57decc5d903497ab43935787",
+        "verified (randomized, 12 trials, failure bound 3.256e-205, sign +1)\n"
+        "identity check -> {out}/verify_identity.json\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(IDENTITY_RUNS))
+def test_verify_identity_report_and_summary(tmp_path, capsys, argv):
+    assert main(["verify-identity", *argv.split(), "--out", str(tmp_path)]) == 0
+    digest, printed = IDENTITY_RUNS[argv]
+    assert hashlib.sha256((tmp_path / "verify_identity.json").read_bytes()).hexdigest() == digest
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (printed.format(out=tmp_path), "")
 
 
 def test_readme_table_lists_every_analysis_key_and_default_file():

@@ -1,5 +1,7 @@
 """Tests for the exact determinant-identity verifier."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -266,6 +268,25 @@ def test_mutation_detected_within_three_trials():
     bad2[0, 2] = -bad2[0, 2]
     report2 = verify_identity(2, trials=3, matrix=bad2, seed=7)
     assert not report2.verified and report2.counterexample is not None
+
+
+# reports on a build_M(N) with one entry negated, pinned by the sha256 of
+# json.dumps(report.to_dict()): (N, entry, trials, seed, digest)
+MUTATED_REPORTS = [
+    (3, (1, 2), 3, 7, "52adafd7b7bed2a99502e0042db286d0546a6b5dee3b7fb2457e2312b1ecabe8"),
+    (3, (1, 2), 3, 5, "1337fae42d5401ff14b80c65fd086f28692aa1453c30c8b9976686363dc3b59f"),
+    (3, (16, 10), 3, 7, "52adafd7b7bed2a99502e0042db286d0546a6b5dee3b7fb2457e2312b1ecabe8"),
+    (3, (0, 0), 5, 7, "01237800e56913d28e40e0cf43b6cef3f23af032e2452920153843cc9054d355"),
+    (2, (0, 2), 3, 7, "3b702d423d99bea1913f874a72ff9afd4dafd8cb95c9f0e097647794edfea457"),
+]
+
+
+@pytest.mark.parametrize("N, entry, trials, seed, digest", MUTATED_REPORTS)
+def test_mutated_matrix_report_bytes(N, entry, trials, seed, digest):
+    bad = build_M(N)
+    bad[entry] = -bad[entry]
+    report = verify_identity(N, trials, matrix=bad, seed=seed)
+    assert hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest() == digest
 
 
 def test_global_sign_flip_reports_minus_branch():
