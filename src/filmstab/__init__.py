@@ -61,9 +61,6 @@ _EXPORTS = {
     "BracketError": "flat",
     "crystalline_epsilon0": "flat",
     # polynomial identities
-    "PolyRing": "polyident",
-    "MultiPoly": "polyident",
-    "PolyMatrix": "polyident",
     "build_M": "polyident",
     "build_Q": "polyident",
     "verify_identity": "polyident",

@@ -26,6 +26,7 @@ from pathlib import Path
 from .config import (
     COMMANDS,
     ConfigError,
+    _trials,
     build_problem_inputs,
     config_sha256,
     jsonable,
@@ -300,9 +301,7 @@ def _cmd_verify_identity(cfg: dict, args) -> int:
     dim = args.dim if args.dim is not None else analysis.get("dim")
     if dim is None:
         raise ConfigError("analysis.dim", "missing required key (or pass --dim)")
-    trials = args.trials if args.trials is not None else int(analysis.get("trials", 40))
-    if trials < 1:
-        raise ConfigError("--trials", f"must be at least 1, got {trials}")
+    trials = int(analysis.get("trials", 40)) if args.trials is None else _trials(args.trials, "--trials")
     seed = args.seed if args.seed is not None else 0
 
     result = verify_identity(int(dim), trials, seed=seed)

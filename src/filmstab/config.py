@@ -247,6 +247,20 @@ def _count(value, path, n=None):
     _as_number(value, path, integer=True, minimum=1)
 
 
+# verify-identity's failure bound is 0.0 from 19 trials on, in both dimensions;
+# 1,000 is 25 times the default of 40
+MAX_TRIALS = 1000
+
+
+def _trials(value, path, n=None):
+    trials = _as_number(value, path, integer=True, minimum=1)
+    if trials > MAX_TRIALS:
+        raise ConfigError(
+            path, f"at most {MAX_TRIALS}, got {_shown(trials)}: the failure bound is 0.0 from 19 trials on"
+        )
+    return trials
+
+
 def _dim(value, path, n=None):
     dim = _as_number(value, path, integer=True)
     if dim not in (2, 3):
@@ -354,7 +368,7 @@ COMMANDS = {
     "verify-identity": {
         "help": "check the boundary-system determinant identity",
         # --dim may stand in for the key, so the handler names a missing one
-        "analysis": ({}, {"dim": _dim, "trials": _count}),
+        "analysis": ({}, {"dim": _dim, "trials": _trials}),
         "output": {"report": "verify_identity.json"},
         "uses": (),
     },

@@ -225,7 +225,7 @@ def test_criterion_7_boundary_determinant_identities():
     spatial = verify_identity(3, trials=40, seed=2026)
 
     mutated = build_M(3)
-    mutated[1, 2] = -mutated[1, 2]
+    mutated[1][2] = {m: -c for m, c in mutated[1][2].items()}
     detection = verify_identity(3, trials=3, matrix=mutated, seed=5)
 
     ok = (

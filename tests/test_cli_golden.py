@@ -4,11 +4,12 @@ Each case runs one subcommand through ``cli.main`` on a small valid config
 with one block replaced (or deleted, where the patch gives ``None``) and
 pins the exit code 1 and the whole ``config error: ...`` line on stderr:
 one invalid value per analysis rule, a missing required key, an unknown
-analysis key, an unknown output key and an empty output name.  The help
-texts are pinned at 80 columns, and so are verify-identity's report bytes
-and summary lines.  A refactor of the command-line layer must
-leave every line here unchanged.  README's reference table lists every
-analysis key and default file name of ``config.COMMANDS``.
+analysis key, an unknown output key and an empty output name, and the
+``--trials`` flag's limit.  The help texts are pinned at 80 columns, and so
+are verify-identity's report bytes and summary lines.  A refactor of the
+command-line layer must leave every line here unchanged.  README's
+reference table lists every analysis key and default file name of
+``config.COMMANDS``.
 """
 
 import contextlib
@@ -84,6 +85,8 @@ CASES = [
     ("verify-identity", {A: {"dim": 4}}, "analysis.dim: must be 2 or 3, got 4"),
     ("verify-identity", {A: {"dim": "3"}}, "analysis.dim: expected a number, got str"),
     ("verify-identity", {A: {"dim": 2, "trials": 0}}, "analysis.trials: must be at least 1, got 0"),
+    ("verify-identity", {A: {"dim": 3, "trials": 1001}}, "analysis.trials: at most 1000, got 1001: the failure bound is 0.0 from 19 trials on"),
+    ("verify-identity", {A: {"dim": 3, "trials": 1e300}}, "analysis.trials: at most 1000, got 1.000e+300: the failure bound is 0.0 from 19 trials on"),
     ("verify-identity", {A: {"trials": 5}}, "analysis.dim: missing required key (or pass --dim)"),
     ("verify-identity", {A: {"dim": 2, "seed": 1}}, "analysis.seed: unknown key"),
     ("verify-identity", {"geometry": {"dim": 2, "n": 16, "ny": 8, "profile": {"kind": "flat", "thickness": 1.0}}}, "config.geometry: unknown key"),
@@ -229,6 +232,15 @@ def _run(tmp_path, command, patch):
 def test_config_error_line(tmp_path, capsys, command, patch, message):
     assert _run(tmp_path, command, patch) == 1
     captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_trials_flag_error_line(tmp_path, capsys):
+    argv = ["verify-identity", "--dim", "3", "--trials", "1001", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    message = "--trials: at most 1000, got 1001: the failure bound is 0.0 from 19 trials on"
     assert (captured.out, captured.err) == ("", f"config error: {message}\n")
     assert not (tmp_path / "out").exists()
 

@@ -8,92 +8,78 @@ import pytest
 
 from filmstab.polyident import (
     FIELD_PRIME,
-    MultiPoly,
-    PolyMatrix,
-    PolyRing,
+    add,
     build_M,
     build_Q,
+    degree,
+    det,
     det_mod,
+    mul,
+    value,
     verify_identity,
 )
 
+X, Y, Z = ({((v, 1),): 1} for v in "xyz")
+ONE = {(): 1}
 
-def small_ring():
-    return PolyRing(["x", "y", "z"])
+
+def neg(poly):
+    return {m: -c for m, c in poly.items()}
 
 
-def random_poly(ring, rng, max_terms=4, max_exp=2, coeff=5):
+def random_poly(rng, max_terms=4, max_exp=2, coeff=5):
     terms = {}
     for _ in range(rng.randrange(max_terms + 1)):
-        mono = tuple(
-            sorted(
-                (v, rng.randint(1, max_exp))
-                for v in rng.sample(range(len(ring.names)), rng.randrange(1, 3))
-            )
-        )
+        mono = tuple(sorted((v, rng.randint(1, max_exp)) for v in rng.sample("xyz", rng.randrange(1, 3))))
         terms[mono] = rng.randint(-coeff, coeff)
-    return MultiPoly(ring, terms)
+    return add(terms)
 
 
-# -- polynomial ring -------------------------------------------------------------
+# -- polynomials -------------------------------------------------------------------
 
 
 def test_ring_arithmetic_and_canonical_form():
-    ring = small_ring()
-    x, y = ring.var("x"), ring.var("y")
-    square = (x + y) * (x + y)
-    assert square == x * x + 2 * x * y + y * y
-    assert (square - square).is_zero
-    assert not (square - square).terms  # no zero coefficients stored
-    assert (x - x).terms == {}
-    assert (x + 1) * (x - 1) == x * x - 1
-    assert (x + y) ** 3 == x**3 + 3 * x * x * y + 3 * x * y * y + y**3
-    assert x.degree() == 1 and (x * x * y).degree() == 3
-    assert (x * x * y).degree(["y"]) == 1
-    assert ring.const(0).is_zero and ring.const(0).degree() == -1
+    square = mul(add(X, Y), add(X, Y))
+    assert square == add(mul(X, X), mul({(): 2}, X, Y), mul(Y, Y))
+    assert add(square, neg(square)) == {}  # no zero coefficients stored
+    assert add(X, neg(X)) == {}
+    assert mul(add(X, ONE), add(X, neg(ONE))) == add(mul(X, X), neg(ONE))
+    cube = mul(add(X, Y), add(X, Y), add(X, Y))
+    assert cube == add(mul(X, X, X), mul({(): 3}, X, X, Y), mul({(): 3}, X, Y, Y), mul(Y, Y, Y))
+    assert degree(X) == 1 and degree(mul(X, X, Y)) == 3
+    assert degree({}) == -1 and add({(): 0}) == {}
 
 
 def test_ring_distributivity_on_sampled_triples():
-    ring = small_ring()
     rng = random.Random(3)
     for _ in range(25):
-        a, b, c = (random_poly(ring, rng) for _ in range(3))
-        assert a * (b + c) == a * b + a * c
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
+        a, b, c = (random_poly(rng) for _ in range(3))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
-def test_evaluate_exact_and_modular():
-    ring = small_ring()
-    x, y, z = (ring.var(v) for v in "xyz")
-    poly = 3 * x * x * y - 7 * z + 2
-    vals = {"x": 4, "y": -3, "z": 11}
-    assert poly.evaluate(vals) == 3 * 16 * (-3) - 77 + 2
-    assert poly.evaluate(vals, 97) == (3 * 16 * (-3) - 77 + 2) % 97
+def test_value_mod_p():
+    poly = add(mul({(): 3}, X, X, Y), mul({(): -7}, Z), {(): 2})
+    point = {"x": 4, "y": -3, "z": 11}
+    assert value(poly, point, 97) == (3 * 16 * (-3) - 77 + 2) % 97
+    assert value(poly, point) == (3 * 16 * (-3) - 77 + 2) % FIELD_PRIME
 
 
 # -- determinants ------------------------------------------------------------------
 
 
 def test_det_trivial_cases():
-    ring = small_ring()
-    x, y, z = (ring.var(v) for v in "xyz")
-    one, zero = ring.one, ring.zero
-    assert PolyMatrix(ring, [[one, zero], [zero, one]]).det() == one
-    diag = PolyMatrix(ring, [[x, zero, zero], [zero, y, zero], [zero, zero, z]])
-    assert diag.det() == x * y * z
-    two = PolyMatrix(ring, [[x, y], [z, one]])
-    assert two.det() == x - y * z
+    assert det([[ONE, {}], [{}, ONE]]) == ONE
+    assert det([[X, {}, {}], [{}, Y, {}], [{}, {}, Z]]) == mul(X, Y, Z)
+    assert det([[X, Y], [Z, ONE]]) == add(X, neg(mul(Y, Z)))
 
 
 def test_det_row_swap_antisymmetry():
-    ring = small_ring()
     rng = random.Random(5)
-    rows = [[random_poly(ring, rng, max_terms=2) + 1 for _ in range(3)] for _ in range(3)]
-    base = PolyMatrix(ring, rows).det()
-    swapped = PolyMatrix(ring, [rows[1], rows[0], rows[2]]).det()
-    assert swapped == -base
+    rows = [[add(random_poly(rng, max_terms=2), ONE) for _ in range(3)] for _ in range(3)]
+    assert det([rows[1], rows[0], rows[2]]) == neg(det(rows))
 
 
 def test_det_mod_multiplicativity_and_swap():
@@ -129,17 +115,20 @@ def isotropic_assignment(N, lam, mu, nu):
     return out
 
 
+def values(rows, point):
+    return [[value(e, point) for e in row] for row in rows]
+
+
 def test_acoustic_matrix_isotropic_vertical():
     lam, mu = 5, 3
-    q3 = build_Q(3).evaluate(isotropic_assignment(3, lam, mu, (0, 0, 1)))
+    q3 = values(build_Q(3), isotropic_assignment(3, lam, mu, (0, 0, 1)))
     assert q3 == [[mu, 0, 0], [0, mu, 0], [0, 0, lam + 2 * mu]]
-    q2 = build_Q(2).evaluate(isotropic_assignment(2, lam, mu, (0, 1)))
+    q2 = values(build_Q(2), isotropic_assignment(2, lam, mu, (0, 1)))
     assert q2 == [[mu, 0], [0, lam + 2 * mu]]
 
 
 def test_acoustic_matrix_symmetric_under_major_symmetry():
     rng = random.Random(17)
-    Q = build_Q(3)
     assignment = {f"n{i}": rng.randint(-9, 9) for i in (1, 2, 3)}
     for i in range(1, 4):
         for j in range(1, 4):
@@ -150,56 +139,42 @@ def test_acoustic_matrix_symmetric_under_major_symmetry():
                         assignment[key] = assignment[mirror]
                     else:
                         assignment[key] = rng.randint(-9, 9)
-    values = Q.evaluate(assignment)
+    q = values(build_Q(3), assignment)
     for i in range(3):
         for j in range(3):
-            assert values[i][j] == values[j][i]
+            assert q[i][j] == q[j][i]
 
 
 # -- the surface-derivative system ------------------------------------------------------
 
 
-def test_system_structure_3d():
-    M = build_M(3)
-    assert M.size == 18
-    ring = M.ring
-    nu_names = ["n1", "n2", "n3"]
-    c_names = [n for n in ring.names if n.startswith("C")]
-    two_entry_rows = 0
-    nine_entry_rows = 0
-    for r in range(18):
-        nonzero = [M[r, c] for c in range(18) if not M[r, c].is_zero]
-        for entry in nonzero:
-            assert entry.degree(nu_names) <= 1
-            assert entry.degree(c_names) <= 1
-        if len(nonzero) == 2:
-            two_entry_rows += 1
-            assert all(e.degree(c_names) == 0 for e in nonzero)
-            assert any(e == ring.var("n3") for e in nonzero)
-            assert any(e == -ring.var("n1") or e == -ring.var("n2") for e in nonzero)
-        elif len(nonzero) == 9:
-            nine_entry_rows += 1
-            assert all(e.degree(c_names) == 1 and e.degree(nu_names) == 1 for e in nonzero)
-        else:
-            raise AssertionError(f"unexpected row population {len(nonzero)}")
-    assert two_entry_rows == 15
-    assert nine_entry_rows == 3
+def tensor_names(N):
+    r = range(1, N + 1)
+    return [f"C{i}{j}{h}{k}" for i in r for j in r for h in r for k in r]
 
 
-def test_system_structure_2d():
-    M = build_M(2)
-    assert M.size == 6
-    ring = M.ring
-    c_names = [n for n in ring.names if n.startswith("C")]
-    for r in (0, 1):  # traction rows load the four mixed/vertical columns
-        populated = [c for c in range(6) if not M[r, c].is_zero]
-        assert populated == [2, 3, 4, 5]
-        assert all(M[r, c].degree(c_names) == 1 for c in populated)
-    for r in (2, 3, 4, 5):
-        populated = [c for c in range(6) if not M[r, c].is_zero]
-        assert len(populated) == 2
-        entries = [M[r, c] for c in populated]
-        assert ring.var("n2") in entries and -ring.var("n1") in entries
+def partial_degree(poly, prefix):
+    """The largest degree of any monomial in the variables whose names start with ``prefix``."""
+    return max(sum(e for v, e in m if v.startswith(prefix)) for m in poly)
+
+
+@pytest.mark.parametrize("N, tangential", [(2, 4), (3, 15)])
+def test_system_structure(N, tangential):
+    M = build_M(N)
+    size = N * N * (N + 1) // 2
+    assert len(M) == size and all(len(row) == size for row in M)
+    vertical = {((f"n{N}", 1),): 1}
+    for row in M[:tangential]:  # tangential rows: +n_N and one -n_k with k < N
+        entries = [e for e in row if e]
+        assert len(entries) == 2
+        assert vertical in entries
+        assert any(e in ({((f"n{k}", 1),): -1} for k in range(1, N)) for e in entries)
+    for row in M[tangential:]:  # traction rows, each entry linear in n and in C
+        entries = [e for e in row if e]
+        assert len(entries) == N * N
+        assert all(partial_degree(e, "n") == 1 and partial_degree(e, "C") == 1 for e in entries)
+        assert all(degree(e) == 2 for e in entries)
+    assert len(M) - tangential == N
 
 
 def test_vertical_normal_reduces_system_to_acoustic():
@@ -207,11 +182,10 @@ def test_vertical_normal_reduces_system_to_acoustic():
     for N in (2, 3):
         assignment = {f"n{i}": 0 for i in range(1, N + 1)}
         assignment[f"n{N}"] = 1
-        for name in build_M(N).ring.names:
-            if name.startswith("C"):
-                assignment[name] = rng.randrange(FIELD_PRIME)
-        det_m = det_mod(build_M(N).evaluate(assignment, FIELD_PRIME), FIELD_PRIME)
-        det_q = det_mod(build_Q(N).evaluate(assignment, FIELD_PRIME), FIELD_PRIME)
+        for name in tensor_names(N):
+            assignment[name] = rng.randrange(FIELD_PRIME)
+        det_m = det_mod(values(build_M(N), assignment), FIELD_PRIME)
+        det_q = det_mod(values(build_Q(N), assignment), FIELD_PRIME)
         assert det_m == det_q  # the vertical power is 1 here and the sign is +
 
 
@@ -226,9 +200,9 @@ def test_identity_2d_exact_expansion():
     assert report.degree_bound == 8
 
     # independent symbolic statement, outside verify_identity's own path
-    M, Q = build_M(2), build_Q(2)
-    diff = M.det() - M.ring.var("n2") ** 2 * Q.det()
-    assert diff.is_zero
+    lhs = det(build_M(2))
+    assert len(lhs) == 32
+    assert add(lhs, neg(mul({(("n2", 2),): 1}, det(build_Q(2))))) == {}
 
 
 def test_identity_3d_randomized():
@@ -248,24 +222,20 @@ def test_identity_seed_reproducibility():
 
 def test_mutation_detected_within_three_trials():
     # entries in shared columns change the determinant genuinely
-    for idx in [(1, 2), (16, 10)]:
+    for r, c in [(1, 2), (16, 10)]:
         bad = build_M(3)
-        bad[idx] = -bad[idx]
+        bad[r][c] = neg(bad[r][c])
         report = verify_identity(3, trials=3, matrix=bad, seed=7)
         assert not report.verified
         assert report.counterexample is not None
         # the counterexample honestly violates the signed identity
         ctrex = report.counterexample
-        det_m = det_mod(bad.evaluate(ctrex, FIELD_PRIME), FIELD_PRIME)
-        rhs = (
-            pow(ctrex["n3"], 12, FIELD_PRIME)
-            * det_mod(build_Q(3).evaluate(ctrex, FIELD_PRIME), FIELD_PRIME)
-            % FIELD_PRIME
-        )
+        det_m = det_mod(values(bad, ctrex), FIELD_PRIME)
+        rhs = pow(ctrex["n3"], 12, FIELD_PRIME) * det_mod(values(build_Q(3), ctrex), FIELD_PRIME) % FIELD_PRIME
         assert det_m != rhs and det_m != (-rhs) % FIELD_PRIME
 
     bad2 = build_M(2)
-    bad2[0, 2] = -bad2[0, 2]
+    bad2[4][1] = neg(bad2[4][1])  # the first traction row's s121 entry
     report2 = verify_identity(2, trials=3, matrix=bad2, seed=7)
     assert not report2.verified and report2.counterexample is not None
 
@@ -277,14 +247,15 @@ MUTATED_REPORTS = [
     (3, (1, 2), 3, 5, "1337fae42d5401ff14b80c65fd086f28692aa1453c30c8b9976686363dc3b59f"),
     (3, (16, 10), 3, 7, "52adafd7b7bed2a99502e0042db286d0546a6b5dee3b7fb2457e2312b1ecabe8"),
     (3, (0, 0), 5, 7, "01237800e56913d28e40e0cf43b6cef3f23af032e2452920153843cc9054d355"),
-    (2, (0, 2), 3, 7, "3b702d423d99bea1913f874a72ff9afd4dafd8cb95c9f0e097647794edfea457"),
+    (2, (4, 1), 3, 7, "3b702d423d99bea1913f874a72ff9afd4dafd8cb95c9f0e097647794edfea457"),
 ]
 
 
 @pytest.mark.parametrize("N, entry, trials, seed, digest", MUTATED_REPORTS)
 def test_mutated_matrix_report_bytes(N, entry, trials, seed, digest):
     bad = build_M(N)
-    bad[entry] = -bad[entry]
+    r, c = entry
+    bad[r][c] = neg(bad[r][c])
     report = verify_identity(N, trials, matrix=bad, seed=seed)
     assert hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest() == digest
 
@@ -293,7 +264,7 @@ def test_global_sign_flip_reports_minus_branch():
     # the first tangential row owns the only entry of its column, so negating
     # it flips the whole determinant: still the identity, with the minus sign
     bad = build_M(3)
-    bad[0, 0] = -bad[0, 0]
+    bad[0][0] = neg(bad[0][0])
     report = verify_identity(3, trials=5, matrix=bad, seed=7)
     assert report.verified
     assert report.sign == -1
@@ -306,3 +277,7 @@ def test_verify_identity_validation():
         build_M(4)
     with pytest.raises(ValueError):
         build_Q(1)
+    foreign = build_M(2)
+    foreign[0][0] = {(("n3", 1),): 1}  # a variable of dimension 3 only
+    with pytest.raises(ValueError, match="outside those of dimension 2"):
+        verify_identity(2, trials=1, matrix=foreign)
