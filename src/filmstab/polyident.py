@@ -130,7 +130,7 @@ def _variables(N: int) -> list:
 
 def build_Q(N: int) -> list:
     """The acoustic matrix ``q_ih = sum_jk C_ijhk n_j n_k``, symbolically."""
-    _variables(N)
+    _variables(N)  # refuses a dimension other than 2 and 3
     r = range(1, N + 1)
     return [
         [add(*(mul(_var(f"C{i}{j}{h}{k}"), _var(f"n{j}"), _var(f"n{k}")) for j in r for k in r)) for h in r]
@@ -154,7 +154,7 @@ def build_M(N: int) -> list:
     ``sum_j C_ijhm n_j`` in column ``s_mNh`` are linear both in the normal
     and in the tensor.
     """
-    _variables(N)
+    _variables(N)  # refuses a dimension other than 2 and 3
     r = range(1, N + 1)
     pairs = [(i, m) for i in r for m in r if i <= m]
     cols = {pair + (j,): c for c, (j, pair) in enumerate((j, pair) for j in r for pair in pairs)}

@@ -1,9 +1,9 @@
 """Single-leaf mutations of small valid configurations, run through ``cli.main`` in this process.
 
-Each base configuration is valid for one command, one base per command,
-on a grid no larger than 16 x 8.  A mutation replaces
-one leaf of it (a number, a string, a boolean or ``null``, inside any
-object or list) by one of ``VALUES``; ``EXTRA`` adds mutations that leave
+There is one valid base configuration per command, on a grid no larger
+than 16 x 8 where the command takes a film.  A mutation replaces one leaf
+of it (a number, a string, a boolean or ``null``, inside any object or
+list) by one of ``VALUES``; ``EXTRA`` adds mutations that leave
 the curved nonlinear film compressed until its stiffness has no Cholesky
 factor, so Newton steps through the block factor's Schur complement.
 :func:`run_mutation` runs one with ``--threads 1`` and reports the exit

@@ -85,8 +85,6 @@ CASES = [
     ("verify-identity", {A: {"dim": 4}}, "analysis.dim: must be 2 or 3, got 4"),
     ("verify-identity", {A: {"dim": "3"}}, "analysis.dim: expected a number, got str"),
     ("verify-identity", {A: {"dim": 2, "trials": 0}}, "analysis.trials: must be at least 1, got 0"),
-    ("verify-identity", {A: {"dim": 3, "trials": 1001}}, "analysis.trials: at most 1000, got 1001: the failure bound is 0.0 from 19 trials on"),
-    ("verify-identity", {A: {"dim": 3, "trials": 1e300}}, "analysis.trials: at most 1000, got 1.000e+300: the failure bound is 0.0 from 19 trials on"),
     ("verify-identity", {A: {"trials": 5}}, "analysis.dim: missing required key (or pass --dim)"),
     ("verify-identity", {A: {"dim": 2, "seed": 1}}, "analysis.seed: unknown key"),
     ("verify-identity", {"geometry": {"dim": 2, "n": 16, "ny": 8, "profile": {"kind": "flat", "thickness": 1.0}}}, "config.geometry: unknown key"),
@@ -118,6 +116,9 @@ CASES = [
     ("oracle-check", {A: {"richardson": 1, "fd_step": 0, "rel_tol": 0, "modes": []}}, "analysis.modes: expected a non-empty list of integers"),
     ("oracle-check", {A: {"richardson": 1, "fd_step": 0, "rel_tol": 0}}, "analysis.rel_tol: must be positive, got 0.0"),
     ("oracle-check", {A: {"richardson": 1, "fd_step": 0}}, "analysis.fd_step: must be positive, got 0.0"),
+    # verify-identity's trials limit
+    ("verify-identity", {A: {"dim": 3, "trials": 1001}}, "analysis.trials: at most 1000, got 1001: the failure bound is 0.0 from 19 trials on"),
+    ("verify-identity", {A: {"dim": 3, "trials": 1e300}}, "analysis.trials: at most 1000, got 1.000e+300: the failure bound is 0.0 from 19 trials on"),
 ]
 
 HELP = {
